@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
   }
   const exec::ExecReport reduce = comm.run_reduce(
       values,
-      [](exec::Bytes& acc, std::span<const std::byte> rhs) {
+      exec::CombineFn([](exec::Bytes& acc, std::span<const std::byte> rhs) {
         acc.insert(acc.end(), rhs.begin(), rhs.end());
-      },
+      }),
       /*root=*/0);
   const exec::Bytes& folded = reduce.folded_at(0);
   std::cout << "reduce (concat): root folded to \""

@@ -152,15 +152,9 @@ exec::Program Communicator::compile(runtime::Problem problem, std::int64_t k,
                                     ProcId root) const {
   const obs::Span span("comm.compile", "comm");
   switch (problem) {
-    case runtime::Problem::kBroadcast: {
-      // Implicit-capable plans lower straight from the generators; the
-      // streams are identical to compiling the materialized schedule.
-      const PlanPtr plan = planner_->plan(PlanKey::broadcast(params_, root));
-      if (plan->implicit) {
-        return exec::compile_implicit(*plan->implicit, "bcast");
-      }
-      return exec::compile_broadcast(plan->schedule, "bcast");
-    }
+    case runtime::Problem::kBroadcast:
+      return exec::compile_plan(
+          *planner_->plan(PlanKey::broadcast(params_, root)), "bcast");
     case runtime::Problem::kKItemBroadcast: {
       // Segmented broadcast: the Section 3 single-sending k-item schedule,
       // one segment per item.  The cache key normalizes root to 0 (the
@@ -170,25 +164,20 @@ exec::Program Communicator::compile(runtime::Problem problem, std::int64_t k,
       if (root < 0 || root >= params_.P) {
         throw std::invalid_argument("Communicator::compile: bad root");
       }
-      exec::Program program = exec::compile_broadcast(
-          planner_->plan(PlanKey::segmented_broadcast(params_, k))->schedule,
+      exec::Program program = exec::compile_plan(
+          *planner_->plan(PlanKey::segmented_broadcast(params_, k)),
           "bcast-seg");
       if (root != 0) {
         program = exec::relabel_swapped(std::move(program), 0, root);
       }
       return program;
     }
-    case runtime::Problem::kReduce: {
-      const PlanPtr plan = planner_->plan(PlanKey::reduce(params_, root));
-      if (plan->implicit) {
-        return exec::compile_implicit(*plan->implicit, "reduce");
-      }
-      return exec::compile_reduction(reduce(root));
-    }
+    case runtime::Problem::kReduce:
+      return exec::compile_plan(
+          *planner_->plan(PlanKey::reduce(params_, root)), "reduce");
     case runtime::Problem::kAllToAll:
-      return exec::compile_broadcast(
-          planner_->plan(PlanKey::alltoall(params_, static_cast<int>(k)))
-              ->schedule,
+      return exec::compile_plan(
+          *planner_->plan(PlanKey::alltoall(params_, static_cast<int>(k))),
           k == 1 ? "allgather" : "alltoall");
     case runtime::Problem::kSummation:
       return exec::compile_summation(reduce_operands(k));
@@ -221,32 +210,16 @@ exec::ExecReport Communicator::run_broadcast_tuned(
   }
   if (key.problem == runtime::Problem::kKItemBroadcast) {
     // Segmented winner: the k-item pipeline over payload/k slices, results
-    // coalesced in place (Engine::run_segmented).  Same root convention as
-    // compile(): the cached plan is root-0, relabeled on the way out.
-    exec::Program program =
-        exec::compile_broadcast(planner_->plan(key)->schedule, "bcast-seg");
-    if (root != 0) {
-      program = exec::relabel_swapped(std::move(program), 0, root);
-    }
+    // coalesced in place (Engine::run_segmented).
     return engine_or_shared(engine).run_segmented(
-        program, exec::SegmentRun{payload, static_cast<int>(key.k)});
+        compile(runtime::Problem::kKItemBroadcast, key.k, root),
+        exec::SegmentRun{payload, static_cast<int>(key.k)});
   }
-  const runtime::PlanPtr plan = planner_->plan(key);
   const exec::Program program =
-      plan->implicit ? exec::compile_implicit(*plan->implicit, "bcast")
-                     : exec::compile_broadcast(plan->schedule, "bcast");
+      exec::compile_plan(*planner_->plan(key), "bcast");
   const std::vector<exec::Bytes> items{
       exec::Bytes(payload.begin(), payload.end())};
   return engine_or_shared(engine).run(program, items);
-}
-
-exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
-                                          const exec::CombineFn& op,
-                                          ProcId root,
-                                          exec::Engine* engine) const {
-  const obs::Span span("comm.run_reduce", "comm");
-  const exec::Program program = compile(runtime::Problem::kReduce, 1, root);
-  return engine_or_shared(engine).run(program, values, op);
 }
 
 exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
@@ -292,11 +265,8 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
                                             params_, 1, root, mask));
     res.survivors = res.plan->key.live_ranks();
     // A masked plan's `implicit` (like its schedule) describes the compact
-    // survivor machine, so either lowering yields the same program.
-    const exec::Program program =
-        res.plan->implicit
-            ? exec::compile_implicit(*res.plan->implicit, "bcast-ft")
-            : exec::compile_broadcast(res.plan->schedule, "bcast-ft");
+    // survivor machine.
+    const exec::Program program = exec::compile_plan(*res.plan, "bcast-ft");
     std::optional<fault::Injector> injector;
     if (inject) injector.emplace(spec);
     try {
@@ -365,14 +335,6 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
     }
     return res;
   }
-}
-
-exec::ExecReport Communicator::run_reduce_operands(
-    Count n, const std::vector<std::vector<exec::Bytes>>& operands,
-    const exec::CombineFn& op, exec::Engine* engine) const {
-  const obs::Span span("comm.run_reduce_operands", "comm");
-  const exec::Program program = exec::compile_summation(reduce_operands(n));
-  return engine_or_shared(engine).run(program, operands, op);
 }
 
 exec::ExecReport Communicator::run_reduce_operands(

@@ -186,13 +186,10 @@ class Communicator {
 
   /// Message reduction of one value per processor (values[p] is p's
   /// contribution), folded with `op` in the plan's arrival order;
-  /// report.folded_at(root) is the result.  `op` must be associative.
-  [[nodiscard]] exec::ExecReport run_reduce(
-      const std::vector<exec::Bytes>& values, const exec::CombineFn& op,
-      ProcId root = 0, exec::Engine* engine = nullptr) const;
-  /// As above with a typed combiner: folds whose operand sizes match take
-  /// the fused SIMD kernel for op.spec() (exec::ExecReport::kernel_folds
-  /// counts them); mismatched sizes fall back to the scalar lane.
+  /// report.folded_at(root) is the result.  `op` must be associative.  A
+  /// typed combiner's size-matched folds take the fused SIMD kernel for
+  /// op.spec() (exec::ExecReport::kernel_folds counts them); one built
+  /// from a CombineFn, and mismatched sizes, take the scalar lane.
   [[nodiscard]] exec::ExecReport run_reduce(
       const std::vector<exec::Bytes>& values, const exec::Combiner& op,
       ProcId root = 0, exec::Engine* engine = nullptr) const;
@@ -222,12 +219,8 @@ class Communicator {
   /// and folds `operands` — laid out per sum::operand_layout of that plan
   /// (operands[i] belongs to plan.procs[i]; counts must match or the engine
   /// throws).  report.folded_at(plan root) equals the sequential left-fold
-  /// of the operands in sum::combination_order.
-  [[nodiscard]] exec::ExecReport run_reduce_operands(
-      Count n, const std::vector<std::vector<exec::Bytes>>& operands,
-      const exec::CombineFn& op, exec::Engine* engine = nullptr) const;
-  /// Typed-combiner variant: size-matched folds run on the SIMD kernel,
-  /// still in the plan's (possibly non-commutative) combination order.
+  /// of the operands in sum::combination_order — a typed combiner's
+  /// size-matched folds run on the SIMD kernel in that same order.
   [[nodiscard]] exec::ExecReport run_reduce_operands(
       Count n, const std::vector<std::vector<exec::Bytes>>& operands,
       const exec::Combiner& op, exec::Engine* engine = nullptr) const;

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "exec/arena.hpp"
+#include "exec/wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
 
@@ -108,11 +109,6 @@ ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
   return run_impl(program, nullptr, nullptr, &values, nullptr, &op, injector);
 }
 
-ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
-                       const CombineFn& op, const fault::Injector* injector) {
-  return run(program, values, Combiner(op), injector);
-}
-
 ExecReport Engine::run(const Program& program,
                        const std::vector<std::vector<Bytes>>& operands,
                        const Combiner& op, const fault::Injector* injector) {
@@ -124,12 +120,6 @@ ExecReport Engine::run(const Program& program,
   }
   return run_impl(program, nullptr, nullptr, nullptr, &operands, &op,
                   injector);
-}
-
-ExecReport Engine::run(const Program& program,
-                       const std::vector<std::vector<Bytes>>& operands,
-                       const CombineFn& op, const fault::Injector* injector) {
-  return run(program, operands, Combiner(op), injector);
 }
 
 ExecReport Engine::run_impl(const Program& program,
@@ -187,7 +177,6 @@ ExecReport Engine::run_impl(const Program& program,
 
   const bool reliable = injector != nullptr || opts_.recovery.enabled;
   const Recovery& rec = opts_.recovery;
-  const WaitPolicy& wait = opts_.wait;
   const KernelFn kernel = op != nullptr ? op->kernel() : nullptr;
 
   // Serialize runs on this engine *before* starting the watchdog clock:
@@ -330,7 +319,6 @@ ExecReport Engine::run_impl(const Program& program,
   std::vector<std::size_t> kernel_bytes(P, 0);
   std::vector<std::vector<double>> backoffs_ns(P);  // lapsed retransmit waits
   Failure failure;
-  ParkGate park_gate;
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
       start + std::chrono::milliseconds(opts_.timeout_ms);
@@ -380,11 +368,11 @@ ExecReport Engine::run_impl(const Program& program,
       return true;
     };
 
-    // Plain blocking wait (fault-free path): walk the WaitPolicy ladder —
-    // cpu_relax spins, then slow ticks that check the watchdog deadline
-    // and yield/park per the policy.
+    // Plain blocking wait (fault-free path): walk the wait ladder —
+    // cpu_relax spins, then yields with slow ticks that check the watchdog
+    // deadline.
     auto blocking = [&](auto&& attempt) -> bool {
-      Waiter w(wait, &park_gate);
+      Waiter w;
       while (!attempt()) {
         if (failure.abort.load(std::memory_order_acquire)) return false;
         if (w.should_tick()) {
@@ -403,7 +391,7 @@ ExecReport Engine::run_impl(const Program& program,
     // runs the failure detector against the peer we are blocked on.
     auto blocking_on = [&](ProcId peer, auto&& attempt) -> bool {
       Watch watch = watch_of(peer);
-      Waiter w(wait, &park_gate);
+      Waiter w;
       while (!attempt()) {
         beat();
         if (failure.abort.load(std::memory_order_acquire)) return false;
@@ -450,7 +438,7 @@ ExecReport Engine::run_impl(const Program& program,
       const auto max_backoff = std::chrono::microseconds(rec.max_backoff_us);
       Clock::time_point next_retx = Clock::now() + backoff;
       int retries_left = rec.max_retries;
-      Waiter w(wait, &park_gate);
+      Waiter w;
       while (!drained()) {
         beat();
         if (failure.abort.load(std::memory_order_acquire)) return false;
@@ -711,27 +699,8 @@ ExecReport Engine::run_impl(const Program& program,
       run_span.set_arg(program.label + " P=" +
                        std::to_string(program.params.P));
     }
-    // Park mode: a ticker wakes every parked waiter each park_tick_us, so
-    // parked workers re-check their condition, deadline and heartbeat at a
-    // bounded cadence — the watchdog and failure detector stay live even
-    // though producers never touch the gate.
-    std::atomic<bool> ticker_stop{false};
-    std::thread ticker;
-    if (wait.mode == WaitPolicy::Mode::kPark) {
-      ticker = std::thread([&] {
-        while (!ticker_stop.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(wait.park_tick_us));
-          park_gate.tick();
-        }
-      });
-    }
     pool_.run(static_cast<int>(P), worker);
     report.wall_ns = ns_since(start);
-    if (ticker.joinable()) {
-      ticker_stop.store(true, std::memory_order_release);
-      ticker.join();
-    }
   }
 
 #ifndef NDEBUG

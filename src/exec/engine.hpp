@@ -13,7 +13,6 @@
 #include "exec/mailbox.hpp"
 #include "exec/program.hpp"
 #include "exec/thread_pool.hpp"
-#include "exec/wait.hpp"
 #include "fault/fault.hpp"
 
 /// \file engine.hpp
@@ -186,10 +185,6 @@ class Engine {
     /// Record per-link high-water marks (ExecReport::max_mailbox_occupancy).
     /// Off, the producer's push pays only the ring indices.
     bool mailbox_stats = true;
-    /// How blocked workers wait: spin / adaptive (default) / park.  One
-    /// policy drives every wait in the run — mailbox waits, ack waits and
-    /// the failure-detector loops.
-    WaitPolicy wait;
     Recovery recovery;
   };
 
@@ -217,12 +212,10 @@ class Engine {
   /// kFold: `values[p]` is processor p's initial value; receives fold with
   /// `op` in arrival order.  The root's accumulator is the result.  A
   /// typed Combiner (constructed from a KernelSpec) takes the fused SIMD
-  /// lane on every size-matched fold; the CombineFn overloads are the
+  /// lane on every size-matched fold; one built from a CombineFn is the
   /// fully generic path.
   ExecReport run(const Program& program, const std::vector<Bytes>& values,
                  const Combiner& op, const fault::Injector* injector = nullptr);
-  ExecReport run(const Program& program, const std::vector<Bytes>& values,
-                 const CombineFn& op, const fault::Injector* injector = nullptr);
 
   /// kSum: `operands[i]` are the local operands of plan.procs[i] (counts
   /// must match sum::operand_layout; throws otherwise), folded with `op` in
@@ -230,9 +223,6 @@ class Engine {
   ExecReport run(const Program& program,
                  const std::vector<std::vector<Bytes>>& operands,
                  const Combiner& op, const fault::Injector* injector = nullptr);
-  ExecReport run(const Program& program,
-                 const std::vector<std::vector<Bytes>>& operands,
-                 const CombineFn& op, const fault::Injector* injector = nullptr);
 
   /// The process-wide engine api::Communicator's run_* entry points use by
   /// default.
@@ -244,7 +234,7 @@ class Engine {
   /// construction and immutable afterwards — there is deliberately no
   /// setter, so a run never observes a torn options struct and the shared
   /// engine always carries the defaults.  Callers needing different knobs
-  /// (recovery, wait policy, mailbox stats) construct their own Engine;
+  /// (recovery, timeout, mailbox stats) construct their own Engine;
   /// svc::CollectiveService does exactly that, one per pool.
   static Engine& shared();
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "runtime/implicit_plan.hpp"
+#include "runtime/plan_cache.hpp"
 #include "sum/executor.hpp"
 
 namespace logpc::exec {
@@ -32,28 +34,74 @@ class LinkTable {
   std::vector<Link> links_;
 };
 
-/// Plan-time ordering key: receives sort by payload-available cycle and
-/// before a send starting the same cycle (the send may forward the item
-/// that just landed); schedule position breaks remaining ties.
-struct Keyed {
-  Time when = 0;
-  int is_send = 0;
-  std::size_t pos = 0;
-  Instr instr;
-
-  friend bool operator<(const Keyed& a, const Keyed& b) {
-    return std::tie(a.when, a.is_send, a.pos) <
-           std::tie(b.when, b.is_send, b.pos);
+/// A program with its machine, mode, label and prediction set and one
+/// empty stream per processor, ready for a source to fill.
+Program skeleton(const Params& params, Mode mode, std::string label,
+                 Time predicted_makespan) {
+  params.require_valid();
+  Program prog;
+  prog.params = params;
+  prog.mode = mode;
+  prog.label = std::move(label);
+  prog.predicted_makespan = predicted_makespan;
+  prog.procs.resize(static_cast<std::size_t>(params.P));
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    prog.procs[p].proc = static_cast<ProcId>(p);
   }
-};
+  return prog;
+}
 
-/// Back-to-front sweep filling Instr::chain: for each receive, how many
-/// consecutive receives (itself included) the stream performs on the same
-/// link with nothing in between.  This is the engine's licence to drain
-/// that many messages in one bulk pop.
-void annotate_recv_chains(Program& prog) {
-  for (ProcProgram& pp : prog.procs) {
-    std::vector<Instr>& v = pp.instrs;
+/// The one lowering.  On entry `prog.procs[p].instrs` holds rank p's
+/// events in plan-time order, and every kSend/kRecv carries in `link` the
+/// id of its message, in [0, num_ids) and shared by the send and its
+/// receive.  Walking the ranks in order, each id becomes the mailbox index
+/// of its (from, to) link, links numbered by first appearance; memoizing
+/// per id keeps it to one table probe per message.  The same walk refuses
+/// a stream that would block forever — kMove: a send of an item the rank
+/// has neither received nor been placed; kFold/kSum: a receive after the
+/// rank's one send — and a backward sweep then fills Instr::chain: this
+/// receive plus the consecutive receives after it on the same link, the
+/// engine's licence to drain that many messages in one bulk pop.
+void lower(Program& prog, std::size_t num_ids) {
+  const bool move = prog.mode == Mode::kMove;
+  const auto items = static_cast<std::size_t>(prog.num_items);
+  std::vector<char> have(move ? prog.procs.size() * items : 0, 0);
+  for (const InitialPlacement& init : prog.initials) {
+    have[static_cast<std::size_t>(init.proc) * items +
+         static_cast<std::size_t>(init.item)] = 1;
+  }
+  std::vector<std::int32_t> link_of(num_ids, -1);
+  LinkTable links;
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    const auto self = static_cast<ProcId>(p);
+    std::vector<Instr>& v = prog.procs[p].instrs;
+    bool sent = false;
+    for (Instr& ins : v) {
+      if (ins.op == OpCode::kCombineLocal) continue;
+      const bool send = ins.op == OpCode::kSend;
+      std::int32_t& link = link_of[static_cast<std::size_t>(ins.link)];
+      if (link < 0) {
+        link = send ? links.intern(self, ins.peer)
+                    : links.intern(ins.peer, self);
+      }
+      ins.link = link;
+      if (move) {
+        char& held = have[p * items + static_cast<std::size_t>(ins.item)];
+        if (send && held == 0) {
+          throw std::invalid_argument(
+              "exec::compile: P" + std::to_string(p) + " sends item " +
+              std::to_string(ins.item) + " before holding it");
+        }
+        if (!send) held = 1;
+      } else {
+        if (!send && sent) {
+          throw std::invalid_argument(
+              "exec::compile: P" + std::to_string(p) +
+              " receives after its send — not a reduction plan");
+        }
+        sent = sent || send;
+      }
+    }
     for (std::size_t j = v.size(); j-- > 0;) {
       if (v[j].op != OpCode::kRecv) continue;
       const bool chained = j + 1 < v.size() &&
@@ -62,6 +110,34 @@ void annotate_recv_chains(Program& prog) {
       v[j].chain = chained ? v[j + 1].chain + 1 : 1;
     }
   }
+  prog.links = links.take();
+}
+
+/// Source for a materialized schedule: each SendOp is a kSend on its
+/// sender at its start cycle and a kRecv on its receiver at its
+/// payload-available cycle, its schedule position the message id.  Per
+/// rank, events sort by cycle, a receive before a send on the same cycle
+/// (the send may forward the item that just landed), then by position.
+Program from_schedule(Program prog, const Schedule& s) {
+  const auto& sends = s.sends();
+  prog.num_messages = sends.size();
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const SendOp& op = sends[i];
+    const auto id = static_cast<std::int32_t>(i);
+    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
+        Instr{OpCode::kSend, op.to, op.item, 0, id, op.start});
+    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
+        Instr{OpCode::kRecv, op.from, op.item, 0, id, s.available_at(op)});
+  }
+  for (ProcProgram& pp : prog.procs) {
+    std::sort(pp.instrs.begin(), pp.instrs.end(),
+              [](const Instr& a, const Instr& b) {
+                return std::tuple(a.when, a.op == OpCode::kSend, a.link) <
+                       std::tuple(b.when, b.op == OpCode::kSend, b.link);
+              });
+  }
+  lower(prog, sends.size());
+  return prog;
 }
 
 }  // namespace
@@ -80,69 +156,17 @@ Program::expected_deliveries() const {
 }
 
 Program compile_broadcast(const Schedule& s, std::string label) {
-  s.params().require_valid();
-  const auto P = static_cast<std::size_t>(s.params().P);
-  Program prog;
-  prog.params = s.params();
-  prog.mode = Mode::kMove;
-  prog.label = std::move(label);
+  Program prog =
+      skeleton(s.params(), Mode::kMove, std::move(label), s.makespan());
   prog.num_items = s.num_items();
-  prog.predicted_makespan = s.makespan();
-  prog.num_messages = s.sends().size();
   prog.initials = s.initials();
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
+  return from_schedule(std::move(prog), s);
+}
 
-  LinkTable links;
-  std::vector<std::vector<Keyed>> streams(P);
-  const auto& sends = s.sends();
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    const SendOp& op = sends[i];
-    const std::int32_t link = links.intern(op.from, op.to);
-    streams[static_cast<std::size_t>(op.from)].push_back(
-        Keyed{op.start, 1, i,
-              Instr{OpCode::kSend, op.to, op.item, 0, link, op.start}});
-    streams[static_cast<std::size_t>(op.to)].push_back(
-        Keyed{s.available_at(op), 0, i,
-              Instr{OpCode::kRecv, op.from, op.item, 0, link,
-                    s.available_at(op)}});
-  }
-
-  // Availability check in stream order: refuse to compile a plan that would
-  // block forever on an item its sender never obtains.
-  std::vector<std::vector<char>> have(
-      P, std::vector<char>(static_cast<std::size_t>(prog.num_items), 0));
-  for (const auto& init : s.initials()) {
-    have[static_cast<std::size_t>(init.proc)]
-        [static_cast<std::size_t>(init.item)] = 1;
-  }
-  for (std::size_t p = 0; p < P; ++p) {
-    std::sort(streams[p].begin(), streams[p].end());
-    prog.procs[p].instrs.reserve(streams[p].size());
-    for (const Keyed& k : streams[p]) prog.procs[p].instrs.push_back(k.instr);
-  }
-  // Sends must follow the reception (or initial placement) of their item in
-  // the same stream — stream order is exactly what executes.
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const Instr& ins : prog.procs[p].instrs) {
-      char& slot = have[p][static_cast<std::size_t>(ins.item)];
-      if (ins.op == OpCode::kSend) {
-        if (slot == 0) {
-          throw std::invalid_argument(
-              "exec::compile_broadcast: P" + std::to_string(p) +
-              " sends item " + std::to_string(ins.item) +
-              " before holding it");
-        }
-      } else if (ins.op == OpCode::kRecv) {
-        slot = 1;
-      }
-    }
-  }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
-  return prog;
+Program compile_reduction(const bcast::ReductionPlan& plan) {
+  return from_schedule(skeleton(plan.schedule.params(), Mode::kFold,
+                                "reduce", plan.completion),
+                       plan.schedule);
 }
 
 Program relabel_swapped(Program program, ProcId a, ProcId b) {
@@ -170,123 +194,58 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
   return program;
 }
 
-Program compile_reduction(const bcast::ReductionPlan& plan) {
-  const Schedule& s = plan.schedule;
-  s.params().require_valid();
-  const auto P = static_cast<std::size_t>(s.params().P);
-  Program prog;
-  prog.params = s.params();
-  prog.mode = Mode::kFold;
-  prog.label = "reduce";
-  prog.num_items = 1;
-  prog.predicted_makespan = plan.completion;
-  prog.num_messages = s.sends().size();
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
-
-  LinkTable links;
-  std::vector<std::vector<Keyed>> streams(P);
-  const auto& sends = s.sends();
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    const SendOp& op = sends[i];
-    const std::int32_t link = links.intern(op.from, op.to);
-    streams[static_cast<std::size_t>(op.from)].push_back(
-        Keyed{op.start, 1, i,
-              Instr{OpCode::kSend, op.to, op.item, 0, link, op.start}});
-    streams[static_cast<std::size_t>(op.to)].push_back(
-        Keyed{s.available_at(op), 0, i,
-              Instr{OpCode::kRecv, op.from, op.item, 0, link,
-                    s.available_at(op)}});
-  }
-  for (std::size_t p = 0; p < P; ++p) {
-    std::sort(streams[p].begin(), streams[p].end());
-    bool sent = false;
-    for (const Keyed& k : streams[p]) {
-      if (k.instr.op == OpCode::kRecv && sent) {
-        throw std::invalid_argument(
-            "exec::compile_reduction: P" + std::to_string(p) +
-            " receives after its send — not a reduction plan");
-      }
-      sent = sent || k.instr.op == OpCode::kSend;
-      prog.procs[p].instrs.push_back(k.instr);
-    }
-  }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
-  return prog;
-}
-
 Program compile_implicit(const runtime::ImplicitPlan& plan,
                          std::string label) {
-  const Params& params = plan.params();
-  params.require_valid();
-  const auto P = static_cast<std::size_t>(params.P);
-  const Time T = params.transfer_time();
   const bool reduce = plan.is_reduction();
-  Program prog;
-  prog.params = params;
-  prog.mode = reduce ? Mode::kFold : Mode::kMove;
-  prog.label = label.empty() ? (reduce ? "reduce" : "bcast")
-                             : std::move(label);
-  prog.num_items = 1;
-  prog.predicted_makespan = plan.completion();
+  if (label.empty()) label = reduce ? "reduce" : "bcast";
+  Program prog = skeleton(plan.params(), reduce ? Mode::kFold : Mode::kMove,
+                          std::move(label), plan.completion());
+  const auto P = static_cast<std::size_t>(plan.params().P);
+  const Time T = plan.params().transfer_time();
   prog.num_messages = P - 1;
   if (!reduce) {
-    prog.initials.push_back(
-        InitialPlacement{0, plan.plan_key().root, 0});
+    prog.initials.push_back(InitialPlacement{0, plan.plan_key().root, 0});
   }
-  prog.procs.resize(P);
-
   // Per-rank streams straight from the generators.  A RankSchedule's recvs
   // and sends are each in time order, and every receive's payload is
   // available no later than the first send's start (equality only on the
-  // parent link), so recvs-then-sends is exactly the Keyed order the
-  // materialized compilers produce.  Links intern rank-major.
-  LinkTable links;
+  // parent link), so recvs-then-sends is plan-time order.  Every tree edge
+  // carries one message, named by its child end: the receiver of a
+  // broadcast edge, the sender of a reduction edge.
+  const auto id = [reduce](const SendOp& op) {
+    return static_cast<std::int32_t>(reduce ? op.from : op.to);
+  };
   for (std::size_t p = 0; p < P; ++p) {
     const runtime::RankSchedule rs =
         plan.rank_schedule(static_cast<ProcId>(p));
-    ProcProgram& stream = prog.procs[p];
-    stream.proc = static_cast<ProcId>(p);
-    stream.instrs.reserve(rs.recvs.size() + rs.sends.size());
+    std::vector<Instr>& instrs = prog.procs[p].instrs;
+    instrs.reserve(rs.recvs.size() + rs.sends.size());
     for (const SendOp& op : rs.recvs) {
-      const std::int32_t link = links.intern(op.from, op.to);
-      stream.instrs.push_back(
-          Instr{OpCode::kRecv, op.from, op.item, 0, link, op.start + T});
+      instrs.push_back(
+          Instr{OpCode::kRecv, op.from, op.item, 0, id(op), op.start + T});
     }
     for (const SendOp& op : rs.sends) {
-      const std::int32_t link = links.intern(op.from, op.to);
-      stream.instrs.push_back(
-          Instr{OpCode::kSend, op.to, op.item, 0, link, op.start});
+      instrs.push_back(
+          Instr{OpCode::kSend, op.to, op.item, 0, id(op), op.start});
     }
   }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
+  lower(prog, P);
   return prog;
 }
 
-Program compile_summation(const sum::SummationPlan& plan) {
-  plan.params.require_valid();
-  const auto P = static_cast<std::size_t>(plan.params.P);
-  Program prog;
-  prog.params = plan.params;
-  prog.mode = Mode::kSum;
-  prog.label = "summation";
-  prog.num_items = 1;
-  prog.predicted_makespan = plan.t;
-  prog.procs.resize(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    prog.procs[p].proc = static_cast<ProcId>(p);
-  }
+Program compile_plan(const runtime::Plan& plan, std::string label) {
+  if (plan.implicit) return compile_implicit(*plan.implicit, std::move(label));
+  return compile_broadcast(plan.schedule, std::move(label));
+}
 
+Program compile_summation(const sum::SummationPlan& plan) {
+  Program prog = skeleton(plan.params, Mode::kSum, "summation", plan.t);
+  // Each participant sends at most once, so a message is named by its
+  // sender.
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
-  LinkTable links;
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
-    const auto p = static_cast<std::size_t>(pp.proc);
-    ProcProgram& stream = prog.procs[p];
+    ProcProgram& stream = prog.procs[static_cast<std::size_t>(pp.proc)];
     stream.sum_index = static_cast<std::int32_t>(i);
     stream.num_operands = layout[i].total();
     const auto& chunks = layout[i].chunk_sizes;
@@ -298,20 +257,17 @@ Program compile_summation(const sum::SummationPlan& plan) {
     };
     add_chunk(chunks[0], 0);
     for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      const std::int32_t link = links.intern(pp.recv_from[j], pp.proc);
       stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
-                                    link, pp.recv_times[j]});
+                                    pp.recv_from[j], pp.recv_times[j]});
       add_chunk(chunks[j + 1], pp.recv_times[j]);
     }
     if (pp.send_to != kNoProc) {
-      const std::int32_t link = links.intern(pp.proc, pp.send_to);
       stream.instrs.push_back(
-          Instr{OpCode::kSend, pp.send_to, 0, 0, link, pp.send_time});
+          Instr{OpCode::kSend, pp.send_to, 0, 0, pp.proc, pp.send_time});
       ++prog.num_messages;
     }
   }
-  prog.links = links.take();
-  annotate_recv_chains(prog);
+  lower(prog, prog.procs.size());
   return prog;
 }
 

@@ -24,6 +24,13 @@
 /// streams with blocking sends/receives cannot deadlock however the real
 /// threads race.
 ///
+/// Every compile_* function is a thin source for one lowering: it emits
+/// each rank's events in that order, and the lowering numbers the links
+/// rank-major (in order of first appearance walking rank 0's stream, then
+/// rank 1's, ...), refuses streams that would hang, and annotates receive
+/// chains.  The same plan therefore lowers to the same Program whichever
+/// form — materialized schedule or implicit generator — it arrives in.
+///
 /// Three value semantics, one per planner output family:
 ///  * kMove  — broadcast-shaped plans (bcast, k-item, scatter, gather,
 ///             all-to-all): a receive copies the payload into the local
@@ -38,6 +45,7 @@
 
 namespace logpc::runtime {
 class ImplicitPlan;
+struct Plan;
 }  // namespace logpc::runtime
 
 namespace logpc::exec {
@@ -66,12 +74,16 @@ struct Instr {
   /// what this stream consumes back-to-back anyway, so the mailbox bound
   /// keeps its capacity-constraint meaning.  Computed at compile time.
   std::int32_t chain = 1;
+
+  friend bool operator==(const Instr&, const Instr&) = default;
 };
 
 /// One directed processor pair with traffic, i.e. one mailbox.
 struct Link {
   ProcId from = kNoProc;
   ProcId to = kNoProc;
+
+  friend bool operator==(const Link&, const Link&) = default;
 };
 
 struct ProcProgram {
@@ -79,6 +91,8 @@ struct ProcProgram {
   std::int32_t sum_index = -1;    ///< kSum: index into SummationPlan::procs
   std::size_t num_operands = 0;   ///< kSum: local operands this proc folds
   std::vector<Instr> instrs;
+
+  friend bool operator==(const ProcProgram&, const ProcProgram&) = default;
 };
 
 /// A compiled collective: everything Engine::run needs, decoupled from the
@@ -98,6 +112,8 @@ struct Program {
   /// the plan — the expected side of validate::check_delivery_order.
   [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
   expected_deliveries() const;
+
+  friend bool operator==(const Program&, const Program&) = default;
 };
 
 /// Lowers a move-semantics schedule (broadcast, k-item, scatter, gather,
@@ -109,19 +125,26 @@ struct Program {
 
 /// Lowers a message reduction: receives fold, the final send carries the
 /// accumulator.  Fold order per processor is arrival order, matching
-/// bcast::execute_reduction.
+/// bcast::execute_reduction.  Throws std::invalid_argument if a processor
+/// would receive after its send.
 [[nodiscard]] Program compile_reduction(const bcast::ReductionPlan& plan);
 
 /// Lowers an implicit plan straight from its per-rank generators — no
-/// materialized Schedule anywhere on the path.  Produces instruction
-/// streams identical, processor by processor and instruction by
-/// instruction, to compile_broadcast / compile_reduction run on the
-/// materialized schedule for the same key (link *indices* may differ —
-/// they are interned in rank-major rather than global send order — but the
-/// link endpoints, stream order and timings agree, so engine results are
-/// byte-identical).  `label` defaults to "bcast" / "reduce" by plan kind.
+/// materialized Schedule anywhere on the path.  The result equals
+/// (Program::operator==) compile_broadcast / compile_reduction of the
+/// materialized schedule for the same key, link table included.  `label`
+/// defaults to "bcast" / "reduce" by plan kind.
 [[nodiscard]] Program compile_implicit(const runtime::ImplicitPlan& plan,
                                        std::string label = {});
+
+/// Lowers a cached runtime::Plan: from its implicit form when it carries
+/// one (no materialized schedule on the path), otherwise from its
+/// schedule with move semantics.  Both forms give the same Program.  Every
+/// kReduce plan carries an implicit form (runtime::implicit_form), so
+/// reductions always lower with fold semantics.  This is the one place a
+/// planned collective chooses its lowering.
+[[nodiscard]] Program compile_plan(const runtime::Plan& plan,
+                                   std::string label);
 
 /// Lowers a summation plan: local chunks from sum::operand_layout
 /// interleave with receptions; processors outside plan.procs get empty

@@ -5,32 +5,23 @@
 #include <thread>
 
 /// \file wait.hpp
-/// The engine's wait policy: one tiered idle strategy replacing the three
-/// divergent hard-coded spin loops (256/256/64) the engine grew across
-/// PRs 3-4.  Every blocking wait — plain mailbox waits, reliable waits
-/// with failure detection, and the ack/retransmit loop — now walks the
-/// same ladder:
+/// The engine's one wait strategy.  Every blocking wait — plain mailbox
+/// waits, reliable waits with failure detection, and the ack/retransmit
+/// loop — walks the same adaptive ladder:
 ///
-///   tier 1  spin with cpu_relax() (PAUSE/YIELD): cheapest reaction when
-///           the condition flips within a few hundred cycles;
+///   tier 1  spin with cpu_relax() (PAUSE/YIELD) for kRelaxSpins attempts:
+///           the cheapest reaction when the condition flips within a few
+///           hundred cycles;
 ///   tier 2  yield once per failed attempt (an oversubscribed machine
 ///           needs the waiter's core to run the producer — PAUSE-spinning
 ///           between yields measurably stalls whole collectives), with a
-///           *slow tick* every `spin_yield` attempts where the caller
-///           runs its deadline / failure-detector / retransmit
-///           bookkeeping and the adaptive mode adds a capped exponential
-///           yield burst (1, 2, 4, ... extra yields);
-///   tier 3  (WaitPolicy::Mode::kPark only) park on a run-wide ParkGate
-///           via std::atomic::wait.  Producers never touch the gate — a
-///           ticker thread owned by the run wakes all parked waiters every
-///           `park_tick_us`, so a parked worker re-checks its condition,
-///           its deadline and its heartbeat at a bounded cadence and the
-///           watchdog / failure-detector paths stay live.  Parking trades
-///           wake-up latency (<= one tick) for near-zero idle CPU.
+///           *slow tick* every kSlowTickSpins attempts where the caller
+///           runs its deadline / failure-detector / retransmit bookkeeping
+///           and then a capped exponential yield burst (1, 2, 4, ... up to
+///           kMaxYieldBurst extra yields).
 ///
-/// The slow-tick cadence is the old spin constant unified: kSlowTickSpins
-/// attempts between bookkeeping runs, close enough to the previous 256 to
-/// keep retransmit timing behavior while giving all three loops one knob.
+/// A waiter never sleeps, so its heartbeat and its deadline checks keep
+/// running at the slow-tick cadence for as long as it waits.
 
 namespace logpc::exec {
 
@@ -45,58 +36,9 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-struct WaitPolicy {
-  enum class Mode : std::uint8_t {
-    kSpin,      ///< tiers 1-2 but never yields: lowest latency, burns CPU
-    kAdaptive,  ///< spin, then yield with exponential backoff (default)
-    kPark,      ///< spin, yield, then park on the run's ParkGate
-  };
-
-  /// Unified slow-tick cadence (was 256/256/64 across the three loops).
-  static constexpr std::uint32_t kSlowTickSpins = 256;
-  /// Tier-1 attempts before yielding begins.  Deliberately short: PAUSE
-  /// costs ~100+ cycles on modern x86, and on an oversubscribed host the
-  /// condition can only flip after a context switch, so every extra relax
-  /// poll is pure latency on the critical path of a blocked receive.
-  static constexpr std::uint32_t kRelaxSpins = 8;
-
-  Mode mode = Mode::kAdaptive;
-  std::uint32_t spin_relax = kRelaxSpins;   ///< tier-1 cpu_relax attempts
-  std::uint32_t spin_yield = kSlowTickSpins;///< attempts per slow tick after
-  std::uint32_t park_after_ticks = 64;      ///< slow ticks before parking
-  std::uint32_t park_tick_us = 200;         ///< ParkGate ticker cadence
-  std::uint32_t max_yield_backoff = 16;     ///< cap on consecutive yields
-
-  static WaitPolicy spin() { return WaitPolicy{Mode::kSpin, kRelaxSpins,
-                                               kSlowTickSpins, 64, 200, 16}; }
-  static WaitPolicy adaptive() { return WaitPolicy{}; }
-  static WaitPolicy park() { return WaitPolicy{Mode::kPark, kRelaxSpins,
-                                               kSlowTickSpins, 64, 200, 16}; }
-};
-
-/// Run-wide wake-up sequencer for WaitPolicy::Mode::kPark.  Only the run's
-/// ticker thread advances it; parked waiters std::atomic::wait on the
-/// sequence, so a producer's push costs nothing and a missed wake is
-/// bounded by the ticker cadence instead of being a lost wake-up.
-class ParkGate {
- public:
-  void tick() noexcept {
-    seq_.fetch_add(1, std::memory_order_release);
-    seq_.notify_all();
-  }
-  [[nodiscard]] std::uint64_t sequence() const noexcept {
-    return seq_.load(std::memory_order_acquire);
-  }
-  /// Blocks until tick() advances past `seen` (or spuriously).
-  void park(std::uint64_t seen) noexcept { seq_.wait(seen, std::memory_order_acquire); }
-
- private:
-  std::atomic<std::uint64_t> seq_{0};
-};
-
-/// Per-blocking-wait cursor through the policy tiers.  Usage:
+/// Per-blocking-wait cursor through the ladder.  Usage:
 ///
-///   Waiter w(policy, gate);
+///   Waiter w;
 ///   while (!attempt()) {
 ///     if (abort) return false;
 ///     if (w.should_tick()) {
@@ -106,27 +48,29 @@ class ParkGate {
 ///   }
 class Waiter {
  public:
-  Waiter(const WaitPolicy& policy, ParkGate* gate) noexcept
-      : p_(policy), gate_(gate) {}
+  /// Tier-1 attempts before yielding begins.  Deliberately short: PAUSE
+  /// costs ~100+ cycles on modern x86, and on an oversubscribed host the
+  /// condition can only flip after a context switch, so every extra relax
+  /// poll is pure latency on the critical path of a blocked receive.
+  static constexpr std::uint32_t kRelaxSpins = 8;
+  /// Failed attempts between two slow ticks (bookkeeping runs).
+  static constexpr std::uint32_t kSlowTickSpins = 256;
+  /// Cap on the yield burst a slow tick adds.
+  static constexpr std::uint32_t kMaxYieldBurst = 16;
 
   /// Advances one failed attempt.  Returns true when the caller should run
   /// its slow-path bookkeeping and then call idle(); returns false after
-  /// burning one tier-1 cpu_relax.
+  /// one tier-1 cpu_relax or tier-2 yield.
   bool should_tick() noexcept {
     ++attempts_;
-    if (ticks_ == 0 && attempts_ <= p_.spin_relax) {
+    if (ticks_ == 0 && attempts_ <= kRelaxSpins) {
       cpu_relax();
       return false;
     }
-    if (attempts_ < p_.spin_yield) {
+    if (attempts_ < kSlowTickSpins) {
       // Past tier 1 the condition is not flipping soon: cede the core so
-      // the peer this wait depends on can run (kSpin keeps burning it by
-      // explicit request).
-      if (p_.mode == WaitPolicy::Mode::kSpin) {
-        cpu_relax();
-      } else {
-        std::this_thread::yield();
-      }
+      // the peer this wait depends on can run.
+      std::this_thread::yield();
       return false;
     }
     attempts_ = 0;
@@ -134,33 +78,15 @@ class Waiter {
     return true;
   }
 
-  /// Tier-2/3 idle step after the caller's slow-path checks passed.
+  /// The yield burst after the caller's slow-path checks passed.
   void idle() noexcept {
-    switch (p_.mode) {
-      case WaitPolicy::Mode::kSpin:
-        return;  // keep spinning at full rate
-      case WaitPolicy::Mode::kPark:
-        if (gate_ != nullptr && ticks_ > p_.park_after_ticks) {
-          gate_->park(gate_->sequence());
-          return;
-        }
-        [[fallthrough]];
-      case WaitPolicy::Mode::kAdaptive:
-        for (std::uint32_t i = 0; i < backoff_; ++i) std::this_thread::yield();
-        backoff_ = backoff_ < p_.max_yield_backoff ? backoff_ * 2
-                                                   : p_.max_yield_backoff;
-        return;
-    }
+    for (std::uint32_t i = 0; i < burst_; ++i) std::this_thread::yield();
+    burst_ = burst_ < kMaxYieldBurst ? burst_ * 2 : kMaxYieldBurst;
   }
 
-  /// Slow ticks elapsed since construction (bookkeeping runs).
-  [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
-
  private:
-  const WaitPolicy& p_;
-  ParkGate* gate_;
   std::uint32_t attempts_ = 0;
-  std::uint32_t backoff_ = 1;
+  std::uint32_t burst_ = 1;
   std::uint64_t ticks_ = 0;
 };
 

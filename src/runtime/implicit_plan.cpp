@@ -500,6 +500,12 @@ std::size_t ImplicitPlan::memory_bytes() const {
   return bytes;
 }
 
+std::shared_ptr<const ImplicitPlan> implicit_form(const PlanKey& key) {
+  const PlanKey compact = key.compacted();
+  if (!ImplicitPlan::supports(compact)) return nullptr;
+  return std::make_shared<const ImplicitPlan>(ImplicitPlan::build(compact));
+}
+
 Schedule plan_schedule(const Plan& plan) {
   if (plan.materialized) return plan.schedule;
   if (!plan.implicit) {

@@ -45,8 +45,8 @@
 /// Node indices always refer to the deterministic order of the
 /// materialized builder, so implicit and materialized plans agree node by
 /// node, schedule by schedule — the property suite asserts equality, and
-/// exec::compile_implicit produces streams byte-equivalent to the
-/// materialized compilers.
+/// exec::compile_implicit produces the same Program as the materialized
+/// compilers.
 
 namespace logpc::runtime {
 
@@ -184,6 +184,15 @@ class ImplicitPlan {
   std::vector<std::int64_t> level_start_;
   int max_depth_ = 0;
 };
+
+/// The generator form a plan for `key` carries, or null when the key has
+/// none: ImplicitPlan::build of key.compacted() when that is supported.  A
+/// masked key's form thus describes its compact survivor machine, like the
+/// masked plan's schedule.  Planner::build_uncached and load_snapshot both
+/// attach exactly this, so a built plan and its snapshot round trip lower
+/// to the same program.
+[[nodiscard]] std::shared_ptr<const ImplicitPlan> implicit_form(
+    const PlanKey& key);
 
 /// The plan's schedule whether or not it was materialized: a copy of
 /// plan.schedule when present, otherwise the implicit form materialized on

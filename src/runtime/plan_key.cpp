@@ -1,5 +1,6 @@
 #include "runtime/plan_key.hpp"
 
+#include <bit>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -209,6 +210,15 @@ HierParams PlanKey::hier_params() const {
   cross.o = cross_o;
   cross.g = cross_g;
   return HierParams::uniform(params.P, clusters, params, cross);
+}
+
+PlanKey PlanKey::compacted() const {
+  if (mask == 0) return *this;
+  Params compact = params;
+  compact.P = live_count();
+  const std::uint64_t below_root = mask & ((1ull << root) - 1);
+  return make(problem, compact, k,
+              static_cast<ProcId>(std::popcount(below_root)));
 }
 
 std::string PlanKey::to_string() const {

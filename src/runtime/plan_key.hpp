@@ -166,6 +166,12 @@ struct PlanKey {
     return out;
   }
 
+  /// The full-membership key of the machine a masked key plans on: the
+  /// live_count() survivors, renumbered in increasing physical order (so
+  /// the root becomes the number of live ranks below it).  *this when the
+  /// mask is 0.
+  [[nodiscard]] PlanKey compacted() const;
+
   // Conveniences mirroring the api::Communicator surface.
   [[nodiscard]] static PlanKey broadcast(const Params& p, ProcId root = 0);
   [[nodiscard]] static PlanKey kitem(const Params& p, std::int64_t k);

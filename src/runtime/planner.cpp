@@ -1,6 +1,5 @@
 #include "runtime/planner.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -321,14 +320,9 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
     // live_count() processors is itself optimal — then stamp the masked
     // key back on.  Plan processor i is physical rank live_ranks()[i]; the
     // caller (api::Communicator::run_broadcast_ft) owns that mapping.
-    // Like `schedule`, any attached `implicit` describes the *compact*
-    // machine.
-    Params compact = key.params;
-    compact.P = key.live_count();
-    const std::uint64_t below_root = key.mask & ((1ull << key.root) - 1);
-    const auto virtual_root = static_cast<ProcId>(std::popcount(below_root));
-    Plan plan = build_uncached(
-        PlanKey::make(key.problem, compact, key.k, virtual_root), materialize);
+    // Like `schedule`, the attached `implicit` describes the *compact*
+    // machine — the form runtime::implicit_form derives for the masked key.
+    Plan plan = build_uncached(key.compacted(), materialize);
     plan.key = key;
     return plan;
   }
@@ -336,10 +330,7 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
   const int k = static_cast<int>(key.k);
   Plan plan;
   plan.key = key;
-  if (ImplicitPlan::supports(key)) {
-    plan.implicit =
-        std::make_shared<const ImplicitPlan>(ImplicitPlan::build(key));
-  }
+  plan.implicit = implicit_form(key);
   if (!materialize) {
     if (!plan.implicit) {
       throw std::invalid_argument(

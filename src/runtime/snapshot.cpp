@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "runtime/implicit_plan.hpp"
 #include "sched/io.hpp"
@@ -11,20 +12,12 @@ namespace logpc::runtime {
 
 namespace {
 
-// v4 appends the key's topology words (clusters + cross-class L, o, g —
-// zero for every flat problem) after the mask, so hierarchical plans
-// round-trip; older versions load with a zero topology, which is exactly
-// what every problem they could contain requires.  v3 added a flags word
-// (bit 0: the schedule was materialized) after total_operands, and writes
-// the schedule only when it was — implicit-only plans serialize as a few
-// hundred bytes whatever P is, and the generator is rebuilt from the key
-// on load.  v2 appended the membership mask to each key (after root); v1
-// snapshots still load, with mask = 0 (a v1 file can only hold
-// full-membership keys).
+// One format: the header, then per plan the canonical key (problem,
+// machine, k, root, membership mask, topology words), the scalar metadata,
+// a flags word (bit 0: the schedule was materialized) and — only when it
+// was — the schedule.  Implicit-only plans serialize as a few hundred
+// bytes whatever P is; the generator is rebuilt from the key on load.
 constexpr char kHeader[] = "logpc-plansnap v4\n";
-constexpr char kHeaderV3[] = "logpc-plansnap v3\n";
-constexpr char kHeaderV2[] = "logpc-plansnap v2\n";
-constexpr char kHeaderV1[] = "logpc-plansnap v1\n";
 constexpr std::size_t kHeaderLen = 18;
 
 constexpr std::int64_t kFlagMaterialized = 1;
@@ -88,7 +81,7 @@ void write_plan(std::ostream& os, const Plan& plan) {
   if (plan.materialized) write_binary(os, plan.schedule);
 }
 
-Plan read_plan(std::istream& is, int version) {
+Plan read_plan(std::istream& is) {
   const std::int64_t problem = get_i64(is);
   if (problem < 0 || problem >= kNumProblems) fail("unknown problem id");
   Params params;
@@ -98,16 +91,11 @@ Plan read_plan(std::istream& is, int version) {
   params.g = get_i64(is);
   const std::int64_t k = get_i64(is);
   const auto root = static_cast<ProcId>(get_i64(is));
-  const std::uint64_t mask =
-      version >= 2 ? static_cast<std::uint64_t>(get_i64(is)) : 0;
-  std::int32_t clusters = 0;
-  Time cross_L = 0, cross_o = 0, cross_g = 0;
-  if (version >= 4) {
-    clusters = static_cast<std::int32_t>(get_i64(is));
-    cross_L = get_i64(is);
-    cross_o = get_i64(is);
-    cross_g = get_i64(is);
-  }
+  const auto mask = static_cast<std::uint64_t>(get_i64(is));
+  const auto clusters = static_cast<std::int32_t>(get_i64(is));
+  const Time cross_L = get_i64(is);
+  const Time cross_o = get_i64(is);
+  const Time cross_g = get_i64(is);
   Plan plan;
   try {
     // Re-canonicalize: a key that round-trips differently (or is garbage)
@@ -125,18 +113,16 @@ Plan read_plan(std::istream& is, int version) {
   plan.slack = static_cast<int>(get_i64(is));
   plan.max_buffer_depth = static_cast<int>(get_i64(is));
   plan.total_operands = static_cast<std::uint64_t>(get_i64(is));
-  const std::int64_t flags = version >= 3 ? get_i64(is) : kFlagMaterialized;
-  plan.materialized = (flags & kFlagMaterialized) != 0;
+  plan.materialized = (get_i64(is) & kFlagMaterialized) != 0;
   plan.method = get_string(is);
   if (plan.materialized) {
     plan.schedule = read_binary(is);
   }
-  // The generator form is derived state: rebuild it from the canonical key
-  // rather than trusting (or paying for) serialized tables.
-  if (ImplicitPlan::supports(plan.key)) {
-    plan.implicit =
-        std::make_shared<const ImplicitPlan>(ImplicitPlan::build(plan.key));
-  } else if (!plan.materialized) {
+  // The generator form is derived state: rebuild it from the canonical key,
+  // exactly as the planner derived it, rather than trusting (or paying for)
+  // serialized tables.
+  plan.implicit = implicit_form(plan.key);
+  if (!plan.implicit && !plan.materialized) {
     fail("implicit-only plan for a key without an implicit form");
   }
   return plan;
@@ -166,24 +152,14 @@ std::size_t save_snapshot(const PlanCache& cache, const std::string& path) {
 
 std::size_t load_snapshot(PlanCache& cache, std::istream& is) {
   char header[kHeaderLen];
-  if (!is.read(header, kHeaderLen)) fail("bad header");
-  const std::string got(header, kHeaderLen);
-  int version = 0;
-  if (got == std::string(kHeader, kHeaderLen)) {
-    version = 4;
-  } else if (got == std::string(kHeaderV3, kHeaderLen)) {
-    version = 3;
-  } else if (got == std::string(kHeaderV2, kHeaderLen)) {
-    version = 2;
-  } else if (got == std::string(kHeaderV1, kHeaderLen)) {
-    version = 1;
-  } else {
+  if (!is.read(header, kHeaderLen) ||
+      std::string_view(header, kHeaderLen) != kHeader) {
     fail("bad header");
   }
   const std::int64_t count = get_i64(is);
   if (count < 0) fail("negative entry count");
   for (std::int64_t i = 0; i < count; ++i) {
-    auto plan = std::make_shared<const Plan>(read_plan(is, version));
+    auto plan = std::make_shared<const Plan>(read_plan(is));
     cache.put(plan->key, plan);
   }
   return static_cast<std::size_t>(count);

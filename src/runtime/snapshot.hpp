@@ -11,11 +11,13 @@
 /// process can start hot — save on shutdown (or from a cron'd warmer), load
 /// before taking traffic, then warm only the difference.
 ///
-/// Format: header "logpc-plansnap v2\n" (v1 files, which predate the
-/// membership mask, still load), a 64-bit entry count, then per
-/// entry the canonical key, the scalar metadata, and the schedule in the
+/// Format: header "logpc-plansnap v4\n" — the only version read or
+/// written; any other header is rejected — a 64-bit entry count, then per
+/// entry the canonical key (membership mask and topology words included),
+/// the scalar metadata, and, for materialized plans, the schedule in the
 /// sched/io binary form.  Loading re-canonicalizes each key through
-/// PlanKey::make and structurally validates each schedule, so a corrupt or
+/// PlanKey::make, structurally validates each schedule and re-derives the
+/// implicit form from the key (runtime::implicit_form), so a corrupt or
 /// stale snapshot throws instead of poisoning the cache.
 
 namespace logpc::runtime {

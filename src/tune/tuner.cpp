@@ -11,7 +11,6 @@ namespace logpc::tune {
 namespace {
 
 using runtime::PlanKey;
-using runtime::PlanPtr;
 using runtime::Problem;
 
 /// One compiled candidate ready to time.
@@ -32,11 +31,6 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-exec::Program lower(const PlanPtr& plan, const std::string& label) {
-  if (plan->implicit) return exec::compile_implicit(*plan->implicit, label);
-  return exec::compile_broadcast(plan->schedule, label);
-}
-
 std::vector<Candidate> build_candidates(const TunerOptions& opts,
                                         runtime::Planner& planner,
                                         const Params& machine,
@@ -53,13 +47,15 @@ std::vector<Candidate> build_candidates(const TunerOptions& opts,
   };
 
   add("optimal", Problem::kBroadcast,
-      lower(planner.plan(PlanKey::broadcast(machine)), "bcast"));
+      exec::compile_plan(*planner.plan(PlanKey::broadcast(machine)),
+                         "bcast"));
   if (opts.include_trees) {
     for (const Problem p :
          {Problem::kBinomialBroadcast, Problem::kBinaryBroadcast,
           Problem::kChainBroadcast}) {
       add(std::string(runtime::problem_name(p)), p,
-          lower(planner.plan(runtime::PlanKey::make(p, machine)), "bcast"));
+          exec::compile_plan(*planner.plan(runtime::PlanKey::make(p, machine)),
+                             "bcast"));
     }
   }
   if (opts.clusters > 1 && opts.clusters < machine.P) {
@@ -72,8 +68,8 @@ std::vector<Candidate> build_candidates(const TunerOptions& opts,
     c.cross_L = opts.cross.L;
     c.cross_o = opts.cross.o;
     c.cross_g = opts.cross.g;
-    c.program = exec::compile_broadcast(
-        planner.plan(PlanKey::hierarchical(topo))->schedule, "bcast-hier");
+    c.program = exec::compile_plan(*planner.plan(PlanKey::hierarchical(topo)),
+                                   "bcast-hier");
     out.push_back(std::move(c));
   }
   if (opts.include_segmented && bytes > 0) {
@@ -83,8 +79,8 @@ std::vector<Candidate> build_candidates(const TunerOptions& opts,
     const std::int32_t k = static_cast<std::int32_t>(std::clamp<std::int64_t>(
         raw, opts.min_segments, opts.max_segments));
     add("segmented(k=" + std::to_string(k) + ")", Problem::kKItemBroadcast,
-        exec::compile_broadcast(
-            planner.plan(PlanKey::segmented_broadcast(machine, k))->schedule,
+        exec::compile_plan(
+            *planner.plan(PlanKey::segmented_broadcast(machine, k)),
             "bcast-seg"),
         k);
   }

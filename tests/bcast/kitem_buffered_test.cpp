@@ -8,10 +8,13 @@
 namespace logpc::bcast {
 namespace {
 
+// Every field is 64-bit so the struct has no padding: gtest names each
+// case by a byte dump of its parameter, and padding bytes would make those
+// names depend on whatever the stack held.
 struct Instance {
-  int P;
+  Time P;
   Time L;
-  int k;
+  Time k;
 };
 
 class BufferedSweep : public ::testing::TestWithParam<Instance> {};
@@ -20,7 +23,8 @@ class BufferedSweep : public ::testing::TestWithParam<Instance> {};
 // B(P-1) + L + k - 1 is achieved exactly, for all k, L, P.
 TEST_P(BufferedSweep, MeetsSingleSendingLowerBoundExactly) {
   const auto [P, L, k] = GetParam();
-  const auto r = kitem_buffered(P, L, k);
+  const auto r =
+      kitem_buffered(static_cast<int>(P), L, static_cast<int>(k));
   EXPECT_EQ(r.completion, r.bounds.single_sending_lower)
       << "P=" << P << " L=" << L << " k=" << k;
   const auto check =

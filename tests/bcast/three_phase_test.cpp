@@ -9,17 +9,21 @@
 namespace logpc::bcast {
 namespace {
 
+// Every field is 64-bit so the struct has no padding: gtest names each
+// case by a byte dump of its parameter, and padding bytes would make those
+// names depend on whatever the stack held.
 struct Instance {
-  int P;
+  Time P;
   Time L;
-  int k;
+  Time k;
 };
 
 class ThreePhaseSweep : public ::testing::TestWithParam<Instance> {};
 
 TEST_P(ThreePhaseSweep, ValidSingleSendingAndComplete) {
   const auto [P, L, k] = GetParam();
-  const auto r = kitem_three_phase(P, L, k);
+  const auto r =
+      kitem_three_phase(static_cast<int>(P), L, static_cast<int>(k));
   const auto check = validate::check(r.schedule);
   EXPECT_TRUE(check.ok()) << check.summary();
   EXPECT_TRUE(is_single_sending(r.schedule, 0));

@@ -438,57 +438,8 @@ TEST(EngineKernels, FloatSumStaysWithinAccumulationBoundOfLeftFold) {
 }
 
 // ---------------------------------------------------------------------------
-// Wait policies and engine options
+// Engine options
 // ---------------------------------------------------------------------------
-
-TEST(EngineWaitPolicy, AllModesProduceIdenticalResults) {
-  const Params params{8, 4, 1, 2};
-  const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
-  const Program prog = compile_reduction(plan);
-  std::mt19937 rng(5);
-  const std::vector<Bytes> values =
-      random_float_values(rng, params.P, 4096, DType::kF64);
-  const Combiner typed{KernelSpec{Op::kSum, DType::kF64}};
-
-  Bytes reference;
-  for (const WaitPolicy policy :
-       {WaitPolicy::spin(), WaitPolicy::adaptive(), WaitPolicy::park()}) {
-    Engine::Options opts;
-    opts.wait = policy;
-    Engine engine(opts);
-    const ExecReport report = engine.run(prog, values, typed);
-    if (reference.empty()) {
-      reference = report.folded_at(0);
-    } else {
-      EXPECT_EQ(report.folded_at(0), reference)
-          << "mode=" << static_cast<int>(policy.mode);
-    }
-  }
-}
-
-TEST(EngineWaitPolicy, ParkModeCompletesUnderReliableDelivery) {
-  // Parked workers must keep the heartbeat / failure detector live: a
-  // fault-free run under acked delivery with parking enabled completes
-  // without any rank being falsely declared dead.
-  const Params params{8, 4, 1, 2};
-  const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
-  const Program prog = compile_reduction(plan);
-  Engine::Options opts;
-  opts.wait = WaitPolicy::park();
-  opts.recovery.enabled = true;
-  Engine engine(opts);
-
-  std::vector<Bytes> values;
-  std::uint64_t total = 0;
-  for (int p = 0; p < params.P; ++p) {
-    values.push_back(tu::of_u64(static_cast<std::uint64_t>(7 * p + 1)));
-    total += static_cast<std::uint64_t>(7 * p + 1);
-  }
-  const Combiner typed{KernelSpec{Op::kSum, DType::kI64}};
-  const ExecReport report = engine.run(prog, values, typed);
-  EXPECT_EQ(tu::to_u64(report.folded_at(0)), total);
-  EXPECT_EQ(report.retries, 0u);
-}
 
 TEST(EngineOptions, MailboxStatsOptOutReportsZeroOccupancy) {
   const Params params{8, 4, 1, 2};

@@ -11,6 +11,7 @@
 #include "bcast/single_item.hpp"
 #include "exec/engine.hpp"
 #include "exec/program.hpp"
+#include "runtime/implicit_plan.hpp"
 #include "runtime/plan_key.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/snapshot.hpp"
@@ -328,6 +329,17 @@ TEST(PlanKeyMask, SnapshotRoundTripsMaskedKeys) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->key.mask, key.mask);
   EXPECT_EQ(hit->schedule.params().P, 7);
+  // The generator form is re-derived on load exactly as the planner
+  // derived it: the compact survivor machine's, lowering to the same
+  // program as the built plan's.
+  const runtime::Plan built = Planner::build_uncached(key);
+  ASSERT_NE(built.implicit, nullptr);
+  ASSERT_NE(hit->implicit, nullptr);
+  EXPECT_EQ(hit->implicit->params().P, 7);
+  EXPECT_EQ(exec::compile_implicit(*hit->implicit),
+            exec::compile_implicit(*built.implicit));
+  EXPECT_EQ(exec::compile_implicit(*hit->implicit),
+            exec::compile_broadcast(hit->schedule));
 }
 
 // --- the recovery layer (api::Communicator::run_broadcast_ft) -----------

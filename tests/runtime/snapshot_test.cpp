@@ -78,6 +78,12 @@ TEST(Snapshot, RejectsCorruptInput) {
   std::stringstream bad_header("not a snapshot at all............");
   EXPECT_THROW((void)load_snapshot(cache, bad_header),
                std::invalid_argument);
+  // Only the current format loads: an older version's header is as bad as
+  // any other.
+  std::stringstream old_version(std::string("logpc-plansnap v3\n") +
+                                std::string(8, '\0'));
+  EXPECT_THROW((void)load_snapshot(cache, old_version),
+               std::invalid_argument);
 
   Planner planner;
   warm(planner);
