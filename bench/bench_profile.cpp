@@ -14,10 +14,13 @@
 /// Two identical single-pool services run the same warm broadcast workload,
 /// one with Options::profile on (obs::analyze + flight-recorder record per
 /// request, the default) and one with it off.  Requests are timed
-/// end-to-end (submit -> future resolution), batches interleave so load
-/// noise hits both sides alike, and medians pooled across all rounds
-/// squeeze scheduler spikes out.  The analyzer is also timed standalone
-/// for the report.
+/// end-to-end (submit -> future resolution), batches interleave — the side
+/// that runs first alternates by round — so load noise hits both sides
+/// alike, and medians pooled across all rounds squeeze scheduler spikes
+/// out.  One request is in flight at a time on an otherwise idle service,
+/// so the lone request dispatches without a fusion window: the overhead
+/// is measured on the unfused path, where no window hides it.  The
+/// analyzer is also timed standalone for the report.
 ///
 /// This bench *gates*: the run exits non-zero when the profiled service's
 /// per-request latency exceeds the unprofiled one by more than
@@ -108,8 +111,15 @@ int run() {
   Table table({"round", "profile off (ns)", "profile on (ns)", "ratio"});
   for (int round = 0; round < kRounds; ++round) {
     std::vector<double> off_round, on_round;
-    run_batch(svc_off, t_off, kBatch, &off_round);
-    run_batch(svc_on, t_on, kBatch, &on_round);
+    // Alternate which side runs first, so drift within a round (frequency
+    // scaling, a neighbour's load) does not always land on the same side.
+    if (round % 2 == 0) {
+      run_batch(svc_off, t_off, kBatch, &off_round);
+      run_batch(svc_on, t_on, kBatch, &on_round);
+    } else {
+      run_batch(svc_on, t_on, kBatch, &on_round);
+      run_batch(svc_off, t_off, kBatch, &off_round);
+    }
     const double o = median(off_round);
     const double p = median(on_round);
     table.row(round, o, p, p / o);

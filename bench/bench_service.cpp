@@ -231,10 +231,6 @@ void BM_ServiceRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     svc::Request req;
     req.op = svc::OpKind::kBroadcast;
-    // Interactive: one request in flight at a time would otherwise sit out
-    // the batch class's fusion window on every iteration, measuring the
-    // window instead of the per-request overhead.
-    req.qos = svc::QoS::kInteractive;
     req.payload = payload;
     svc::SubmitResult sub = service.submit(t, std::move(req));
     if (!sub.accepted()) {

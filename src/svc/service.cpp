@@ -57,6 +57,20 @@ CollectiveService::Options validated(const CollectiveService::Options& o) {
         "on (a 1-request batch is no fusion; use fusion_window_us = 0 to "
         "disable fusion instead)");
   }
+  // pool_loop computes Clock::now() + fusion_window_us.  Capping the
+  // window at half the clock's range leaves the other half for now(), so
+  // the deadline never overflows (signed overflow is UB).
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kMaxWindowUs =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::duration::max() / 2)
+          .count();
+  if (o.fusion_window_us > static_cast<std::uint64_t>(kMaxWindowUs)) {
+    throw std::invalid_argument(
+        "CollectiveService: fusion_window_us must be <= " +
+        std::to_string(kMaxWindowUs) +
+        " (the window deadline must fit the steady clock)");
+  }
   if (o.segment_threshold > 0 &&
       (o.segment_bytes == 0 || o.max_segments < 2)) {
     throw std::invalid_argument(
@@ -303,13 +317,21 @@ void CollectiveService::pool_loop(int pool_index) {
         claim_siblings(*lead.fkey, batch);
         const auto deadline =
             Clock::now() + std::chrono::microseconds(opts_.fusion_window_us);
-        // Hold the window open only while it can still pay off: a full
-        // batch dispatches, shutdown dispatches, and an already-amortized
-        // batch with nothing left queued dispatches — every producer is
-        // then idle or blocked on this very batch, so waiting out the
-        // window would only add latency.
+        // Hold the window open only while there is evidence a sibling may
+        // come: a full batch dispatches, shutdown dispatches, and so does
+        // a batch with nothing left queued once it is either already
+        // amortized or the only work in flight in the whole service —
+        // waiting out the window would then only add latency.  inflight_
+        // rises under mu_ but falls after a run, outside it, so a stale
+        // read can only over-count and hold the window.
+        const auto dispatch_now = [&] {
+          return sched_.queued() == 0 &&
+                 (batch.size() > 1 ||
+                  inflight_.load(std::memory_order_relaxed) ==
+                      static_cast<std::int64_t>(batch.size()));
+        };
         while (!stopping_ && batch.size() < opts_.max_fusion_batch &&
-               !(batch.size() > 1 && sched_.queued() == 0)) {
+               !dispatch_now()) {
           if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
             claim_siblings(*lead.fkey, batch);
             break;

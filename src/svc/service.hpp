@@ -49,12 +49,14 @@
 ///     Response.
 ///
 /// High-throughput path (svc/fusion.hpp): after picking a request whose
-/// QoS class opts in, the pool holds a short fusion window
-/// (Options::fusion_window_us) and coalesces every queued same-shape
-/// request — any tenant — into one engine run over concatenated buffers,
-/// fanning the result back out per member; plan lookup, RunContext reuse
-/// and worker wakeups are paid once per batch.  Broadcast payloads at or
-/// above Options::segment_threshold additionally split into the Section 3
+/// QoS class opts in, the pool coalesces every queued same-shape request —
+/// any tenant — into one engine run over concatenated buffers, fanning the
+/// result back out per member; plan lookup, RunContext reuse and worker
+/// wakeups are paid once per batch.  It holds a short fusion window
+/// (Options::fusion_window_us) for late siblings only while other work is
+/// queued or in flight: a lone request in an otherwise idle service
+/// dispatches at once.  Broadcast payloads at or above
+/// Options::segment_threshold additionally split into the Section 3
 /// single-sending k-item schedule, overlapping successive segments'
 /// transfer rounds instead of serializing one bulk send.  Fairness is
 /// preserved: every fused member is charged against its tenant's stride
@@ -95,7 +97,8 @@ class CollectiveService {
  public:
   /// Service configuration, validated at construction: the constructor
   /// throws std::invalid_argument for pools outside [1, 64], a fusion
-  /// batch limit below 2 while fusion is on, a segmentation policy that
+  /// window whose deadline overflows the clock, a fusion batch limit
+  /// below 2 while fusion is on, a segmentation policy that
   /// can never split (segment_bytes == 0 or max_segments < 2 with a
   /// non-zero threshold), a zero flight-recorder capacity, a negative or
   /// NaN residual threshold, or a port above 65535 — never clamps
@@ -135,13 +138,16 @@ class CollectiveService {
     // --- high-throughput path (svc/fusion.hpp) -------------------------
     /// Fusion window: after picking a fusible request, the pool coalesces
     /// every queued same-shape request into the dispatch and keeps the
-    /// batch open up to this long for more to arrive (cut short when the
-    /// queues drain with the batch already amortized, when the batch
-    /// fills, or at shutdown).  0 disables fusion entirely.
+    /// batch open up to this long for more to arrive.  The window is cut
+    /// short when the batch fills, at shutdown, and when nothing else is
+    /// queued while the batch is either already amortized (>= 2 members)
+    /// or the only work in flight anywhere in the service — the service
+    /// then sees no sign of a sibling.  0 disables fusion entirely; values
+    /// whose deadline would overflow the steady clock are rejected.
     std::uint64_t fusion_window_us = 200;
-    /// Per-class opt-out.  Interactive defaults to unfused — the window
-    /// is pure added latency when traffic is sparse, and the class exists
-    /// for latency; batch and best-effort default to fused.
+    /// Per-class opt-out.  Interactive defaults to unfused — under load a
+    /// held window is added latency, and the class exists for latency;
+    /// batch and best-effort default to fused.
     bool fuse_qos[kQoSClasses] = {false, true, true};
     /// Requests per fused batch, at most.
     std::size_t max_fusion_batch = 32;

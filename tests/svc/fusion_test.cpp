@@ -492,19 +492,63 @@ TEST(SvcFusion, FusedAndSegmentedComposeExactly) {
 
 // --------------------------------------- service: shutdown and failure
 
+TEST(SvcFusion, LoneRequestInAnIdleServiceDispatchesWithoutWaiting) {
+  CollectiveService::Options opts;
+  opts.pools = 1;
+  opts.fusion_window_us = 2'000'000;
+  CollectiveService svc(machine(), opts);
+  const TenantId t = svc.register_tenant({.name = "fusion-lone"});
+  // Nothing else is queued or in flight, so no sibling can come: the
+  // batch-class lead must dispatch at once instead of sitting out the
+  // window.
+  SubmitResult sub = svc.submit(t, bcast_req("lone"));
+  ASSERT_TRUE(sub.accepted());
+  const Response r = sub.response.get();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(r.fused, 1u);
+  EXPECT_LT(r.queue_wait_ns, 500'000'000u)
+      << "a lone request must not wait out the fusion window";
+  for (ProcId p = 0; p < machine().P; ++p) {
+    EXPECT_EQ(to_str(r.report.item_at(p, 0)), "lone");
+  }
+}
+
+/// Queues a batch-class lead behind a best-effort request of another
+/// shape on a paused one-pool service, then resumes: the pool picks the
+/// lead first (batch before best-effort), and the still-queued
+/// best-effort request is the evidence that keeps the lead's window open.
+struct HeldWindow {
+  SubmitResult lead;
+  SubmitResult other;
+};
+
+HeldWindow open_held_window(CollectiveService& svc, TenantId t,
+                            const std::string& lead_payload) {
+  HeldWindow w;
+  w.other = svc.submit(t, bcast_req("best-effort-other-shape",
+                                    QoS::kBestEffort));
+  w.lead = svc.submit(t, bcast_req(lead_payload));
+  svc.resume();
+  return w;
+}
+
 TEST(SvcFusion, DrainShutdownMidWindowFulfillsEveryPromiseExactlyOnce) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.fusion_window_us = 2'000'000;  // far longer than the test
+  opts.start_paused = true;
+  // Far longer than the test: the shutdown below, not the deadline, has
+  // to end the window.
+  opts.fusion_window_us = 2'000'000;
   CollectiveService svc(machine(), opts);
   const TenantId t = svc.register_tenant({.name = "fusion-drain"});
-  // One fusible request: the pool picks it and sits in the open window
-  // (a singleton batch is not yet amortized, so the early-exit does not
-  // fire).  Draining shutdown must cut the window, run the half-filled
-  // batch, and fulfill the promise — exactly once, well before the
-  // window would have expired.
-  SubmitResult sub = svc.submit(t, bcast_req("mid-window"));
-  ASSERT_TRUE(sub.accepted());
+  // The pool picks the fusible lead and sits in its open window (a
+  // singleton batch is not yet amortized, and the queued best-effort
+  // request keeps the service from being idle).  Draining shutdown must
+  // cut the window, run the half-filled batch, and fulfill the promise —
+  // exactly once, well before the window would have expired.
+  HeldWindow w = open_held_window(svc, t, "mid-window");
+  ASSERT_TRUE(w.lead.accepted());
+  ASSERT_TRUE(w.other.accepted());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto t0 = std::chrono::steady_clock::now();
   svc.shutdown(/*drain=*/true);
@@ -513,26 +557,35 @@ TEST(SvcFusion, DrainShutdownMidWindowFulfillsEveryPromiseExactlyOnce) {
                 .count(),
             1500)
       << "shutdown must not wait out the fusion window";
-  const Response r = sub.response.get();
+  const Response r = w.lead.response.get();
   EXPECT_EQ(r.status, Status::kOk) << r.error;
   for (ProcId p = 0; p < machine().P; ++p) {
     EXPECT_EQ(to_str(r.report.item_at(p, 0)), "mid-window");
   }
+  // The drain also runs the request that held the window open.
+  const Response ro = w.other.response.get();
+  EXPECT_EQ(ro.status, Status::kOk) << ro.error;
+  EXPECT_GT(ro.dispatch_seq, r.dispatch_seq);
 }
 
 TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.fusion_window_us = 2'000'000;
+  opts.start_paused = true;
+  // Long enough for the late arrival below to land inside it even on a
+  // slow sanitizer build; the queued best-effort request keeps the window
+  // open to its deadline, so the test waits it out once.
+  opts.fusion_window_us = 500'000;
   CollectiveService svc(machine(), opts);
   const TenantId t = svc.register_tenant({.name = "fusion-late"});
-  SubmitResult first = svc.submit(t, bcast_req("window-a"));
-  ASSERT_TRUE(first.accepted());
+  HeldWindow w = open_held_window(svc, t, "window-a");
+  ASSERT_TRUE(w.lead.accepted());
+  ASSERT_TRUE(w.other.accepted());
   // Give the pool time to pick the lead and open its window, then arrive.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   SubmitResult second = svc.submit(t, bcast_req("window-b"));
   ASSERT_TRUE(second.accepted());
-  const Response ra = first.response.get();
+  const Response ra = w.lead.response.get();
   const Response rb = second.response.get();
   ASSERT_EQ(ra.status, Status::kOk) << ra.error;
   ASSERT_EQ(rb.status, Status::kOk) << rb.error;
@@ -540,6 +593,7 @@ TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
   EXPECT_EQ(rb.fused, 2u);
   EXPECT_EQ(to_str(ra.report.item_at(2, 0)), "window-a");
   EXPECT_EQ(to_str(rb.report.item_at(2, 0)), "window-b");
+  EXPECT_EQ(w.other.response.get().status, Status::kOk);
 }
 
 TEST(SvcFusion, RankDeathFailsEveryFusedMemberConsistently) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -92,6 +93,19 @@ TEST(SvcService, RejectsDegenerateOptionsAtConstruction) {
   expect_rejected(opts);
   // ...but with fusion disabled the field is irrelevant and accepted.
   opts.fusion_window_us = 0;
+  opts.pools = 1;
+  EXPECT_NO_THROW(CollectiveService(machine(), opts));
+
+  // A window whose deadline (now + window) overflows the steady clock:
+  // UINT64_MAX does not even fit the signed microsecond count, INT64_MAX
+  // overflows once scaled to the clock's nanoseconds.
+  opts = {};
+  opts.fusion_window_us = UINT64_MAX;
+  expect_rejected(opts);
+  opts.fusion_window_us = INT64_MAX;
+  expect_rejected(opts);
+  // An hour-long window is absurd but representable, so it is accepted.
+  opts.fusion_window_us = 3'600'000'000ULL;
   opts.pools = 1;
   EXPECT_NO_THROW(CollectiveService(machine(), opts));
 
