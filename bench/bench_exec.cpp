@@ -172,13 +172,10 @@ void BM_ExecSummation(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecSummation);
 
-/// Producer hot-path regression gauge for the mailbox stats flag: push/pop
-/// cycles through a ring with occupancy tracking on (Arg(1)) vs off
-/// (Arg(0)).  The off lane must never be slower — it exists to shed the
-/// high-water bookkeeping from the fast path.
+/// Producer hot-path gauge: push/pop cycles through one ring, including
+/// the high-water-mark bookkeeping every push pays.
 void BM_MailboxPush(benchmark::State& state) {
-  const bool stats = state.range(0) != 0;
-  exec::SpscMailbox mb(64, stats);
+  exec::SpscMailbox mb(64);
   const exec::Bytes payload = payload_of(64);
   const exec::Message m{0, payload.data(), payload.size(), 0};
   exec::Message out;
@@ -187,14 +184,13 @@ void BM_MailboxPush(benchmark::State& state) {
       while (mb.try_pop(out)) benchmark::DoNotOptimize(out.item);
     }
   }
-  state.SetLabel(stats ? "stats_on" : "stats_off");
 }
-BENCHMARK(BM_MailboxPush)->Arg(0)->Arg(1);
+BENCHMARK(BM_MailboxPush);
 
 /// Bulk vs single-message drain on a full ring.
 void BM_MailboxDrain(benchmark::State& state) {
   const bool bulk = state.range(0) != 0;
-  exec::SpscMailbox mb(64, false);
+  exec::SpscMailbox mb(64);
   const exec::Bytes payload = payload_of(64);
   const exec::Message m{0, payload.data(), payload.size(), 0};
   std::vector<exec::Message> pending;

@@ -11,7 +11,6 @@
 
 #include "bcast/reduction.hpp"
 #include "bench_util.hpp"
-#include "exec/arena.hpp"
 #include "exec/engine.hpp"
 #include "exec/kernels.hpp"
 #include "exec/program.hpp"
@@ -25,9 +24,10 @@
 ///
 /// The acceptance bar for this PR: >= 4x kernel-vs-generic throughput for
 /// sum/f32 and sum/i64 at payloads >= 64 KiB on >= 8 ranks.  The fold
-/// chain is measured single-threaded on arena-aligned buffers (the
-/// engine's own staging), so the ratio isolates the combine lane from
-/// thread scheduling noise.
+/// chain is measured single-threaded on plain `Bytes` buffers (the
+/// engine's own accumulator type, whose operator-new alignment covers
+/// every dtype, so the kernel takes its aligned lane), so the ratio
+/// isolates the combine lane from thread scheduling noise.
 
 namespace {
 
@@ -79,16 +79,12 @@ struct CellResult {
 CellResult measure_cell(const KernelSpec& spec, std::size_t payload, int P,
                         std::mt19937& rng) {
   const std::size_t chain = static_cast<std::size_t>(P - 1);
-  BufferArena arena(payload * (chain + 1) + 4096);
-  std::byte* acc = arena.allocate(payload);
-  std::vector<std::byte*> operands(chain);
+  Bytes acc_buf(payload);
+  std::byte* acc = acc_buf.data();
+  std::vector<Bytes> operands(chain, Bytes(payload));
   fill_random(acc, payload, rng, spec.dtype);
-  for (auto& op : operands) {
-    op = arena.allocate(payload);
-    fill_random(op, payload, rng, spec.dtype);
-  }
-  Bytes acc_vec(payload);
-  std::memcpy(acc_vec.data(), acc, payload);
+  for (Bytes& op : operands) fill_random(op.data(), payload, rng, spec.dtype);
+  Bytes acc_vec = acc_buf;
 
   const std::size_t bytes_per_iter = payload * chain;
   const std::size_t iters = std::max<std::size_t>(
@@ -103,14 +99,12 @@ CellResult measure_cell(const KernelSpec& spec, std::size_t payload, int P,
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = Clock::now();
     for (std::size_t it = 0; it < iters; ++it) {
-      for (std::byte* op : operands) k(acc, op, payload);
+      for (const Bytes& op : operands) k(acc, op.data(), payload);
     }
     const auto t1 = Clock::now();
     benchmark::DoNotOptimize(acc[0]);
     for (std::size_t it = 0; it < iters; ++it) {
-      for (std::byte* op : operands) {
-        g(acc_vec, std::span<const std::byte>(op, payload));
-      }
+      for (const Bytes& op : operands) g(acc_vec, op);
     }
     const auto t2 = Clock::now();
     benchmark::DoNotOptimize(acc_vec.data());
@@ -193,15 +187,14 @@ void report() {
     const ExecReport generic_run =
         engine.run(prog, values, generic_combine(spec));
     const ExecReport typed_run = engine.run(prog, values, Combiner(spec));
-    bench::Table t({"lane", "wall ms", "kernel folds", "arena KiB"});
+    bench::Table t({"lane", "wall ms", "kernel folds"});
     char g[32], k[32];
     std::snprintf(g, sizeof g, "%.3f",
                   static_cast<double>(generic_run.wall_ns) / 1e6);
     std::snprintf(k, sizeof k, "%.3f",
                   static_cast<double>(typed_run.wall_ns) / 1e6);
-    t.row("generic", g, generic_run.kernel_folds,
-          generic_run.arena_bytes >> 10);
-    t.row("typed", k, typed_run.kernel_folds, typed_run.arena_bytes >> 10);
+    t.row("generic", g, generic_run.kernel_folds);
+    t.row("typed", k, typed_run.kernel_folds);
     t.print();
     json.entry("engine_reduce",
                {{"op", "sum"}, {"dtype", "f32"},
@@ -220,14 +213,13 @@ void BM_KernelFold(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
   const KernelSpec spec{Op::kSum, DType::kF32};
   const KernelFn k = lookup(spec);
-  BufferArena arena(payload * 2 + 256);
-  std::byte* acc = arena.allocate(payload);
-  std::byte* rhs = arena.allocate(payload);
+  Bytes acc(payload);
+  Bytes rhs(payload);
   std::mt19937 rng(1);
-  fill_random(acc, payload, rng, spec.dtype);
-  fill_random(rhs, payload, rng, spec.dtype);
+  fill_random(acc.data(), payload, rng, spec.dtype);
+  fill_random(rhs.data(), payload, rng, spec.dtype);
   for (auto _ : state) {
-    k(acc, rhs, payload);
+    k(acc.data(), rhs.data(), payload);
     benchmark::DoNotOptimize(acc[0]);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -252,16 +244,6 @@ void BM_GenericFold(benchmark::State& state) {
                           static_cast<std::int64_t>(payload));
 }
 BENCHMARK(BM_GenericFold)->Arg(1024)->Arg(64 * 1024)->Arg(1 << 20);
-
-void BM_ArenaAllocate(benchmark::State& state) {
-  for (auto _ : state) {
-    BufferArena arena(1 << 16);
-    for (int i = 0; i < 64; ++i) {
-      benchmark::DoNotOptimize(arena.allocate(1000));
-    }
-  }
-}
-BENCHMARK(BM_ArenaAllocate);
 
 }  // namespace
 

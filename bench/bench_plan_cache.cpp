@@ -135,8 +135,10 @@ void report() {
 
   // Telemetry overhead on the warm path: the same single-key hit loop with
   // the obs layer enabled vs disabled (best of three passes each, to shake
-  // out scheduler noise).  The acceptance bar is < 5%.
+  // out scheduler noise).  The acceptance bar is < 5%; missing it fails the
+  // bench.
   logpc::bench::section("telemetry overhead on warm Planner::plan");
+  bool telemetry_ok = true;
   {
     Planner planner;
     const PlanKey key = PlanKey::kitem(Params::postal(17, 3), 8);
@@ -156,6 +158,7 @@ void report() {
     std::cout << "enabled " << on_ns << " ns/op, disabled " << off_ns
               << " ns/op, overhead " << overhead_pct << "% ("
               << logpc::bench::ok(overhead_pct < 5.0) << ": < 5%)\n";
+    telemetry_ok = overhead_pct < 5.0;
     json.entry("telemetry_overhead", {},
                {{"enabled_ns_per_op", on_ns},
                 {"disabled_ns_per_op", off_ns},
@@ -288,10 +291,13 @@ void report() {
   std::cout << (path.empty() ? "FAILED to write bench json"
                              : "bench json: " + path)
             << "\n";
+  if (!telemetry_ok) {
+    std::cout << "bench_plan_cache: telemetry overhead gate FAILED\n";
+  }
   if (!gate_ok) {
     std::cout << "bench_plan_cache: implicit-plan acceptance gate FAILED\n";
-    std::exit(1);
   }
+  if (!telemetry_ok || !gate_ok) std::exit(1);
 }
 
 void BM_ColdPlan(benchmark::State& state) {

@@ -191,11 +191,8 @@ exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,
                                              ProcId root,
                                              exec::Engine* engine) const {
   const obs::Span span("comm.run_broadcast", "comm");
-  const exec::Program program =
-      compile(runtime::Problem::kBroadcast, 1, root);
-  const std::vector<exec::Bytes> items{
-      exec::Bytes(payload.begin(), payload.end())};
-  return engine_or_shared(engine).run(program, items);
+  return engine_or_shared(engine).run_payload(
+      compile(runtime::Problem::kBroadcast, 1, root), payload);
 }
 
 exec::ExecReport Communicator::run_broadcast_tuned(
@@ -208,18 +205,13 @@ exec::ExecReport Communicator::run_broadcast_tuned(
     // A zero-byte payload cannot be sliced; the bulk tree is equivalent.
     key = runtime::PlanKey::broadcast(params_, root);
   }
-  if (key.problem == runtime::Problem::kKItemBroadcast) {
-    // Segmented winner: the k-item pipeline over payload/k slices, results
-    // coalesced in place (Engine::run_segmented).
-    return engine_or_shared(engine).run_segmented(
-        compile(runtime::Problem::kKItemBroadcast, key.k, root),
-        exec::SegmentRun{payload, static_cast<int>(key.k)});
-  }
-  const exec::Program program =
-      exec::compile_plan(*planner_->plan(key), "bcast");
-  const std::vector<exec::Bytes> items{
-      exec::Bytes(payload.begin(), payload.end())};
-  return engine_or_shared(engine).run(program, items);
+  // A segmented winner runs the k-item pipeline over payload/k slices; the
+  // engine coalesces either shape to one buffer per proc.
+  return engine_or_shared(engine).run_payload(
+      key.problem == runtime::Problem::kKItemBroadcast
+          ? compile(runtime::Problem::kKItemBroadcast, key.k, root)
+          : exec::compile_plan(*planner_->plan(key), "bcast"),
+      payload);
 }
 
 exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
@@ -251,8 +243,6 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
 
   fault::FaultSpec spec = options.faults.value_or(fault::FaultSpec{});
   const bool inject = options.faults.has_value();
-  const std::vector<exec::Bytes> items{
-      exec::Bytes(payload.begin(), payload.end())};
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point first_failure{};
@@ -270,8 +260,8 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
     std::optional<fault::Injector> injector;
     if (inject) injector.emplace(spec);
     try {
-      res.report =
-          engine.run(program, items, injector ? &*injector : nullptr);
+      res.report = engine.run_payload(program, payload,
+                                      injector ? &*injector : nullptr);
     } catch (const exec::RankFailure& failure) {
       if (options.policy == FailurePolicy::kAbort) throw;
       if (res.failed_ranks.empty()) first_failure = Clock::now();

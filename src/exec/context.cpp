@@ -38,7 +38,7 @@ bool RunContext::prepare(const RunShape& shape) {
     mailboxes.reserve(shape.links);
     for (std::size_t i = 0; i < shape.links; ++i) {
       mailboxes.push_back(
-          std::make_unique<SpscMailbox>(shape.capacity, shape.mailbox_stats));
+          std::make_unique<SpscMailbox>(shape.capacity));
     }
     pending.assign(shape.links, PendingQ{});
     for (PendingQ& pq : pending) pq.buf.reserve(shape.capacity);
@@ -46,8 +46,7 @@ bool RunContext::prepare(const RunShape& shape) {
     if (shape.reliable) {
       acks.reserve(shape.links);
       for (std::size_t i = 0; i < shape.links; ++i) {
-        acks.push_back(
-            std::make_unique<AckRing>(shape.capacity, shape.mailbox_stats));
+        acks.push_back(std::make_unique<AckRing>(shape.capacity));
       }
       hearts = std::make_unique<Heartbeat[]>(shape.procs);
     } else {
@@ -71,12 +70,9 @@ bool RunContext::prepare(const RunShape& shape) {
     attempts.clear();
   }
 
-  // The arena rewinds without releasing chunks, so same-sized payload
-  // staging re-carves the previous run's memory.  Slot tables are sized by
-  // the caller (they depend on num_items, not the shape).
-  arena.reset();
+  // Slot tables are sized by the caller (they depend on num_items, not the
+  // shape).
   slots.clear();
-  slot_filled.clear();
   slot_used.clear();
   return warm;
 }

@@ -6,30 +6,30 @@
 #include <memory>
 #include <vector>
 
-#include "exec/arena.hpp"
 #include "exec/mailbox.hpp"
 
 /// \file context.hpp
 /// The per-run half of the Engine split: everything a single execution
 /// needs that is *not* the worker threads — mailboxes, ack rings, drain
-/// queues, heartbeat slots, the payload arena and the kMove slot tables.
+/// queues, heartbeat slots and the kMove slot tables.
 ///
 /// Before this split, Engine::run_impl allocated all of it on the stack of
 /// every call: one heap allocation per link for the data ring, another per
-/// link for the ack ring, a fresh arena, fresh scratch vectors.  A service
-/// dispatching back-to-back collectives onto a persistent pool pays that
-/// setup on every request even though consecutive runs of the same plan
-/// shape need byte-for-byte identical resources.
+/// link for the ack ring, fresh scratch vectors.  A service dispatching
+/// back-to-back collectives onto a persistent pool pays that setup on
+/// every request even though consecutive runs of the same plan shape need
+/// byte-for-byte identical resources.
 ///
 /// A RunContext is owned by its Engine (one per engine, guarded by the
 /// engine's run mutex — runs on one engine serialize, so the context never
 /// sees two runs at once) and is *re-prepared* instead of rebuilt:
 /// prepare() compares the requested RunShape against the previous run's
 /// and, on a match, merely drains leftover ring contents, rewinds
-/// high-water marks, resets heartbeats and rewinds the arena — zero
-/// allocations on the warm path.  A shape change (different link count,
-/// capacity, reliability mode or processor count) rebuilds the mismatched
-/// resources once and stays warm from then on.
+/// high-water marks and resets heartbeats — zero allocations on the warm
+/// path.  A shape change (different link count, capacity, reliability mode
+/// or processor count) rebuilds the mismatched resources once and stays
+/// warm from then on.  kMove result buffers are not context state: they
+/// are the run's ExecReport::items, handed to the caller.
 ///
 /// ExecReport::warm_buffers reports which side of that branch a run took,
 /// and the service's engine pools regression-assert it stays true under
@@ -41,8 +41,7 @@ namespace logpc::exec {
 /// every context resource without reallocation.
 struct RunShape {
   std::size_t links = 0;     ///< directed links with traffic (mailboxes)
-  std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g) by default
-  bool mailbox_stats = true; ///< rings track their high-water mark
+  std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g)
   bool reliable = false;     ///< acked delivery: ack rings + heartbeats
   std::size_t procs = 0;     ///< logical processors (heartbeat slots)
 
@@ -66,8 +65,8 @@ struct PendingQ {
   std::size_t head = 0;
 };
 
-/// kMove payload staging: one arena-carved, 64-byte-aligned region per
-/// (processor, item) slot the plan touches.
+/// One (processor, item) kMove slot: the range of the processor's
+/// ExecReport::items buffer the item is seeded or delivered into.
 struct Slot {
   std::byte* data = nullptr;
   std::size_t size = 0;
@@ -102,11 +101,10 @@ class RunContext {
   std::vector<std::uint64_t> attempts;   ///< consumer: arrivals of expected
   std::unique_ptr<Heartbeat[]> hearts;   ///< [proc], reliable mode only
 
-  /// kMove payload staging, reset per run but chunk-warm across runs.
-  BufferArena arena;
-  std::vector<Slot> slots;        ///< [proc * num_items], kMove scratch
-  std::vector<char> slot_filled;  ///< 1 = slot holds delivered/seeded bytes
-  std::vector<char> slot_used;    ///< setup scratch: slots the plan touches
+  // kMove slot tables, sized per run (they depend on num_items, not the
+  // shape) but heap-warm across runs.
+  std::vector<Slot> slots;      ///< [proc * num_items]
+  std::vector<char> slot_used;  ///< setup scratch: slots the plan touches
 
  private:
   RunShape shape_{};

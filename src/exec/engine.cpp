@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "exec/arena.hpp"
 #include "exec/wait.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
@@ -74,28 +73,40 @@ ExecReport Engine::run(const Program& program,
   if (program.mode != Mode::kMove) {
     throw std::invalid_argument("Engine::run: program is not move-mode");
   }
-  return run_impl(program, &item_values, nullptr, nullptr, nullptr, nullptr,
-                  injector);
+  if (item_values.size() != static_cast<std::size_t>(program.num_items)) {
+    throw std::invalid_argument("Engine::run: expected " +
+                                std::to_string(program.num_items) +
+                                " item payloads, got " +
+                                std::to_string(item_values.size()));
+  }
+  MoveInput move;
+  move.items.assign(item_values.begin(), item_values.end());
+  return run_impl(program, &move, nullptr, nullptr, nullptr, injector);
 }
 
-ExecReport Engine::run_segmented(const Program& program,
-                                 const SegmentRun& seg,
-                                 const fault::Injector* injector) {
+ExecReport Engine::run_payload(const Program& program,
+                               std::span<const std::byte> payload,
+                               const fault::Injector* injector) {
   if (program.mode != Mode::kMove) {
     throw std::invalid_argument(
-        "Engine::run: segmented run needs a move-mode program");
+        "Engine::run: payload run needs a move-mode program");
   }
-  if (seg.segments != program.num_items) {
+  if (payload.empty() && program.num_items > 1) {
     throw std::invalid_argument(
-        "Engine::run: SegmentRun::segments (" +
-        std::to_string(seg.segments) + ") must equal the program's num_items (" +
-        std::to_string(program.num_items) + ")");
+        "Engine::run: a multi-item payload run needs a non-empty payload");
   }
-  if (seg.payload.empty()) {
-    throw std::invalid_argument(
-        "Engine::run: segmented run needs a non-empty payload");
+  MoveInput move;
+  move.coalesced = true;
+  const auto k = static_cast<std::size_t>(std::max(program.num_items, 0));
+  move.items.reserve(k);
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t len =
+        payload.size() / k + (i < payload.size() % k ? 1 : 0);
+    move.items.push_back(payload.subspan(off, len));
+    off += len;
   }
-  return run_impl(program, nullptr, &seg, nullptr, nullptr, nullptr, injector);
+  return run_impl(program, &move, nullptr, nullptr, nullptr, injector);
 }
 
 ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
@@ -106,7 +117,7 @@ ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
   if (!op.valid()) {
     throw std::invalid_argument("Engine::run: combiner has no operator");
   }
-  return run_impl(program, nullptr, nullptr, &values, nullptr, &op, injector);
+  return run_impl(program, nullptr, &values, nullptr, &op, injector);
 }
 
 ExecReport Engine::run(const Program& program,
@@ -118,13 +129,10 @@ ExecReport Engine::run(const Program& program,
   if (!op.valid()) {
     throw std::invalid_argument("Engine::run: combiner has no operator");
   }
-  return run_impl(program, nullptr, nullptr, nullptr, &operands, &op,
-                  injector);
+  return run_impl(program, nullptr, nullptr, &operands, &op, injector);
 }
 
-ExecReport Engine::run_impl(const Program& program,
-                            const std::vector<Bytes>* item_values,
-                            const SegmentRun* seg,
+ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
                             const std::vector<Bytes>* fold_values,
                             const std::vector<std::vector<Bytes>>* operands,
                             const Combiner* op,
@@ -137,14 +145,7 @@ ExecReport Engine::run_impl(const Program& program,
   const auto num_items = static_cast<std::size_t>(program.num_items);
 
   // --- validate payload inputs against the program -----------------------
-  if (program.mode == Mode::kMove) {
-    if (item_values != nullptr && item_values->size() != num_items) {
-      throw std::invalid_argument("Engine::run: expected " +
-                                  std::to_string(num_items) +
-                                  " item payloads, got " +
-                                  std::to_string(item_values->size()));
-    }
-  } else if (program.mode == Mode::kFold) {
+  if (program.mode == Mode::kFold) {
     if (fold_values->size() != P) {
       throw std::invalid_argument(
           "Engine::run: expected one value per processor");
@@ -163,10 +164,7 @@ ExecReport Engine::run_impl(const Program& program,
     }
   }
 
-  const std::size_t cap = opts_.mailbox_capacity != 0
-                              ? opts_.mailbox_capacity
-                              : static_cast<std::size_t>(
-                                    program.params.capacity());
+  const auto cap = static_cast<std::size_t>(program.params.capacity());
   if (cap == 0) {
     throw std::invalid_argument(
         "Engine::run: mailbox capacity is 0 for " +
@@ -187,13 +185,12 @@ ExecReport Engine::run_impl(const Program& program,
   // --- run state: the engine's warm per-run context ----------------------
   // Threads are warm when the pool already holds a worker per processor;
   // buffers are warm when the context's previous shape matches and
-  // prepare() recycled every ring/queue/arena chunk without allocating.
+  // prepare() recycled every ring and queue without allocating.
   const bool pool_warm =
       pool_.size() >= static_cast<unsigned>(program.params.P);
   RunShape shape;
   shape.links = program.links.size();
   shape.capacity = cap;
-  shape.mailbox_stats = opts_.mailbox_stats;
   shape.reliable = reliable;
   shape.procs = P;
   const bool buffers_warm = ctx_.prepare(shape);
@@ -220,24 +217,24 @@ ExecReport Engine::run_impl(const Program& program,
   report.fault_events.resize(P);
   report.folded.resize(P);
 
-  // --- kMove payload staging: the context's warm buffer arena ------------
-  // Every (processor, item) slot the plan touches is carved 64-byte-aligned
-  // out of one bump arena before workers start, so the receive hot path is
-  // a plain memcpy — no allocator calls on any worker thread.  The arena
-  // and slot tables live in the run context (rewound by prepare(), chunks
-  // kept warm across runs) and outlive the pool epoch below.
+  // --- kMove slots: in place in the report's result buffers -------------
+  // Every (processor, item) slot the plan touches is sized in its final
+  // ExecReport::items buffer before workers start, so seeding is one
+  // memcpy from the caller's bytes, each receive is one memcpy into its
+  // slot, and nothing is copied out afterwards.  No allocator call runs on
+  // a worker thread.  A coalesced run gives each touched processor one
+  // buffer the size of all items together, each slot aliasing its range.
+  // Whether a slot is used comes from the table, never from its pointer.
   std::vector<Slot>& slots = ctx_.slots;
-  std::vector<char>& slot_filled = ctx_.slot_filled;
   auto slot_index = [num_items](std::size_t p, std::size_t item) {
     return p * num_items + item;
   };
-  BufferArena& arena = ctx_.arena;
   if (program.mode == Mode::kMove) {
-    // A segmented run coalesces: one result buffer per proc, not one per
-    // item (the per-item slots alias ranges of it, see below).
-    report.items.assign(P, std::vector<Bytes>(seg != nullptr ? 1 : num_items));
+    const bool coalesced = move->coalesced;
+    std::size_t total = 0;
+    for (const auto& src : move->items) total += src.size();
+    report.items.assign(P, std::vector<Bytes>(coalesced ? 1 : num_items));
     slots.assign(P * num_items, Slot{});
-    slot_filled.assign(P * num_items, 0);
     std::vector<char>& used = ctx_.slot_used;
     used.assign(P * num_items, 0);
     for (const InitialPlacement& init : program.initials) {
@@ -251,65 +248,31 @@ ExecReport Engine::run_impl(const Program& program,
         }
       }
     }
-    if (seg != nullptr) {
-      // Coalesced segmented layout: every processor the plan touches gets
-      // ONE contiguous result buffer the size of the whole payload, and
-      // each segment's slot aliases its range of it.  Deliveries then land
-      // in their final position — the arena and the post-run publication
-      // pass below are skipped entirely, so a k-segment run pays no more
-      // serial memcpy than a bulk single-item run.
-      const std::size_t total = seg->payload.size();
-      const std::size_t base = total / num_items;
-      const std::size_t rem = total % num_items;
-      const auto seg_off = [base, rem](std::size_t i) {
-        return i * base + std::min(i, rem);
-      };
-      const auto seg_len = [base, rem](std::size_t i) {
-        return base + (i < rem ? 1 : 0);
-      };
-      for (std::size_t p = 0; p < P; ++p) {
-        bool touched = false;
-        for (std::size_t i = 0; i < num_items; ++i) {
-          touched = touched || used[slot_index(p, i)] != 0;
+    for (std::size_t p = 0; p < P; ++p) {
+      std::size_t off = 0;
+      for (std::size_t i = 0; i < num_items; ++i) {
+        const std::size_t size = move->items[i].size();
+        if (used[slot_index(p, i)]) {
+          // A cache line of spare capacity keeps the next rank's buffer
+          // off this one's last line: no false sharing between ranks.
+          Bytes& buf = report.items[p][coalesced ? 0 : i];
+          const std::size_t n = coalesced ? total : size;
+          buf.reserve(n + 64);
+          buf.resize(n);
+          slots[slot_index(p, i)] = Slot{buf.data() + off, size};
         }
-        if (!touched) continue;
-        Bytes& buf = report.items[p][0];
-        buf.resize(total);
-        for (std::size_t i = 0; i < num_items; ++i) {
-          if (!used[slot_index(p, i)]) continue;
-          slots[slot_index(p, i)] = Slot{buf.data() + seg_off(i), seg_len(i)};
-        }
+        if (coalesced) off += size;
       }
-      for (const InitialPlacement& init : program.initials) {
-        const auto item = static_cast<std::size_t>(init.item);
-        const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
-                                         item)];
-        if (s.size != 0) {
-          std::memcpy(s.data, seg->payload.data() + seg_off(item), s.size);
-        }
-        slot_filled[slot_index(static_cast<std::size_t>(init.proc), item)] = 1;
-      }
-    } else {
-      for (std::size_t p = 0; p < P; ++p) {
-        for (std::size_t i = 0; i < num_items; ++i) {
-          if (!used[slot_index(p, i)]) continue;
-          const std::size_t size = (*item_values)[i].size();
-          slots[slot_index(p, i)] = Slot{arena.allocate(size), size};
-        }
-      }
-      for (const InitialPlacement& init : program.initials) {
-        const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
-                                         static_cast<std::size_t>(init.item))];
-        const Bytes& v = (*item_values)[static_cast<std::size_t>(init.item)];
-        if (!v.empty()) std::memcpy(s.data, v.data(), v.size());
-        slot_filled[slot_index(static_cast<std::size_t>(init.proc),
-                               static_cast<std::size_t>(init.item))] = 1;
-      }
+    }
+    for (const InitialPlacement& init : program.initials) {
+      const auto item = static_cast<std::size_t>(init.item);
+      const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
+                                       item)];
+      if (s.size != 0) std::memcpy(s.data, move->items[item].data(), s.size);
     }
   } else if (program.mode == Mode::kFold) {
     for (std::size_t p = 0; p < P; ++p) report.folded[p] = (*fold_values)[p];
   }
-  report.arena_bytes = arena.bytes_used();
 
   std::vector<std::size_t> bytes_moved(P, 0);
   std::vector<std::size_t> retries(P, 0);
@@ -658,10 +621,9 @@ ExecReport Engine::run_impl(const Program& program,
             return;
           }
           if (program.mode == Mode::kMove) {
-            const std::size_t si =
-                slot_index(p, static_cast<std::size_t>(m.item));
-            const Slot& slot = slots[si];
-            if (slot.data == nullptr || slot.size != m.size) {
+            const Slot& slot =
+                slots[slot_index(p, static_cast<std::size_t>(m.item))];
+            if (slot.size != m.size) {
               failure.fail("exec::Engine: P" + std::to_string(wi) +
                            " received item " + std::to_string(m.item) +
                            " with unexpected payload size " +
@@ -669,7 +631,6 @@ ExecReport Engine::run_impl(const Program& program,
               return;
             }
             if (m.size != 0) std::memcpy(slot.data, m.data, m.size);
-            slot_filled[si] = 1;
           } else {
             fold(std::span<const std::byte>(m.data, m.size));
           }
@@ -752,22 +713,6 @@ ExecReport Engine::run_impl(const Program& program,
     }
     if (fr != kNoProc) throw RankFailure(fr, message);
     throw std::runtime_error(message);
-  }
-
-  // Publish the arena-staged kMove slots into the report's user-facing
-  // vectors.  This runs after wall_ns is captured and after the pool
-  // barrier published every worker's writes, so it is single-threaded and
-  // outside the measured makespan.  Segmented runs already delivered in
-  // place (their slots alias the report buffers) and skip it.
-  if (program.mode == Mode::kMove && seg == nullptr) {
-    for (std::size_t p = 0; p < P; ++p) {
-      for (std::size_t i = 0; i < num_items; ++i) {
-        const std::size_t si = slot_index(p, i);
-        if (!slot_filled[si]) continue;
-        const Slot& s = slots[si];
-        report.items[p][i].assign(s.data, s.data + s.size);
-      }
-    }
   }
 
   for (const std::size_t b : bytes_moved) report.payload_bytes += b;

@@ -19,10 +19,14 @@
 /// The shared-memory execution engine: runs a compiled Program on a pool
 /// of OS threads — one logical LogP processor per worker — moving real
 /// payload bytes through one bounded lock-free mailbox per directed link.
+/// kMove runs deliver in place: every slot the plan touches is sized in
+/// its final ExecReport::items buffer before dispatch, initial placements
+/// are copied straight from the caller's bytes, and each receive is one
+/// memcpy into its slot — there is no staging area and no copy-out pass.
 ///
 /// An Engine is two halves: a *persistent worker-pool resource* (the
-/// ThreadPool plus a warm RunContext of mailboxes, ack rings and arena
-/// chunks, kept alive across runs) and a *cheap per-run execution
+/// ThreadPool plus a warm RunContext of mailboxes, ack rings and slot
+/// tables, kept alive across runs) and a *cheap per-run execution
 /// context* (RunContext::prepare rewinds rather than rebuilds when
 /// consecutive runs share a shape).  Back-to-back runs on one engine
 /// therefore pay neither thread spawn/join nor per-link allocation —
@@ -104,7 +108,6 @@ struct ExecReport {
   std::size_t duplicates = 0;  ///< retransmitted copies discarded exactly-once
   std::size_t kernel_folds = 0;   ///< folds taken by the typed SIMD kernel
   std::size_t generic_folds = 0;  ///< folds through the type-erased lane
-  std::size_t arena_bytes = 0;    ///< payload staging carved from the arena
   /// True when the run dispatched onto already-resident worker threads: no
   /// OS thread was spawned on the request path.  A fresh engine's first
   /// run (or the first run after a growth in P) is a cold start; every
@@ -113,8 +116,8 @@ struct ExecReport {
   /// assert this stays true under sustained traffic.
   bool warm_pool = false;
   /// True when the run reused the engine's RunContext warm: same shape as
-  /// the previous run, so mailboxes, ack rings, drain queues, heartbeat
-  /// slots and arena chunks were recycled with zero allocation.
+  /// the previous run, so mailboxes, ack rings, drain queues and heartbeat
+  /// slots were recycled with zero allocation.
   bool warm_buffers = false;
   /// Per-processor event logs, in stream order.  Guarantee (asserted after
   /// every run): `events[p]` is non-decreasing in start_ns — in fact each
@@ -142,23 +145,6 @@ struct ExecReport {
   }
 };
 
-/// A coalesced k-item run: one logical payload executed through a k-item
-/// (segmented) kMove program.  The engine splits `payload` into
-/// `segments` near-equal contiguous ranges (sizes differing by at most
-/// one byte, longer segments first — the same split svc::split_segments
-/// produces), seeds the plan's initial placements straight from the
-/// spans, and delivers every received segment *in place* into one
-/// contiguous per-processor result buffer: ExecReport::items[p] holds a
-/// single Bytes equal to the whole payload — byte-identical to what a
-/// bulk single-item run of the same payload would report — instead of k
-/// per-segment buffers.  That removes both the caller's split/concat
-/// copies and the engine's post-run arena-to-report publication pass, so
-/// a segmented run pays no more serial memcpy than a bulk one.
-struct SegmentRun {
-  std::span<const std::byte> payload;
-  int segments = 1;  ///< must equal the program's num_items
-};
-
 class Engine {
  public:
   /// Knobs of the acked-delivery protocol (active when a fault::Injector is
@@ -175,16 +161,13 @@ class Engine {
     std::uint64_t suspect_after_ms = 25;
   };
 
+  /// Every mailbox holds the model's capacity ceil(L/g) and records its
+  /// high-water mark (ExecReport::max_mailbox_occupancy).
   struct Options {
-    /// Per-link mailbox bound; 0 means the model's capacity ceil(L/g).
-    std::size_t mailbox_capacity = 0;
     /// Abort a run whose blocking wait exceeds this (a plan or engine bug
     /// must fail loudly, not hang the pool).  The clock starts when the
     /// run is dispatched, not while it queues behind another run.
     std::uint64_t timeout_ms = 20000;
-    /// Record per-link high-water marks (ExecReport::max_mailbox_occupancy).
-    /// Off, the producer's push pays only the ring indices.
-    bool mailbox_stats = true;
     Recovery recovery;
   };
 
@@ -193,21 +176,25 @@ class Engine {
 
   /// kMove: `item_values[i]` is item i's payload (sizes may differ per
   /// item).  Every processor named in an initial placement starts with its
-  /// items seeded; on return every processor's slots hold what the plan
-  /// delivered.  `injector` (optional, non-owning, must outlive the call)
-  /// enables fault injection plus the acked-delivery protocol.
+  /// items seeded; on return ExecReport::items[p][i] holds what the plan
+  /// delivered to p.  `injector` (optional, non-owning, must outlive the
+  /// call) enables fault injection plus the acked-delivery protocol.
   ExecReport run(const Program& program, const std::vector<Bytes>& item_values,
                  const fault::Injector* injector = nullptr);
 
-  /// kMove, segmented: `seg.payload` split into `seg.segments` contiguous
-  /// ranges executed through a k-item program, results coalesced back into
-  /// one contiguous buffer per processor (see SegmentRun).  Requires a
-  /// kMove program with num_items == seg.segments and a non-empty payload.
-  /// (A named method, not a run() overload: SegmentRun aggregate-converts
-  /// from a payload span, which would make `run(prog, {payload})` at the
-  /// existing kMove call sites ambiguous.)
-  ExecReport run_segmented(const Program& program, const SegmentRun& seg,
-                           const fault::Injector* injector = nullptr);
+  /// kMove over one logical payload — every broadcast's entry.  The
+  /// payload is split into the program's num_items near-equal contiguous
+  /// ranges (sizes differ by at most one byte, longer ranges first), and
+  /// each processor the plan touches gets ONE result buffer the size of
+  /// the whole payload with every range delivered in place:
+  /// ExecReport::items[p] is a single Bytes equal to the payload, for a
+  /// k-item pipeline exactly as for the single-item tree.  Initial
+  /// placements are seeded straight from `payload`, which must outlive the
+  /// call.  A single-item program accepts an empty payload; a multi-item
+  /// one throws std::invalid_argument on it.
+  ExecReport run_payload(const Program& program,
+                         std::span<const std::byte> payload,
+                         const fault::Injector* injector = nullptr);
 
   /// kFold: `values[p]` is processor p's initial value; receives fold with
   /// `op` in arrival order.  The root's accumulator is the result.  A
@@ -234,7 +221,7 @@ class Engine {
   /// construction and immutable afterwards — there is deliberately no
   /// setter, so a run never observes a torn options struct and the shared
   /// engine always carries the defaults.  Callers needing different knobs
-  /// (recovery, timeout, mailbox stats) construct their own Engine;
+  /// (recovery, timeout) construct their own Engine;
   /// svc::CollectiveService does exactly that, one per pool.
   static Engine& shared();
 
@@ -249,9 +236,14 @@ class Engine {
   [[nodiscard]] ThreadPool& pool() { return pool_; }
 
  private:
-  ExecReport run_impl(const Program& program,
-                      const std::vector<Bytes>* item_values,
-                      const SegmentRun* seg,
+  /// kMove inputs: item i's source bytes, and whether all items share one
+  /// result buffer per processor (run_payload) or get one each (run).
+  struct MoveInput {
+    std::vector<std::span<const std::byte>> items;
+    bool coalesced = false;
+  };
+
+  ExecReport run_impl(const Program& program, const MoveInput* move,
                       const std::vector<Bytes>* fold_values,
                       const std::vector<std::vector<Bytes>>* operands,
                       const Combiner* op, const fault::Injector* injector);

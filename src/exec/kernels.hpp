@@ -28,8 +28,9 @@
 /// mismatch) and the baseline `bench_kernels` reports speedups against.
 /// Kernels never require aligned pointers: misaligned operands take a
 /// scalar memcpy lane, so arbitrary byte offsets stay UB-free under
-/// UBSan; the engine's BufferArena hands out 64-byte-aligned buffers, so
-/// in practice the vector lane always runs.
+/// UBSan.  The engine folds into `Bytes` accumulators, whose operator-new
+/// storage (aligned to at least 16) covers every dtype's alignment, so in
+/// practice the vector lane runs.
 ///
 /// Order preservation: kernels change how one fold step executes, never
 /// which fold steps run or in what order — the compiled instruction

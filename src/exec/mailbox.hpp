@@ -55,17 +55,13 @@ struct Message {
 /// at least one in-flight message, so a zero capacity is always a bug at
 /// the call site, not a configuration to round up.
 ///
-/// `track_occupancy` gates the high-water-mark bookkeeping: when off, the
-/// producer's push pays nothing beyond the ring indices and
-/// max_occupancy() reports 0.  When on, the update is a plain relaxed
-/// load + conditional relaxed store — max_occupancy_ has a single writer
-/// (the producer), so the CAS loop earlier revisions ran on every push
-/// was pure overhead.
+/// Every ring records its high-water mark: a plain relaxed load +
+/// conditional relaxed store per push — max_occupancy_ has a single
+/// writer (the producer), so no CAS is needed.
 template <typename T>
 class SpscRing {
  public:
-  explicit SpscRing(std::size_t capacity, bool track_occupancy = true)
-      : cap_(capacity), track_(track_occupancy), slots_(capacity) {
+  explicit SpscRing(std::size_t capacity) : cap_(capacity), slots_(capacity) {
     if (capacity == 0) {
       throw std::invalid_argument(
           "SpscRing: capacity must be >= 1 (the LogP capacity constraint "
@@ -134,16 +130,12 @@ class SpscRing {
            head_.load(std::memory_order_acquire);
   }
 
-  /// High-water mark of queued messages, as observed by the producer (0
-  /// when occupancy tracking is disabled).  The engine tests assert this
-  /// never exceeds ceil(L/g): the executed schedule honored the model's
-  /// capacity constraint.
+  /// High-water mark of queued messages, as observed by the producer.
+  /// The engine tests assert this never exceeds ceil(L/g): the executed
+  /// schedule honored the model's capacity constraint.
   [[nodiscard]] std::size_t max_occupancy() const {
     return max_occupancy_.load(std::memory_order_relaxed);
   }
-
-  /// Whether this ring records its high-water mark.
-  [[nodiscard]] bool tracks_occupancy() const { return track_; }
 
   /// Rewinds the high-water mark for warm reuse across runs, so each run's
   /// occupancy report covers that run alone.  Requires both sides
@@ -156,7 +148,6 @@ class SpscRing {
 
  private:
   void note_occupancy(std::size_t used) {
-    if (!track_) return;
     // Single writer (the producer): a plain conditional store suffices.
     if (used > max_occupancy_.load(std::memory_order_relaxed)) {
       max_occupancy_.store(used, std::memory_order_relaxed);
@@ -164,7 +155,6 @@ class SpscRing {
   }
 
   std::size_t cap_;
-  bool track_;
   std::vector<T> slots_;
   alignas(64) std::atomic<std::size_t> head_{0};  ///< consumer cursor
   alignas(64) std::atomic<std::size_t> tail_{0};  ///< producer cursor

@@ -108,24 +108,6 @@ int choose_segments(std::size_t total_bytes, const SegmentPolicy& policy) {
       want, 2, static_cast<std::size_t>(policy.max_segments)));
 }
 
-std::vector<exec::Bytes> split_segments(const exec::Bytes& payload,
-                                        int segments) {
-  const auto k = static_cast<std::size_t>(std::max(segments, 1));
-  std::vector<exec::Bytes> out;
-  out.reserve(k);
-  const std::size_t base = payload.size() / k;
-  const std::size_t rem = payload.size() % k;
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t len = base + (i < rem ? 1 : 0);
-    const auto at = static_cast<std::ptrdiff_t>(off);
-    out.emplace_back(payload.begin() + at,
-                     payload.begin() + at + static_cast<std::ptrdiff_t>(len));
-    off += len;
-  }
-  return out;
-}
-
 exec::Bytes concat_payloads(const std::vector<const Request*>& members) {
   std::size_t total = 0;
   for (const Request* r : members) total += r->payload.size();
@@ -159,9 +141,8 @@ exec::Combiner fused_combiner(const Request& exemplar, std::size_t chunk,
   return exec::Combiner(chunked_combine(exemplar.combine.generic(), chunk));
 }
 
-exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
-                               std::size_t chunk, std::size_t index,
-                               std::size_t count) {
+exec::ExecReport member_report(const exec::ExecReport& run, std::size_t chunk,
+                               std::size_t index, std::size_t count) {
   exec::ExecReport r;
   r.params = run.params;
   r.mode = run.mode;
@@ -176,7 +157,6 @@ exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
   r.duplicates = run.duplicates;
   r.kernel_folds = run.kernel_folds;
   r.generic_folds = run.generic_folds;
-  r.arena_bytes = run.arena_bytes;
   r.warm_pool = run.warm_pool;
   r.warm_buffers = run.warm_buffers;
   // Both result containers are mirrored whatever the op, so a fused
@@ -187,33 +167,11 @@ exec::ExecReport member_report(const exec::ExecReport& run, OpKind op,
   for (std::size_t p = 0; p < run.folded.size(); ++p) {
     r.folded[p] = slice_chunk(run.folded[p], index, chunk, count);
   }
-  if (op == OpKind::kBroadcast) {
-    // Engine-coalesced runs (bulk, and SegmentRun-segmented) carry one
-    // buffer per proc and slice directly; a plan that still reports k
-    // per-segment items gets them concatenated first — each member's
-    // single logical item is its slice of the segments' concatenation.
-    r.items.resize(run.items.size());
-    for (std::size_t p = 0; p < run.items.size(); ++p) {
-      if (run.items[p].size() == 1) {
-        r.items[p].push_back(slice_chunk(run.items[p][0], index, chunk, count));
-        continue;
-      }
-      exec::Bytes full;
-      std::size_t total = 0;
-      for (const exec::Bytes& seg : run.items[p]) total += seg.size();
-      full.reserve(total);
-      for (const exec::Bytes& seg : run.items[p]) {
-        full.insert(full.end(), seg.begin(), seg.end());
-      }
-      r.items[p].push_back(slice_chunk(full, index, chunk, count));
-    }
-  } else {
-    r.items.resize(run.items.size());
-    for (std::size_t p = 0; p < run.items.size(); ++p) {
-      r.items[p].reserve(run.items[p].size());
-      for (const exec::Bytes& item : run.items[p]) {
-        r.items[p].push_back(slice_chunk(item, index, chunk, count));
-      }
+  r.items.resize(run.items.size());
+  for (std::size_t p = 0; p < run.items.size(); ++p) {
+    r.items[p].reserve(run.items[p].size());
+    for (const exec::Bytes& item : run.items[p]) {
+      r.items[p].push_back(slice_chunk(item, index, chunk, count));
     }
   }
   return r;

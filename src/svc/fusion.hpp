@@ -71,11 +71,6 @@ struct SegmentPolicy {
 [[nodiscard]] int choose_segments(std::size_t total_bytes,
                                   const SegmentPolicy& policy);
 
-/// Splits `payload` into `segments` contiguous pieces, sizes balanced to
-/// within one byte, concatenation-ordered (segment i precedes i+1).
-[[nodiscard]] std::vector<exec::Bytes> split_segments(
-    const exec::Bytes& payload, int segments);
-
 /// Fused broadcast payload: members' payloads concatenated in batch order.
 [[nodiscard]] exec::Bytes concat_payloads(
     const std::vector<const Request*>& members);
@@ -93,15 +88,14 @@ struct SegmentPolicy {
                                             std::size_t chunk,
                                             std::size_t count);
 
-/// Member `index`'s view of a fused (and/or segmented) run: scalar
-/// telemetry copied from the shared run, result buffers reassembled
-/// (segments concatenated) and sliced to the member's `chunk` bytes.
+/// Member `index`'s view of a fused run: scalar telemetry copied from the
+/// shared run, every result buffer sliced to the member's `chunk` bytes (a
+/// broadcast, segmented or not, reports one coalesced buffer per proc).
 /// Event/delivery/fault logs are left empty — they describe the batch, not
 /// any one member; the shared Response::profile carries them.  With
-/// count <= 1 the slice degenerates to the full reassembled payload (the
-/// solo segmented path).
+/// count <= 1 the slice degenerates to the whole buffer.
 [[nodiscard]] exec::ExecReport member_report(const exec::ExecReport& run,
-                                             OpKind op, std::size_t chunk,
+                                             std::size_t chunk,
                                              std::size_t index,
                                              std::size_t count);
 

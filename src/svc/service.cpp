@@ -445,30 +445,17 @@ std::vector<Response> CollectiveService::execute_batch(
       case OpKind::kBroadcast: {
         chunk = lead.payload.size();
         exec::Bytes fused_payload;
-        const exec::Bytes* whole = &lead.payload;
-        if (n > 1) {
-          fused_payload = concat_payloads(members);
-          whole = &fused_payload;
-        }
+        if (n > 1) fused_payload = concat_payloads(members);
+        const exec::Bytes& whole = n > 1 ? fused_payload : lead.payload;
         const SegmentPolicy policy{opts_.segment_threshold,
                                    opts_.segment_bytes, opts_.max_segments};
-        segments = choose_segments(whole->size(), policy);
-        const std::shared_ptr<const exec::Program> program =
-            program_for(lead.op, lead.root, segments);
-        if (segments > 1) {
-          // Coalesced segmented run: the engine splits the payload itself
-          // and delivers each proc's segments into one contiguous result
-          // buffer — report.items already has the bulk single-send shape,
-          // with no split/concat copies on this thread.
-          run = engine.run_segmented(
-              *program,
-              exec::SegmentRun{
-                  std::span<const std::byte>(whole->data(), whole->size()),
-                  segments},
-              inj);
-        } else {
-          run = engine.run(*program, std::vector<exec::Bytes>{*whole}, inj);
-        }
+        segments = choose_segments(whole.size(), policy);
+        // The engine splits the payload into the program's segments and
+        // delivers each proc's copy in place: report.items holds one
+        // buffer per proc whatever the segment count, with no copy of the
+        // payload on this thread.
+        run = engine.run_payload(*program_for(lead.op, lead.root, segments),
+                                 whole, inj);
         break;
       }
       case OpKind::kReduce: {
@@ -519,13 +506,12 @@ std::vector<Response> CollectiveService::execute_batch(
       out[i].profile = profile;
     }
     if (n == 1) {
-      // Solo runs hand the report over unsliced: bulk is the raw run, and
-      // a segmented run's report is already coalesced to the bulk shape by
-      // the engine (one contiguous buffer per proc).
+      // Solo runs hand the report over unsliced: the engine already
+      // coalesced a broadcast to one contiguous buffer per proc.
       out[0].report = std::move(run);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i].report = member_report(run, lead.op, chunk, i, n);
+        out[i].report = member_report(run, chunk, i, n);
       }
     }
   } catch (const std::exception& e) {

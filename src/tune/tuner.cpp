@@ -125,21 +125,13 @@ TuneReport auto_tune(const TunerOptions& opts) {
       for (std::size_t i = 0; i < payload.size(); ++i) {
         payload[i] = static_cast<std::byte>((i * 131 + 17) & 0xff);
       }
-      const std::vector<exec::Bytes> bulk_items{
-          exec::Bytes(payload.begin(), payload.end())};
 
       // Interleave trials round-robin so drift (thermal, scheduler) hits
       // every candidate alike instead of whichever ran last.
       for (int round = 0; round < opts.warmup + opts.trials; ++round) {
         const bool timed = round >= opts.warmup;
         for (Candidate& c : candidates) {
-          exec::ExecReport r;
-          if (c.problem == Problem::kKItemBroadcast) {
-            r = engine.run_segmented(
-                c.program, exec::SegmentRun{payload, c.segments});
-          } else {
-            r = engine.run(c.program, bulk_items);
-          }
+          const exec::ExecReport r = engine.run_payload(c.program, payload);
           if (timed) {
             c.samples_ns.push_back(static_cast<double>(r.wall_ns));
           }

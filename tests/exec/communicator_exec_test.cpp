@@ -45,6 +45,17 @@ TEST(CommunicatorExec, RunBroadcastNonZeroRoot) {
   }
 }
 
+TEST(CommunicatorExec, RunBroadcastOfZeroBytesGivesEveryRankAnEmptyItem) {
+  const Communicator comm(Params{8, 4, 1, 2});
+  const exec::ExecReport report = comm.run_broadcast({});
+  ASSERT_EQ(report.items.size(), 8u);
+  for (ProcId p = 0; p < comm.size(); ++p) {
+    ASSERT_EQ(report.items[static_cast<std::size_t>(p)].size(), 1u);
+    EXPECT_TRUE(report.item_at(p, 0).empty());
+  }
+  EXPECT_EQ(report.messages, 7u);
+}
+
 TEST(CommunicatorExec, RunAllgatherGivesEveryoneEverything) {
   const Communicator comm(Params{8, 6, 1, 2});
   std::vector<Bytes> contributions;

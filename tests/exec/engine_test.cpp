@@ -106,10 +106,7 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
     payload[i] = static_cast<std::byte>(i * 131 + 7);
   }
   Engine engine;
-  const ExecReport report = engine.run_segmented(
-      prog, SegmentRun{std::span<const std::byte>(payload.data(),
-                                                  payload.size()),
-                       k});
+  const ExecReport report = engine.run_payload(prog, payload);
   ASSERT_EQ(report.items.size(), 8u);
   for (ProcId p = 0; p < params.P; ++p) {
     ASSERT_EQ(report.items[static_cast<std::size_t>(p)].size(), 1u)
@@ -119,11 +116,19 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
   EXPECT_TRUE(
       validate::check_delivery_order(plan.schedule, report.deliveries).ok());
   // And it matches the bulk run bit for bit.
-  const Schedule bulk = bcast::optimal_single_item(params);
-  const ExecReport bulk_report =
-      engine.run(compile_broadcast(bulk), {payload});
+  const Program bulk = compile_broadcast(bcast::optimal_single_item(params));
+  const ExecReport bulk_report = engine.run(bulk, {payload});
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), bulk_report.item_at(p, 0)) << "P" << p;
+  }
+  // On a single-item program the payload entry IS the items entry, down
+  // to the zero-byte payload.
+  for (const std::size_t n : {0u, 1u, 64u, 4099u}) {
+    const Bytes bytes(payload.begin(),
+                      payload.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(engine.run_payload(bulk, bytes).items,
+              engine.run(bulk, {bytes}).items)
+        << n << " bytes";
   }
 }
 
@@ -133,11 +138,13 @@ TEST(Engine, SegmentRunValidatesItsInputs) {
   const Program prog = compile_broadcast(plan.schedule, "kitem-seg");
   Engine engine;
   const Bytes payload(64, std::byte{0x5a});
-  const std::span<const std::byte> span(payload.data(), payload.size());
-  EXPECT_THROW((void)engine.run_segmented(prog, SegmentRun{span, 3}),
-               std::invalid_argument);  // segments != num_items
-  EXPECT_THROW((void)engine.run_segmented(prog, SegmentRun{{}, 4}),
-               std::invalid_argument);  // empty payload
+  const Program fold = compile_reduction(bcast::optimal_reduction(params, 0));
+  EXPECT_THROW((void)engine.run_payload(fold, payload),
+               std::invalid_argument);  // not a move-mode program
+  EXPECT_THROW((void)engine.run_payload(prog, {}),
+               std::invalid_argument);  // empty payload, 4 items
+  EXPECT_THROW((void)engine.run(prog, {payload}),
+               std::invalid_argument);  // 1 item value for 4 items
 }
 
 TEST(Engine, AllToAllKDeliversAllItems) {

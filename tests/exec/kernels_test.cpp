@@ -12,7 +12,6 @@
 #include "bcast/all_to_all.hpp"
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
-#include "exec/arena.hpp"
 #include "exec/engine.hpp"
 #include "exec/wait.hpp"
 #include "exec_test_util.hpp"
@@ -24,8 +23,8 @@
 /// byte-for-byte interchangeable with the scalar generic reference on every
 /// input (same per-element ops in the same order — true even for floats),
 /// the engine must produce bitwise-identical results whichever lane it
-/// takes, and the arena / wait-policy machinery under it must not change
-/// any observable result.
+/// takes, and the wait and drain machinery under it must not change any
+/// observable result.
 
 namespace logpc::exec {
 namespace {
@@ -200,91 +199,6 @@ TEST(Combiner, UntypedCombinerWrapsPlainCombineFn) {
 }
 
 // ---------------------------------------------------------------------------
-// BufferArena
-// ---------------------------------------------------------------------------
-
-TEST(BufferArena, AllocationsAreCacheLineAligned) {
-  BufferArena arena(256);
-  for (const std::size_t n : {0UL, 1UL, 7UL, 63UL, 64UL, 65UL, 300UL}) {
-    std::byte* p = arena.allocate(n);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % BufferArena::kAlignment,
-              0u)
-        << "n=" << n;
-  }
-}
-
-TEST(BufferArena, AllocationsDoNotOverlapAndSurviveGrowth) {
-  BufferArena arena(128);  // force several growth steps
-  std::mt19937 rng(3);
-  struct Span {
-    std::byte* p;
-    std::size_t n;
-    unsigned char tag;
-  };
-  std::vector<Span> spans;
-  std::uniform_int_distribution<std::size_t> size_d(1, 700);
-  for (unsigned char i = 0; i < 50; ++i) {
-    const std::size_t n = size_d(rng);
-    std::byte* p = arena.allocate(n);
-    std::memset(p, i, n);
-    spans.push_back(Span{p, n, i});
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-  // Every earlier write is intact: no overlap, no invalidation on growth.
-  for (const Span& s : spans) {
-    for (std::size_t i = 0; i < s.n; ++i) {
-      ASSERT_EQ(static_cast<unsigned char>(s.p[i]), s.tag);
-    }
-  }
-}
-
-TEST(BufferArena, ZeroSizeAllocationsAreDistinct) {
-  BufferArena arena;
-  std::byte* a = arena.allocate(0);
-  std::byte* b = arena.allocate(0);
-  EXPECT_NE(a, b);
-}
-
-TEST(BufferArena, ResetRewindsWithoutReleasing) {
-  BufferArena arena(256);
-  for (int i = 0; i < 20; ++i) arena.allocate(100);
-  const std::size_t reserved = arena.bytes_reserved();
-  const std::size_t chunks = arena.chunk_count();
-  EXPECT_GT(arena.bytes_used(), 0u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_EQ(arena.chunk_count(), chunks);
-  // The rewound arena serves the same memory again.
-  std::byte* p = arena.allocate(64);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % BufferArena::kAlignment,
-            0u);
-}
-
-TEST(BufferArena, OversizedRequestGetsDedicatedChunk) {
-  BufferArena arena(128);
-  std::byte* small = arena.allocate(64);
-  std::memset(small, 0x5a, 64);
-  // Far larger than any doubling step from 128 would reach in one hop.
-  const std::size_t big_n = (std::size_t{1} << 26) + 1024;
-  std::byte* big = arena.allocate(big_n);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % BufferArena::kAlignment,
-            0u);
-  big[0] = std::byte{1};
-  big[big_n - 1] = std::byte{2};
-  // The small allocation before it is untouched, and the arena can keep
-  // serving small requests after the spike.
-  EXPECT_EQ(static_cast<unsigned char>(small[0]), 0x5a);
-  std::byte* after = arena.allocate(64);
-  ASSERT_NE(after, nullptr);
-  EXPECT_GE(arena.bytes_used(), big_n);
-}
-
-// ---------------------------------------------------------------------------
 // Engine integration: typed lane == generic lane, counters, order
 // ---------------------------------------------------------------------------
 
@@ -441,7 +355,7 @@ TEST(EngineKernels, FloatSumStaysWithinAccumulationBoundOfLeftFold) {
 // Engine options
 // ---------------------------------------------------------------------------
 
-TEST(EngineOptions, MailboxStatsOptOutReportsZeroOccupancy) {
+TEST(EngineOptions, MailboxOccupancyIsTrackedWithinCapacity) {
   const Params params{8, 4, 1, 2};
   const bcast::ReductionPlan plan = bcast::optimal_reduction(params, 0);
   const Program prog = compile_reduction(plan);
@@ -452,34 +366,12 @@ TEST(EngineOptions, MailboxStatsOptOutReportsZeroOccupancy) {
     total += static_cast<std::uint64_t>(p + 1);
   }
 
-  Engine::Options opts;
-  opts.mailbox_stats = false;
-  Engine engine(opts);
-  const ExecReport report = engine.run(prog, values, tu::add_u64());
-  EXPECT_EQ(tu::to_u64(report.folded_at(0)), total);
-  EXPECT_EQ(report.max_mailbox_occupancy, 0u);
-
   Engine tracked;
   const ExecReport tracked_report = tracked.run(prog, values, tu::add_u64());
+  EXPECT_EQ(tu::to_u64(tracked_report.folded_at(0)), total);
   EXPECT_GE(tracked_report.max_mailbox_occupancy, 1u);
   EXPECT_LE(tracked_report.max_mailbox_occupancy,
             tracked_report.mailbox_capacity);
-}
-
-TEST(EngineKernels, MoveModeUsesArenaStaging) {
-  const Params params{8, 4, 1, 2};
-  const Schedule s = bcast::optimal_single_item(params);
-  const Program prog = compile_broadcast(s);
-  Engine engine;
-  const std::vector<Bytes> items{tu::of_str("the-payload-under-test")};
-  const ExecReport report = engine.run(prog, items);
-  for (ProcId p = 0; p < params.P; ++p) {
-    EXPECT_EQ(tu::to_str(report.item_at(p, 0)), "the-payload-under-test");
-  }
-  // One staged slot per processor (root seed + P-1 receive targets), each
-  // rounded up to the arena's 64-byte alignment quantum.
-  EXPECT_GE(report.arena_bytes,
-            static_cast<std::size_t>(params.P) * items[0].size());
 }
 
 TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {

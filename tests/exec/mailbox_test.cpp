@@ -137,16 +137,6 @@ TEST(Mailbox, SpscStressPreservesOrderAndPayload) {
   EXPECT_NE(checksum, 0u);
 }
 
-TEST(Mailbox, StatsOptOutSkipsHighWaterTracking) {
-  SpscMailbox mb(5, /*track_occupancy=*/false);
-  EXPECT_FALSE(mb.tracks_occupancy());
-  for (ItemId i = 0; i < 5; ++i) ASSERT_TRUE(mb.try_push(msg(i)));
-  EXPECT_EQ(mb.max_occupancy(), 0u);  // tracking disabled, not "empty"
-  EXPECT_EQ(mb.size(), 5u);
-  SpscMailbox tracked(5);
-  EXPECT_TRUE(tracked.tracks_occupancy());
-}
-
 TEST(Mailbox, PopBulkDrainsUpToMaxInFifoOrder) {
   SpscMailbox mb(8);
   for (ItemId i = 0; i < 6; ++i) ASSERT_TRUE(mb.try_push(msg(i)));

@@ -186,25 +186,6 @@ TEST(SvcFusion, ChooseSegmentsPolicy) {
       << "max_segments < 2 disables segmentation";
 }
 
-TEST(SvcFusion, SplitSegmentsIsLosslessAndBalanced) {
-  std::string payload;
-  for (int i = 0; i < 1003; ++i) payload.push_back(static_cast<char>(i));
-  const exec::Bytes whole = of_str(payload);
-  for (int k : {1, 2, 3, 7, 16}) {
-    const std::vector<exec::Bytes> segs = split_segments(whole, k);
-    ASSERT_EQ(segs.size(), static_cast<std::size_t>(k));
-    exec::Bytes glued;
-    std::size_t lo = whole.size(), hi = 0;
-    for (const exec::Bytes& s : segs) {
-      glued.insert(glued.end(), s.begin(), s.end());
-      lo = std::min(lo, s.size());
-      hi = std::max(hi, s.size());
-    }
-    EXPECT_EQ(glued, whole) << "k=" << k;
-    EXPECT_LE(hi - lo, 1u) << "k=" << k;
-  }
-}
-
 TEST(SvcFusion, FusedCombinerAppliesIndependentlyPerChunk) {
   Request ex = generic_reduce_req(4, 9);
   const std::size_t chunk = 8;
@@ -237,13 +218,12 @@ TEST(SvcFusion, MemberReportSlicesTheFusedRun) {
   run.wall_ns = 1234;
   run.warm_pool = true;
   run.items.resize(2);
-  // Two segments per proc, as a segmented fused run produces: the member
-  // view must see its slice of the *concatenation*.
-  run.items[0] = {of_str("aaBB"), of_str("ccDD")};
-  run.items[1] = {of_str("aaBB"), of_str("ccDD")};
+  // One coalesced buffer per proc, as the engine reports every broadcast
+  // (segmented or not): member 1 sees its chunk of it.
+  run.items[0] = {of_str("aaBBccDD")};
+  run.items[1] = {of_str("aaBBccDD")};
   const exec::ExecReport m1 =
-      member_report(run, OpKind::kBroadcast, /*chunk=*/4, /*index=*/1,
-                    /*count=*/2);
+      member_report(run, /*chunk=*/4, /*index=*/1, /*count=*/2);
   ASSERT_EQ(m1.items.size(), 2u);
   ASSERT_EQ(m1.items[0].size(), 1u);
   EXPECT_EQ(to_str(m1.items[0][0]), "ccDD");
@@ -254,8 +234,7 @@ TEST(SvcFusion, MemberReportSlicesTheFusedRun) {
   exec::ExecReport red;
   red.folded = {of_str("11223344"), of_str("xxxxxxxx")};
   const exec::ExecReport m2 =
-      member_report(red, OpKind::kReduce, /*chunk=*/2, /*index=*/2,
-                    /*count=*/4);
+      member_report(red, /*chunk=*/2, /*index=*/2, /*count=*/4);
   EXPECT_EQ(to_str(m2.folded[0]), "33");
 }
 

@@ -164,6 +164,20 @@ TEST(SvcService, BroadcastRoundTripOnWarmPool) {
   EXPECT_EQ(c.queue_depth, 0u);
 }
 
+TEST(SvcService, ZeroByteBroadcastReturnsAnEmptyItemEverywhere) {
+  CollectiveService svc(machine(), {});
+  const TenantId t = svc.register_tenant({.name = "svc-empty"});
+  SubmitResult sub = svc.submit(t, bcast_req(""));
+  ASSERT_TRUE(sub.accepted());
+  const Response r = sub.response.get();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  ASSERT_EQ(r.report.items.size(), static_cast<std::size_t>(machine().P));
+  for (ProcId p = 0; p < machine().P; ++p) {
+    ASSERT_EQ(r.report.items[static_cast<std::size_t>(p)].size(), 1u);
+    EXPECT_TRUE(r.report.item_at(p, 0).empty());
+  }
+}
+
 TEST(SvcService, ReduceFoldsToRoot) {
   CollectiveService svc(machine(), {});
   const TenantId t = svc.register_tenant({.name = "svc-reduce"});
