@@ -4,8 +4,9 @@
 ///
 /// Cold = every request routed to the Section 3 builders (fresh planner per
 /// pass, measured via Planner::build_uncached); warm = the same requests
-/// served from the sharded LRU cache.  The ISSUE's acceptance bar is a
-/// >= 50x warm speedup; typical results are orders of magnitude beyond it.
+/// served from the sharded LRU cache.  The acceptance bar is a >= 50x warm
+/// speedup at every thread count (exit 1 otherwise); typical results are
+/// orders of magnitude beyond it.
 
 #include "bench_util.hpp"
 
@@ -14,9 +15,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "bcast/single_item.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "runtime/planner.hpp"
@@ -51,16 +54,23 @@ std::vector<PlanKey> kitem_grid() {
 }
 
 /// One timed pass: `threads` workers plan every key in `keys` against
-/// `planner`, work-stealing off a shared counter.  Returns seconds.
+/// `planner`, work-stealing chunks of 64 keys off a shared counter (one
+/// claim per key would time the counter's cache-line ping-pong, not the
+/// plan cache).  Returns seconds.
 double run_pass(Planner& planner, const std::vector<PlanKey>& keys,
                 unsigned threads) {
+  constexpr std::size_t kChunk = 64;
   std::atomic<std::size_t> next{0};
   const auto start = Clock::now();
   auto worker = [&] {
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= keys.size()) return;
-      benchmark::DoNotOptimize(planner.plan(keys[i]));
+      const std::size_t begin =
+          next.fetch_add(kChunk, std::memory_order_relaxed);
+      if (begin >= keys.size()) return;
+      const std::size_t end = std::min(begin + kChunk, keys.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        benchmark::DoNotOptimize(planner.plan(keys[i]));
+      }
     }
   };
   std::vector<std::thread> pool;
@@ -97,20 +107,26 @@ void report() {
 
   Table t({"threads", "cold plans/s", "warm plans/s", "speedup",
            ">=50x"});
+  bool warm_ok = true;
   for (const unsigned threads : {1u, 4u, 8u}) {
     // Cold: a fresh planner; every request reaches a builder (the warmup
     // pool reports built == keys so each key is constructed exactly once —
-    // throughput is builds over wall time).
-    Planner cold;
-    const auto cold_start = Clock::now();
-    const runtime::WarmupReport cold_report =
-        runtime::warmup(cold, keys, threads);
-    const double cold_secs = seconds_since(cold_start);
-    const double cold_rate =
-        static_cast<double>(cold_report.built) / cold_secs;
-
-    // Warm: same planner, same keys, many rounds, all cache hits.
-    const double warm_secs = run_pass(cold, warm_keys, threads);
+    // throughput is builds over wall time).  Warm: same planner, same keys,
+    // many rounds, all cache hits.  Best of three (cold, warm) pairs, as
+    // for the telemetry check below: a cold pass is about a millisecond,
+    // so one scheduler hiccup would otherwise decide the ratio.
+    std::optional<Planner> cold;
+    double cold_secs = 1e300;
+    double warm_secs = 1e300;
+    std::size_t built = 0;
+    for (int pass = 0; pass < 3; ++pass) {
+      cold.emplace();
+      const auto cold_start = Clock::now();
+      built = runtime::warmup(*cold, keys, threads).built;
+      cold_secs = std::min(cold_secs, seconds_since(cold_start));
+      warm_secs = std::min(warm_secs, run_pass(*cold, warm_keys, threads));
+    }
+    const double cold_rate = static_cast<double>(built) / cold_secs;
     const double warm_rate =
         static_cast<double>(warm_keys.size()) / warm_secs;
 
@@ -119,8 +135,9 @@ void report() {
           static_cast<std::int64_t>(warm_rate),
           static_cast<std::int64_t>(speedup),
           logpc::bench::ok(speedup >= 50.0));
+    if (speedup < 50.0) warm_ok = false;
 
-    const runtime::CacheStats cs = cold.cache().stats();
+    const runtime::CacheStats cs = cold->cache().stats();
     json.entry("cold_vs_warm", {{"threads", std::to_string(threads)}},
                {{"cold_plans_per_s", cold_rate},
                 {"warm_plans_per_s", warm_rate},
@@ -134,9 +151,10 @@ void report() {
   t.print();
 
   // Telemetry overhead on the warm path: the same single-key hit loop with
-  // the obs layer enabled vs disabled (best of three passes each, to shake
-  // out scheduler noise).  The acceptance bar is < 5%; missing it fails the
-  // bench.
+  // the obs layer enabled vs disabled (best of seven passes each, with the
+  // side that runs first alternating per round so neither inherits the
+  // other's warm-up or frequency state, to shake out scheduler noise).
+  // The acceptance bar is < 5%; missing it fails the bench.
   logpc::bench::section("telemetry overhead on warm Planner::plan");
   bool telemetry_ok = true;
   {
@@ -147,11 +165,12 @@ void report() {
     (void)warm_ns_per_op(planner, key, kIters / 10);  // warm up caches
     double on_ns = 1e300;
     double off_ns = 1e300;
-    for (int round = 0; round < 3; ++round) {
-      obs::set_enabled(true);
-      on_ns = std::min(on_ns, warm_ns_per_op(planner, key, kIters));
-      obs::set_enabled(false);
-      off_ns = std::min(off_ns, warm_ns_per_op(planner, key, kIters));
+    for (int round = 0; round < 7; ++round) {
+      for (const bool enabled : {round % 2 == 0, round % 2 != 0}) {
+        obs::set_enabled(enabled);
+        double& best = enabled ? on_ns : off_ns;
+        best = std::min(best, warm_ns_per_op(planner, key, kIters));
+      }
     }
     obs::set_enabled(true);
     const double overhead_pct = (on_ns - off_ns) / off_ns * 100.0;
@@ -183,10 +202,10 @@ void report() {
               {"replay_builds", static_cast<double>(consumer.builds())}});
 
   // ---- implicit vs materialized build latency (single-item broadcast) ---
-  // The large-P acceptance bar: building the O(log P) generator form must
-  // beat materializing the per-op IR by >= 100x at the top of the grid,
-  // and planning + structurally simulating P = 1M must succeed — this is
-  // the CI million-rank smoke.
+  // The large-P acceptance bar: the planner's build (the O(log P)
+  // generator form) must beat materializing the per-op IR with the direct
+  // builder by >= 100x at the top of the grid, and planning + structurally
+  // simulating P = 1M must succeed — this is the CI million-rank smoke.
   logpc::bench::section(
       "implicit vs materialized plan-build latency (optimal broadcast)");
   bool gate_ok = true;
@@ -195,19 +214,19 @@ void report() {
     Table grid({"P", "materialized ms", "implicit us", "speedup",
                 "implicit bytes"});
     for (const int P : {1 << 10, 1 << 14, 1 << 17, 1 << 20}) {
-      const PlanKey key = PlanKey::broadcast(Params{P, 4, 1, 2});
+      const Params m{P, 4, 1, 2};
+      const PlanKey key = PlanKey::broadcast(m);
       double mat_secs = 1e300;
       double imp_secs = 1e300;
       const int rounds = P >= (1 << 17) ? 2 : 3;
       for (int r = 0; r < rounds; ++r) {
         const auto s0 = Clock::now();
-        benchmark::DoNotOptimize(Planner::build_uncached(key));
+        benchmark::DoNotOptimize(bcast::optimal_single_item(m, key.root));
         mat_secs = std::min(mat_secs, seconds_since(s0));
       }
       for (int r = 0; r < 5; ++r) {
         const auto s0 = Clock::now();
-        benchmark::DoNotOptimize(
-            Planner::build_uncached(key, /*materialize=*/false));
+        benchmark::DoNotOptimize(Planner::build_uncached(key));
         imp_secs = std::min(imp_secs, seconds_since(s0));
       }
       const double speedup = mat_secs / imp_secs;
@@ -234,7 +253,7 @@ void report() {
   logpc::bench::section("million-rank planning smoke (P = 1,000,000)");
   {
     const Params m{1'000'000, 4, 1, 2};
-    Planner planner;  // default threshold: 1M plans stay implicit-only
+    Planner planner;  // broadcast plans are implicit-only at every P
     const auto plan_start = Clock::now();
     const runtime::PlanPtr plan = planner.plan(PlanKey::broadcast(m));
     const double plan_secs = seconds_since(plan_start);
@@ -291,13 +310,16 @@ void report() {
   std::cout << (path.empty() ? "FAILED to write bench json"
                              : "bench json: " + path)
             << "\n";
+  if (!warm_ok) {
+    std::cout << "bench_plan_cache: cold-vs-warm >= 50x gate FAILED\n";
+  }
   if (!telemetry_ok) {
     std::cout << "bench_plan_cache: telemetry overhead gate FAILED\n";
   }
   if (!gate_ok) {
     std::cout << "bench_plan_cache: implicit-plan acceptance gate FAILED\n";
   }
-  if (!telemetry_ok || !gate_ok) std::exit(1);
+  if (!warm_ok || !telemetry_ok || !gate_ok) std::exit(1);
 }
 
 void BM_ColdPlan(benchmark::State& state) {

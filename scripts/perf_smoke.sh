@@ -10,7 +10,11 @@
 #
 # --rebaseline min-merges the fresh run into the committed baseline
 # (per-cell minimum speedup), so the baseline converges on the slowest
-# honest measurement per cell and load-spiked outliers never stick.
+# honest measurement per cell and load-spiked outliers never stick.  It
+# writes nothing when any gate failed.
+#
+# Every bench runs even when an earlier one fails; the script then lists
+# the failed gates and exits 1.
 #
 # The CI job running this is non-blocking: shared runners make absolute
 # throughput noisy, so a failed diff is a signal to look, not a gate.
@@ -36,6 +40,7 @@ done
 JOBS="${JOBS:-$(nproc)}"
 BUILD=build-perf
 BASELINE=bench/baselines/BENCH_kernels.json
+TUNING_BASELINE=bench/baselines/BENCH_tuning.json
 # BENCH_*.json land at the repo root by default so the artifact trail sits
 # next to the sources that produced it; override with LOGPC_BENCH_DIR.
 OUT="${LOGPC_BENCH_DIR:-.}"
@@ -47,62 +52,84 @@ cmake --build "$BUILD" -j "$JOBS" \
   --target bench_kernels bench_exec bench_service bench_loadgen \
   bench_profile bench_plan_cache bench_tuning
 
-echo
-echo "=== bench_kernels ==="
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_kernels" \
-  --benchmark_filter='^$' 2>/dev/null
+# Every bench runs whatever an earlier one returned: a non-zero exit is
+# recorded, the rest still run, and the script fails at the end listing
+# every failed gate.
+export LOGPC_BENCH_DIR="$OUT"
+FAILED=()
+run_gate() {
+  local name="$1"
+  shift
+  echo
+  echo "=== $name ==="
+  if ! "$@"; then
+    echo "perf_smoke: $name FAILED"
+    FAILED+=("$name")
+  fi
+}
 
-echo
-echo "=== bench_exec ==="
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_exec" \
-  --benchmark_filter='^$' 2>/dev/null
+run_gate bench_kernels \
+  "./$BUILD/bench/bench_kernels" --benchmark_filter='^$' 2>/dev/null
 
-echo
-echo "=== bench_service ==="
+run_gate bench_exec \
+  "./$BUILD/bench/bench_exec" --benchmark_filter='^$' 2>/dev/null
+
 # Sustained service throughput (warm daemon vs cold per-run engines).
 # Artifact-only like bench_exec: absolute req/s moves with runner load, so
 # BENCH_throughput.json records the trajectory without gating.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_service" \
-  --benchmark_filter='^$' 2>/dev/null
+run_gate bench_service \
+  "./$BUILD/bench/bench_service" --benchmark_filter='^$' 2>/dev/null
 
-echo
-echo "=== bench_loadgen --smoke ==="
 # High-throughput path: fusion batching and the segmented pipeline under
 # sustained load.  Gates on its internal floor (fused >= unfused); the
 # LOGPC_BENCH_MERGE flag appends its entries to the BENCH_throughput.json
 # bench_service just wrote instead of overwriting it.
-LOGPC_BENCH_DIR="$OUT" LOGPC_BENCH_MERGE=1 \
-  "./$BUILD/bench/bench_loadgen" --smoke
+run_gate "bench_loadgen --smoke" \
+  env LOGPC_BENCH_MERGE=1 "./$BUILD/bench/bench_loadgen" --smoke
 
-echo
-echo "=== bench_profile ==="
 # Always-on profiling overhead on the warm serving path.  This one gates:
 # profile-on vs profile-off is a same-machine ratio, so it is stable even
 # on loaded runners; a breach means obs::analyze got expensive.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_profile"
+run_gate bench_profile "./$BUILD/bench/bench_profile"
 
-echo
-echo "=== bench_plan_cache (million-rank smoke) ==="
-# Plan-cache grids plus the implicit-plan acceptance gate: building the
-# O(log P) generator form must beat materializing the IR by >= 100x at
-# P = 2^20, planning + structurally simulating a 1M-rank broadcast must
-# succeed, and telemetry must cost < 5% on a warm Planner::plan.  Gates
-# (exit non-zero): all three checks are same-machine ratios / pass-fail
-# sweeps.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_plan_cache" \
-  --benchmark_filter='^$' 2>/dev/null
+# Plan-cache grids plus the implicit-plan acceptance gate: the planner's
+# O(log P) build must beat materializing the IR with the direct builder by
+# >= 100x at P = 2^20, planning + structurally simulating a 1M-rank
+# broadcast must succeed, warm cache hits must beat cold builds by >= 50x
+# at 1, 4 and 8 threads, and telemetry must cost < 5% on a warm
+# Planner::plan.  Gates (exit non-zero): all four checks are same-machine
+# ratios / pass-fail sweeps.
+run_gate "bench_plan_cache (million-rank smoke)" \
+  "./$BUILD/bench/bench_plan_cache" --benchmark_filter='^$' 2>/dev/null
 
-echo
-echo "=== bench_tuning (auto-tuner acceptance) ==="
 # Runs the real-engine tuning grid and gates (exit non-zero) on two
 # same-machine ratios: tuned per-segment selection must beat the best
 # single fixed schedule by >= 10% on >= 2 segments, and the warm
 # Planner::plan_tuned fast path must stay within 5% of a plain plan()
 # cache hit.  Also drops decision_table.snap next to the json — the
 # artifact a deploy would install via Planner::set_decision_table.
-LOGPC_BENCH_DIR="$OUT" "./$BUILD/bench/bench_tuning"
+run_gate "bench_tuning (auto-tuner acceptance)" "./$BUILD/bench/bench_tuning"
 
-TUNING_BASELINE=bench/baselines/BENCH_tuning.json
+# report_and_exit: prints the failed gates (if any) and exits accordingly.
+report_and_exit() {
+  echo
+  if ((${#FAILED[@]})); then
+    echo "perf_smoke: ${#FAILED[@]} gate(s) FAILED:"
+    printf '  - %s\n' "${FAILED[@]}"
+    exit 1
+  fi
+  echo "perf_smoke: every gate passed"
+  exit 0
+}
+
+# Baselines are written only from a run whose gates all passed.
+if ((${#FAILED[@]})) &&
+  [[ "$REBASELINE" == 1 || ! -f "$TUNING_BASELINE" || ! -f "$BASELINE" ]]; then
+  echo
+  echo "perf_smoke: not writing baselines after a failed gate"
+  report_and_exit
+fi
+
 if [[ "$REBASELINE" == 1 || ! -f "$TUNING_BASELINE" ]]; then
   mkdir -p "$(dirname "$TUNING_BASELINE")"
   cp "$OUT/BENCH_tuning.json" "$TUNING_BASELINE"
@@ -148,10 +175,10 @@ EOF
   fi
   echo
   echo "perf_smoke: baseline written to $BASELINE"
-  exit 0
+  report_and_exit
 fi
 
-echo
-echo "=== diff vs $BASELINE ==="
-python3 scripts/perf_diff.py "$BASELINE" "$OUT/BENCH_kernels.json" \
+run_gate "diff vs $BASELINE" \
+  python3 scripts/perf_diff.py "$BASELINE" "$OUT/BENCH_kernels.json" \
   --tolerance 0.25
+report_and_exit

@@ -41,8 +41,7 @@ runtime::PlanPtr Communicator::plan(runtime::Problem problem, std::int64_t k,
 
 Schedule Communicator::bcast(ProcId root) const {
   const obs::Span span("comm.bcast", "comm");
-  // plan_schedule materializes on demand when the plan is implicit-only
-  // (large P past the planner's materialize threshold).
+  // Broadcast plans are implicit-only; plan_schedule materializes on demand.
   return runtime::plan_schedule(
       *planner_->plan(PlanKey::broadcast(params_, root)));
 }

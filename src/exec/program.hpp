@@ -140,7 +140,7 @@ struct Program {
 /// Lowers a cached runtime::Plan: from its implicit form when it carries
 /// one (no materialized schedule on the path), otherwise from its
 /// schedule with move semantics.  Both forms give the same Program.  Every
-/// kReduce plan carries an implicit form (runtime::implicit_form), so
+/// kReduce plan is implicit-only (runtime::implicit_only_plan), so
 /// reductions always lower with fold semantics.  This is the one place a
 /// planned collective chooses its lowering.
 [[nodiscard]] Program compile_plan(const runtime::Plan& plan,

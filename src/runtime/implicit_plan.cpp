@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "bcast/tree.hpp"
 
@@ -21,10 +22,28 @@ void check_node(std::int64_t node, std::int64_t P, const char* where) {
   }
 }
 
+/// The construction label each implicit family's plan carries.
+std::string implicit_method(Problem problem) {
+  switch (problem) {
+    case Problem::kBroadcast:
+      return "optimal tree (Thm 2.1)";
+    case Problem::kReduce:
+      return "reversed optimal tree (Sec 4.2)";
+    case Problem::kBinomialBroadcast:
+      return "binomial tree";
+    case Problem::kBinaryBroadcast:
+      return "binary tree";
+    case Problem::kChainBroadcast:
+      return "linear chain";
+    default:
+      fail("no implicit form");  // unreachable: supports() screened
+  }
+}
+
 }  // namespace
 
 bool ImplicitPlan::supports(const PlanKey& key) {
-  if (key.mask != 0) return false;  // degraded membership stays materialized
+  if (key.mask != 0) return false;  // implicit_only_plan compacts first
   switch (key.problem) {
     case Problem::kBroadcast:
     case Problem::kReduce:
@@ -500,10 +519,18 @@ std::size_t ImplicitPlan::memory_bytes() const {
   return bytes;
 }
 
-std::shared_ptr<const ImplicitPlan> implicit_form(const PlanKey& key) {
+std::optional<Plan> implicit_only_plan(const PlanKey& key) {
   const PlanKey compact = key.compacted();
-  if (!ImplicitPlan::supports(compact)) return nullptr;
-  return std::make_shared<const ImplicitPlan>(ImplicitPlan::build(compact));
+  if (!ImplicitPlan::supports(compact)) return std::nullopt;
+  auto form =
+      std::make_shared<const ImplicitPlan>(ImplicitPlan::build(compact));
+  Plan plan;
+  plan.key = key;
+  plan.materialized = false;
+  plan.completion = form->completion();
+  plan.method = implicit_method(key.problem);
+  plan.implicit = std::move(form);
+  return plan;
 }
 
 Schedule plan_schedule(const Plan& plan) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -14,8 +15,8 @@
 /// \file implicit_plan.hpp
 /// O(log P)-sized implicit schedules for the regular collectives.
 ///
-/// The materialized planners build every tree node and every SendOp, so
-/// plan-build time and plan-cache memory grow linearly with P.  For the
+/// The direct builders materialize every tree node and every SendOp, so
+/// build time and memory grow linearly with P.  For the
 /// *regular* trees — the Section 2 optimal tree, its reversal (the
 /// Section 4.2 reduction), and the binomial / binary / chain baselines —
 /// the whole structure is determined by (P, L, o, g), and any single
@@ -42,11 +43,12 @@
 ///  * reduce: the same optimal-tree decode, emitted time-reversed
 ///    (a parent->child send at tau becomes child->parent at B - label).
 ///
-/// Node indices always refer to the deterministic order of the
-/// materialized builder, so implicit and materialized plans agree node by
-/// node, schedule by schedule — the property suite asserts equality, and
-/// exec::compile_implicit produces the same Program as the materialized
-/// compilers.
+/// Node indices always refer to the deterministic order of the direct
+/// builder, so the two agree node by node, schedule by schedule — the
+/// property suite asserts equality, and exec::compile_implicit produces the
+/// same Program as compile_broadcast / compile_reduction of the direct
+/// builder's schedule.  The planner stores these five families in this
+/// form alone, at every P (implicit_only_plan).
 
 namespace logpc::runtime {
 
@@ -74,8 +76,8 @@ class ImplicitPlan {
  public:
   /// True iff `key` has an implicit form: kBroadcast, kReduce,
   /// kBinomialBroadcast, kBinaryBroadcast or kChainBroadcast with full
-  /// membership (mask == 0).  Everything else falls back to the
-  /// materialized IR.
+  /// membership (mask == 0; implicit_only_plan compacts a masked key
+  /// first).  Everything else is planned as a materialized Schedule.
   [[nodiscard]] static bool supports(const PlanKey& key);
 
   /// Builds the O(log P) tables for a supported key.  Throws
@@ -125,8 +127,10 @@ class ImplicitPlan {
   [[nodiscard]] RankSchedule rank_schedule(ProcId proc) const;
 
   /// O(P log P) materialization, equal (by Schedule::operator==) to the
-  /// materialized builder's schedule for the same key.  For equivalence
-  /// tests and fallbacks; large-P callers should stay implicit.
+  /// direct builder's schedule for the same key (bcast::optimal_single_item,
+  /// bcast::optimal_reduction, baselines::*_tree(...).to_schedule).  For
+  /// the validator, the figures and the tests; the request path stays
+  /// implicit.
   [[nodiscard]] Schedule to_schedule() const;
 
  private:
@@ -185,19 +189,20 @@ class ImplicitPlan {
   int max_depth_ = 0;
 };
 
-/// The generator form a plan for `key` carries, or null when the key has
-/// none: ImplicitPlan::build of key.compacted() when that is supported.  A
-/// masked key's form thus describes its compact survivor machine, like the
-/// masked plan's schedule.  Planner::build_uncached and load_snapshot both
-/// attach exactly this, so a built plan and its snapshot round trip lower
-/// to the same program.
-[[nodiscard]] std::shared_ptr<const ImplicitPlan> implicit_form(
-    const PlanKey& key);
+/// The plan for `key` in its generator form, or nullopt when the key has
+/// none.  `implicit` is ImplicitPlan::build of key.compacted(), so a masked
+/// key's form describes its compact survivor machine; `completion` and
+/// `method` come from that form and `materialized` is false.  This is the
+/// only representation an implicit-capable key ever takes:
+/// Planner::build_uncached and load_snapshot both return exactly this, so a
+/// built plan and a loaded one are the same plan whatever P is.
+[[nodiscard]] std::optional<Plan> implicit_only_plan(const PlanKey& key);
 
-/// The plan's schedule whether or not it was materialized: a copy of
-/// plan.schedule when present, otherwise the implicit form materialized on
-/// demand.  Throws std::logic_error for an implicit-only plan without an
-/// ImplicitPlan (a corrupt entry).
+/// The plan's schedule whatever its representation: a copy of
+/// plan.schedule when materialized, otherwise the implicit form
+/// materialized on demand (O(P log P) — for the validator, the figures and
+/// the tests, not the request path).  Throws std::logic_error for an
+/// implicit-only plan without an ImplicitPlan (a corrupt entry).
 [[nodiscard]] Schedule plan_schedule(const Plan& plan);
 
 }  // namespace logpc::runtime

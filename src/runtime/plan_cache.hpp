@@ -32,19 +32,17 @@ class ImplicitPlan;
 /// completion, and the scalar by-products the rich builder results carry
 /// (so api::Communicator can reconstitute them from a cached plan).
 ///
-/// Two representations coexist:
-///  * `schedule` — the materialized per-op IR, present iff `materialized`;
-///  * `implicit` — the O(log P) generator form (implicit_plan.hpp), present
-///    whenever ImplicitPlan::supports(key).
-/// Small plans carry both (implicit is validated against materialized by
-/// the property suite); past Planner::Options::materialize_threshold the
-/// planner stores the implicit form alone, which is what makes million-rank
-/// cache entries O(log P)-sized.  Use runtime::plan_schedule(plan) when you
-/// need a Schedule regardless of representation.
+/// Exactly one representation per plan, fixed by the key's family:
+///  * `implicit` — the O(log P) generator form (implicit_plan.hpp), for
+///    every key with one (runtime::implicit_only_plan), at every P;
+///  * `schedule` — the materialized per-op IR, for every other key.
+/// So `materialized == (implicit == nullptr)`, and an implicit entry is a
+/// few hundred bytes whatever P is.  Use runtime::plan_schedule(plan) when
+/// you need a Schedule regardless of representation.
 struct Plan {
   PlanKey key;
   Schedule schedule;  ///< empty unless `materialized`
-  std::shared_ptr<const ImplicitPlan> implicit;  ///< null when unsupported
+  std::shared_ptr<const ImplicitPlan> implicit;  ///< null iff `materialized`
   bool materialized = true;  ///< is `schedule` populated?
   Time completion = 0;
   std::string method;        ///< construction label ("block-cyclic", ...)

@@ -1,5 +1,6 @@
 #include "runtime/planner.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,8 +12,6 @@
 #include "bcast/hierarchical.hpp"
 #include "bcast/kitem.hpp"
 #include "bcast/kitem_buffered.hpp"
-#include "bcast/reduction.hpp"
-#include "bcast/single_item.hpp"
 #include "obs/trace_recorder.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "sched/metrics.hpp"
@@ -68,25 +67,6 @@ Time port_schedule_completion(const Params& params) {
   return (params.P - 2) * params.g + params.transfer_time();
 }
 
-/// The method label an implicit-only build stamps — identical strings to
-/// the materialized switch, so representation never shows in diagnostics.
-std::string implicit_method(Problem problem) {
-  switch (problem) {
-    case Problem::kBroadcast:
-      return "optimal tree (Thm 2.1)";
-    case Problem::kReduce:
-      return "reversed optimal tree (Sec 4.2)";
-    case Problem::kBinomialBroadcast:
-      return "binomial tree";
-    case Problem::kBinaryBroadcast:
-      return "binary tree";
-    case Problem::kChainBroadcast:
-      return "linear chain";
-    default:
-      return {};
-  }
-}
-
 }  // namespace
 
 Planner::Planner(Options options)
@@ -103,11 +83,6 @@ Planner::Options Planner::validated(const Options& options) {
   }
   if (options.cache_shards < 1) {
     throw std::invalid_argument("Planner: cache_shards must be >= 1");
-  }
-  if (options.materialize_threshold < 1) {
-    throw std::invalid_argument(
-        "Planner: materialize_threshold must be >= 1 (problems without an "
-        "implicit form materialize regardless, so 0 is not 'never')");
   }
   return options;
 }
@@ -282,16 +257,12 @@ PlanPtr Planner::plan(const PlanKey& key) {
 
   try {
     builds_.fetch_add(1, std::memory_order_relaxed);
-    // Past the threshold, implicit-capable plans skip the O(P) IR build
-    // and are cached as O(log P) generator entries.
-    const bool materialize = !ImplicitPlan::supports(key) ||
-                             key.params.P <= options_.materialize_threshold;
     PlanPtr plan;
     {
       obs::Span span("planner.build", "planner");
       if (span.active()) span.set_arg(key.to_string());
       const obs::ScopedTimer timer(build_latency_hist(key.problem));
-      plan = std::make_shared<const Plan>(build_uncached(key, materialize));
+      plan = std::make_shared<const Plan>(build_uncached(key));
     }
     cache_.put(key, plan);
     {
@@ -312,7 +283,12 @@ PlanPtr Planner::plan(const PlanKey& key) {
   }
 }
 
-Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
+Plan Planner::build_uncached(const PlanKey& key) {
+  // The five regular families (masked keys included) are stored in their
+  // O(log P) generator form alone, at every P; see implicit_plan.hpp.
+  if (std::optional<Plan> plan = implicit_only_plan(key)) {
+    return *std::move(plan);
+  }
   if (key.mask != 0) {
     // Degraded membership (the recovery layer re-planning around dead
     // ranks): build on the compacted machine of the survivors — the
@@ -320,9 +296,7 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
     // live_count() processors is itself optimal — then stamp the masked
     // key back on.  Plan processor i is physical rank live_ranks()[i]; the
     // caller (api::Communicator::run_broadcast_ft) owns that mapping.
-    // Like `schedule`, the attached `implicit` describes the *compact*
-    // machine — the form runtime::implicit_form derives for the masked key.
-    Plan plan = build_uncached(key.compacted(), materialize);
+    Plan plan = build_uncached(key.compacted());
     plan.key = key;
     return plan;
   }
@@ -330,23 +304,7 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
   const int k = static_cast<int>(key.k);
   Plan plan;
   plan.key = key;
-  plan.implicit = implicit_form(key);
-  if (!materialize) {
-    if (!plan.implicit) {
-      throw std::invalid_argument(
-          "Planner::build_uncached: no implicit form for " + key.to_string());
-    }
-    plan.materialized = false;
-    plan.completion = plan.implicit->completion();
-    plan.method = implicit_method(key.problem);
-    return plan;
-  }
   switch (key.problem) {
-    case Problem::kBroadcast:
-      plan.schedule = bcast::optimal_single_item(m, key.root);
-      plan.completion = bcast::B_of_P(m, m.P);
-      plan.method = "optimal tree (Thm 2.1)";
-      break;
     case Problem::kKItemBroadcast: {
       auto r = bcast::kitem_broadcast(m.P, m.L, k);
       plan.schedule = std::move(r.schedule);
@@ -375,13 +333,6 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.completion = port_schedule_completion(m);
       plan.method = "serialized receive port";
       break;
-    case Problem::kReduce: {
-      auto r = bcast::optimal_reduction(m, key.root);
-      plan.schedule = std::move(r.schedule);
-      plan.completion = r.completion;
-      plan.method = "reversed optimal tree (Sec 4.2)";
-      break;
-    }
     case Problem::kSummation: {
       const Time t =
           sum::min_time_for_operands(m, static_cast<Count>(key.k));
@@ -410,27 +361,6 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.schedule = bcast::combining_broadcast(T, m.L).timing_view();
       plan.completion = T;
       plan.method = "combining broadcast (Thm 4.1)";
-      break;
-    }
-    case Problem::kBinomialBroadcast: {
-      const auto tree = baselines::binomial_tree(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "binomial tree";
-      break;
-    }
-    case Problem::kBinaryBroadcast: {
-      const auto tree = baselines::binary_tree(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "binary tree";
-      break;
-    }
-    case Problem::kChainBroadcast: {
-      const auto tree = baselines::linear_chain(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "linear chain";
       break;
     }
     case Problem::kFlatBroadcast: {
@@ -467,6 +397,13 @@ Plan Planner::build_uncached(const PlanKey& key, bool materialize) {
       plan.method = "two-level hierarchical (cluster-aware greedy broadcast)";
       break;
     }
+    case Problem::kBroadcast:
+    case Problem::kReduce:
+    case Problem::kBinomialBroadcast:
+    case Problem::kBinaryBroadcast:
+    case Problem::kChainBroadcast:
+      throw std::logic_error("Planner::build_uncached: " + key.to_string() +
+                             " has an implicit form");  // returned above
   }
   return plan;
 }

@@ -44,12 +44,6 @@ class Planner {
   struct Options {
     std::size_t cache_capacity = 4096;
     std::size_t cache_shards = 8;
-    /// Largest P for which an implicit-capable plan also materializes its
-    /// per-op Schedule.  Past this, plan() stores the O(log P) implicit
-    /// form alone (Plan::materialized == false) — the switch that makes
-    /// million-rank planning feasible in time and cache memory.  Problems
-    /// without an implicit form always materialize, whatever P.
-    int materialize_threshold = 1 << 16;
   };
 
   Planner() : Planner(Options{}) {}
@@ -96,14 +90,14 @@ class Planner {
                                    const Params& params, std::size_t bytes,
                                    ProcId root = 0);
 
-  /// Routes `key` to its schedule producer, bypassing cache and dedup: the
-  /// one function that knows every builder.  Also the cold path the plan-
-  /// cache bench measures.  The implicit generator is attached whenever
-  /// ImplicitPlan::supports(key); with `materialize` false the per-op
-  /// Schedule build is skipped entirely (O(log P) instead of O(P log P) —
-  /// throws std::invalid_argument for keys with no implicit form).
-  [[nodiscard]] static Plan build_uncached(const PlanKey& key,
-                                           bool materialize = true);
+  /// Routes `key` to its producer, bypassing cache and dedup: the one
+  /// function that knows every builder.  Also the cold path the plan-
+  /// cache bench measures.  One representation per key: a key with an
+  /// implicit form (the optimal tree, its reversal and the binomial, binary
+  /// and chain baselines, masked or not) yields runtime::implicit_only_plan
+  /// — O(log P), no Schedule — at every P; every other key materializes
+  /// its per-op Schedule.  Plan::materialized == (Plan::implicit == null).
+  [[nodiscard]] static Plan build_uncached(const PlanKey& key);
 
   [[nodiscard]] PlanCache& cache() { return cache_; }
   [[nodiscard]] const PlanCache& cache() const { return cache_; }
@@ -124,7 +118,7 @@ class Planner {
   [[nodiscard]] int telemetry_id() const { return telemetry_id_; }
 
  private:
-  /// Rejects degenerate Options (zero capacity/shards/threshold) with
+  /// Rejects degenerate Options (zero capacity or shards) with
   /// std::invalid_argument instead of silently misbehaving; returns the
   /// options unchanged so the constructor can validate before any member
   /// that consumes them is built.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "runtime/implicit_plan.hpp"
 #include "sched/io.hpp"
@@ -16,7 +18,7 @@ namespace {
 // machine, k, root, membership mask, topology words), the scalar metadata,
 // a flags word (bit 0: the schedule was materialized) and — only when it
 // was — the schedule.  Implicit-only plans serialize as a few hundred
-// bytes whatever P is; the generator is rebuilt from the key on load.
+// bytes whatever P is; the whole plan is rebuilt from the key on load.
 constexpr char kHeader[] = "logpc-plansnap v4\n";
 constexpr std::size_t kHeaderLen = 18;
 
@@ -118,11 +120,14 @@ Plan read_plan(std::istream& is) {
   if (plan.materialized) {
     plan.schedule = read_binary(is);
   }
-  // The generator form is derived state: rebuild it from the canonical key,
-  // exactly as the planner derived it, rather than trusting (or paying for)
-  // serialized tables.
-  plan.implicit = implicit_form(plan.key);
-  if (!plan.implicit && !plan.materialized) {
+  // An implicit-capable key is rebuilt from the key alone, exactly as the
+  // planner builds it: any stored schedule (older writers materialized small
+  // plans) was parsed above only to keep the stream aligned and
+  // range-checked, and is dropped with the stored scalars.
+  if (std::optional<Plan> rebuilt = implicit_only_plan(plan.key)) {
+    return *std::move(rebuilt);
+  }
+  if (!plan.materialized) {
     fail("implicit-only plan for a key without an implicit form");
   }
   return plan;

@@ -16,9 +16,12 @@
 /// entry the canonical key (membership mask and topology words included),
 /// the scalar metadata, and, for materialized plans, the schedule in the
 /// sched/io binary form.  Loading re-canonicalizes each key through
-/// PlanKey::make, structurally validates each schedule and re-derives the
-/// implicit form from the key (runtime::implicit_form), so a corrupt or
-/// stale snapshot throws instead of poisoning the cache.
+/// PlanKey::make and structurally validates each stored schedule.  A key
+/// with an implicit form is then rebuilt from the key alone
+/// (runtime::implicit_only_plan), discarding whatever was stored for it —
+/// so snapshots from writers that materialized small plans still load, as
+/// implicit-only plans.  A corrupt or stale snapshot throws instead of
+/// poisoning the cache.
 
 namespace logpc::runtime {
 

@@ -289,7 +289,7 @@ TEST(PlanKeyMask, MaskedBuildIsTheCompactedOptimalPlan) {
   const runtime::Plan degraded =
       Planner::build_uncached(PlanKey::make(Problem::kBroadcast, params, 1, 0, mask));
   EXPECT_EQ(degraded.key.mask, mask);
-  EXPECT_EQ(degraded.schedule.params().P, 7);
+  EXPECT_EQ(runtime::plan_schedule(degraded).params().P, 7);
   // Same construction as asking for the 7-processor machine directly: the
   // broadcast tree is universal, so the degraded plan is itself optimal.
   Params compact = params;
@@ -297,7 +297,8 @@ TEST(PlanKeyMask, MaskedBuildIsTheCompactedOptimalPlan) {
   const runtime::Plan direct =
       Planner::build_uncached(PlanKey::make(Problem::kBroadcast, compact));
   EXPECT_EQ(degraded.completion, direct.completion);
-  EXPECT_EQ(degraded.schedule.sends().size(), direct.schedule.sends().size());
+  EXPECT_EQ(runtime::plan_schedule(degraded).sends().size(),
+            runtime::plan_schedule(direct).sends().size());
 }
 
 TEST(PlanKeyMask, PlannerCachesMaskedAndUnmaskedSeparately) {
@@ -328,7 +329,7 @@ TEST(PlanKeyMask, SnapshotRoundTripsMaskedKeys) {
   const auto hit = loaded.get(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->key.mask, key.mask);
-  EXPECT_EQ(hit->schedule.params().P, 7);
+  EXPECT_EQ(runtime::plan_schedule(*hit).params().P, 7);
   // The generator form is re-derived on load exactly as the planner
   // derived it: the compact survivor machine's, lowering to the same
   // program as the built plan's.
@@ -339,7 +340,7 @@ TEST(PlanKeyMask, SnapshotRoundTripsMaskedKeys) {
   EXPECT_EQ(exec::compile_implicit(*hit->implicit),
             exec::compile_implicit(*built.implicit));
   EXPECT_EQ(exec::compile_implicit(*hit->implicit),
-            exec::compile_broadcast(hit->schedule));
+            exec::compile_broadcast(runtime::plan_schedule(*hit)));
 }
 
 // --- the recovery layer (api::Communicator::run_broadcast_ft) -----------
@@ -391,7 +392,8 @@ TEST(Recovery, BroadcastCompletesOnSurvivorsAfterMidRunDeath) {
   }
   ASSERT_NE(res.plan, nullptr);
   EXPECT_TRUE(
-      validate::check_delivery_order(res.plan->schedule, res.report.deliveries)
+      validate::check_delivery_order(runtime::plan_schedule(*res.plan),
+                                     res.report.deliveries)
           .ok());
   EXPECT_TRUE(validate::check_exactly_once(res.report.deliveries).ok());
 }

@@ -139,15 +139,10 @@ TEST(PlannerOptions, RejectsDegenerateConfiguration) {
   zero_shards.cache_shards = 0;
   EXPECT_THROW(Planner{zero_shards}, std::invalid_argument);
 
-  Planner::Options zero_threshold;
-  zero_threshold.materialize_threshold = 0;
-  EXPECT_THROW(Planner{zero_threshold}, std::invalid_argument);
-
   // The smallest legal configuration constructs.
   Planner::Options minimal;
   minimal.cache_capacity = 1;
   minimal.cache_shards = 1;
-  minimal.materialize_threshold = 1;
   EXPECT_NO_THROW(Planner{minimal});
 }
 

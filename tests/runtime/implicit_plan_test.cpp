@@ -10,18 +10,22 @@
 
 #include "baselines/bcast_baselines.hpp"
 #include "bcast/reduction.hpp"
+#include "bcast/single_item.hpp"
 #include "bcast/tree.hpp"
 #include "exec/engine.hpp"
 #include "exec/program.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/snapshot.hpp"
 #include "sim/implicit_sim.hpp"
+#include "validate/checker.hpp"
 
 /// The implicit ≡ materialized property suite: every query an ImplicitPlan
-/// answers must agree with the materialized tree / schedule / compiled
-/// program for the same key, across the whole (P, L, o, g) space the
-/// random-machine sweeps cover, and the generator form must keep working at
-/// P = 1,000,000 where nothing materialized can exist.
+/// answers must agree with the direct builders' tree / schedule / compiled
+/// program for the same key (the planner stores these families implicit-
+/// only, so the builders in src/bcast and src/baselines are the reference),
+/// across the whole (P, L, o, g) space the random-machine sweeps cover, and
+/// the generator form must keep working at P = 1,000,000 where nothing
+/// materialized can exist.
 
 namespace logpc::runtime {
 namespace {
@@ -46,6 +50,49 @@ bcast::BroadcastTree materialized_tree(const PlanKey& key) {
     default:
       throw std::logic_error("not an implicit problem");
   }
+}
+
+/// What the direct builder produces for an implicit-capable key: the
+/// reference the implicit plan must reproduce exactly, plus the label the
+/// planner stamps on that family.
+struct Direct {
+  Schedule schedule;
+  Time completion = 0;
+  std::string method;
+};
+
+Direct direct_build(const PlanKey& key) {
+  const Params& m = key.params;
+  switch (key.problem) {
+    case Problem::kBroadcast:
+      return {bcast::optimal_single_item(m, key.root), bcast::B_of_P(m, m.P),
+              "optimal tree (Thm 2.1)"};
+    case Problem::kReduce: {
+      bcast::ReductionPlan r = bcast::optimal_reduction(m, key.root);
+      return {std::move(r.schedule), r.completion,
+              "reversed optimal tree (Sec 4.2)"};
+    }
+    default: {
+      const bcast::BroadcastTree tree = materialized_tree(key);
+      const char* method = key.problem == Problem::kBinomialBroadcast
+                               ? "binomial tree"
+                           : key.problem == Problem::kBinaryBroadcast
+                               ? "binary tree"
+                               : "linear chain";
+      return {tree.to_schedule(key.root), tree.makespan(), method};
+    }
+  }
+}
+
+/// Validator options per family: a reduction converges on the root, so it
+/// has no broadcast goal and partial values may meet a processor twice.
+validate::CheckOptions check_options(Problem problem) {
+  validate::CheckOptions o;
+  if (problem == Problem::kReduce) {
+    o.forbid_duplicate_receive = false;
+    o.require_complete = false;
+  }
+  return o;
 }
 
 std::vector<Params> random_machines(int count, int max_p) {
@@ -80,7 +127,8 @@ TEST(ImplicitPlan, SupportsExactlyTheRegularFullMembershipCollectives) {
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::allreduce(m)));
   EXPECT_FALSE(
       ImplicitPlan::supports(PlanKey::make(Problem::kFlatBroadcast, m)));
-  // Degraded membership stays materialized.
+  // A masked key is not itself supported; implicit_only_plan compacts it
+  // first.
   EXPECT_FALSE(ImplicitPlan::supports(
       PlanKey::make(Problem::kBroadcast, m, 1, 0, 0x00ffull)));
   EXPECT_THROW((void)ImplicitPlan::build(PlanKey::scatter(m)),
@@ -124,21 +172,42 @@ TEST(ImplicitPlan, SchedulesMatchTheMaterializedBuilders) {
     const ProcId root = static_cast<ProcId>(rd(rng));
     for (const Problem problem : kImplicitProblems) {
       const PlanKey key = PlanKey::make(problem, m, 1, root);
-      const Plan materialized = Planner::build_uncached(key);
-      ASSERT_TRUE(materialized.materialized);
-      ASSERT_NE(materialized.implicit, nullptr) << key.to_string();
-      const ImplicitPlan& implicit = *materialized.implicit;
-      EXPECT_EQ(implicit.completion(), materialized.completion)
-          << key.to_string();
-      EXPECT_EQ(implicit.to_schedule(), materialized.schedule)
-          << key.to_string();
-      // And the implicit-only build agrees on the scalars.
-      const Plan lean = Planner::build_uncached(key, /*materialize=*/false);
+      const Direct direct = direct_build(key);
+      const ImplicitPlan implicit = ImplicitPlan::build(key);
+      EXPECT_EQ(implicit.completion(), direct.completion) << key.to_string();
+      EXPECT_EQ(implicit.to_schedule(), direct.schedule) << key.to_string();
+      // And the planner's implicit-only build agrees on the scalars.
+      const Plan lean = Planner::build_uncached(key);
       EXPECT_FALSE(lean.materialized);
-      EXPECT_EQ(lean.completion, materialized.completion);
-      EXPECT_EQ(lean.method, materialized.method) << key.to_string();
-      EXPECT_EQ(plan_schedule(lean), materialized.schedule)
-          << key.to_string();
+      ASSERT_NE(lean.implicit, nullptr) << key.to_string();
+      EXPECT_EQ(lean.completion, direct.completion);
+      EXPECT_EQ(lean.method, direct.method) << key.to_string();
+      EXPECT_EQ(plan_schedule(lean), direct.schedule) << key.to_string();
+    }
+  }
+}
+
+TEST(ImplicitPlan, PlannedSchedulesPassTheFullValidatorUpTo64KRanks) {
+  // Stratified over [2, 2^16]: both ends and one P about every two
+  // octaves in between (odd offsets, so non-powers of two are covered),
+  // each on its own machine shape and root.
+  const std::vector<Params> machines = {
+      Params{2, 1, 0, 1},       Params{3, 4, 1, 2},
+      Params{9, 2, 0, 3},       Params{37, 5, 2, 2},
+      Params{130, 3, 1, 4},     Params{517, 6, 0, 1},
+      Params{2'049, 2, 1, 2},   Params{8'195, 4, 1, 3},
+      Params{32'771, 1, 0, 1},  Params{1 << 16, 4, 1, 2}};
+  for (const Params& m : machines) {
+    for (const Problem problem : kImplicitProblems) {
+      const PlanKey key = PlanKey::make(problem, m, 1, (m.P - 1) / 3);
+      const Plan plan = Planner::build_uncached(key);
+      ASSERT_NE(plan.implicit, nullptr) << key.to_string();
+      const Schedule s = plan_schedule(plan);
+      const validate::CheckResult verdict =
+          validate::check(s, check_options(problem));
+      EXPECT_TRUE(verdict.ok()) << key.to_string() << "\n"
+                                << verdict.summary();
+      EXPECT_EQ(s.makespan(), plan.completion) << key.to_string();
     }
   }
 }
@@ -196,21 +265,15 @@ TEST(ImplicitPlan, CompiledStreamsMatchTheMaterializedCompilers) {
       {
         const PlanKey key = PlanKey::broadcast(m, root);
         const ImplicitPlan plan = ImplicitPlan::build(key);
-        const Plan full = Planner::build_uncached(key);
         EXPECT_EQ(exec::compile_implicit(plan),
-                  exec::compile_broadcast(full.schedule))
+                  exec::compile_broadcast(bcast::optimal_single_item(m, root)))
             << key.to_string();
       }
       {
         const PlanKey key = PlanKey::reduce(m, root);
         const ImplicitPlan plan = ImplicitPlan::build(key);
-        bcast::ReductionPlan rp;
-        rp.params = m;
-        rp.root = root;
-        const Plan full = Planner::build_uncached(key);
-        rp.schedule = full.schedule;
-        rp.completion = full.completion;
-        EXPECT_EQ(exec::compile_implicit(plan), exec::compile_reduction(rp))
+        EXPECT_EQ(exec::compile_implicit(plan),
+                  exec::compile_reduction(bcast::optimal_reduction(m, root)))
             << key.to_string();
       }
     }
@@ -229,7 +292,7 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
   const exec::Program via_implicit =
       exec::compile_implicit(ImplicitPlan::build(bkey));
   const exec::Program via_ir =
-      exec::compile_broadcast(Planner::build_uncached(bkey).schedule);
+      exec::compile_broadcast(bcast::optimal_single_item(m, /*root=*/3));
   const exec::ExecReport ri = engine.run(via_implicit, {payload});
   const exec::ExecReport rm = engine.run(via_ir, {payload});
   ASSERT_EQ(ri.items.size(), rm.items.size());
@@ -249,12 +312,7 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
     values.push_back(exec::Bytes{static_cast<std::byte>('a' + p)});
   }
   const PlanKey rkey = PlanKey::reduce(m, /*root=*/5);
-  const Plan rfull = Planner::build_uncached(rkey);
-  bcast::ReductionPlan rp;
-  rp.params = m;
-  rp.root = 5;
-  rp.schedule = rfull.schedule;
-  rp.completion = rfull.completion;
+  const bcast::ReductionPlan rp = bcast::optimal_reduction(m, /*root=*/5);
   const exec::ExecReport fi =
       engine.run(exec::compile_implicit(ImplicitPlan::build(rkey)), values,
                  concat);
@@ -318,38 +376,89 @@ TEST(ImplicitPlan, MillionRankPlansStayImplicitAndTiny) {
   }
 }
 
-TEST(ImplicitPlan, PlannerThresholdControlsMaterialization) {
-  Planner::Options opts;
-  opts.materialize_threshold = 64;
-  Planner planner(opts);
-  const PlanPtr small = planner.plan(PlanKey::broadcast(Params{64, 4, 1, 2}));
-  EXPECT_TRUE(small->materialized);
-  EXPECT_NE(small->implicit, nullptr);
-  const PlanPtr big = planner.plan(PlanKey::broadcast(Params{65, 4, 1, 2}));
-  EXPECT_FALSE(big->materialized);
-  ASSERT_NE(big->implicit, nullptr);
+TEST(ImplicitPlan, ImplicitCapableKeysAreImplicitOnlyAtEveryP) {
+  Planner planner;
+  // Both sides of the old 2^16 materialization threshold, and tiny P.
+  for (const int P : {2, 64, 65, 1 << 16, (1 << 16) + 1}) {
+    const Params m{P, 4, 1, 2};
+    for (const Problem problem : kImplicitProblems) {
+      const PlanPtr plan = planner.plan(PlanKey::make(problem, m));
+      EXPECT_FALSE(plan->materialized) << plan->key.to_string();
+      ASSERT_NE(plan->implicit, nullptr) << plan->key.to_string();
+      EXPECT_TRUE(plan->schedule.sends().empty());
+      EXPECT_EQ(plan->completion, plan->implicit->completion());
+    }
+  }
   // plan_schedule materializes on demand and matches the direct builder.
-  EXPECT_EQ(plan_schedule(*big),
-            Planner::build_uncached(big->key).schedule);
+  const PlanPtr small = planner.plan(PlanKey::broadcast(Params{64, 4, 1, 2}));
+  EXPECT_EQ(plan_schedule(*small),
+            bcast::optimal_single_item(Params{64, 4, 1, 2}, 0));
   // Problems without an implicit form materialize whatever P is.
-  const PlanPtr scatter =
-      planner.plan(PlanKey::scatter(Params{200, 4, 1, 2}));
-  EXPECT_TRUE(scatter->materialized);
-  EXPECT_EQ(scatter->implicit, nullptr);
+  for (const int P : {2, 200, (1 << 16) + 1}) {
+    const PlanPtr scatter = planner.plan(PlanKey::scatter(Params{P, 4, 1, 2}));
+    EXPECT_TRUE(scatter->materialized);
+    EXPECT_EQ(scatter->implicit, nullptr);
+    EXPECT_EQ(scatter->schedule.sends().size(),
+              static_cast<std::size_t>(P - 1));
+  }
+}
+
+/// Every buildable key shape on one small machine (k-item keys at k = 2,
+/// summation at 40 operands, the hierarchical key on 2 clusters), plus a
+/// masked broadcast and a masked scatter.
+std::vector<PlanKey> one_key_per_problem() {
+  const Params m{8, 2, 0, 1};
+  std::vector<PlanKey> keys;
+  for (int p = 0; p < kNumProblems; ++p) {
+    const auto problem = static_cast<Problem>(p);
+    if (problem == Problem::kHierarchicalBroadcast) {
+      keys.push_back(PlanKey::make(problem, m, 1, 0, 0, 2, 9, 1, 3));
+      continue;
+    }
+    const std::int64_t k = problem == Problem::kSummation ? 40 : 2;
+    keys.push_back(PlanKey::make(problem, m, k));
+  }
+  keys.push_back(PlanKey::make(Problem::kBroadcast, m, 1, 0, 0xf7u));
+  keys.push_back(PlanKey::make(Problem::kScatter, m, 1, 0, 0x7fu));
+  return keys;
+}
+
+TEST(ImplicitPlan, MaterializedExactlyWhenThereIsNoImplicitForm) {
+  Planner planner;
+  for (const PlanKey& key : one_key_per_problem()) {
+    const PlanPtr plan = planner.plan(key);
+    EXPECT_EQ(plan->materialized, plan->implicit == nullptr)
+        << key.to_string();
+    EXPECT_EQ(plan->implicit != nullptr,
+              ImplicitPlan::supports(key.compacted()))
+        << key.to_string();
+  }
+  std::stringstream buf;
+  EXPECT_EQ(save_snapshot(planner.cache(), buf), planner.cache().size());
+  PlanCache loaded(64, 1);
+  (void)load_snapshot(loaded, buf);
+  for (const PlanKey& key : one_key_per_problem()) {
+    const PlanPtr plan = loaded.get(key);
+    ASSERT_NE(plan, nullptr) << key.to_string();
+    EXPECT_EQ(plan->materialized, plan->implicit == nullptr)
+        << key.to_string();
+    EXPECT_EQ(plan_schedule(*plan), plan_schedule(*planner.plan(key)))
+        << key.to_string();
+  }
 }
 
 TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
-  Planner::Options opts;
-  opts.materialize_threshold = 32;
-  Planner planner(opts);
-  (void)planner.plan(PlanKey::broadcast(Params{16, 3, 1, 2}));   // materialized
-  (void)planner.plan(PlanKey::broadcast(Params{4096, 3, 1, 2})); // implicit-only
-  (void)planner.plan(PlanKey::reduce(Params{100, 2, 0, 1}));     // implicit-only
+  Planner planner;
+  // Three implicit-only plans (small P included) and one materialized.
+  (void)planner.plan(PlanKey::broadcast(Params{16, 3, 1, 2}));
+  (void)planner.plan(PlanKey::broadcast(Params{4096, 3, 1, 2}));
+  (void)planner.plan(PlanKey::reduce(Params{100, 2, 0, 1}));
+  (void)planner.plan(PlanKey::scatter(Params{16, 3, 1, 2}));
   std::stringstream buf;
-  EXPECT_EQ(save_snapshot(planner.cache(), buf), 3u);
+  EXPECT_EQ(save_snapshot(planner.cache(), buf), 4u);
 
   PlanCache restored(16, 1);
-  EXPECT_EQ(load_snapshot(restored, buf), 3u);
+  EXPECT_EQ(load_snapshot(restored, buf), 4u);
   const PlanPtr big = restored.get(PlanKey::broadcast(Params{4096, 3, 1, 2}));
   ASSERT_NE(big, nullptr);
   EXPECT_FALSE(big->materialized);
@@ -359,9 +468,16 @@ TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
   const PlanPtr small =
       restored.get(PlanKey::broadcast(Params{16, 3, 1, 2}));
   ASSERT_NE(small, nullptr);
-  EXPECT_TRUE(small->materialized);
+  EXPECT_FALSE(small->materialized);
   ASSERT_NE(small->implicit, nullptr);
-  EXPECT_EQ(small->implicit->to_schedule(), small->schedule);
+  EXPECT_EQ(small->implicit->to_schedule(),
+            bcast::optimal_single_item(Params{16, 3, 1, 2}, 0));
+  const PlanPtr scatter = restored.get(PlanKey::scatter(Params{16, 3, 1, 2}));
+  ASSERT_NE(scatter, nullptr);
+  EXPECT_TRUE(scatter->materialized);
+  EXPECT_EQ(scatter->implicit, nullptr);
+  EXPECT_EQ(scatter->schedule,
+            planner.plan(PlanKey::scatter(Params{16, 3, 1, 2}))->schedule);
 }
 
 TEST(ImplicitPlan, ConcurrentQueriesAreRaceFree) {

@@ -9,6 +9,7 @@
 #include "api/communicator.hpp"
 #include "bcast/kitem.hpp"
 #include "bcast/single_item.hpp"
+#include "runtime/implicit_plan.hpp"
 #include "runtime/warmup.hpp"
 #include "sched/metrics.hpp"
 #include "validate/checker.hpp"
@@ -69,7 +70,7 @@ TEST(PlanKey, MembershipMasksRequireSmallMachines) {
 TEST(Planner, PlansMatchTheDirectBuilders) {
   Planner planner;
   const PlanPtr b = planner.plan(PlanKey::broadcast(kMachine));
-  EXPECT_EQ(b->schedule, bcast::optimal_single_item(kMachine, 0));
+  EXPECT_EQ(plan_schedule(*b), bcast::optimal_single_item(kMachine, 0));
   EXPECT_EQ(b->completion, bcast::B_of_P(kMachine, 16));
 
   const PlanPtr k = planner.plan(PlanKey::kitem(kMachine, 6));
@@ -78,7 +79,7 @@ TEST(Planner, PlansMatchTheDirectBuilders) {
   EXPECT_EQ(k->completion, direct.completion);
   EXPECT_EQ(k->slack, direct.slack);
 
-  EXPECT_TRUE(validate::is_valid(b->schedule));
+  EXPECT_TRUE(validate::is_valid(plan_schedule(*b)));
   EXPECT_TRUE(validate::is_valid(k->schedule));
 }
 
@@ -142,7 +143,7 @@ TEST(Planner, ConcurrentHammerBuildsEachKeyExactlyOnce) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     ASSERT_NE(results[0][i], nullptr);
     EXPECT_EQ(results[0][i]->key, keys[i]);
-    EXPECT_FALSE(results[0][i]->schedule.sends().empty());
+    EXPECT_FALSE(plan_schedule(*results[0][i]).sends().empty());
     for (int t = 1; t < kThreads; ++t) {
       ASSERT_EQ(results[static_cast<std::size_t>(t)][i].get(),
                 results[0][i].get());
@@ -263,7 +264,7 @@ TEST(Communicator, SharesOnePlanAcrossInstancesAndThreads) {
   const PlanPtr p1 = a.plan(Problem::kBroadcast);
   const PlanPtr p2 = b.plan(Problem::kBroadcast);
   EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_EQ(p1->schedule, s1);
+  EXPECT_EQ(plan_schedule(*p1), s1);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <sstream>
 
+#include "bcast/single_item.hpp"
+#include "bcast/tree.hpp"
+#include "runtime/implicit_plan.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/warmup.hpp"
 
@@ -37,7 +40,9 @@ TEST(Snapshot, RoundTripsEveryPlanExactly) {
   for (const PlanPtr& original : planner.cache().entries()) {
     const PlanPtr restored = loaded.get(original->key);
     ASSERT_NE(restored, nullptr) << original->key.to_string();
-    EXPECT_EQ(restored->schedule, original->schedule);
+    EXPECT_EQ(plan_schedule(*restored), plan_schedule(*original));
+    EXPECT_EQ(restored->materialized, original->materialized);
+    EXPECT_EQ(restored->materialized, restored->implicit == nullptr);
     EXPECT_EQ(restored->completion, original->completion);
     EXPECT_EQ(restored->method, original->method);
     EXPECT_EQ(restored->slack, original->slack);
@@ -57,8 +62,8 @@ TEST(Snapshot, LoadedCacheServesHitsWithoutRebuilding) {
   (void)load_snapshot(hot.cache(), stream);
   const PlanPtr plan = hot.plan(PlanKey::kitem(kMachine, 6));
   EXPECT_EQ(hot.builds(), 0u) << "snapshot hit should not rebuild";
-  EXPECT_EQ(plan->schedule,
-            cold.plan(PlanKey::kitem(kMachine, 6))->schedule);
+  EXPECT_EQ(plan_schedule(*plan),
+            plan_schedule(*cold.plan(PlanKey::kitem(kMachine, 6))));
 }
 
 TEST(Snapshot, FileRoundTrip) {
@@ -95,6 +100,42 @@ TEST(Snapshot, RejectsCorruptInput) {
   PlanCache partial(16, 1);
   EXPECT_THROW((void)load_snapshot(partial, truncated),
                std::invalid_argument);
+}
+
+TEST(Snapshot, LoadRebuildsImplicitFamiliesFromTheKey) {
+  // A materialized broadcast entry whose stored schedule disagrees with its
+  // key (still well-formed: the last send is dropped), and whose scalars
+  // lie too — what an older writer plus a bit of corruption could leave.
+  const PlanKey key = PlanKey::broadcast(kMachine);
+  const Schedule direct = bcast::optimal_single_item(kMachine, 0);
+  Plan stored;
+  stored.key = key;
+  stored.schedule = Schedule(kMachine, direct.num_items());
+  for (const InitialPlacement& init : direct.initials()) {
+    stored.schedule.add_initial(init.item, init.proc, init.time);
+  }
+  for (std::size_t i = 0; i + 1 < direct.sends().size(); ++i) {
+    stored.schedule.add_send(direct.sends()[i]);
+  }
+  stored.completion = 1;
+  stored.method = "tampered";
+  ASSERT_NE(stored.schedule, direct);
+  PlanCache cache(8, 1);
+  cache.put(key, std::make_shared<const Plan>(stored));
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(cache, stream), 1u);
+
+  PlanCache loaded(8, 1);
+  ASSERT_EQ(load_snapshot(loaded, stream), 1u);
+  const PlanPtr plan = loaded.get(key);
+  ASSERT_NE(plan, nullptr);
+  // The loaded plan is the one the planner would build: implicit-only,
+  // with the key's own schedule, completion and label.
+  EXPECT_FALSE(plan->materialized);
+  ASSERT_NE(plan->implicit, nullptr);
+  EXPECT_EQ(plan_schedule(*plan), direct);
+  EXPECT_EQ(plan->completion, bcast::B_of_P(kMachine, kMachine.P));
+  EXPECT_EQ(plan->method, Planner::build_uncached(key).method);
 }
 
 TEST(Snapshot, EmptyCacheRoundTrips) {
