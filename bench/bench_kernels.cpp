@@ -183,10 +183,12 @@ void report() {
     }
     const KernelSpec spec{Op::kSum, DType::kF32};
     Engine engine;
-    (void)engine.run(prog, values, Combiner(spec));  // warm the pool
+    // Warm the pool.
+    (void)engine.run(prog, FoldValues{values, Combiner(spec)});
     const ExecReport generic_run =
-        engine.run(prog, values, generic_combine(spec));
-    const ExecReport typed_run = engine.run(prog, values, Combiner(spec));
+        engine.run(prog, FoldValues{values, generic_combine(spec)});
+    const ExecReport typed_run =
+        engine.run(prog, FoldValues{values, Combiner(spec)});
     bench::Table t({"lane", "wall ms", "kernel folds"});
     char g[32], k[32];
     std::snprintf(g, sizeof g, "%.3f",

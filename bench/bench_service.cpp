@@ -15,9 +15,10 @@
 ///
 /// Reported per mode and class: sustained collectives/sec and the
 /// p50/p99 of the per-request end-to-end latency; plus the warm/cold
-/// throughput ratio (the ISSUE acceptance floor is 2x).  Everything
-/// lands in BENCH_throughput.json via the global JsonReport
-/// (bench_loadgen merges its own entries into the same file).
+/// throughput ratio, which must reach 2x in both classes — the bench exits
+/// 1 otherwise, after writing its json.  Everything lands in
+/// BENCH_throughput.json via the global JsonReport (bench_loadgen merges
+/// its own entries into the same file).
 
 #include "bench_util.hpp"
 
@@ -43,6 +44,8 @@ constexpr int kTenants = 4;
 constexpr int kColdRequests = 48;
 constexpr int kWarmRequests = 384;
 constexpr std::size_t kWindow = 16;  ///< in-flight bound per tenant
+/// Warm/cold throughput every serving class must reach (exit 1 below).
+constexpr double kFloor = 2.0;
 
 Params machine() { return Params{kP, 4, 1, 2}; }
 
@@ -212,7 +215,12 @@ void report() {
   t.print();
   std::cout << "\nwarm/cold throughput: interactive "
             << speedup(warm_interactive) << "x, batch " << speedup(warm_batch)
-            << "x (acceptance floor: 2x)\n\n";
+            << "x (acceptance floor: " << kFloor << "x)\n\n";
+  if (speedup(warm_interactive) < kFloor || speedup(warm_batch) < kFloor) {
+    std::cout << "bench_service: warm/cold >= " << kFloor
+              << "x floor FAILED\n\n";
+    bench::gate_failed() = true;
+  }
 
   add_entry("cold", "-", cold, 1.0);
   add_entry("warm", "interactive", warm_interactive,

@@ -226,12 +226,19 @@ inline void write_global_report() {
   slot.reset();
 }
 
+/// Set by a report whose printed acceptance check failed: the bench
+/// still runs to the end and writes its json, then LOGPC_BENCH_MAIN exits 1.
+inline bool& gate_failed() {
+  static bool failed = false;
+  return failed;
+}
+
 }  // namespace logpc::bench
 
 /// Standard bench main: print the reproduction report, run the
 /// microbenchmarks, then flush the global JsonReport (if the bench opened
-/// one).  Define `void report();` before including via the
-/// LOGPC_BENCH_MAIN macro.
+/// one).  Exits 1 when the report set bench::gate_failed().  Define
+/// `void report();` before including via the LOGPC_BENCH_MAIN macro.
 #define LOGPC_BENCH_MAIN(report_fn)                          \
   int main(int argc, char** argv) {                          \
     report_fn();                                             \
@@ -241,5 +248,5 @@ inline void write_global_report() {
     ::benchmark::RunSpecifiedBenchmarks();                   \
     ::benchmark::Shutdown();                                 \
     ::logpc::bench::write_global_report();                   \
-    return 0;                                                \
+    return ::logpc::bench::gate_failed() ? 1 : 0;            \
   }

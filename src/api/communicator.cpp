@@ -1,7 +1,6 @@
 #include "api/communicator.hpp"
 
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -190,8 +189,8 @@ exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,
                                              ProcId root,
                                              exec::Engine* engine) const {
   const obs::Span span("comm.run_broadcast", "comm");
-  return engine_or_shared(engine).run_payload(
-      compile(runtime::Problem::kBroadcast, 1, root), payload);
+  return engine_or_shared(engine).run(
+      compile(runtime::Problem::kBroadcast, 1, root), exec::Payload{payload});
 }
 
 exec::ExecReport Communicator::run_broadcast_tuned(
@@ -206,11 +205,11 @@ exec::ExecReport Communicator::run_broadcast_tuned(
   }
   // A segmented winner runs the k-item pipeline over payload/k slices; the
   // engine coalesces either shape to one buffer per proc.
-  return engine_or_shared(engine).run_payload(
+  return engine_or_shared(engine).run(
       key.problem == runtime::Problem::kKItemBroadcast
           ? compile(runtime::Problem::kKItemBroadcast, key.k, root)
           : exec::compile_plan(*planner_->plan(key), "bcast"),
-      payload);
+      exec::Payload{payload});
 }
 
 exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
@@ -219,14 +218,14 @@ exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values
                                           exec::Engine* engine) const {
   const obs::Span span("comm.run_reduce", "comm");
   const exec::Program program = compile(runtime::Problem::kReduce, 1, root);
-  return engine_or_shared(engine).run(program, values, op);
+  return engine_or_shared(engine).run(program, exec::FoldValues{values, op});
 }
 
 exec::ExecReport Communicator::run_allgather(
     const std::vector<exec::Bytes>& contributions, exec::Engine* engine) const {
   const obs::Span span("comm.run_allgather", "comm");
   const exec::Program program = compile(runtime::Problem::kAllToAll, 1, 0);
-  return engine_or_shared(engine).run(program, contributions);
+  return engine_or_shared(engine).run(program, exec::Items{contributions});
 }
 
 FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
@@ -236,12 +235,10 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
   if (root < 0 || root >= params_.P) {
     throw std::invalid_argument("Communicator::run_broadcast_ft: bad root");
   }
-  exec::Engine::Options eng_opts = options.engine;
-  eng_opts.recovery.enabled = true;
-  exec::Engine engine(eng_opts);
-
+  exec::Engine engine(options.engine);
+  // The injector is what turns on acked delivery and failure detection; an
+  // empty spec injects nothing and runs the protocol alone.
   fault::FaultSpec spec = options.faults.value_or(fault::FaultSpec{});
-  const bool inject = options.faults.has_value();
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point first_failure{};
@@ -256,11 +253,9 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
     // A masked plan's `implicit` (like its schedule) describes the compact
     // survivor machine.
     const exec::Program program = exec::compile_plan(*res.plan, "bcast-ft");
-    std::optional<fault::Injector> injector;
-    if (inject) injector.emplace(spec);
+    const fault::Injector injector(spec);
     try {
-      res.report = engine.run_payload(program, payload,
-                                      injector ? &*injector : nullptr);
+      res.report = engine.run(program, exec::Payload{payload}, &injector);
     } catch (const exec::RankFailure& failure) {
       if (options.policy == FailurePolicy::kAbort) throw;
       if (res.failed_ranks.empty()) first_failure = Clock::now();
@@ -331,7 +326,7 @@ exec::ExecReport Communicator::run_reduce_operands(
     const exec::Combiner& op, exec::Engine* engine) const {
   const obs::Span span("comm.run_reduce_operands", "comm");
   const exec::Program program = exec::compile_summation(reduce_operands(n));
-  return engine_or_shared(engine).run(program, operands, op);
+  return engine_or_shared(engine).run(program, exec::Operands{operands, op});
 }
 
 }  // namespace logpc::api

@@ -56,7 +56,9 @@ struct FtRunOptions {
   std::optional<fault::FaultSpec> faults;
   /// Rank deaths to survive before giving up (kFailed past this).
   int max_recoveries = 2;
-  /// Engine knobs for the run; `engine.recovery.enabled` is forced on.
+  /// Engine knobs for the run.  Acked delivery is always on: the run passes
+  /// the engine a fault::Injector, over an empty spec when `faults` is
+  /// nullopt.
   exec::Engine::Options engine;
 };
 

@@ -13,7 +13,7 @@
 /// needs that is *not* the worker threads — mailboxes, ack rings, drain
 /// queues, heartbeat slots and the kMove slot tables.
 ///
-/// Before this split, Engine::run_impl allocated all of it on the stack of
+/// Before this split, Engine::run allocated all of it on the stack of
 /// every call: one heap allocation per link for the data ring, another per
 /// link for the ack ring, fresh scratch vectors.  A service dispatching
 /// back-to-back collectives onto a persistent pool pays that setup on

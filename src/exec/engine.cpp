@@ -67,101 +67,64 @@ void Engine::prewarm(int procs) {
   pool_.reserve(static_cast<unsigned>(procs));
 }
 
-ExecReport Engine::run(const Program& program,
-                       const std::vector<Bytes>& item_values,
+ExecReport Engine::run(const Program& program, const Inputs& inputs,
                        const fault::Injector* injector) {
-  if (program.mode != Mode::kMove) {
-    throw std::invalid_argument("Engine::run: program is not move-mode");
+  // --- resolve and validate the inputs against the program ---------------
+  // The one validation point for every run.  Exactly one of these views is
+  // set — the one matching program.mode, checked first — and the workers
+  // read it directly.
+  const auto* payload = std::get_if<Payload>(&inputs);
+  const auto* items = std::get_if<Items>(&inputs);
+  const auto* fold_values = std::get_if<FoldValues>(&inputs);
+  const auto* operands = std::get_if<Operands>(&inputs);
+  static constexpr std::array<Mode, std::variant_size_v<Inputs>> kModeOf{
+      Mode::kMove, Mode::kMove, Mode::kFold, Mode::kSum};
+  static constexpr std::array<const char*, std::variant_size_v<Inputs>>
+      kMismatch{"payload needs a move-mode program",
+                "items need a move-mode program",
+                "fold values need a fold-mode program",
+                "operands need a summation-mode program"};
+  if (kModeOf[inputs.index()] != program.mode) {
+    throw std::invalid_argument(std::string("Engine::run: ") +
+                                kMismatch[inputs.index()]);
   }
-  if (item_values.size() != static_cast<std::size_t>(program.num_items)) {
-    throw std::invalid_argument("Engine::run: expected " +
-                                std::to_string(program.num_items) +
-                                " item payloads, got " +
-                                std::to_string(item_values.size()));
-  }
-  MoveInput move;
-  move.items.assign(item_values.begin(), item_values.end());
-  return run_impl(program, &move, nullptr, nullptr, nullptr, injector);
-}
-
-ExecReport Engine::run_payload(const Program& program,
-                               std::span<const std::byte> payload,
-                               const fault::Injector* injector) {
-  if (program.mode != Mode::kMove) {
-    throw std::invalid_argument(
-        "Engine::run: payload run needs a move-mode program");
-  }
-  if (payload.empty() && program.num_items > 1) {
-    throw std::invalid_argument(
-        "Engine::run: a multi-item payload run needs a non-empty payload");
-  }
-  MoveInput move;
-  move.coalesced = true;
-  const auto k = static_cast<std::size_t>(std::max(program.num_items, 0));
-  move.items.reserve(k);
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t len =
-        payload.size() / k + (i < payload.size() % k ? 1 : 0);
-    move.items.push_back(payload.subspan(off, len));
-    off += len;
-  }
-  return run_impl(program, &move, nullptr, nullptr, nullptr, injector);
-}
-
-ExecReport Engine::run(const Program& program, const std::vector<Bytes>& values,
-                       const Combiner& op, const fault::Injector* injector) {
-  if (program.mode != Mode::kFold) {
-    throw std::invalid_argument("Engine::run: program is not fold-mode");
-  }
-  if (!op.valid()) {
-    throw std::invalid_argument("Engine::run: combiner has no operator");
-  }
-  return run_impl(program, nullptr, &values, nullptr, &op, injector);
-}
-
-ExecReport Engine::run(const Program& program,
-                       const std::vector<std::vector<Bytes>>& operands,
-                       const Combiner& op, const fault::Injector* injector) {
-  if (program.mode != Mode::kSum) {
-    throw std::invalid_argument("Engine::run: program is not summation-mode");
-  }
-  if (!op.valid()) {
-    throw std::invalid_argument("Engine::run: combiner has no operator");
-  }
-  return run_impl(program, nullptr, nullptr, &operands, &op, injector);
-}
-
-ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
-                            const std::vector<Bytes>* fold_values,
-                            const std::vector<std::vector<Bytes>>* operands,
-                            const Combiner* op,
-                            const fault::Injector* injector) {
   program.params.require_valid();
   const auto P = static_cast<std::size_t>(program.params.P);
   if (program.procs.size() != P) {
     throw std::invalid_argument("Engine::run: program/params size mismatch");
   }
   const auto num_items = static_cast<std::size_t>(program.num_items);
-
-  // --- validate payload inputs against the program -----------------------
-  if (program.mode == Mode::kFold) {
-    if (fold_values->size() != P) {
-      throw std::invalid_argument(
-          "Engine::run: expected one value per processor");
-    }
-  } else {
+  if (items != nullptr && items->values.size() != num_items) {
+    throw std::invalid_argument(
+        "Engine::run: expected " + std::to_string(num_items) +
+        " item payloads, got " + std::to_string(items->values.size()));
+  }
+  if (payload != nullptr && payload->bytes.empty() && num_items > 1) {
+    throw std::invalid_argument(
+        "Engine::run: a multi-item payload run needs a non-empty payload");
+  }
+  if (fold_values != nullptr && fold_values->values.size() != P) {
+    throw std::invalid_argument(
+        "Engine::run: expected one value per processor");
+  }
+  if (operands != nullptr) {
     for (const ProcProgram& pp : program.procs) {
       if (pp.sum_index < 0) continue;
       const auto idx = static_cast<std::size_t>(pp.sum_index);
-      if (idx >= operands->size() ||
-          (*operands)[idx].size() != pp.num_operands) {
+      if (idx >= operands->operands.size() ||
+          operands->operands[idx].size() != pp.num_operands) {
         throw std::invalid_argument(
             "Engine::run: operand count mismatch at plan index " +
             std::to_string(idx) + " (want " +
             std::to_string(pp.num_operands) + ")");
       }
     }
+  }
+  const Combiner* op = fold_values != nullptr ? &fold_values->op
+                       : operands != nullptr  ? &operands->op
+                                              : nullptr;
+  if (op != nullptr && !op->valid()) {
+    throw std::invalid_argument("Engine::run: combiner has no operator");
   }
 
   const auto cap = static_cast<std::size_t>(program.params.capacity());
@@ -173,7 +136,7 @@ ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
         "schedule; fix the machine parameters instead of clamping");
   }
 
-  const bool reliable = injector != nullptr || opts_.recovery.enabled;
+  const bool reliable = injector != nullptr;
   const Recovery& rec = opts_.recovery;
   const KernelFn kernel = op != nullptr ? op->kernel() : nullptr;
 
@@ -222,17 +185,24 @@ ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
   // ExecReport::items buffer before workers start, so seeding is one
   // memcpy from the caller's bytes, each receive is one memcpy into its
   // slot, and nothing is copied out afterwards.  No allocator call runs on
-  // a worker thread.  A coalesced run gives each touched processor one
-  // buffer the size of all items together, each slot aliasing its range.
+  // a worker thread.  A Payload run gives each touched processor one
+  // buffer the size of the whole payload, each slot aliasing its range.
   // Whether a slot is used comes from the table, never from its pointer.
   std::vector<Slot>& slots = ctx_.slots;
   auto slot_index = [num_items](std::size_t p, std::size_t item) {
     return p * num_items + item;
   };
   if (program.mode == Mode::kMove) {
-    const bool coalesced = move->coalesced;
-    std::size_t total = 0;
-    for (const auto& src : move->items) total += src.size();
+    // Item i's source bytes: the i-th of num_items near-equal contiguous
+    // ranges of a Payload (longer ranges first), or Items::values[i].
+    auto source = [&](std::size_t i) -> std::span<const std::byte> {
+      if (payload == nullptr) return items->values[i];
+      const std::size_t q = payload->bytes.size() / num_items;
+      const std::size_t r = payload->bytes.size() % num_items;
+      return payload->bytes.subspan(i * q + std::min(i, r),
+                                    q + (i < r ? 1 : 0));
+    };
+    const bool coalesced = payload != nullptr;
     report.items.assign(P, std::vector<Bytes>(coalesced ? 1 : num_items));
     slots.assign(P * num_items, Slot{});
     std::vector<char>& used = ctx_.slot_used;
@@ -251,12 +221,12 @@ ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
     for (std::size_t p = 0; p < P; ++p) {
       std::size_t off = 0;
       for (std::size_t i = 0; i < num_items; ++i) {
-        const std::size_t size = move->items[i].size();
+        const std::size_t size = source(i).size();
         if (used[slot_index(p, i)]) {
           // A cache line of spare capacity keeps the next rank's buffer
           // off this one's last line: no false sharing between ranks.
           Bytes& buf = report.items[p][coalesced ? 0 : i];
-          const std::size_t n = coalesced ? total : size;
+          const std::size_t n = coalesced ? payload->bytes.size() : size;
           buf.reserve(n + 64);
           buf.resize(n);
           slots[slot_index(p, i)] = Slot{buf.data() + off, size};
@@ -268,10 +238,12 @@ ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
       const auto item = static_cast<std::size_t>(init.item);
       const Slot& s = slots[slot_index(static_cast<std::size_t>(init.proc),
                                        item)];
-      if (s.size != 0) std::memcpy(s.data, move->items[item].data(), s.size);
+      if (s.size != 0) std::memcpy(s.data, source(item).data(), s.size);
     }
   } else if (program.mode == Mode::kFold) {
-    for (std::size_t p = 0; p < P; ++p) report.folded[p] = (*fold_values)[p];
+    for (std::size_t p = 0; p < P; ++p) {
+      report.folded[p] = fold_values->values[p];
+    }
   }
 
   std::vector<std::size_t> bytes_moved(P, 0);
@@ -642,7 +614,7 @@ ExecReport Engine::run_impl(const Program& program, const MoveInput* move,
         }
         case OpCode::kCombineLocal: {
           const auto& local =
-              (*operands)[static_cast<std::size_t>(stream.sum_index)];
+              operands->operands[static_cast<std::size_t>(stream.sum_index)];
           for (std::int32_t c = 0; c < ins.count; ++c) {
             fold(std::span<const std::byte>(local[operand_pos].data(),
                                             local[operand_pos].size()));

@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "exec/context.hpp"
@@ -47,18 +48,19 @@
 /// in obs spans, so executions land in the Chrome-trace exporter next to
 /// sim::Trace timelines.
 ///
-/// Fault tolerance: pass a fault::Injector to run() (or enable
-/// Options::recovery) and the engine switches every link to *acked
-/// delivery*: messages carry per-link sequence numbers, receivers
-/// acknowledge acceptance on a reverse ring, senders retransmit after a
-/// timeout with exponential backoff, and receivers discard retransmitted
-/// duplicates exactly-once.  A rank whose heartbeat freezes while a peer
-/// waits on it past the retry budget is declared dead: the run aborts with
-/// RankFailure naming the rank, all workers are signalled, joined at the
-/// epoch barrier, and every mailbox is drained before the error returns —
-/// api::Communicator::run_broadcast_ft catches it and re-plans over the
-/// survivors.  Without an injector and with recovery disabled, the fast
-/// path is byte-identical to the unreliable engine.
+/// Fault tolerance: pass a fault::Injector to run() and the engine
+/// switches every link to *acked delivery* — the injector argument is the
+/// one switch; an injector over an empty FaultSpec injects nothing and
+/// runs the protocol alone.  Messages carry per-link sequence numbers,
+/// receivers acknowledge acceptance on a reverse ring, senders retransmit
+/// after a timeout with exponential backoff, and receivers discard
+/// retransmitted duplicates exactly-once.  A rank whose heartbeat freezes
+/// while a peer waits on it past the retry budget is declared dead: the run
+/// aborts with RankFailure naming the rank, all workers are signalled,
+/// joined at the epoch barrier, and every mailbox is drained before the
+/// error returns — api::Communicator::run_broadcast_ft catches it and
+/// re-plans over the survivors.  Without an injector the fast path is
+/// byte-identical to the unreliable engine.
 
 namespace logpc::exec {
 
@@ -145,13 +147,54 @@ struct ExecReport {
   }
 };
 
+/// kMove over one logical payload — every broadcast's input.  The payload
+/// is split into the program's num_items near-equal contiguous ranges
+/// (sizes differ by at most one byte, longer ranges first), and each
+/// processor the plan touches gets ONE result buffer the size of the whole
+/// payload with every range delivered in place: ExecReport::items[p] is a
+/// single Bytes equal to the payload, for a k-item pipeline exactly as for
+/// the single-item tree.  A single-item program accepts an empty payload;
+/// a multi-item one rejects it.
+struct Payload {
+  std::span<const std::byte> bytes;
+};
+
+/// kMove, one buffer per item: `values[i]` is item i's payload (sizes may
+/// differ per item), and ExecReport::items[p][i] holds what the plan
+/// delivered to p.  Needs exactly num_items values.
+struct Items {
+  std::span<const Bytes> values;
+};
+
+/// kFold: `values[p]` is processor p's initial value (exactly P of them);
+/// receives fold with `op` in arrival order and the root's accumulator is
+/// the result.  A typed Combiner (built from a KernelSpec) takes the fused
+/// SIMD lane on every size-matched fold; one built from a CombineFn is the
+/// fully generic path.
+struct FoldValues {
+  std::span<const Bytes> values;
+  const Combiner& op;
+};
+
+/// kSum: `operands[i]` are the local operands of plan.procs[i] (counts
+/// must match sum::operand_layout), folded with `op` in the plan's
+/// combination order.
+struct Operands {
+  std::span<const std::vector<Bytes>> operands;
+  const Combiner& op;
+};
+
+/// What one run consumes: one alternative per value semantics.  Every
+/// alternative is a non-owning view; the viewed bytes and combiner must
+/// outlive the run() call.
+using Inputs = std::variant<Payload, Items, FoldValues, Operands>;
+
 class Engine {
  public:
-  /// Knobs of the acked-delivery protocol (active when a fault::Injector is
-  /// passed to run() or `enabled` is set).  Defaults suit the fault tests:
+  /// Knobs of the acked-delivery protocol, which runs exactly when a
+  /// fault::Injector is passed to run().  Defaults suit the fault tests:
   /// sub-millisecond retransmits, tens of milliseconds to a death verdict.
   struct Recovery {
-    bool enabled = false;
     std::uint64_t ack_timeout_us = 200;  ///< first retransmit after this
     std::uint64_t backoff_factor = 2;    ///< exponential retransmit backoff
     std::uint64_t max_backoff_us = 5000;
@@ -174,42 +217,16 @@ class Engine {
   Engine() = default;
   explicit Engine(Options options) : opts_(options) {}
 
-  /// kMove: `item_values[i]` is item i's payload (sizes may differ per
-  /// item).  Every processor named in an initial placement starts with its
-  /// items seeded; on return ExecReport::items[p][i] holds what the plan
-  /// delivered to p.  `injector` (optional, non-owning, must outlive the
-  /// call) enables fault injection plus the acked-delivery protocol.
-  ExecReport run(const Program& program, const std::vector<Bytes>& item_values,
+  /// Runs `program` over `inputs`.  Throws std::invalid_argument before
+  /// dispatch when the inputs do not fit the program: an alternative of
+  /// the wrong Mode, a count that does not match (items, values,
+  /// operands), a Combiner without an operator, or an empty Payload for a
+  /// multi-item program.  Every processor named in an initial placement
+  /// starts with its items seeded.  `injector` (optional, non-owning, must
+  /// outlive the call) enables fault injection plus the acked-delivery
+  /// protocol.
+  ExecReport run(const Program& program, const Inputs& inputs,
                  const fault::Injector* injector = nullptr);
-
-  /// kMove over one logical payload — every broadcast's entry.  The
-  /// payload is split into the program's num_items near-equal contiguous
-  /// ranges (sizes differ by at most one byte, longer ranges first), and
-  /// each processor the plan touches gets ONE result buffer the size of
-  /// the whole payload with every range delivered in place:
-  /// ExecReport::items[p] is a single Bytes equal to the payload, for a
-  /// k-item pipeline exactly as for the single-item tree.  Initial
-  /// placements are seeded straight from `payload`, which must outlive the
-  /// call.  A single-item program accepts an empty payload; a multi-item
-  /// one throws std::invalid_argument on it.
-  ExecReport run_payload(const Program& program,
-                         std::span<const std::byte> payload,
-                         const fault::Injector* injector = nullptr);
-
-  /// kFold: `values[p]` is processor p's initial value; receives fold with
-  /// `op` in arrival order.  The root's accumulator is the result.  A
-  /// typed Combiner (constructed from a KernelSpec) takes the fused SIMD
-  /// lane on every size-matched fold; one built from a CombineFn is the
-  /// fully generic path.
-  ExecReport run(const Program& program, const std::vector<Bytes>& values,
-                 const Combiner& op, const fault::Injector* injector = nullptr);
-
-  /// kSum: `operands[i]` are the local operands of plan.procs[i] (counts
-  /// must match sum::operand_layout; throws otherwise), folded with `op` in
-  /// the plan's combination order.
-  ExecReport run(const Program& program,
-                 const std::vector<std::vector<Bytes>>& operands,
-                 const Combiner& op, const fault::Injector* injector = nullptr);
 
   /// The process-wide engine api::Communicator's run_* entry points use by
   /// default.
@@ -236,18 +253,6 @@ class Engine {
   [[nodiscard]] ThreadPool& pool() { return pool_; }
 
  private:
-  /// kMove inputs: item i's source bytes, and whether all items share one
-  /// result buffer per processor (run_payload) or get one each (run).
-  struct MoveInput {
-    std::vector<std::span<const std::byte>> items;
-    bool coalesced = false;
-  };
-
-  ExecReport run_impl(const Program& program, const MoveInput* move,
-                      const std::vector<Bytes>* fold_values,
-                      const std::vector<std::vector<Bytes>>* operands,
-                      const Combiner* op, const fault::Injector* injector);
-
   Options opts_;
   ThreadPool pool_;
   /// Serializes runs on this engine *before* the watchdog clock starts, so

@@ -19,11 +19,12 @@
 namespace logpc::svc {
 
 /// Collectives the service serves.  Each maps to an executable problem of
-/// the planning runtime and to the matching Engine::run form.
+/// the planning runtime and to one exec::Inputs alternative of the single
+/// Engine::run entry point.
 enum class OpKind : std::uint8_t {
-  kBroadcast,  ///< payload from root to all (one item)
-  kReduce,     ///< one value per proc folded to root with `combine`
-  kAllgather,  ///< every proc contributes values[p], all end with all P
+  kBroadcast,  ///< payload from root to all (exec::Payload)
+  kReduce,     ///< values[p] folded to root by `combine` (exec::FoldValues)
+  kAllgather,  ///< all P procs end with every values[p] (exec::Items)
 };
 
 [[nodiscard]] const char* op_kind_name(OpKind op) noexcept;

@@ -439,49 +439,45 @@ std::vector<Response> CollectiveService::execute_batch(
       members.push_back(&member->req);
     }
 
-    exec::ExecReport run;
+    // One Inputs, one engine run: a fused batch runs over its members'
+    // concatenated bytes (a reduce over the chunked combiner), a lone
+    // request over its own, uncopied.  The engine delivers a broadcast in
+    // place, one buffer per proc whatever the segment count.
+    exec::Bytes fused_payload;
+    std::vector<exec::Bytes> fused_values;
+    exec::Combiner fused_op;
     std::size_t chunk = 0;  // bytes per member in the fused buffers
-    switch (lead.op) {
-      case OpKind::kBroadcast: {
-        chunk = lead.payload.size();
-        exec::Bytes fused_payload;
-        if (n > 1) fused_payload = concat_payloads(members);
-        const exec::Bytes& whole = n > 1 ? fused_payload : lead.payload;
-        const SegmentPolicy policy{opts_.segment_threshold,
-                                   opts_.segment_bytes, opts_.max_segments};
-        segments = choose_segments(whole.size(), policy);
-        // The engine splits the payload into the program's segments and
-        // delivers each proc's copy in place: report.items holds one
-        // buffer per proc whatever the segment count, with no copy of the
-        // payload on this thread.
-        run = engine.run_payload(*program_for(lead.op, lead.root, segments),
-                                 whole, inj);
-        break;
-      }
-      case OpKind::kReduce: {
-        const std::shared_ptr<const exec::Program> program =
-            program_for(lead.op, lead.root, 1);
-        if (n > 1) {
-          chunk = lead.values.front().size();
-          run = engine.run(*program, concat_values(members),
-                           fused_combiner(lead, chunk, n), inj);
-        } else {
-          run = engine.run(*program, lead.values, lead.combine, inj);
-        }
-        break;
-      }
-      case OpKind::kAllgather: {
-        const std::shared_ptr<const exec::Program> program =
-            program_for(lead.op, 0, 1);
-        if (n > 1) {
-          chunk = lead.values.front().size();
-          run = engine.run(*program, concat_values(members), inj);
-        } else {
-          run = engine.run(*program, lead.values, inj);
-        }
-        break;
+    if (n > 1 && lead.op == OpKind::kBroadcast) {
+      chunk = lead.payload.size();
+      fused_payload = concat_payloads(members);
+    } else if (n > 1) {
+      chunk = lead.values.front().size();
+      fused_values = concat_values(members);
+      if (lead.op == OpKind::kReduce) {
+        fused_op = fused_combiner(lead, chunk, n);
       }
     }
+    const exec::Bytes& whole = n > 1 ? fused_payload : lead.payload;
+    const std::vector<exec::Bytes>& values = n > 1 ? fused_values : lead.values;
+    const exec::Combiner& combine = n > 1 ? fused_op : lead.combine;
+    if (lead.op == OpKind::kBroadcast) {
+      segments = choose_segments(
+          whole.size(), SegmentPolicy{opts_.segment_threshold,
+                                      opts_.segment_bytes, opts_.max_segments});
+    }
+    const exec::Inputs inputs = [&]() -> exec::Inputs {
+      switch (lead.op) {
+        case OpKind::kBroadcast:
+          return exec::Payload{whole};
+        case OpKind::kReduce:
+          return exec::FoldValues{values, combine};
+        case OpKind::kAllgather:
+          break;
+      }
+      return exec::Items{values};
+    }();
+    exec::ExecReport run =
+        engine.run(*program_for(lead.op, lead.root, segments), inputs, inj);
     if (segments > 1) {
       segmented_runs_.fetch_add(1, std::memory_order_relaxed);
     }

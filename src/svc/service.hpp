@@ -44,9 +44,9 @@
 ///     queue bound) ──> per-tenant queue ── pool thread (Scheduler::pick:
 ///     QoS class, then weighted stride fair-share) ──> compiled Program
 ///     (cached per (op, root, segments) via Communicator::compile; plans
-///     come from the shared thread-safe Planner) ──> Engine::run on the
-///     pool's warm engine ──> promise fulfilled, future resolves with the
-///     Response.
+///     come from the shared thread-safe Planner) ──> one exec::Inputs for
+///     the op ──> one Engine::run on the pool's warm engine ──> promise
+///     fulfilled, future resolves with the Response.
 ///
 /// High-throughput path (svc/fusion.hpp): after picking a request whose
 /// QoS class opts in, the pool coalesces every queued same-shape request —

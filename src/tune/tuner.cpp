@@ -131,7 +131,8 @@ TuneReport auto_tune(const TunerOptions& opts) {
       for (int round = 0; round < opts.warmup + opts.trials; ++round) {
         const bool timed = round >= opts.warmup;
         for (Candidate& c : candidates) {
-          const exec::ExecReport r = engine.run_payload(c.program, payload);
+          const exec::ExecReport r =
+              engine.run(c.program, exec::Payload{payload});
           if (timed) {
             c.samples_ns.push_back(static_cast<double>(r.wall_ns));
           }

@@ -188,7 +188,8 @@ TEST(HierarchicalBroadcast, ExecutesByteExactOnTheEngine) {
     payload[i] = static_cast<std::byte>((i * 37 + 11) & 0xff);
   }
   exec::Engine engine;
-  const exec::ExecReport report = engine.run(program, {payload});
+  const std::vector<exec::Bytes> items{payload};
+  const exec::ExecReport report = engine.run(program, exec::Items{items});
   for (ProcId p = 0; p < 12; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "rank " << p;
   }

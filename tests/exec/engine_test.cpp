@@ -56,7 +56,8 @@ TEST(Engine, SingleItemBroadcastDeliversBytesEverywhere) {
   const Program prog = compile_broadcast(s);
   Engine engine;
   const Bytes payload = tu::of_str("the one true datum");
-  const ExecReport report = engine.run(prog, {payload});
+  const ExecReport report =
+      engine.run(prog, Items{std::vector<Bytes>{payload}});
 
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
@@ -78,7 +79,7 @@ TEST(Engine, KItemBroadcastDeliversEveryItemOnce) {
   for (int i = 0; i < plan.schedule.num_items(); ++i) {
     items.push_back(tu::of_str("item-" + std::to_string(i)));
   }
-  const ExecReport report = engine.run(prog, items);
+  const ExecReport report = engine.run(prog, Items{items});
 
   const int P = plan.schedule.params().P;
   for (ProcId p = 0; p < P; ++p) {
@@ -106,7 +107,7 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
     payload[i] = static_cast<std::byte>(i * 131 + 7);
   }
   Engine engine;
-  const ExecReport report = engine.run_payload(prog, payload);
+  const ExecReport report = engine.run(prog, Payload{payload});
   ASSERT_EQ(report.items.size(), 8u);
   for (ProcId p = 0; p < params.P; ++p) {
     ASSERT_EQ(report.items[static_cast<std::size_t>(p)].size(), 1u)
@@ -117,7 +118,8 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
       validate::check_delivery_order(plan.schedule, report.deliveries).ok());
   // And it matches the bulk run bit for bit.
   const Program bulk = compile_broadcast(bcast::optimal_single_item(params));
-  const ExecReport bulk_report = engine.run(bulk, {payload});
+  const ExecReport bulk_report =
+      engine.run(bulk, Items{std::vector<Bytes>{payload}});
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), bulk_report.item_at(p, 0)) << "P" << p;
   }
@@ -126,8 +128,8 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
   for (const std::size_t n : {0u, 1u, 64u, 4099u}) {
     const Bytes bytes(payload.begin(),
                       payload.begin() + static_cast<std::ptrdiff_t>(n));
-    EXPECT_EQ(engine.run_payload(bulk, bytes).items,
-              engine.run(bulk, {bytes}).items)
+    EXPECT_EQ(engine.run(bulk, Payload{bytes}).items,
+              engine.run(bulk, Items{std::vector<Bytes>{bytes}}).items)
         << n << " bytes";
   }
 }
@@ -139,12 +141,100 @@ TEST(Engine, SegmentRunValidatesItsInputs) {
   Engine engine;
   const Bytes payload(64, std::byte{0x5a});
   const Program fold = compile_reduction(bcast::optimal_reduction(params, 0));
-  EXPECT_THROW((void)engine.run_payload(fold, payload),
+  EXPECT_THROW((void)engine.run(fold, Payload{payload}),
                std::invalid_argument);  // not a move-mode program
-  EXPECT_THROW((void)engine.run_payload(prog, {}),
+  EXPECT_THROW((void)engine.run(prog, Payload{}),
                std::invalid_argument);  // empty payload, 4 items
-  EXPECT_THROW((void)engine.run(prog, {payload}),
+  EXPECT_THROW((void)engine.run(prog, Items{std::vector<Bytes>{payload}}),
                std::invalid_argument);  // 1 item value for 4 items
+}
+
+TEST(Engine, ValidatesInputsAgainstTheProgram) {
+  // The one validation point: every (Inputs alternative, Mode) pair, each
+  // count check and a combiner without an operator.  Matched pairs run;
+  // everything else throws std::invalid_argument before dispatch.
+  const Params params{4, 4, 1, 2};
+  const Program move = compile_broadcast(bcast::optimal_single_item(params));
+  const Program kitem = compile_broadcast(
+      Planner::build_uncached(PlanKey::kitem(params, 4)).schedule,
+      "kitem-seg");
+  const Program fold = compile_reduction(bcast::optimal_reduction(params, 0));
+  const sum::SummationPlan plan = sum::optimal_summation(params, 30);
+  const Program summation = compile_summation(plan);
+  ASSERT_EQ(move.mode, Mode::kMove);
+  ASSERT_EQ(kitem.num_items, 4);
+  ASSERT_EQ(fold.mode, Mode::kFold);
+  ASSERT_EQ(summation.mode, Mode::kSum);
+
+  const Bytes payload(64, std::byte{0x5a});
+  const std::vector<Bytes> no_items;
+  const std::vector<Bytes> one_item{payload};
+  const std::vector<Bytes> four_items(4, payload);
+  const std::vector<Bytes> per_proc(4, tu::of_u64(1));
+  const std::vector<Bytes> too_few_values(3, tu::of_u64(1));
+  std::vector<std::vector<Bytes>> operands;
+  for (const sum::ProcLayout& local : sum::operand_layout(plan)) {
+    operands.emplace_back(local.total(), tu::of_u64(1));
+  }
+  std::vector<std::vector<Bytes>> one_operand_short = operands;
+  for (auto& local : one_operand_short) {
+    if (!local.empty()) {
+      local.pop_back();
+      break;
+    }
+  }
+  const std::vector<std::vector<Bytes>> one_proc_short(operands.begin(),
+                                                       operands.end() - 1);
+  const Combiner add(tu::add_u64());
+  const Combiner none;
+
+  struct Case {
+    const char* what;
+    const Program& program;
+    Inputs inputs;
+    bool throws;
+  };
+  const std::vector<Case> cases{
+      // Matched pairs run.
+      {"payload, move", move, Payload{payload}, false},
+      {"empty payload, single-item move", move, Payload{}, false},
+      {"payload, k-item move", kitem, Payload{payload}, false},
+      {"items, move", move, Items{one_item}, false},
+      {"items, k-item move", kitem, Items{four_items}, false},
+      {"fold values, fold", fold, FoldValues{per_proc, add}, false},
+      {"operands, sum", summation, Operands{operands, add}, false},
+      // The 8 mismatched pairs throw.
+      {"payload, fold", fold, Payload{payload}, true},
+      {"payload, sum", summation, Payload{payload}, true},
+      {"items, fold", fold, Items{per_proc}, true},
+      {"items, sum", summation, Items{one_item}, true},
+      {"fold values, move", move, FoldValues{one_item, add}, true},
+      {"fold values, sum", summation, FoldValues{per_proc, add}, true},
+      {"operands, move", move, Operands{operands, add}, true},
+      {"operands, fold", fold, Operands{operands, add}, true},
+      // Count checks.
+      {"no items, single-item move", move, Items{no_items}, true},
+      {"1 item value, 4 items", kitem, Items{one_item}, true},
+      {"empty payload, 4 items", kitem, Payload{}, true},
+      {"3 fold values, P = 4", fold, FoldValues{too_few_values, add}, true},
+      {"one operand short", summation, Operands{one_operand_short, add},
+       true},
+      {"one proc's operands short", summation, Operands{one_proc_short, add},
+       true},
+      // A default-constructed Combiner has no operator.
+      {"no combiner, fold", fold, FoldValues{per_proc, none}, true},
+      {"no combiner, sum", summation, Operands{operands, none}, true},
+  };
+  Engine engine;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    if (c.throws) {
+      EXPECT_THROW((void)engine.run(c.program, c.inputs),
+                   std::invalid_argument);
+    } else {
+      EXPECT_NO_THROW((void)engine.run(c.program, c.inputs));
+    }
+  }
 }
 
 TEST(Engine, AllToAllKDeliversAllItems) {
@@ -157,7 +247,7 @@ TEST(Engine, AllToAllKDeliversAllItems) {
   for (int i = 0; i < s.num_items(); ++i) {
     items.push_back(tu::of_u64(1000u + static_cast<std::uint64_t>(i)));
   }
-  const ExecReport report = engine.run(prog, items);
+  const ExecReport report = engine.run(prog, Items{items});
   for (ProcId p = 0; p < params.P; ++p) {
     for (int i = 0; i < s.num_items(); ++i) {
       EXPECT_EQ(tu::to_u64(report.item_at(p, i)),
@@ -178,7 +268,7 @@ TEST(Engine, ScatterAndGatherMoveDistinctItems) {
     for (int i = 0; i < params.P; ++i) {
       items.push_back(tu::of_str("shard" + std::to_string(i)));
     }
-    const ExecReport report = engine.run(prog, items);
+    const ExecReport report = engine.run(prog, Items{items});
     for (ProcId p = 0; p < params.P; ++p) {
       EXPECT_EQ(tu::to_str(report.item_at(p, p)),
                 "shard" + std::to_string(p));
@@ -191,7 +281,7 @@ TEST(Engine, ScatterAndGatherMoveDistinctItems) {
     for (int i = 0; i < params.P; ++i) {
       items.push_back(tu::of_str("part" + std::to_string(i)));
     }
-    const ExecReport report = engine.run(prog, items);
+    const ExecReport report = engine.run(prog, Items{items});
     for (ProcId p = 0; p < params.P; ++p) {
       EXPECT_EQ(tu::to_str(report.item_at(0, p)), "part" + std::to_string(p));
     }
@@ -212,7 +302,8 @@ TEST(Engine, ReductionFoldsInArrivalOrder) {
       values.push_back(tu::of_u64(static_cast<std::uint64_t>(p * p + 1)));
       total += static_cast<std::uint64_t>(p * p + 1);
     }
-    const ExecReport report = engine.run(prog, values, tu::add_u64());
+    const ExecReport report =
+        engine.run(prog, FoldValues{values, tu::add_u64()});
     EXPECT_EQ(tu::to_u64(report.folded_at(0)), total);
   }
 
@@ -227,7 +318,8 @@ TEST(Engine, ReductionFoldsInArrivalOrder) {
     const std::string expected = bcast::execute_reduction<std::string>(
         plan, strings,
         [](const std::string& a, const std::string& b) { return a + b; });
-    const ExecReport report = engine.run(prog, values, tu::concat());
+    const ExecReport report =
+        engine.run(prog, FoldValues{values, tu::concat()});
     EXPECT_EQ(tu::to_str(report.folded_at(0)), expected);
   }
 }
@@ -263,7 +355,8 @@ TEST(Engine, SummationMatchesSequentialFoldInCombinationOrder) {
     }
   }
 
-  const ExecReport report = engine.run(prog, operands, tu::concat());
+  const ExecReport report =
+      engine.run(prog, Operands{operands, tu::concat()});
   EXPECT_EQ(tu::to_str(report.folded_at(plan.root)), expected);
 
   // And the commutative sanity: iota operands, compare with the reference
@@ -275,7 +368,7 @@ TEST(Engine, SummationMatchesSequentialFoldInCombinationOrder) {
       iota[i].push_back(tu::of_u64(n++));
     }
   }
-  const ExecReport sums = engine.run(prog, iota, tu::add_u64());
+  const ExecReport sums = engine.run(prog, Operands{iota, tu::add_u64()});
   EXPECT_EQ(tu::to_u64(sums.folded_at(plan.root)),
             static_cast<std::uint64_t>(sum::execute_iota_sum(plan)));
 }
@@ -287,7 +380,7 @@ TEST(Engine, MeasureFitsPlausibleParameters) {
   std::vector<Bytes> items;
   for (int i = 0; i < params.P; ++i) items.push_back(tu::of_u64(1));
   const ExecReport report =
-      engine.run(compile_broadcast(s, "alltoall"), items);
+      engine.run(compile_broadcast(s, "alltoall"), Items{items});
 
   const MeasuredLogP fit = measure(report);
   EXPECT_GT(fit.overhead_samples, 0u);
@@ -311,8 +404,8 @@ TEST(Engine, ReusesPoolAcrossRunsAndSizes) {
   for (const int P : {2, 8, 5, 8, 12}) {
     const Params params{P, 4, 1, 2};
     const Schedule s = bcast::optimal_single_item(params);
-    const ExecReport report =
-        engine.run(compile_broadcast(s), {tu::of_str("x")});
+    const ExecReport report = engine.run(
+        compile_broadcast(s), Items{std::vector<Bytes>{tu::of_str("x")}});
     for (ProcId p = 0; p < P; ++p) {
       EXPECT_EQ(tu::to_str(report.item_at(p, 0)), "x");
     }
@@ -325,15 +418,17 @@ TEST(Engine, ModeMismatchThrows) {
   const Params params{4, 2, 1, 1};
   const Program prog = compile_broadcast(bcast::optimal_single_item(params));
   Engine engine;
-  EXPECT_THROW((void)engine.run(prog, {tu::of_u64(1)}, tu::add_u64()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)engine.run(prog, FoldValues{std::vector<Bytes>{tu::of_u64(1)},
+                                        tu::add_u64()}),
+      std::invalid_argument);
 }
 
 TEST(Engine, WrongPayloadCountThrows) {
   const Params params{4, 2, 1, 1};
   const Program prog = compile_broadcast(bcast::optimal_single_item(params));
   Engine engine;
-  EXPECT_THROW((void)engine.run(prog, std::vector<Bytes>{}),
+  EXPECT_THROW((void)engine.run(prog, Items{std::vector<Bytes>{}}),
                std::invalid_argument);
 }
 
@@ -354,7 +449,9 @@ TEST(Engine, TimesOutInsteadOfHangingOnImpossibleProgram) {
   Engine::Options short_fuse;
   short_fuse.timeout_ms = 100;
   Engine engine(short_fuse);
-  EXPECT_THROW((void)engine.run(prog, {tu::of_u64(1)}), std::runtime_error);
+  EXPECT_THROW(
+      (void)engine.run(prog, Items{std::vector<Bytes>{tu::of_u64(1)}}),
+      std::runtime_error);
 }
 
 TEST(Engine, TimeoutJoinsWorkersAndLeavesThePoolReusable) {
@@ -377,8 +474,9 @@ TEST(Engine, TimeoutJoinsWorkersAndLeavesThePoolReusable) {
   Engine::Options short_fuse;
   short_fuse.timeout_ms = 100;
   Engine engine(short_fuse);
-  EXPECT_THROW((void)engine.run(impossible, {tu::of_u64(1)}),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)engine.run(impossible, Items{std::vector<Bytes>{tu::of_u64(1)}}),
+      std::runtime_error);
   const std::size_t workers = engine.pool().size();
   const std::uint64_t epochs = engine.pool().epochs();
 
@@ -386,8 +484,8 @@ TEST(Engine, TimeoutJoinsWorkersAndLeavesThePoolReusable) {
   // the abort left no stuck worker and no stale message behind.
   const Params params{8, 4, 1, 2};
   const Schedule s = bcast::optimal_single_item(params);
-  const ExecReport report =
-      engine.run(compile_broadcast(s), {tu::of_str("alive")});
+  const ExecReport report = engine.run(
+      compile_broadcast(s), Items{std::vector<Bytes>{tu::of_str("alive")}});
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(tu::to_str(report.item_at(p, 0)), "alive");
   }
@@ -402,13 +500,15 @@ TEST(Engine, ReportsWarmPoolAndWarmBuffersAcrossRuns) {
 
   // A fresh engine's first run spawns its threads and builds its run
   // context: a cold start on both axes.
-  const ExecReport first = engine.run(prog, {tu::of_str("a")});
+  const ExecReport first =
+      engine.run(prog, Items{std::vector<Bytes>{tu::of_str("a")}});
   EXPECT_FALSE(first.warm_pool);
   EXPECT_FALSE(first.warm_buffers);
 
   // Same shape immediately after: resident threads, recycled mailboxes —
   // and the recycled rings must deliver the *new* payload.
-  const ExecReport second = engine.run(prog, {tu::of_str("b")});
+  const ExecReport second =
+      engine.run(prog, Items{std::vector<Bytes>{tu::of_str("b")}});
   EXPECT_TRUE(second.warm_pool);
   EXPECT_TRUE(second.warm_buffers);
   for (ProcId p = 0; p < params.P; ++p) {
@@ -419,7 +519,7 @@ TEST(Engine, ReportsWarmPoolAndWarmBuffersAcrossRuns) {
   const Params smaller{5, 4, 1, 2};
   const ExecReport third = engine.run(
       compile_broadcast(bcast::optimal_single_item(smaller)),
-      {tu::of_str("c")});
+      Items{std::vector<Bytes>{tu::of_str("c")}});
   EXPECT_TRUE(third.warm_pool);
   EXPECT_FALSE(third.warm_buffers);
 }
@@ -430,7 +530,7 @@ TEST(Engine, PrewarmMakesEvenTheFirstRunWarm) {
   engine.prewarm(params.P);
   const ExecReport report = engine.run(
       compile_broadcast(bcast::optimal_single_item(params)),
-      {tu::of_str("x")});
+      Items{std::vector<Bytes>{tu::of_str("x")}});
   EXPECT_TRUE(report.warm_pool);
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(tu::to_str(report.item_at(p, 0)), "x");
@@ -450,8 +550,8 @@ TEST(Engine, SharedEngineServesConcurrentCallersSafely) {
       for (int i = 0; i < 5; ++i) {
         const std::string payload =
             "caller-" + std::to_string(c) + "-" + std::to_string(i);
-        const ExecReport report =
-            Engine::shared().run(prog, {tu::of_str(payload)});
+        const ExecReport report = Engine::shared().run(
+            prog, Items{std::vector<Bytes>{tu::of_str(payload)}});
         for (ProcId p = 0; p < params.P; ++p) {
           if (tu::to_str(report.item_at(p, 0)) != payload) {
             failures.fetch_add(1);

@@ -60,7 +60,7 @@ TEST(ExecProperty, BroadcastDeliversEveryItemExactlyOnce) {
       payloads.push_back(std::move(b));
     }
 
-    const ExecReport report = engine().run(prog, payloads);
+    const ExecReport report = engine().run(prog, Items{payloads});
 
     // Every processor ends up holding every item, byte-exact.
     const auto P = static_cast<std::size_t>(s.params().P);
@@ -141,7 +141,8 @@ TEST(ExecProperty, SummationEqualsSequentialFoldInCombinationOrder) {
     }
 
     const Program prog = compile_summation(plan);
-    const ExecReport report = engine().run(prog, operands, tu::concat());
+    const ExecReport report =
+        engine().run(prog, Operands{operands, tu::concat()});
     EXPECT_EQ(tu::to_str(report.folded_at(plan.root)), expected);
 
     // Cross-check the commutative path against the reference executor.
@@ -153,7 +154,8 @@ TEST(ExecProperty, SummationEqualsSequentialFoldInCombinationOrder) {
       }
     }
     const ExecReport sums =
-        engine().run(compile_summation(plan), numbers, tu::add_u64());
+        engine().run(compile_summation(plan),
+                     Operands{numbers, tu::add_u64()});
     EXPECT_EQ(tu::to_u64(sums.folded_at(plan.root)),
               static_cast<std::uint64_t>(sum::execute_iota_sum(plan)));
   }

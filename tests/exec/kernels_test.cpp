@@ -222,9 +222,9 @@ TEST(EngineKernels, TypedReduceIsBitwiseIdenticalToGenericRun) {
         random_float_values(rng, params.P, 1024, t);
 
     const ExecReport generic_run =
-        engine.run(prog, values, generic_combine(spec));
+        engine.run(prog, FoldValues{values, generic_combine(spec)});
     const ExecReport typed_run =
-        engine.run(prog, values, Combiner(spec));
+        engine.run(prog, FoldValues{values, Combiner(spec)});
 
     // Same fold sequence, same per-element ops: bitwise equal, floats
     // included.
@@ -258,7 +258,7 @@ TEST(EngineKernels, TypedSummationMatchesSequentialSum) {
   }
 
   const Combiner typed{KernelSpec{Op::kSum, DType::kI64}};
-  const ExecReport report = engine.run(prog, operands, typed);
+  const ExecReport report = engine.run(prog, Operands{operands, typed});
   EXPECT_EQ(tu::to_u64(report.folded_at(plan.root)), expected);
   EXPECT_GT(report.kernel_folds, 0u);
   EXPECT_EQ(report.generic_folds, 0u);
@@ -294,7 +294,8 @@ TEST(EngineKernels, NonCommutativeSummationOrderSurvivesTheFastLane) {
         op_strings[proc_to_index[static_cast<std::size_t>(proc)]][idx];
   }
 
-  const ExecReport report = engine.run(prog, operands, Combiner(tu::concat()));
+  const ExecReport report =
+      engine.run(prog, Operands{operands, tu::concat()});
   EXPECT_EQ(tu::to_str(report.folded_at(plan.root)), expected);
   // Concatenation grows the accumulator, so no fold is ever size-matched
   // for the (absent) kernel: everything goes through the generic lane.
@@ -342,7 +343,7 @@ TEST(EngineKernels, FloatSumStaysWithinAccumulationBoundOfLeftFold) {
   }
 
   const Combiner typed{KernelSpec{Op::kSum, DType::kF64}};
-  const ExecReport report = engine.run(prog, operands, typed);
+  const ExecReport report = engine.run(prog, Operands{operands, typed});
   double got = 0.0;
   std::memcpy(&got, report.folded_at(plan.root).data(), sizeof got);
   const double n = static_cast<double>(plan.total_operands);
@@ -367,7 +368,8 @@ TEST(EngineOptions, MailboxOccupancyIsTrackedWithinCapacity) {
   }
 
   Engine tracked;
-  const ExecReport tracked_report = tracked.run(prog, values, tu::add_u64());
+  const ExecReport tracked_report =
+      tracked.run(prog, FoldValues{values, tu::add_u64()});
   EXPECT_EQ(tu::to_u64(tracked_report.folded_at(0)), total);
   EXPECT_GE(tracked_report.max_mailbox_occupancy, 1u);
   EXPECT_LE(tracked_report.max_mailbox_occupancy,
@@ -407,12 +409,14 @@ TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
     items.push_back(tu::of_str("itm" + std::to_string(i) + "-payload"));
   }
   Engine fast;
-  const ExecReport fast_run = fast.run(prog, items);
+  const ExecReport fast_run = fast.run(prog, Items{items});
 
-  Engine::Options opts;
-  opts.recovery.enabled = true;
-  Engine reliable(opts);
-  const ExecReport reliable_run = reliable.run(prog, items);
+  // An injector over an empty spec turns on acked delivery and injects
+  // nothing.
+  Engine reliable;
+  const fault::Injector no_faults(fault::FaultSpec{});
+  const ExecReport reliable_run =
+      reliable.run(prog, Items{items}, &no_faults);
 
   EXPECT_EQ(fast_run.items, reliable_run.items);
   for (ItemId i = 0; i < kItems; ++i) {

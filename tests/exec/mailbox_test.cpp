@@ -182,7 +182,9 @@ TEST(Mailbox, BulkAndSingleOperationsInterleave) {
     next += static_cast<ItemId>(accepted);
     if (round % 2 == 0) {
       Message m;
-      if (mb.try_pop(m)) EXPECT_EQ(m.item, want++);
+      if (mb.try_pop(m)) {
+        EXPECT_EQ(m.item, want++);
+      }
     } else {
       out.clear();
       const std::size_t n = mb.pop_bulk(out, 2);

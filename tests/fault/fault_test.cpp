@@ -31,6 +31,8 @@ namespace tu = exec::testutil;
 using exec::Bytes;
 using exec::Engine;
 using exec::ExecReport;
+using exec::Items;
+using exec::Operands;
 using runtime::PlanKey;
 using runtime::Planner;
 using runtime::Problem;
@@ -136,7 +138,8 @@ TEST(EngineFault, BroadcastSurvivesDropsWithExactlyOnceDelivery) {
   const fault::Injector inj(spec);
   Engine engine;
   const Bytes payload = tu::of_str("survives a lossy network");
-  const ExecReport report = engine.run(prog, {payload}, &inj);
+  const std::vector<Bytes> items{payload};
+  const ExecReport report = engine.run(prog, Items{items}, &inj);
 
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
@@ -168,9 +171,9 @@ TEST(EngineFault, SameSeedSameFaultEventLog) {
   spec.delay_ns = 50'000;
   const fault::Injector inj(spec);
   Engine engine;
-  const Bytes payload = tu::of_str("deterministic");
-  const ExecReport first = engine.run(prog, {payload}, &inj);
-  const ExecReport second = engine.run(prog, {payload}, &inj);
+  const std::vector<Bytes> items{tu::of_str("deterministic")};
+  const ExecReport first = engine.run(prog, Items{items}, &inj);
+  const ExecReport second = engine.run(prog, Items{items}, &inj);
   ASSERT_EQ(first.fault_events.size(), second.fault_events.size());
   for (std::size_t p = 0; p < first.fault_events.size(); ++p) {
     EXPECT_EQ(first.fault_events[p], second.fault_events[p]) << "P" << p;
@@ -188,7 +191,8 @@ TEST(EngineFault, SlowRankDegradesLatencyNotMembership) {
   const fault::Injector inj(spec);
   Engine engine;
   const Bytes payload = tu::of_str("slow but alive");
-  const ExecReport report = engine.run(prog, {payload}, &inj);  // no throw
+  const std::vector<Bytes> items{payload};
+  const ExecReport report = engine.run(prog, Items{items}, &inj);  // no throw
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload);
   }
@@ -207,7 +211,8 @@ TEST(EngineFault, DeadRankRaisesRankFailureNamingTheRank) {
   const fault::Injector inj(spec);
   Engine engine;
   try {
-    (void)engine.run(prog, {tu::of_str("x")}, &inj);
+    const std::vector<Bytes> items{tu::of_str("x")};
+    (void)engine.run(prog, Items{items}, &inj);
     FAIL() << "expected exec::RankFailure";
   } catch (const exec::RankFailure& failure) {
     EXPECT_EQ(failure.rank(), 4);
@@ -230,13 +235,14 @@ TEST(EngineFault, SummationUnderDropsKeepsNonCommutativeOrder) {
   }
 
   Engine engine;
-  const ExecReport clean = engine.run(prog, operands, tu::concat());
+  const ExecReport clean = engine.run(prog, Operands{operands, tu::concat()});
 
   fault::FaultSpec spec;
   spec.seed = env_seed();
   spec.drop_prob = 0.6;
   const fault::Injector inj(spec);
-  const ExecReport faulty = engine.run(prog, operands, tu::concat(), &inj);
+  const ExecReport faulty =
+      engine.run(prog, Operands{operands, tu::concat()}, &inj);
 
   // Retried deliveries must not perturb the plan's combination order: the
   // concatenation (associative, NOT commutative) must match the fault-free

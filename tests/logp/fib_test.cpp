@@ -150,7 +150,9 @@ TEST(SharedFib, AgreesWithAPrivateInstance) {
     for (Count P = 1; P <= 64; ++P) {
       EXPECT_EQ(shared_B_of_P(L, P), fib.B_of_P(P));
       EXPECT_EQ(shared_is_exact_P(L, P), fib.is_exact_P(P));
-      if (P >= 2) EXPECT_EQ(shared_k_star(L, P), fib.k_star(P));
+      if (P >= 2) {
+        EXPECT_EQ(shared_k_star(L, P), fib.k_star(P));
+      }
     }
   }
 }

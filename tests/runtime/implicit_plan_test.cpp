@@ -293,8 +293,9 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
       exec::compile_implicit(ImplicitPlan::build(bkey));
   const exec::Program via_ir =
       exec::compile_broadcast(bcast::optimal_single_item(m, /*root=*/3));
-  const exec::ExecReport ri = engine.run(via_implicit, {payload});
-  const exec::ExecReport rm = engine.run(via_ir, {payload});
+  const std::vector<exec::Bytes> items{payload};
+  const exec::ExecReport ri = engine.run(via_implicit, exec::Items{items});
+  const exec::ExecReport rm = engine.run(via_ir, exec::Items{items});
   ASSERT_EQ(ri.items.size(), rm.items.size());
   for (ProcId p = 0; p < m.P; ++p) {
     EXPECT_EQ(ri.item_at(p, 0), rm.item_at(p, 0));
@@ -314,10 +315,10 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
   const PlanKey rkey = PlanKey::reduce(m, /*root=*/5);
   const bcast::ReductionPlan rp = bcast::optimal_reduction(m, /*root=*/5);
   const exec::ExecReport fi =
-      engine.run(exec::compile_implicit(ImplicitPlan::build(rkey)), values,
-                 concat);
+      engine.run(exec::compile_implicit(ImplicitPlan::build(rkey)),
+                 exec::FoldValues{values, concat});
   const exec::ExecReport fm =
-      engine.run(exec::compile_reduction(rp), values, concat);
+      engine.run(exec::compile_reduction(rp), exec::FoldValues{values, concat});
   EXPECT_EQ(fi.folded_at(5), fm.folded_at(5));
   EXPECT_EQ(fi.folded_at(5).size(), static_cast<std::size_t>(m.P));
 }

@@ -42,9 +42,10 @@ TEST(PlanKey, NormalizesIrrelevantArguments) {
 }
 
 TEST(PlanKey, RejectsBadArguments) {
-  EXPECT_THROW(PlanKey::broadcast(Params{0, 1, 0, 1}), std::invalid_argument);
-  EXPECT_THROW(PlanKey::broadcast(kMachine, 16), std::invalid_argument);
-  EXPECT_THROW(PlanKey::kitem(kMachine, 0), std::invalid_argument);
+  EXPECT_THROW((void)PlanKey::broadcast(Params{0, 1, 0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)PlanKey::broadcast(kMachine, 16), std::invalid_argument);
+  EXPECT_THROW((void)PlanKey::kitem(kMachine, 0), std::invalid_argument);
 }
 
 TEST(PlanKey, MembershipMasksRequireSmallMachines) {

@@ -576,7 +576,9 @@ TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
 }
 
 TEST(SvcFusion, RankDeathFailsEveryFusedMemberConsistently) {
-  CollectiveService::Options opts;
+  // Value-initialized, so the optional fault spec's storage is zeroed
+  // before it is assigned.
+  auto opts = CollectiveService::Options();
   // Rank 3 never executes an instruction: the fused run's acked delivery
   // escalates to a death verdict and the whole batch must fail together —
   // same error, no orphaned futures.

@@ -154,7 +154,9 @@ TEST(SvcService, BroadcastRoundTripOnWarmPool) {
     // even the very first request dispatches onto resident threads.
     EXPECT_TRUE(r.report.warm_pool) << "round " << round;
     // From the second same-shape run on, the run context is recycled too.
-    if (round > 0) EXPECT_TRUE(r.report.warm_buffers) << "round " << round;
+    if (round > 0) {
+      EXPECT_TRUE(r.report.warm_buffers) << "round " << round;
+    }
     EXPECT_GT(r.total_ns, 0u);
     EXPECT_GE(r.total_ns, r.queue_wait_ns);
   }
