@@ -5,6 +5,10 @@
 /// the seven survivors — and report the wall time of each next to the
 /// recovery latency (detection + re-plan + degraded re-run).  Results
 /// land in BENCH_fault.json via the global JsonReport.
+///
+/// Gate: the bench exits 1 unless every rep ends as its scenario must —
+/// kOk fault-free and under drops, kRecovered on 7 survivors when rank 3
+/// dies.
 
 #include "bench_util.hpp"
 
@@ -34,15 +38,45 @@ exec::Bytes payload_of(std::size_t size) {
   return b;
 }
 
-/// Best-of-`reps` FT run (thread wakeup jitter dominates single runs).
-template <typename RunFn>
-api::FtRunResult best_of(int reps, const RunFn& run) {
-  api::FtRunResult best = run();
-  for (int i = 1; i < reps; ++i) {
-    api::FtRunResult r = run();
-    if (r.report.wall_ns < best.report.wall_ns) best = std::move(r);
+const char* status_name(api::RunStatus s) {
+  switch (s) {
+    case api::RunStatus::kOk: return "ok";
+    case api::RunStatus::kRecovered: return "recovered";
+    case api::RunStatus::kFailed: return "failed";
   }
-  return best;
+  return "?";
+}
+
+/// `reps` FT runs of one scenario.  `best` is the fastest rep that ended
+/// as `expected` demands (thread wakeup jitter dominates single runs), or
+/// the first rep when none did; every other ending is printed and fails
+/// the bench's gate.
+struct Scenario {
+  api::FtRunResult best;
+  int as_expected = 0;
+};
+
+template <typename RunFn, typename ExpectFn>
+Scenario run_reps(const char* name, int reps, const RunFn& run,
+                  const ExpectFn& expected) {
+  Scenario s;
+  for (int i = 0; i < reps; ++i) {
+    api::FtRunResult r = run();
+    const bool ok = expected(r);
+    if (!ok) {
+      std::cout << "fault: " << name << " rep " << i << " ended "
+                << status_name(r.status) << " on " << r.survivors.size()
+                << " survivors" << (r.error.empty() ? "" : ": " + r.error)
+                << "\n";
+      logpc::bench::gate_failed() = true;
+    }
+    if (i == 0 || (ok && (s.as_expected == 0 ||
+                          r.report.wall_ns < s.best.report.wall_ns))) {
+      s.best = std::move(r);
+    }
+    if (ok) ++s.as_expected;
+  }
+  return s;
 }
 
 void report() {
@@ -54,23 +88,35 @@ void report() {
   const std::span<const std::byte> view(payload);
   const std::uint64_t seed = env_seed();
 
-  Table t({"scenario", "status", "attempts", "wall (us)", "recovery (us)",
-           "retries", "survivors"});
+  Table t({"scenario", "status", "as expected", "attempts", "wall (us)",
+           "recovery (us)", "retries", "survivors"});
+  const auto row = [&t](const char* name, const Scenario& sc) {
+    const api::FtRunResult& r = sc.best;
+    t.row(name, status_name(r.status),
+          std::to_string(sc.as_expected) + "/" + std::to_string(kReps),
+          r.attempts, r.report.wall_ns / 1000, r.recovery_ns / 1000,
+          r.report.retries, r.survivors.size());
+  };
+  const auto completed = [](const api::FtRunResult& r) {
+    return r.status == api::RunStatus::kOk;
+  };
 
-  const api::FtRunResult clean =
-      best_of(kReps, [&] { return comm.run_broadcast_ft(view); });
-  t.row("fault-free", "ok", clean.attempts, clean.report.wall_ns / 1000, 0,
-        clean.report.retries, clean.survivors.size());
+  const Scenario clean_sc = run_reps(
+      "fault-free", kReps, [&] { return comm.run_broadcast_ft(view); },
+      completed);
+  const api::FtRunResult& clean = clean_sc.best;
+  row("fault-free", clean_sc);
 
   fault::FaultSpec lossy;
   lossy.seed = seed;
   lossy.drop_prob = 0.5;
   api::FtRunOptions lossy_opt;
   lossy_opt.faults = lossy;
-  const api::FtRunResult dropped =
-      best_of(kReps, [&] { return comm.run_broadcast_ft(view, 0, lossy_opt); });
-  t.row("drops p=0.5", "ok", dropped.attempts, dropped.report.wall_ns / 1000,
-        0, dropped.report.retries, dropped.survivors.size());
+  const Scenario dropped_sc = run_reps(
+      "drops p=0.5", kReps,
+      [&] { return comm.run_broadcast_ft(view, 0, lossy_opt); }, completed);
+  const api::FtRunResult& dropped = dropped_sc.best;
+  row("drops p=0.5", dropped_sc);
 
   fault::FaultSpec mortal;
   mortal.seed = seed;
@@ -78,14 +124,20 @@ void report() {
   mortal.dead_after_instrs = 0;
   api::FtRunOptions mortal_opt;
   mortal_opt.faults = mortal;
-  const api::FtRunResult killed =
-      best_of(kReps, [&] { return comm.run_broadcast_ft(view, 0, mortal_opt); });
-  t.row("rank 3 dies", killed.status == api::RunStatus::kRecovered ? "recovered"
-                                                                   : "failed",
-        killed.attempts, killed.report.wall_ns / 1000,
-        killed.recovery_ns / 1000, killed.report.retries,
-        killed.survivors.size());
+  const Scenario killed_sc = run_reps(
+      "rank 3 dies", kReps,
+      [&] { return comm.run_broadcast_ft(view, 0, mortal_opt); },
+      [&](const api::FtRunResult& r) {
+        return r.status == api::RunStatus::kRecovered &&
+               r.survivors.size() ==
+                   static_cast<std::size_t>(machine.P - 1);
+      });
+  const api::FtRunResult& killed = killed_sc.best;
+  row("rank 3 dies", killed_sc);
   t.print();
+  std::cout << "\nevery rep as expected (ok, ok, recovered on "
+            << machine.P - 1 << "): "
+            << (logpc::bench::gate_failed() ? "NO" : "yes") << "\n";
 
   std::cout << "\nrecovery = failure detection + re-plan over the survivors +\n"
                "degraded re-run; the broadcast tree is universal, so the\n"

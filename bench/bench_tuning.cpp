@@ -161,7 +161,7 @@ int run() {
   runtime::Planner& planner = *opts.planner;
   planner.set_decision_table(
       std::make_shared<const tune::DecisionTable>(report.table));
-  Params machine = opts.base;
+  Params machine = tune::kTuningMachine;
   machine.P = opts.Ps.back();
   const std::size_t probe_bytes = opts.sizes.back();
   const runtime::PlanKey plain_key = runtime::PlanKey::broadcast(machine);

@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
 
   svc::CollectiveService::Options opts;
   opts.pools = 2;
-  opts.start_paused = true;  // build a backlog first, so policy is visible
   opts.introspect_port = introspect_port;
   svc::CollectiveService service(machine, opts);
+  service.pause();  // build a backlog first, so policy is visible
 
   if (introspect_port >= 0) {
     std::cout << "introspect: listening on 127.0.0.1:"

@@ -28,7 +28,9 @@
 # the ratio.  bench_tuning gates the same way (tuned-vs-fixed and warm
 # plan_tuned overhead are same-machine ratios) and its decision-table
 # winners are diffed against bench/baselines/BENCH_tuning.json as a
-# non-blocking warning.
+# non-blocking warning.  bench_fault gates on outcomes, not timings: every
+# rep must end kOk fault-free and under drops, and kRecovered on the seven
+# survivors when rank 3 dies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +55,7 @@ echo "=== perf smoke: Release build ($BUILD/) ==="
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j "$JOBS" \
   --target bench_kernels bench_exec bench_service bench_loadgen \
-  bench_profile bench_plan_cache bench_tuning
+  bench_profile bench_plan_cache bench_tuning bench_fault
 
 # Every bench runs whatever an earlier one returned: a non-zero exit is
 # recorded, the rest still run, and the script fails at the end listing
@@ -113,6 +115,12 @@ run_gate "bench_plan_cache (million-rank smoke)" \
 # cache hit.  Also drops decision_table.snap next to the json — the
 # artifact a deploy would install via Planner::set_decision_table.
 run_gate "bench_tuning (auto-tuner acceptance)" "./$BUILD/bench/bench_tuning"
+
+# Fault-tolerant broadcast, fault-free / lossy / one rank killed.  Gates
+# (exit non-zero) when any rep ends with the wrong RunStatus or survivor
+# count; the wall times are recorded in BENCH_fault.json only.
+run_gate bench_fault \
+  "./$BUILD/bench/bench_fault" --benchmark_filter='^$' 2>/dev/null
 
 # report_and_exit: prints the failed gates (if any) and exits accordingly.
 report_and_exit() {

@@ -141,6 +141,10 @@ Time Communicator::allreduce_time() const {
 }
 
 namespace {
+
+/// Rank deaths run_broadcast_ft survives; the next one ends it kFailed.
+constexpr std::size_t kMaxRecoveries = 2;
+
 exec::Engine& engine_or_shared(exec::Engine* engine) {
   return engine != nullptr ? *engine : exec::Engine::shared();
 }
@@ -235,7 +239,7 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
   if (root < 0 || root >= params_.P) {
     throw std::invalid_argument("Communicator::run_broadcast_ft: bad root");
   }
-  exec::Engine engine(options.engine);
+  exec::Engine engine;
   // The injector is what turns on acked delivery and failure detection; an
   // empty spec injects nothing and runs the protocol alone.
   fault::FaultSpec spec = options.faults.value_or(fault::FaultSpec{});
@@ -288,10 +292,10 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
         res.error = "recovery requires P <= 64 (membership mask is one word)";
         return res;
       }
-      if (static_cast<int>(res.failed_ranks.size()) > options.max_recoveries) {
+      if (res.failed_ranks.size() > kMaxRecoveries) {
         res.status = RunStatus::kFailed;
         res.error = "recovery budget exhausted (" +
-                    std::to_string(options.max_recoveries) +
+                    std::to_string(kMaxRecoveries) +
                     " re-plans): " + failure.what();
         return res;
       }

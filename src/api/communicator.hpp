@@ -26,7 +26,7 @@
 /// the canonical (problem, P, L, o, g, k, root) signature, so repeated and
 /// concurrent requests for the same collective reuse one construction.
 /// By default all Communicator instances share one process-wide Planner;
-/// pass your own to isolate or size its cache.
+/// pass your own to isolate its cache.
 
 namespace logpc::api {
 
@@ -54,12 +54,6 @@ struct FtRunOptions {
   /// Faults to inject (deterministic in FaultSpec::seed); nullopt runs
   /// fault-free but still under acked delivery + failure detection.
   std::optional<fault::FaultSpec> faults;
-  /// Rank deaths to survive before giving up (kFailed past this).
-  int max_recoveries = 2;
-  /// Engine knobs for the run.  Acked delivery is always on: the run passes
-  /// the engine a fault::Injector, over an empty spec when `faults` is
-  /// nullopt.
-  exec::Engine::Options engine;
 };
 
 /// Outcome of a fault-tolerant run.  `report` processor i is physical rank
@@ -209,9 +203,9 @@ class Communicator {
   /// for a fresh optimal schedule over the survivors — the key gains a
   /// membership mask, the 𝔅 tree is universal so the degraded plan is
   /// itself optimal — and re-running until the collective completes or the
-  /// recovery budget is spent.  Requires P <= 64 to recover (the mask is
-  /// one machine word); a dead root is unrecoverable by construction.
-  /// Builds a private engine from `options.engine`, so a deliberately
+  /// recovery budget (two rank deaths) is spent.  Requires P <= 64 to recover
+  /// (the mask is one machine word); a dead root is unrecoverable by
+  /// construction.  Builds a private default engine, so a deliberately
   /// killed rank never poisons the shared pool.
   [[nodiscard]] FtRunResult run_broadcast_ft(
       std::span<const std::byte> payload, ProcId root = 0,

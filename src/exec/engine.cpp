@@ -22,6 +22,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Acked-delivery timings (runs with a fault::Injector).  The first
+// retransmit waits kAckTimeout; each later wait doubles, kMaxRetries
+// times, up to kMaxBackoff, then the cadence stays there until the ack
+// lands.  A peer whose heartbeat has not moved for kSuspectAfter while
+// someone is blocked on it is declared dead.
+constexpr std::chrono::microseconds kAckTimeout{200};
+constexpr std::int64_t kBackoffFactor = 2;
+constexpr std::chrono::microseconds kMaxBackoff{5000};
+constexpr int kMaxRetries = 6;
+constexpr std::chrono::milliseconds kSuspectAfter{25};
+
 std::uint64_t ns_since(Clock::time_point epoch) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -137,7 +148,6 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   }
 
   const bool reliable = injector != nullptr;
-  const Recovery& rec = opts_.recovery;
   const KernelFn kernel = op != nullptr ? op->kernel() : nullptr;
 
   // Serialize runs on this engine *before* starting the watchdog clock:
@@ -257,7 +267,6 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
       start + std::chrono::milliseconds(opts_.timeout_ms);
-  const auto suspect_after = std::chrono::milliseconds(rec.suspect_after_ms);
 
   auto worker = [&](int wi) {
     const auto p = static_cast<std::size_t>(wi);
@@ -274,7 +283,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
 
     // Liveness watch on one peer: last observed heartbeat + when it last
     // moved.  suspect() accuses the peer dead once the heartbeat has been
-    // frozen for suspect_after_ms of blocked waiting.
+    // frozen for kSuspectAfter of blocked waiting.
     struct Watch {
       std::uint64_t hb;
       Clock::time_point changed;
@@ -294,7 +303,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
         w.changed = now;
         return false;
       }
-      if (now - w.changed < suspect_after) return false;
+      if (now - w.changed < kSuspectAfter) return false;
       failure.fail_rank(
           peer, "exec::Engine: rank " + std::to_string(peer) +
                     " declared dead (heartbeat frozen while P" +
@@ -357,8 +366,8 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
     };
 
     // Sender side of acked delivery: drain cumulative acks; once the ack
-    // timeout lapses, retransmit with exponential backoff (max_retries
-    // ramp steps, then a steady max_backoff cadence) until the ack lands
+    // timeout lapses, retransmit with exponential backoff (kMaxRetries
+    // ramp steps, then a steady kMaxBackoff cadence) until the ack lands
     // or the heartbeat detector / watchdog ends the wait.
     auto await_ack = [&](ProcId peer, std::size_t link, const Message& m,
                          SpscMailbox& mb) -> bool {
@@ -369,10 +378,9 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
         return acked[link] >= m.seq;
       };
       Watch watch = watch_of(peer);
-      auto backoff = std::chrono::microseconds(rec.ack_timeout_us);
-      const auto max_backoff = std::chrono::microseconds(rec.max_backoff_us);
+      std::chrono::microseconds backoff = kAckTimeout;
       Clock::time_point next_retx = Clock::now() + backoff;
-      int retries_left = rec.max_retries;
+      int retries_left = kMaxRetries;
       Waiter w;
       while (!drained()) {
         beat();
@@ -390,8 +398,8 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
             // that was busy on another link while the exponential ramp
             // ran out may still drop the queued copies, and a sender
             // that stops resending would deadlock the pair until the
-            // watchdog.  max_retries bounds the backoff RAMP; past it
-            // the cadence stays at max_backoff until the ack lands, the
+            // watchdog.  kMaxRetries bounds the backoff RAMP; past it
+            // the cadence stays at kMaxBackoff until the ack lands, the
             // peer is declared dead, or the deadline fires.
             backoffs_ns[p].push_back(static_cast<double>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
@@ -401,10 +409,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
             if (mb.try_push(m)) ++retries[p];
             if (retries_left > 0) {
               --retries_left;
-              backoff = std::min(backoff * static_cast<std::int64_t>(
-                                               std::max<std::uint64_t>(
-                                                   rec.backoff_factor, 1)),
-                                 max_backoff);
+              backoff = std::min(backoff * kBackoffFactor, kMaxBackoff);
             }
             next_retx = now + backoff;
           }

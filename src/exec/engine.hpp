@@ -54,8 +54,8 @@
 /// runs the protocol alone.  Messages carry per-link sequence numbers,
 /// receivers acknowledge acceptance on a reverse ring, senders retransmit
 /// after a timeout with exponential backoff, and receivers discard
-/// retransmitted duplicates exactly-once.  A rank whose heartbeat freezes
-/// while a peer waits on it past the retry budget is declared dead: the run
+/// retransmitted duplicates exactly-once.  A rank whose heartbeat stays
+/// frozen for 25 ms while a peer waits on it is declared dead: the run
 /// aborts with RankFailure naming the rank, all workers are signalled,
 /// joined at the epoch barrier, and every mailbox is drained before the
 /// error returns — api::Communicator::run_broadcast_ft catches it and
@@ -81,9 +81,9 @@ struct ExecEvent {
 };
 
 /// Thrown by Engine::run when the failure detector declares a rank dead:
-/// a peer waited past the retry budget while the rank's heartbeat stayed
-/// frozen.  The recovery layer excludes rank() and re-plans; everyone else
-/// treats it as the runtime_error it is.
+/// a peer waited on the rank while its heartbeat stayed frozen.  The
+/// recovery layer excludes rank() and re-plans; everyone else treats it as
+/// the runtime_error it is.
 class RankFailure : public std::runtime_error {
  public:
   RankFailure(ProcId rank, const std::string& what)
@@ -191,27 +191,16 @@ using Inputs = std::variant<Payload, Items, FoldValues, Operands>;
 
 class Engine {
  public:
-  /// Knobs of the acked-delivery protocol, which runs exactly when a
-  /// fault::Injector is passed to run().  Defaults suit the fault tests:
-  /// sub-millisecond retransmits, tens of milliseconds to a death verdict.
-  struct Recovery {
-    std::uint64_t ack_timeout_us = 200;  ///< first retransmit after this
-    std::uint64_t backoff_factor = 2;    ///< exponential retransmit backoff
-    std::uint64_t max_backoff_us = 5000;
-    int max_retries = 6;  ///< exponential-ramp steps; then steady cadence
-    /// A peer whose heartbeat has not moved for this long — while someone
-    /// is blocked on it — is declared dead.
-    std::uint64_t suspect_after_ms = 25;
-  };
-
   /// Every mailbox holds the model's capacity ceil(L/g) and records its
-  /// high-water mark (ExecReport::max_mailbox_occupancy).
+  /// high-water mark (ExecReport::max_mailbox_occupancy).  The acked-
+  /// delivery protocol's timings are constants in engine.cpp, sized for
+  /// the fault tests: sub-millisecond retransmits, tens of milliseconds to
+  /// a death verdict.
   struct Options {
     /// Abort a run whose blocking wait exceeds this (a plan or engine bug
     /// must fail loudly, not hang the pool).  The clock starts when the
     /// run is dispatched, not while it queues behind another run.
     std::uint64_t timeout_ms = 20000;
-    Recovery recovery;
   };
 
   Engine() = default;
@@ -237,18 +226,14 @@ class Engine {
   /// dispatch (not from when it started queueing).  Options are fixed at
   /// construction and immutable afterwards — there is deliberately no
   /// setter, so a run never observes a torn options struct and the shared
-  /// engine always carries the defaults.  Callers needing different knobs
-  /// (recovery, timeout) construct their own Engine;
-  /// svc::CollectiveService does exactly that, one per pool.
+  /// engine always carries the defaults.  A caller needing a different
+  /// timeout constructs its own Engine.
   static Engine& shared();
 
   /// Pre-spawns `procs` worker threads so the first real run dispatches
   /// warm (ExecReport::warm_pool).  A service brings its pools up with
   /// this before opening admission.
   void prewarm(int procs);
-
-  /// The immutable options this engine was constructed with.
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   [[nodiscard]] ThreadPool& pool() { return pool_; }
 

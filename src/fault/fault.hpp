@@ -63,9 +63,10 @@ struct FaultSpec {
 
   /// Each delivery attempt is discarded in transit with probability
   /// `drop_prob`, up to `max_drops_per_message` consecutive discards of one
-  /// message (the bound keeps every run terminating; the engine's retry
-  /// budget must exceed it — Engine::Options::Recovery::max_retries does by
-  /// default).
+  /// message.  The bound keeps every run terminating: the engine
+  /// retransmits until the ack lands (at a steady cadence once its backoff
+  /// ramp ends), so the first attempt past the bound gets through unless
+  /// the peer is declared dead or the watchdog fires first.
   double drop_prob = 0.0;
   int max_drops_per_message = 3;
 
@@ -80,12 +81,6 @@ struct FaultSpec {
   /// every other rank.  kNoProc disables.
   ProcId dead_rank = kNoProc;
   std::size_t dead_after_instrs = 0;
-
-  /// True iff any knob is set (the engine skips all fault hooks otherwise).
-  [[nodiscard]] bool any() const {
-    return delay_prob > 0.0 || drop_prob > 0.0 ||
-           (!slow_ranks.empty() && slow_stall_ns > 0) || dead_rank != kNoProc;
-  }
 };
 
 /// Rewrites `spec` for a program on one fewer rank: `removed` (in the

@@ -21,6 +21,10 @@ namespace logpc::runtime {
 
 namespace {
 
+/// Every planner's plan cache: entry budget and lock shards.
+constexpr std::size_t kCacheCapacity = 4096;
+constexpr std::size_t kCacheShards = 8;
+
 /// The per-problem build-latency histogram — registry lookup per call is
 /// fine here: this runs once per cache miss, next to a schedule build.
 obs::Histogram& build_latency_hist(Problem problem) {
@@ -69,22 +73,8 @@ Time port_schedule_completion(const Params& params) {
 
 }  // namespace
 
-Planner::Planner(Options options)
-    : options_(validated(options)),
-      cache_(options_.cache_capacity, options_.cache_shards) {
+Planner::Planner() : cache_(kCacheCapacity, kCacheShards) {
   register_metrics();
-}
-
-Planner::Options Planner::validated(const Options& options) {
-  if (options.cache_capacity < 1) {
-    throw std::invalid_argument(
-        "Planner: cache_capacity must be >= 1 (an uncacheable planner "
-        "would rebuild every plan; use build_uncached directly instead)");
-  }
-  if (options.cache_shards < 1) {
-    throw std::invalid_argument("Planner: cache_shards must be >= 1");
-  }
-  return options;
 }
 
 void Planner::register_metrics() {

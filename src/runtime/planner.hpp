@@ -41,13 +41,8 @@ namespace logpc::runtime {
 
 class Planner {
  public:
-  struct Options {
-    std::size_t cache_capacity = 4096;
-    std::size_t cache_shards = 8;
-  };
-
-  Planner() : Planner(Options{}) {}
-  explicit Planner(Options options);
+  /// A planner caches up to 4096 plans over 8 shards.
+  Planner();
   ~Planner();
   Planner(const Planner&) = delete;
   Planner& operator=(const Planner&) = delete;
@@ -118,15 +113,8 @@ class Planner {
   [[nodiscard]] int telemetry_id() const { return telemetry_id_; }
 
  private:
-  /// Rejects degenerate Options (zero capacity or shards) with
-  /// std::invalid_argument instead of silently misbehaving; returns the
-  /// options unchanged so the constructor can validate before any member
-  /// that consumes them is built.
-  static Options validated(const Options& options);
-
   void register_metrics();
 
-  Options options_;
   PlanCache cache_;
   std::atomic<std::uint64_t> builds_{0};
   std::mutex inflight_mu_;

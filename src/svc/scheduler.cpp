@@ -1,6 +1,7 @@
 #include "svc/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace logpc::svc {
@@ -27,9 +28,16 @@ const Scheduler::Tenant& Scheduler::at(TenantId tenant) const {
 }
 
 TenantId Scheduler::add_tenant(TenantConfig cfg) {
+  // A NaN rate or burst would never compare below a token and so turn the
+  // limit off silently; a negative one has no meaning.
+  if (!std::isfinite(cfg.rate_per_sec) || cfg.rate_per_sec < 0 ||
+      !std::isfinite(cfg.burst) || cfg.burst < 0) {
+    throw std::invalid_argument(
+        "svc::Scheduler: rate_per_sec and burst must be finite and >= 0");
+  }
   cfg.weight = std::max<std::uint32_t>(cfg.weight, 1);
   cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
-  if (cfg.rate_per_sec > 0 && cfg.burst <= 0) {
+  if (cfg.rate_per_sec > 0 && cfg.burst == 0) {
     cfg.burst = std::max(1.0, cfg.rate_per_sec);
   }
   Tenant t;

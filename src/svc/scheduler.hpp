@@ -55,9 +55,11 @@ struct TenantConfig {
   std::string name;                ///< metric label (escaped on export)
   std::uint32_t weight = 1;        ///< fair-share weight, >= 1
   std::size_t queue_capacity = 64; ///< bound over all QoS classes
-  /// Token-bucket rate limit in requests/second; 0 = unlimited.
+  /// Token-bucket rate limit in requests/second; 0 = unlimited.  Must be
+  /// finite and >= 0.
   double rate_per_sec = 0;
-  /// Bucket depth (burst allowance); 0 = max(1, rate_per_sec).
+  /// Bucket depth (burst allowance); 0 = max(1, rate_per_sec).  Must be
+  /// finite and >= 0.
   double burst = 0;
 };
 
@@ -75,7 +77,9 @@ class Scheduler {
   /// Stride numerator: pass advances by kStrideUnit / weight per dispatch.
   static constexpr std::uint64_t kStrideUnit = 1u << 20;
 
-  /// Registers a tenant; weight and capacity are clamped to >= 1.
+  /// Registers a tenant; weight and capacity are clamped to >= 1.  Throws
+  /// std::invalid_argument, registering nothing, for a negative or
+  /// non-finite rate_per_sec or burst.
   TenantId add_tenant(TenantConfig cfg);
 
   /// Admission: charges the rate bucket (at `now_sec`, any monotonic

@@ -12,6 +12,20 @@ namespace logpc::svc {
 
 namespace {
 
+/// Requests per fused batch, at most.
+constexpr std::size_t kMaxFusionBatch = 32;
+static_assert(kMaxFusionBatch >= 2, "a 1-request batch is no fusion");
+
+/// Which QoS classes fuse.  Interactive runs solo — under load a held
+/// window is added latency, and the class exists for latency; batch and
+/// best-effort fuse.
+constexpr bool kFuseQoS[kQoSClasses] = {false, true, true};
+
+/// Flight recorder: profiles retained, and the |residual| above which a
+/// run is flagged as an anomaly.
+constexpr std::size_t kFlightRecorderCapacity = 64;
+constexpr double kResidualThreshold = 0.5;
+
 std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
                          std::chrono::steady_clock::time_point b) {
   return static_cast<std::uint64_t>(
@@ -51,12 +65,6 @@ CollectiveService::Options validated(const CollectiveService::Options& o) {
     throw std::invalid_argument(
         "CollectiveService: pools must be in [1, 64]");
   }
-  if (o.fusion_window_us > 0 && o.max_fusion_batch < 2) {
-    throw std::invalid_argument(
-        "CollectiveService: max_fusion_batch must be >= 2 while fusion is "
-        "on (a 1-request batch is no fusion; use fusion_window_us = 0 to "
-        "disable fusion instead)");
-  }
   // pool_loop computes Clock::now() + fusion_window_us.  Capping the
   // window at half the clock's range leaves the other half for now(), so
   // the deadline never overflows (signed overflow is UB).
@@ -77,14 +85,6 @@ CollectiveService::Options validated(const CollectiveService::Options& o) {
         "CollectiveService: segmentation needs segment_bytes >= 1 and "
         "max_segments >= 2 (use segment_threshold = 0 to disable it)");
   }
-  if (o.flight_recorder_capacity == 0) {
-    throw std::invalid_argument(
-        "CollectiveService: flight_recorder_capacity must be >= 1");
-  }
-  if (!(o.residual_threshold >= 0)) {  // also rejects NaN
-    throw std::invalid_argument(
-        "CollectiveService: residual_threshold must be >= 0");
-  }
   if (o.introspect_port > 65535) {
     throw std::invalid_argument(
         "CollectiveService: introspect_port must be <= 65535");
@@ -99,11 +99,9 @@ CollectiveService::CollectiveService(Params params, Options options,
     : params_(params),
       opts_(validated(options)),
       comm_(params, std::move(planner)),
-      recorder_(obs::FlightRecorder::Options{
-          options.flight_recorder_capacity, options.residual_threshold,
-          nullptr}) {
+      recorder_(obs::FlightRecorder::Options{kFlightRecorderCapacity,
+                                             kResidualThreshold, nullptr}) {
   params_.require_valid();
-  paused_ = opts_.start_paused;
   {
     auto& reg = obs::MetricsRegistry::global();
     inflight_gauge_ = &reg.gauge("logpc_svc_inflight",
@@ -115,8 +113,8 @@ CollectiveService::CollectiveService(Params params, Options options,
   pools_.reserve(static_cast<std::size_t>(opts_.pools));
   for (int i = 0; i < opts_.pools; ++i) {
     Pool pool;
-    pool.engine = std::make_unique<exec::Engine>(opts_.engine);
-    if (opts_.prewarm) pool.engine->prewarm(params_.P);
+    pool.engine = std::make_unique<exec::Engine>();
+    pool.engine->prewarm(params_.P);
     pools_.push_back(std::move(pool));
   }
   // Engines first, dispatcher threads second: a pool thread may pick work
@@ -263,7 +261,7 @@ SubmitResult CollectiveService::submit(TenantId tenant, Request request) {
 
 void CollectiveService::claim_siblings(
     const FusionKey& key, std::vector<std::unique_ptr<Pending>>& batch) {
-  if (batch.size() >= opts_.max_fusion_batch) return;
+  if (batch.size() >= kMaxFusionBatch) return;
   std::vector<std::uint64_t> handles;
   for (const auto& [handle, pending] : queued_reqs_) {
     if (pending->fkey.has_value() && *pending->fkey == key) {
@@ -274,7 +272,7 @@ void CollectiveService::claim_siblings(
   // order — the fan-out (Response::fused_index) stays deterministic.
   std::sort(handles.begin(), handles.end());
   for (const std::uint64_t handle : handles) {
-    if (batch.size() >= opts_.max_fusion_batch) break;
+    if (batch.size() >= kMaxFusionBatch) break;
     const auto it = queued_reqs_.find(handle);
     if (!sched_.take(it->second->tenant, it->second->req.qos, handle)) {
       continue;  // defensive: scheduler and request map out of sync
@@ -312,7 +310,7 @@ void CollectiveService::pool_loop(int pool_index) {
       const Pending& lead = *batch.front();
       const bool fuse =
           opts_.fusion_window_us > 0 && lead.fkey.has_value() &&
-          opts_.fuse_qos[static_cast<std::size_t>(lead.req.qos)];
+          kFuseQoS[static_cast<std::size_t>(lead.req.qos)];
       if (fuse) {
         claim_siblings(*lead.fkey, batch);
         const auto deadline =
@@ -330,7 +328,7 @@ void CollectiveService::pool_loop(int pool_index) {
                   inflight_.load(std::memory_order_relaxed) ==
                       static_cast<std::int64_t>(batch.size()));
         };
-        while (!stopping_ && batch.size() < opts_.max_fusion_batch &&
+        while (!stopping_ && batch.size() < kMaxFusionBatch &&
                !dispatch_now()) {
           if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
             claim_siblings(*lead.fkey, batch);

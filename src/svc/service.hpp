@@ -48,11 +48,12 @@
 ///     the op ──> one Engine::run on the pool's warm engine ──> promise
 ///     fulfilled, future resolves with the Response.
 ///
-/// High-throughput path (svc/fusion.hpp): after picking a request whose
-/// QoS class opts in, the pool coalesces every queued same-shape request —
-/// any tenant — into one engine run over concatenated buffers, fanning the
-/// result back out per member; plan lookup, RunContext reuse and worker
-/// wakeups are paid once per batch.  It holds a short fusion window
+/// High-throughput path (svc/fusion.hpp): after picking a batch or
+/// best-effort request (interactive requests always run solo), the pool
+/// coalesces up to 32 queued same-shape requests — any tenant — into one
+/// engine run over concatenated buffers, fanning the result back out per
+/// member; plan lookup, RunContext reuse and worker wakeups are paid once
+/// per batch.  It holds a short fusion window
 /// (Options::fusion_window_us) for late siblings only while other work is
 /// queued or in flight: a lone request in an otherwise idle service
 /// dispatches at once.  Broadcast payloads at or above
@@ -80,7 +81,8 @@
 ///
 /// Observability of the daemon itself: every successful run is profiled
 /// (obs::analyze — causal DAG, critical path, component decomposition,
-/// model residual) into a bounded obs::FlightRecorder, the resulting
+/// model residual) into an obs::FlightRecorder that keeps the last 64
+/// profiles and flags |residual| > 0.5 as an anomaly, the resulting
 /// RunProfile rides on the Response, and an opt-in HTTP introspection
 /// server (Options::introspect_port, svc/introspect.hpp) serves /metrics,
 /// /healthz, /statusz and /tracez from the live service.
@@ -97,35 +99,22 @@ class CollectiveService {
  public:
   /// Service configuration, validated at construction: the constructor
   /// throws std::invalid_argument for pools outside [1, 64], a fusion
-  /// window whose deadline overflows the clock, a fusion batch limit
-  /// below 2 while fusion is on, a segmentation policy that
+  /// window whose deadline overflows the clock, a segmentation policy that
   /// can never split (segment_bytes == 0 or max_segments < 2 with a
-  /// non-zero threshold), a zero flight-recorder capacity, a negative or
-  /// NaN residual threshold, or a port above 65535 — never clamps
-  /// silently.
+  /// non-zero threshold), or a port above 65535 — never clamps silently.
+  /// Everything else is fixed: every pool runs a default exec::Engine
+  /// whose worker threads are spawned before admission opens, so even the
+  /// first request dispatches warm.
   struct Options {
     /// Persistent engine pools.  Each pool is one exec::Engine (P worker
     /// threads + warm run context) plus one dispatcher thread; requests
     /// across pools run concurrently, requests on one pool serialize.
     int pools = 2;
-    /// Spawn every pool's worker threads before admission opens, so even
-    /// the first request dispatches warm.
-    bool prewarm = true;
-    /// Start with dispatch paused (admission still open) — operational
-    /// lever for staged bring-up; also what the policy tests use to build
-    /// a backlog deterministically.
-    bool start_paused = false;
-    /// Engine knobs shared by every pool.
-    exec::Engine::Options engine;
     /// Profile every successful run (obs::analyze) into the flight
     /// recorder and onto Response::profile.  On by default: the analyzer
     /// walks the event log once, and bench_profile guards its warm-path
     /// cost at < 5%.
     bool profile = true;
-    /// Flight-recorder knobs (capacity of retained profiles, |residual|
-    /// anomaly threshold).
-    std::size_t flight_recorder_capacity = 64;
-    double residual_threshold = 0.5;
     /// HTTP introspection endpoint: port to serve /metrics, /healthz,
     /// /statusz and /tracez on.  Negative = disabled (the default);
     /// 0 = bind an ephemeral port (read it back via introspect_port()).
@@ -136,21 +125,16 @@ class CollectiveService {
     std::string introspect_bind = "127.0.0.1";
 
     // --- high-throughput path (svc/fusion.hpp) -------------------------
-    /// Fusion window: after picking a fusible request, the pool coalesces
-    /// every queued same-shape request into the dispatch and keeps the
-    /// batch open up to this long for more to arrive.  The window is cut
-    /// short when the batch fills, at shutdown, and when nothing else is
-    /// queued while the batch is either already amortized (>= 2 members)
-    /// or the only work in flight anywhere in the service — the service
-    /// then sees no sign of a sibling.  0 disables fusion entirely; values
-    /// whose deadline would overflow the steady clock are rejected.
+    /// Fusion window: after picking a fusible request (batch or
+    /// best-effort class), the pool coalesces queued same-shape requests
+    /// into the dispatch, 32 at most, and keeps the batch open up to this
+    /// long for more to arrive.  The window is cut short when the batch
+    /// fills, at shutdown, and when nothing else is queued while the batch
+    /// is either already amortized (>= 2 members) or the only work in
+    /// flight anywhere in the service — the service then sees no sign of a
+    /// sibling.  0 disables fusion entirely; values whose deadline would
+    /// overflow the steady clock are rejected.
     std::uint64_t fusion_window_us = 200;
-    /// Per-class opt-out.  Interactive defaults to unfused — under load a
-    /// held window is added latency, and the class exists for latency;
-    /// batch and best-effort default to fused.
-    bool fuse_qos[kQoSClasses] = {false, true, true};
-    /// Requests per fused batch, at most.
-    std::size_t max_fusion_batch = 32;
     /// Broadcast payloads at/above this split into the Section 3 k-item
     /// segmented pipeline; 0 disables segmentation.
     std::size_t segment_threshold = 256 * 1024;
@@ -176,6 +160,8 @@ class CollectiveService {
   CollectiveService& operator=(const CollectiveService&) = delete;
 
   /// Registers a tenant.  Thread-safe; may be called while serving.
+  /// Throws std::invalid_argument (registering nothing, not even a metric
+  /// label) for a negative or non-finite rate_per_sec or burst.
   TenantId register_tenant(TenantConfig config);
 
   /// Admission: synchronous verdict plus (on kOk) a future for the
@@ -184,7 +170,9 @@ class CollectiveService {
   SubmitResult submit(TenantId tenant, Request request);
 
   /// Dispatch gate: pause() holds queued work (admission stays open),
-  /// resume() releases it.  Draining shutdown overrides a pause.
+  /// resume() releases it.  Draining shutdown overrides a pause.  Called
+  /// before the first submit(), pause() builds a backlog
+  /// deterministically — staged bring-up, and what the policy tests use.
   void pause();
   void resume();
 
@@ -298,7 +286,7 @@ class CollectiveService {
       const std::vector<std::unique_ptr<Pending>>& batch, exec::Engine& engine,
       int pool_index);
   /// Moves every queued request matching `key` into `batch` (admission
-  /// order, up to max_fusion_batch), charging each claim through
+  /// order, up to the fusion batch cap), charging each claim through
   /// Scheduler::take.  Call under mu_.
   void claim_siblings(const FusionKey& key,
                       std::vector<std::unique_ptr<Pending>>& batch);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/engine.hpp"
 #include "exec/program.hpp"
 
 namespace logpc::tune {
@@ -12,6 +13,15 @@ namespace {
 
 using runtime::PlanKey;
 using runtime::Problem;
+
+/// The segmented-pipeline candidate always splits, into
+/// clamp(ceil(bytes / kSegmentBytes), kMinSegments, kMaxSegments) segments.
+constexpr std::size_t kSegmentBytes = 64 * 1024;
+constexpr std::int64_t kMinSegments = 2;
+constexpr std::int64_t kMaxSegments = 16;
+
+/// Cross-cluster link class of the hierarchical candidate (P ignored).
+constexpr Params kCrossLinks{2, 16, 2, 8};
 
 /// One compiled candidate ready to time.
 struct Candidate {
@@ -49,35 +59,31 @@ std::vector<Candidate> build_candidates(const TunerOptions& opts,
   add("optimal", Problem::kBroadcast,
       exec::compile_plan(*planner.plan(PlanKey::broadcast(machine)),
                          "bcast"));
-  if (opts.include_trees) {
-    for (const Problem p :
-         {Problem::kBinomialBroadcast, Problem::kBinaryBroadcast,
-          Problem::kChainBroadcast}) {
-      add(std::string(runtime::problem_name(p)), p,
-          exec::compile_plan(*planner.plan(runtime::PlanKey::make(p, machine)),
-                             "bcast"));
-    }
+  for (const Problem p : {Problem::kBinomialBroadcast,
+                          Problem::kBinaryBroadcast, Problem::kChainBroadcast}) {
+    add(std::string(runtime::problem_name(p)), p,
+        exec::compile_plan(*planner.plan(runtime::PlanKey::make(p, machine)),
+                           "bcast"));
   }
   if (opts.clusters > 1 && opts.clusters < machine.P) {
     const HierParams topo =
-        HierParams::uniform(machine.P, opts.clusters, machine, opts.cross);
+        HierParams::uniform(machine.P, opts.clusters, machine, kCrossLinks);
     Candidate c;
     c.name = "hierarchical(c=" + std::to_string(opts.clusters) + ")";
     c.problem = Problem::kHierarchicalBroadcast;
     c.clusters = opts.clusters;
-    c.cross_L = opts.cross.L;
-    c.cross_o = opts.cross.o;
-    c.cross_g = opts.cross.g;
+    c.cross_L = kCrossLinks.L;
+    c.cross_o = kCrossLinks.o;
+    c.cross_g = kCrossLinks.g;
     c.program = exec::compile_plan(*planner.plan(PlanKey::hierarchical(topo)),
                                    "bcast-hier");
     out.push_back(std::move(c));
   }
-  if (opts.include_segmented && bytes > 0) {
-    const auto raw = static_cast<std::int64_t>(
-        (bytes + opts.segment_bytes - 1) / std::max<std::size_t>(
-                                               opts.segment_bytes, 1));
-    const std::int32_t k = static_cast<std::int32_t>(std::clamp<std::int64_t>(
-        raw, opts.min_segments, opts.max_segments));
+  if (bytes > 0) {
+    const auto raw =
+        static_cast<std::int64_t>((bytes + kSegmentBytes - 1) / kSegmentBytes);
+    const auto k = static_cast<std::int32_t>(
+        std::clamp<std::int64_t>(raw, kMinSegments, kMaxSegments));
     add("segmented(k=" + std::to_string(k) + ")", Problem::kKItemBroadcast,
         exec::compile_plan(
             *planner.plan(PlanKey::segmented_broadcast(machine, k)),
@@ -99,20 +105,15 @@ TuneReport auto_tune(const TunerOptions& opts) {
   if (opts.trials < 1) {
     throw std::invalid_argument("auto_tune: trials must be >= 1");
   }
-  if (opts.include_segmented &&
-      (opts.segment_bytes < 1 || opts.min_segments < 2 ||
-       opts.max_segments < opts.min_segments)) {
-    throw std::invalid_argument("auto_tune: ill-formed segmented policy");
-  }
 
   const std::shared_ptr<runtime::Planner> planner =
       opts.planner ? opts.planner : runtime::Planner::shared_default();
-  exec::Engine engine(opts.engine);
+  exec::Engine engine;
   engine.prewarm(*std::max_element(opts.Ps.begin(), opts.Ps.end()));
 
   TuneReport report;
   for (const int P : opts.Ps) {
-    Params machine = opts.base;
+    Params machine = kTuningMachine;
     machine.P = P;
     machine.require_valid();
     for (const std::size_t bytes : opts.sizes) {
@@ -166,9 +167,9 @@ TuneReport auto_tune(const TunerOptions& opts) {
       if (seg.timings.size() > 1) d.runner_up_ns = seg.timings[1].median_ns;
       if (best.problem == Problem::kHierarchicalBroadcast) {
         d.clusters = best.clusters;
-        d.cross_L = opts.cross.L;
-        d.cross_o = opts.cross.o;
-        d.cross_g = opts.cross.g;
+        d.cross_L = kCrossLinks.L;
+        d.cross_o = kCrossLinks.o;
+        d.cross_g = kCrossLinks.g;
       }
       seg.winner = d;
       report.table.set(

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
 #include "logp/hier.hpp"
 #include "runtime/planner.hpp"
 #include "tune/decision_table.hpp"
@@ -20,16 +19,22 @@
 /// (where the segmented pipeline overtakes the bulk tree, where tree
 /// shape stops mattering) are cheaper to measure than to model.
 ///
-/// Candidates per segment: the paper-optimal Theorem 2.1 tree, the
-/// binomial / binary / chain baselines, the two-level hierarchical
-/// schedule (when a topology is configured), and the Section 3 segmented
-/// k-item pipeline (as a *fixed* policy: always split, so it prices its
-/// per-segment overhead honestly at small payloads instead of silently
-/// degenerating to the bulk tree).  Trials are interleaved across
-/// candidates round-robin — the same de-drifting the telemetry-overhead
-/// bench uses — and scored by median wall time.
+/// Candidates per segment, a fixed set: the paper-optimal Theorem 2.1
+/// tree, the binomial / binary / chain baselines, the two-level
+/// hierarchical schedule (when `clusters` asks for it, with cross-cluster
+/// links {L = 16, o = 2, g = 8}), and the Section 3 segmented k-item
+/// pipeline (always split, into clamp(ceil(bytes / 64 KiB), 2, 16)
+/// segments, so it prices its per-segment overhead honestly at small
+/// payloads instead of silently degenerating to the bulk tree).  Trials
+/// are interleaved across candidates round-robin — the same de-drifting
+/// the telemetry-overhead bench uses — and scored by median wall time.
 
 namespace logpc::tune {
+
+/// The planning machine every candidate schedule is built on, P replaced
+/// by the grid point's.  Only the schedule *shape* depends on it; timings
+/// come from the engine.
+inline constexpr Params kTuningMachine{2, 4, 1, 2};
 
 struct TunerOptions {
   /// Machine sizes to tune.  Every P must be >= 2.
@@ -37,25 +42,11 @@ struct TunerOptions {
   /// Representative payload bytes per size segment (each lands in its
   /// size_class_of bucket; one decision is recorded per distinct class).
   std::vector<std::size_t> sizes{256, 4096, 65536, 262144};
-  /// Planning-machine shape (P overwritten per grid point).  Only the
-  /// schedule *shape* depends on it; timings come from the engine.
-  Params base{2, 4, 1, 2};
-  bool include_trees = true;  ///< binomial, binary, chain candidates
-  /// Segmented-pipeline candidate: always splits into
-  /// clamp(ceil(bytes / segment_bytes), min_segments, max_segments)
-  /// segments.
-  bool include_segmented = true;
-  std::size_t segment_bytes = 64 * 1024;
-  std::int32_t min_segments = 2;
-  std::int32_t max_segments = 16;
   /// > 1 adds the hierarchical candidate with this many uniform clusters
   /// (skipped at grid points where clusters >= P).
   std::int32_t clusters = 0;
-  /// Cross-cluster link class of the hierarchical candidate (P ignored).
-  Params cross{2, 16, 2, 8};
   int trials = 5;  ///< timed rounds per candidate (median scored)
   int warmup = 1;  ///< untimed rounds per candidate
-  exec::Engine::Options engine;
   /// Planner to resolve candidate plans through (warms its cache as a side
   /// effect); nullptr uses runtime::Planner::shared_default().
   std::shared_ptr<runtime::Planner> planner;

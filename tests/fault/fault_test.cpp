@@ -110,8 +110,6 @@ TEST(Injector, SlowAndDeadKnobs) {
   EXPECT_TRUE(inj.dies_at(3, 2));
   EXPECT_TRUE(inj.dies_at(3, 7));
   EXPECT_FALSE(inj.dies_at(2, 7));
-  EXPECT_TRUE(spec.any());
-  EXPECT_FALSE(fault::FaultSpec{}.any());
 }
 
 TEST(RemapWithout, ShiftsRanksAboveTheRemovedOne) {

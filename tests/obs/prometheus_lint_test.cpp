@@ -169,9 +169,9 @@ TEST(PrometheusLint, ThroughputSeriesExposedAndLintClean) {
   // values and every line must match the 0.0.4 grammar.
   svc::CollectiveService::Options opts;
   opts.pools = 1;
-  opts.start_paused = true;
   opts.introspect_port = 0;
   svc::CollectiveService svc(Params{4, 4, 1, 2}, opts);
+  svc.pause();
   const svc::TenantId t = svc.register_tenant({.name = "fused-lint"});
   const std::string payload = "fused-lint-data";
   const auto* p = reinterpret_cast<const std::byte*>(payload.data());

@@ -130,21 +130,5 @@ TEST(HierPlanner, SnapshotRoundTripsHierarchicalPlans) {
   EXPECT_EQ(restored->method, original->method);
 }
 
-TEST(PlannerOptions, RejectsDegenerateConfiguration) {
-  Planner::Options zero_capacity;
-  zero_capacity.cache_capacity = 0;
-  EXPECT_THROW(Planner{zero_capacity}, std::invalid_argument);
-
-  Planner::Options zero_shards;
-  zero_shards.cache_shards = 0;
-  EXPECT_THROW(Planner{zero_shards}, std::invalid_argument);
-
-  // The smallest legal configuration constructs.
-  Planner::Options minimal;
-  minimal.cache_capacity = 1;
-  minimal.cache_shards = 1;
-  EXPECT_NO_THROW(Planner{minimal});
-}
-
 }  // namespace
 }  // namespace logpc::runtime

@@ -17,8 +17,8 @@
 /// The high-throughput path: fusion batching and the Section 3 segmented
 /// pipeline.  The load-bearing property throughout is *byte-exactness* —
 /// a request must not be able to tell whether it ran alone, fused into a
-/// batch, or split into segments.  Policy tests build their backlog under
-/// start_paused with one pool, so batch composition is deterministic.
+/// batch, or split into segments.  Policy tests build their backlog on a
+/// paused service with one pool, so batch composition is deterministic.
 
 namespace logpc::svc {
 namespace {
@@ -102,9 +102,9 @@ std::vector<Response> run_backlog(CollectiveService::Options opts,
                                   std::vector<Request> reqs,
                                   CollectiveService** out_svc = nullptr) {
   opts.pools = 1;
-  opts.start_paused = true;
   static std::vector<std::unique_ptr<CollectiveService>> keep_alive;
   auto svc = std::make_unique<CollectiveService>(machine(), opts);
+  svc->pause();
   const TenantId t = svc->register_tenant({.name = "fusion-backlog",
                                            .queue_capacity = 64});
   std::vector<std::future<Response>> futures;
@@ -276,8 +276,8 @@ TEST(SvcFusion, PausedBacklogFusesIntoOneExactRun) {
 TEST(SvcFusion, CrossTenantSameShapeRequestsFuse) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.start_paused = true;
   CollectiveService svc(machine(), opts);
+  svc.pause();
   const TenantId a = svc.register_tenant({.name = "fusion-a"});
   const TenantId b = svc.register_tenant({.name = "fusion-b"});
   std::vector<std::future<Response>> futures;
@@ -321,6 +321,52 @@ TEST(SvcFusion, InteractiveClassOptsOutByDefault) {
     ASSERT_EQ(r.status, Status::kOk) << r.error;
     EXPECT_EQ(r.fused, 1u) << "interactive must run unfused by default";
   }
+}
+
+TEST(SvcFusion, BatchCapIs32AndBestEffortFuses) {
+  // 40 same-shape batch broadcasts and 4 same-shape best-effort ones
+  // (a different size, so the two classes never share a key).  Batch
+  // outranks best-effort: the batch backlog dispatches first as 32 + 8,
+  // then the best-effort backlog as one run of 4.
+  CollectiveService::Options opts;
+  CollectiveService* svc = nullptr;
+  std::vector<Request> reqs;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 40; ++i) {
+    payloads.push_back("cap-" + std::string(i < 10 ? "0" : "") +
+                       std::to_string(i));
+    reqs.push_back(bcast_req(payloads.back()));
+  }
+  for (int i = 0; i < 4; ++i) {
+    payloads.push_back("best-effort-" + std::to_string(i));
+    reqs.push_back(bcast_req(payloads.back(), QoS::kBestEffort));
+  }
+  const std::vector<Response> rs = run_backlog(opts, std::move(reqs), &svc);
+  ASSERT_EQ(rs.size(), 44u);
+  std::set<std::uint32_t> first, second, best_effort;
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    const Response& r = rs[i];
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    for (ProcId p = 0; p < machine().P; ++p) {
+      EXPECT_EQ(to_str(r.report.item_at(p, 0)), payloads[i]) << "request " << i;
+    }
+    if (i < 32) {
+      EXPECT_EQ(r.fused, 32u) << "request " << i;
+      first.insert(r.fused_index);
+    } else if (i < 40) {
+      EXPECT_EQ(r.fused, 8u) << "request " << i;
+      second.insert(r.fused_index);
+    } else {
+      EXPECT_EQ(r.fused, 4u) << "request " << i;
+      best_effort.insert(r.fused_index);
+    }
+  }
+  EXPECT_EQ(first.size(), 32u);
+  EXPECT_EQ(second.size(), 8u);
+  EXPECT_EQ(best_effort.size(), 4u);
+  const auto st = svc->status();
+  EXPECT_EQ(st.fused_batches, 3u);
+  EXPECT_EQ(st.fused_requests, 44u);
 }
 
 // ----------------------------------------- service: bitwise exactness
@@ -514,11 +560,11 @@ HeldWindow open_held_window(CollectiveService& svc, TenantId t,
 TEST(SvcFusion, DrainShutdownMidWindowFulfillsEveryPromiseExactlyOnce) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.start_paused = true;
   // Far longer than the test: the shutdown below, not the deadline, has
   // to end the window.
   opts.fusion_window_us = 2'000'000;
   CollectiveService svc(machine(), opts);
+  svc.pause();
   const TenantId t = svc.register_tenant({.name = "fusion-drain"});
   // The pool picks the fusible lead and sits in its open window (a
   // singleton batch is not yet amortized, and the queued best-effort
@@ -550,12 +596,12 @@ TEST(SvcFusion, DrainShutdownMidWindowFulfillsEveryPromiseExactlyOnce) {
 TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.start_paused = true;
   // Long enough for the late arrival below to land inside it even on a
   // slow sanitizer build; the queued best-effort request keeps the window
   // open to its deadline, so the test waits it out once.
   opts.fusion_window_us = 500'000;
   CollectiveService svc(machine(), opts);
+  svc.pause();
   const TenantId t = svc.register_tenant({.name = "fusion-late"});
   HeldWindow w = open_held_window(svc, t, "window-a");
   ASSERT_TRUE(w.lead.accepted());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -124,6 +125,30 @@ TEST(SvcScheduler, BurstDefaultsToRate) {
   Scheduler s;
   const TenantId a = s.add_tenant({.name = "a", .rate_per_sec = 3.0});
   EXPECT_EQ(s.config(a).burst, 3.0);
+}
+
+TEST(SvcScheduler, RejectsNonFiniteOrNegativeRateLimits) {
+  // A NaN burst would keep the bucket at NaN, which never compares below
+  // one token: every submit would be admitted.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Scheduler s;
+  EXPECT_THROW(s.add_tenant({.name = "a", .rate_per_sec = 1.0, .burst = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(s.add_tenant({.name = "b", .rate_per_sec = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(s.add_tenant({.name = "c", .rate_per_sec = -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(s.add_tenant({.name = "d", .rate_per_sec = 1.0, .burst = -2.0}),
+               std::invalid_argument);
+  EXPECT_THROW(s.add_tenant({.name = "e", .rate_per_sec = inf}),
+               std::invalid_argument);
+  EXPECT_THROW(s.add_tenant({.name = "f", .rate_per_sec = 1.0, .burst = inf}),
+               std::invalid_argument);
+  // Nothing was registered; the next valid tenant gets id 0.
+  EXPECT_EQ(s.tenant_count(), 0u);
+  EXPECT_EQ(s.add_tenant({.name = "ok", .rate_per_sec = 1.0, .burst = 1.0}),
+            0);
 }
 
 TEST(SvcScheduler, IdleTenantCannotHoardCredit) {

@@ -172,10 +172,6 @@ TEST(AutoTune, RejectsIllFormedGrids) {
   TunerOptions no_trials;
   no_trials.trials = 0;
   EXPECT_THROW((void)auto_tune(no_trials), std::invalid_argument);
-
-  TunerOptions bad_seg;
-  bad_seg.min_segments = 1;
-  EXPECT_THROW((void)auto_tune(bad_seg), std::invalid_argument);
 }
 
 TEST(AutoTune, TinyGridProducesADecisionPerSegment) {
