@@ -6,7 +6,8 @@
 /// pass, measured via Planner::build_uncached); warm = the same requests
 /// served from the sharded LRU cache.  The acceptance bar is a >= 50x warm
 /// speedup at every thread count (exit 1 otherwise); typical results are
-/// orders of magnitude beyond it.
+/// orders of magnitude beyond it.  A snapshot of the grid must also reload
+/// into the producer's plans and replay with zero builds (exit 1 otherwise).
 
 #include "bench_util.hpp"
 
@@ -184,22 +185,42 @@ void report() {
                 {"overhead_pct", overhead_pct}});
   }
 
-  // Snapshot round-trip sanity: a serving process starting from the saved
-  // cache plans without a single build.
+  // Snapshot round trip: the snapshot holds the grid's keys only; loading
+  // rebuilds every plan, after which replaying the grid builds nothing and
+  // every loaded plan is the producer's.  Failing either fails the bench.
   Planner producer;
   (void)runtime::warmup(producer, keys, 4);
   std::stringstream snap;
   const std::size_t saved = runtime::save_snapshot(producer.cache(), snap);
+  const std::size_t snapshot_bytes = snap.str().size();
   Planner consumer;
+  const auto load_start = Clock::now();
   (void)runtime::load_snapshot(consumer.cache(), snap);
+  const double load_secs = seconds_since(load_start);
   const double replay_secs = run_pass(consumer, keys, 1);
-  std::cout << "\nsnapshot: " << saved << " plans saved; hot-started replay"
-            << " of the grid took " << replay_secs * 1e3 << " ms with "
-            << consumer.builds() << " builds (expect 0)\n";
+  std::size_t mismatched = 0;
+  for (const PlanKey& key : keys) {
+    const runtime::PlanPtr want = producer.plan(key);
+    const runtime::PlanPtr got = consumer.plan(key);
+    if (runtime::plan_schedule(*got) != runtime::plan_schedule(*want) ||
+        got->completion != want->completion || got->method != want->method) {
+      ++mismatched;
+    }
+  }
+  const bool snapshot_ok = consumer.builds() == 0 && mismatched == 0;
+  std::cout << "\nsnapshot: " << saved << " keys in " << snapshot_bytes
+            << " B, loaded (rebuilt) in " << load_secs * 1e3
+            << " ms; hot-started replay of the grid took "
+            << replay_secs * 1e3 << " ms with " << consumer.builds()
+            << " builds and " << mismatched << " plans unlike the producer's ("
+            << logpc::bench::ok(snapshot_ok) << ": 0 and 0)\n";
   json.entry("snapshot_replay", {},
              {{"plans_saved", static_cast<double>(saved)},
+              {"snapshot_bytes", static_cast<double>(snapshot_bytes)},
+              {"load_ms", load_secs * 1e3},
               {"replay_ms", replay_secs * 1e3},
-              {"replay_builds", static_cast<double>(consumer.builds())}});
+              {"replay_builds", static_cast<double>(consumer.builds())},
+              {"mismatched_plans", static_cast<double>(mismatched)}});
 
   // ---- implicit vs materialized build latency (single-item broadcast) ---
   // The large-P acceptance bar: the planner's build (the O(log P)
@@ -319,7 +340,7 @@ void report() {
   if (!gate_ok) {
     std::cout << "bench_plan_cache: implicit-plan acceptance gate FAILED\n";
   }
-  if (!warm_ok || !telemetry_ok || !gate_ok) std::exit(1);
+  if (!warm_ok || !telemetry_ok || !snapshot_ok || !gate_ok) std::exit(1);
 }
 
 void BM_ColdPlan(benchmark::State& state) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, then the runtime concurrency
-# tests again under ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs +
-# runtime suites under ASan/UBSan (-DLOGPC_SANITIZE=address,undefined).
+# tests again under ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs,
+# runtime and parser suites under ASan/UBSan
+# (-DLOGPC_SANITIZE=address,undefined).
 #
 #   scripts/verify.sh            # all three passes
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
@@ -79,7 +80,7 @@ fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo
-  echo "=== asan/ubsan: obs + runtime tests (build-asan/) ==="
+  echo "=== asan/ubsan: obs + runtime + parser tests (build-asan/) ==="
   cmake -B build-asan -S . -DLOGPC_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_obs_metrics test_obs_trace test_obs_chrome \
@@ -90,7 +91,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint \
              test_hier test_hierarchical test_hier_plan test_measure \
-             test_tuner
+             test_tuner test_io
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -117,6 +118,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_hier_plan
   ./build-asan/tests/test_measure
   ./build-asan/tests/test_tuner
+  # The three parsers of outside input (plan snapshots, decision tables,
+  # text schedules) each run a truncation/bit-flip mutation corpus; with
+  # test_snapshot and test_tuner above, test_io puts all three under ASan.
+  ./build-asan/tests/test_io
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault
   done

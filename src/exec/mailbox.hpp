@@ -84,20 +84,6 @@ class SpscRing {
     return true;
   }
 
-  /// Producer side, bulk: pushes up to `n` items from `v`, publishing them
-  /// with one release store.  Returns how many were accepted (0 when
-  /// full); the acquire/release pair is paid once for the whole batch.
-  std::size_t try_push_bulk(const T* v, std::size_t n) {
-    const std::size_t t = tail_.load(std::memory_order_relaxed);
-    const std::size_t used = t - head_.load(std::memory_order_acquire);
-    const std::size_t m = std::min(n, cap_ - used);
-    if (m == 0) return 0;
-    for (std::size_t i = 0; i < m; ++i) slots_[(t + i) % cap_] = v[i];
-    tail_.store(t + m, std::memory_order_release);
-    note_occupancy(used + m);
-    return m;
-  }
-
   /// Consumer side.  False when empty.
   bool try_pop(T& out) {
     const std::size_t h = head_.load(std::memory_order_relaxed);

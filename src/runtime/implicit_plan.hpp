@@ -194,8 +194,9 @@ class ImplicitPlan {
 /// key's form describes its compact survivor machine; `completion` and
 /// `method` come from that form and `materialized` is false.  This is the
 /// only representation an implicit-capable key ever takes:
-/// Planner::build_uncached and load_snapshot both return exactly this, so a
-/// built plan and a loaded one are the same plan whatever P is.
+/// Planner::build_uncached returns exactly this, and load_snapshot rebuilds
+/// through it, so a built plan and a loaded one are the same plan whatever
+/// P is.
 [[nodiscard]] std::optional<Plan> implicit_only_plan(const PlanKey& key);
 
 /// The plan's schedule whatever its representation: a copy of

@@ -15,8 +15,8 @@
 /// The sharded, thread-safe LRU cache at the heart of the planning runtime.
 /// Values are immutable `shared_ptr<const Plan>`: a hit hands back the same
 /// plan every concurrent reader holds, eviction never invalidates a plan a
-/// caller still uses, and snapshots (snapshot.hpp) serialize entries
-/// without copying schedules.
+/// caller still uses, and snapshots (snapshot.hpp) store only each
+/// entry's key, rebuilding the plan on load.
 ///
 /// Sharding: a key's hash picks one of N independent shards, each with its
 /// own mutex, hash map, and LRU list, so concurrent planners on different

@@ -7,21 +7,22 @@
 #include "runtime/plan_cache.hpp"
 
 /// \file snapshot.hpp
-/// Binary plan-cache snapshots: persist every cached plan so a serving
+/// Plan-cache snapshots: persist the key of every cached plan so a serving
 /// process can start hot — save on shutdown (or from a cron'd warmer), load
-/// before taking traffic, then warm only the difference.
+/// before taking traffic, then warm only the difference.  Loading builds
+/// every plan; the request path then builds none.
 ///
-/// Format: header "logpc-plansnap v4\n" — the only version read or
-/// written; any other header is rejected — a 64-bit entry count, then per
-/// entry the canonical key (membership mask and topology words included),
-/// the scalar metadata, and, for materialized plans, the schedule in the
-/// sched/io binary form.  Loading re-canonicalizes each key through
-/// PlanKey::make and structurally validates each stored schedule.  A key
-/// with an implicit form is then rebuilt from the key alone
-/// (runtime::implicit_only_plan), discarding whatever was stored for it —
-/// so snapshots from writers that materialized small plans still load, as
-/// implicit-only plans.  A corrupt or stale snapshot throws instead of
-/// poisoning the cache.
+/// Every plan is a deterministic function of its canonical key, so a
+/// snapshot stores keys only.  Format: header "logpc-plansnap v5\n" (the
+/// only version read or written; any other header is rejected), an i64
+/// entry count, per entry the twelve canonical key fields (problem, P, L,
+/// o, g, k, root, membership mask, clusters, cross L/o/g), then a 64-bit
+/// FNV-1a checksum over every byte after the header.  Loading range-checks
+/// every field, verifies the checksum, requires each key to be its own
+/// PlanKey::make canonical form, and only then rebuilds each plan with
+/// Planner::build_uncached — so a loaded plan is always the one its key
+/// names, and a corrupt or stale snapshot throws instead of poisoning the
+/// cache.
 
 namespace logpc::runtime {
 
@@ -33,9 +34,10 @@ std::size_t save_snapshot(const PlanCache& cache, std::ostream& os);
 /// the file cannot be written.
 std::size_t save_snapshot(const PlanCache& cache, const std::string& path);
 
-/// Inserts every snapshot entry into `cache` (in stream order; entries
-/// beyond capacity evict per LRU as usual).  Returns the number of plans
-/// loaded.  Throws std::invalid_argument on malformed input.
+/// Rebuilds every snapshot entry and inserts it into `cache` (in stream
+/// order; entries beyond capacity evict per LRU as usual).  Returns the
+/// number of plans loaded.  Throws std::invalid_argument on malformed
+/// input, leaving `cache` untouched.
 std::size_t load_snapshot(PlanCache& cache, std::istream& is);
 
 /// Convenience: load_snapshot from a file.  Throws std::runtime_error when

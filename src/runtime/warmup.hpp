@@ -8,8 +8,9 @@
 /// \file warmup.hpp
 /// Cache precompute: fill a Planner for a parameter grid before traffic
 /// arrives, on a small std::thread pool.  A serving process typically
-/// either warms a grid at startup or loads a snapshot (snapshot.hpp) and
-/// warms the difference.  The planner's in-flight dedup makes warmup safe
+/// either warms a grid at startup or loads a snapshot (snapshot.hpp: the
+/// saved keys, rebuilt one by one on the loading thread) and warms the
+/// difference.  The planner's in-flight dedup makes warmup safe
 /// to run concurrently with live requests — a request for a key being
 /// warmed simply waits for that one build.
 

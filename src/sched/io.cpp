@@ -118,107 +118,4 @@ Schedule schedule_from_text(const std::string& text) {
   return read_text(is);
 }
 
-namespace {
-
-constexpr char kBinaryMagic[] = "LPSB1\n";
-constexpr std::size_t kBinaryMagicLen = 6;
-
-[[noreturn]] void fail_binary(const std::string& what) {
-  throw std::invalid_argument("schedule binary: " + what);
-}
-
-void put_i64(std::ostream& os, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((u >> (8 * i)) & 0xff);
-  }
-  os.write(bytes, 8);
-}
-
-std::int64_t get_i64(std::istream& is) {
-  char bytes[8];
-  if (!is.read(bytes, 8)) fail_binary("truncated input");
-  std::uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) {
-    u |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return static_cast<std::int64_t>(u);
-}
-
-std::size_t get_count(std::istream& is, const char* what) {
-  const std::int64_t n = get_i64(is);
-  if (n < 0) fail_binary(std::string("negative ") + what + " count");
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
-
-void write_binary(std::ostream& os, const Schedule& s) {
-  os.write(kBinaryMagic, kBinaryMagicLen);
-  put_i64(os, s.params().P);
-  put_i64(os, s.params().L);
-  put_i64(os, s.params().o);
-  put_i64(os, s.params().g);
-  put_i64(os, s.num_items());
-  put_i64(os, static_cast<std::int64_t>(s.initials().size()));
-  for (const auto& init : s.initials()) {
-    put_i64(os, init.item);
-    put_i64(os, init.proc);
-    put_i64(os, init.time);
-  }
-  put_i64(os, static_cast<std::int64_t>(s.sends().size()));
-  for (const auto& op : s.sends()) {
-    put_i64(os, op.start);
-    put_i64(os, op.from);
-    put_i64(os, op.to);
-    put_i64(os, op.item);
-    put_i64(os, op.recv_start);
-  }
-}
-
-Schedule read_binary(std::istream& is) {
-  char magic[kBinaryMagicLen];
-  if (!is.read(magic, kBinaryMagicLen) ||
-      std::string(magic, kBinaryMagicLen) !=
-          std::string(kBinaryMagic, kBinaryMagicLen)) {
-    fail_binary("bad magic");
-  }
-  Params params;
-  params.P = static_cast<int>(get_i64(is));
-  params.L = get_i64(is);
-  params.o = get_i64(is);
-  params.g = get_i64(is);
-  if (!params.valid()) fail_binary("invalid LogP parameters");
-  const auto num_items = static_cast<int>(get_i64(is));
-  if (num_items < 1) fail_binary("item count must be >= 1");
-  Schedule s(params, num_items);
-  auto check_proc = [&](std::int64_t p) {
-    if (p < 0 || p >= params.P) fail_binary("processor id out of range");
-    return static_cast<ProcId>(p);
-  };
-  auto check_item = [&](std::int64_t i) {
-    if (i < 0 || i >= num_items) fail_binary("item id out of range");
-    return static_cast<ItemId>(i);
-  };
-  const std::size_t n_init = get_count(is, "initial");
-  for (std::size_t i = 0; i < n_init; ++i) {
-    const ItemId item = check_item(get_i64(is));
-    const ProcId proc = check_proc(get_i64(is));
-    s.add_initial(item, proc, get_i64(is));
-  }
-  const std::size_t n_sends = get_count(is, "send");
-  for (std::size_t i = 0; i < n_sends; ++i) {
-    SendOp op;
-    op.start = get_i64(is);
-    op.from = check_proc(get_i64(is));
-    op.to = check_proc(get_i64(is));
-    op.item = check_item(get_i64(is));
-    op.recv_start = get_i64(is);
-    s.add_send(op);
-  }
-  return s;
-}
-
 }  // namespace logpc

@@ -8,7 +8,8 @@
 /// \file io.hpp
 /// Plain-text schedule serialization: stable, versioned, diff-friendly.
 /// Lets schedules be archived, inspected, or replayed by external tools
-/// (and round-tripped in tests).
+/// (and round-tripped in tests).  It is the only schedule format: plan
+/// snapshots store keys and rebuild (runtime/snapshot.hpp).
 ///
 /// Format (one record per line, '#' comments ignored):
 ///
@@ -29,17 +30,5 @@ void write_text(std::ostream& os, const Schedule& s);
 /// run validate::check for the LogP rules.
 [[nodiscard]] Schedule schedule_from_text(const std::string& text);
 [[nodiscard]] Schedule read_text(std::istream& is);
-
-/// --- binary form --------------------------------------------------------
-/// Compact serialization for bulk archives — the runtime's plan-cache
-/// snapshots (src/runtime/snapshot.*) embed one of these per cached plan.
-/// Layout: magic "LPSB1\n", then little-endian 64-bit fields: params
-/// (P, L, o, g), item count, initial count + records, send count + records
-/// (recv_start keeps the kNever sentinel).  Endian-stable across machines.
-///
-/// read_binary applies the same structural validation as the text reader
-/// and throws std::invalid_argument on malformed or truncated input.
-void write_binary(std::ostream& os, const Schedule& s);
-[[nodiscard]] Schedule read_binary(std::istream& is);
 
 }  // namespace logpc

@@ -3,6 +3,7 @@
 #include <bit>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 namespace logpc::tune {
 
@@ -40,6 +41,25 @@ std::int64_t get_i64(std::istream& is) {
   return static_cast<std::int64_t>(u);
 }
 
+/// The families auto_tune can record; tuned_key can serve exactly these.
+bool is_tunable(runtime::Problem p) {
+  using runtime::Problem;
+  return p == Problem::kBroadcast || p == Problem::kBinomialBroadcast ||
+         p == Problem::kBinaryBroadcast || p == Problem::kChainBroadcast ||
+         p == Problem::kHierarchicalBroadcast ||
+         p == Problem::kKItemBroadcast;
+}
+
+/// A median the i64 wire form round-trips exactly (NaN fails both tests).
+bool is_timing(double ns) { return ns >= 0 && ns < 0x1p63; }
+
+/// A stored i64 that must fit `T` before it is narrowed.
+template <typename T>
+T narrow(std::int64_t v, const char* field) {
+  if (!std::in_range<T>(v)) fail(std::string(field) + " out of range");
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 std::string_view collective_name(Collective c) {
@@ -71,20 +91,29 @@ void DecisionTable::set(const DecisionKey& key, const Decision& decision) {
     throw std::invalid_argument(
         "DecisionTable: size_class outside [0, 63]");
   }
-  if (static_cast<int>(decision.problem) >= runtime::kNumProblems) {
-    throw std::invalid_argument("DecisionTable: unknown problem");
+  if (!is_tunable(decision.problem)) {
+    throw std::invalid_argument(
+        "DecisionTable: winner is not a broadcast family the tuner records");
   }
-  if (decision.segments < 1) {
-    throw std::invalid_argument("DecisionTable: segments must be >= 1");
+  const bool segmented =
+      decision.problem == runtime::Problem::kKItemBroadcast;
+  if (segmented ? decision.segments < 2 : decision.segments != 1) {
+    throw std::invalid_argument(
+        "DecisionTable: segments must be >= 2 for the segmented pipeline "
+        "and 1 for every other family");
   }
-  if (decision.win_ns < 0 || decision.runner_up_ns < 0) {
-    throw std::invalid_argument("DecisionTable: negative timing");
+  if (!is_timing(decision.win_ns) || !is_timing(decision.runner_up_ns)) {
+    throw std::invalid_argument("DecisionTable: timing outside [0, 2^63) ns");
   }
   const bool hier =
       decision.problem == runtime::Problem::kHierarchicalBroadcast;
-  if (hier && (decision.clusters < 2 || decision.clusters > key.P)) {
+  const Params cross{decision.clusters, decision.cross_L, decision.cross_o,
+                     decision.cross_g};
+  if (hier && (decision.clusters < 2 || decision.clusters > key.P ||
+               !cross.valid())) {
     throw std::invalid_argument(
-        "DecisionTable: hierarchical winner needs clusters in [2, P]");
+        "DecisionTable: hierarchical winner needs clusters in [2, P] and a "
+        "valid cross-cluster machine");
   }
   if (!hier && (decision.clusters != 0 || decision.cross_L != 0 ||
                 decision.cross_o != 0 || decision.cross_g != 0)) {
@@ -179,16 +208,16 @@ DecisionTable DecisionTable::load(std::istream& is) {
       fail("unknown collective");
     }
     key.collective = static_cast<Collective>(collective);
-    key.P = static_cast<int>(get_i64(is));
-    key.size_class = static_cast<int>(get_i64(is));
+    key.P = narrow<int>(get_i64(is), "P");
+    key.size_class = narrow<int>(get_i64(is), "size class");
     Decision d;
     const std::int64_t problem = get_i64(is);
     if (problem < 0 || problem >= runtime::kNumProblems) {
       fail("unknown problem id");
     }
     d.problem = static_cast<runtime::Problem>(problem);
-    d.segments = static_cast<std::int32_t>(get_i64(is));
-    d.clusters = static_cast<std::int32_t>(get_i64(is));
+    d.segments = narrow<std::int32_t>(get_i64(is), "segments");
+    d.clusters = narrow<std::int32_t>(get_i64(is), "clusters");
     d.cross_L = get_i64(is);
     d.cross_o = get_i64(is);
     d.cross_g = get_i64(is);

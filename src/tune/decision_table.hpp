@@ -25,9 +25,11 @@
 ///
 /// The table is immutable once built (build it, then share it as a
 /// shared_ptr<const DecisionTable>; runtime::Planner consumes it that
-/// way), and persists through the same binary snapshot idiom as the plan
-/// cache (runtime/snapshot.cpp): little-endian i64 fields behind a
-/// versioned magic header, re-validated on load.
+/// way), and persists as a binary snapshot: little-endian i64 fields
+/// behind a versioned magic header.  Unlike a plan snapshot
+/// (runtime/snapshot.hpp), which stores keys and rebuilds, this one holds
+/// measured data no key determines, so load() range-checks every field
+/// before narrowing it and re-validates every entry through set().
 
 namespace logpc::tune {
 
@@ -77,9 +79,14 @@ struct Decision {
 class DecisionTable {
  public:
   /// Inserts or replaces the decision for `key`.  Throws
-  /// std::invalid_argument for an ill-formed key or decision (P < 1,
-  /// size_class outside [0, 63], segments < 1, negative timings, or
-  /// topology fields on a non-hierarchical winner).
+  /// std::invalid_argument for an ill-formed key or decision: P < 1,
+  /// size_class outside [0, 63], a winner outside the six families the
+  /// tuner records (kBroadcast, the binomial, binary and chain baselines,
+  /// kHierarchicalBroadcast, kKItemBroadcast), segments < 2 for
+  /// kKItemBroadcast or != 1 for any other family, a timing outside
+  /// [0, 2^63) ns, a hierarchical winner without clusters in [2, P] and a
+  /// valid cross-cluster machine, or topology fields on a non-hierarchical
+  /// winner.  So every decision in a table is one the tuned path can serve.
   void set(const DecisionKey& key, const Decision& decision);
 
   /// The decision governing a `bytes`-sized payload, or nullptr when no

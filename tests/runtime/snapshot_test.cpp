@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bcast/single_item.hpp"
 #include "bcast/tree.hpp"
@@ -14,6 +18,36 @@ namespace logpc::runtime {
 namespace {
 
 const Params kMachine{16, 8, 1, 4};
+
+// The v5 layout (snapshot.hpp): header, i64 count, twelve i64 key fields
+// per entry, i64 FNV-1a checksum over everything after the header.
+constexpr std::size_t kHeaderBytes = 18;
+constexpr std::size_t kEntryBytes = 12 * 8;
+constexpr int kFieldP = 1;
+constexpr int kFieldK = 5;
+constexpr int kFieldRoot = 6;
+constexpr int kFieldClusters = 8;
+
+/// `bytes` with the little-endian i64 at `offset` replaced by `v`.
+std::string with_i64(std::string bytes, std::size_t offset, std::int64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] =
+        static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+/// A saved snapshot with key field `field` of its first entry set to `v`
+/// and the trailing checksum recomputed, so the edit passes the checksum.
+std::string resealed(const std::string& snap, int field, std::int64_t v) {
+  std::string out = with_i64(
+      snap, kHeaderBytes + 8 + static_cast<std::size_t>(field) * 8, v);
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = kHeaderBytes; i + 8 < out.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(out[i])) * 1099511628211ull;
+  }
+  return with_i64(out, out.size() - 8, static_cast<std::int64_t>(h));
+}
 
 /// Warms a planner with a representative mix of problems.
 void warm(Planner& planner) {
@@ -85,10 +119,14 @@ TEST(Snapshot, RejectsCorruptInput) {
                std::invalid_argument);
   // Only the current format loads: an older version's header is as bad as
   // any other.
-  std::stringstream old_version(std::string("logpc-plansnap v3\n") +
-                                std::string(8, '\0'));
-  EXPECT_THROW((void)load_snapshot(cache, old_version),
-               std::invalid_argument);
+  for (const char* old_header : {"logpc-plansnap v3\n",
+                                  "logpc-plansnap v4\n"}) {
+    std::stringstream old_version(std::string(old_header) +
+                                  std::string(8, '\0'));
+    EXPECT_THROW((void)load_snapshot(cache, old_version),
+                 std::invalid_argument)
+        << old_header;
+  }
 
   Planner planner;
   warm(planner);
@@ -136,6 +174,122 @@ TEST(Snapshot, LoadRebuildsImplicitFamiliesFromTheKey) {
   EXPECT_EQ(plan_schedule(*plan), direct);
   EXPECT_EQ(plan->completion, bcast::B_of_P(kMachine, kMachine.P));
   EXPECT_EQ(plan->method, Planner::build_uncached(key).method);
+}
+
+TEST(Snapshot, TamperedMaterializedEntryLoadsAsTheKeysOwnPlan) {
+  // Materialized families had their schedules stored: an all-to-all entry
+  // with one send dropped, and a scatter entry whose scalars lie.  The
+  // snapshot keeps only their keys, so each loads as the key's own plan.
+  const Params machine{8, 4, 1, 2};
+  const PlanKey alltoall = PlanKey::alltoall(machine);
+  const PlanKey scatter = PlanKey::scatter(machine, 3);
+  Plan dropped = Planner::build_uncached(alltoall);
+  ASSERT_TRUE(dropped.materialized);
+  Schedule fewer(dropped.schedule.params(), dropped.schedule.num_items());
+  for (const InitialPlacement& init : dropped.schedule.initials()) {
+    fewer.add_initial(init.item, init.proc, init.time);
+  }
+  for (std::size_t i = 0; i + 1 < dropped.schedule.sends().size(); ++i) {
+    fewer.add_send(dropped.schedule.sends()[i]);
+  }
+  dropped.schedule = fewer;
+  Plan lying = Planner::build_uncached(scatter);
+  ASSERT_TRUE(lying.materialized);
+  lying.completion += 1000;
+  lying.method = "tampered";
+
+  PlanCache cache(8, 1);
+  cache.put(alltoall, std::make_shared<const Plan>(dropped));
+  cache.put(scatter, std::make_shared<const Plan>(lying));
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(cache, stream), 2u);
+
+  PlanCache loaded(8, 1);
+  ASSERT_EQ(load_snapshot(loaded, stream), 2u);
+  for (const PlanKey& key : {alltoall, scatter}) {
+    const PlanPtr plan = loaded.get(key);
+    ASSERT_NE(plan, nullptr) << key.to_string();
+    const Plan own = Planner::build_uncached(key);
+    EXPECT_EQ(plan->schedule, own.schedule) << key.to_string();
+    EXPECT_EQ(plan->completion, own.completion) << key.to_string();
+    EXPECT_EQ(plan->method, own.method) << key.to_string();
+  }
+}
+
+TEST(Snapshot, StoresOnlyKeysAndAChecksum) {
+  Planner planner;
+  warm(planner);
+  std::stringstream stream;
+  const std::size_t n = save_snapshot(planner.cache(), stream);
+  // Header, entry count, twelve i64 key fields per entry, checksum.
+  EXPECT_EQ(stream.str().size(), kHeaderBytes + 8 + n * kEntryBytes + 8);
+}
+
+TEST(Snapshot, RejectsResealedOutOfRangeAndNonCanonicalKeys) {
+  Planner planner;
+  (void)planner.plan(PlanKey::broadcast(kMachine));
+  std::stringstream stream;
+  ASSERT_EQ(save_snapshot(planner.cache(), stream), 1u);
+  const std::string good = stream.str();
+  // Each edit re-seals the checksum, so it reaches the key checks: P,
+  // root and clusters must fit their types before narrowing (2^32 + 8
+  // would otherwise read as 8), and a key must be its own canonical form.
+  const std::int64_t wide = (std::int64_t{1} << 32) + 8;
+  for (const auto& [field, value] :
+       {std::pair{kFieldP, wide}, std::pair{kFieldRoot, wide},
+        std::pair{kFieldClusters, wide}, std::pair{kFieldK, std::int64_t{5}},
+        std::pair{kFieldRoot, std::int64_t{16}}}) {
+    std::stringstream edited(resealed(good, field, value));
+    PlanCache cache(8, 1);
+    try {
+      (void)load_snapshot(cache, edited);
+      ADD_FAILURE() << "field " << field << " = " << value << " loaded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cache.size(), 0u);
+  }
+  std::stringstream unchanged(resealed(good, kFieldP, kMachine.P));
+  PlanCache cache(8, 1);
+  EXPECT_EQ(load_snapshot(cache, unchanged), 1u);
+}
+
+TEST(Snapshot, MutationCorpusIsRejectedBeforeAnyBuild) {
+  Planner planner;
+  warm(planner);
+  std::stringstream stream;
+  ASSERT_GT(save_snapshot(planner.cache(), stream), 0u);
+  const std::string good = stream.str();
+
+  std::vector<std::string> corpus;
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    corpus.push_back(good.substr(0, len));
+  }
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    corpus.push_back(std::move(flipped));
+  }
+  for (const std::int64_t count : {std::int64_t{1} << 62, std::int64_t{-1}}) {
+    corpus.push_back(with_i64(good, kHeaderBytes, count));
+  }
+
+  for (const std::string& input : corpus) {
+    std::stringstream is(input);
+    PlanCache cache(64, 1);
+    try {
+      (void)load_snapshot(cache, is);
+      ADD_FAILURE() << "a mutated snapshot of " << input.size()
+                    << " bytes loaded";
+    } catch (const std::invalid_argument& e) {
+      // Rejected by the loader's own header, range or checksum checks,
+      // never by a builder.
+      EXPECT_EQ(std::string(e.what()).rfind("plan snapshot: ", 0), 0u)
+          << e.what();
+    }
+    EXPECT_EQ(cache.size(), 0u);
+  }
 }
 
 TEST(Snapshot, EmptyCacheRoundTrips) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bcast/kitem.hpp"
 #include "bcast/kitem_buffered.hpp"
@@ -103,38 +105,53 @@ TEST(ScheduleIO, ErrorMessagesCarryLineNumbers) {
   }
 }
 
-TEST(ScheduleIO, BinaryRoundTripStrictModel) {
-  const Schedule original = bcast::optimal_single_item(Params{8, 6, 2, 4});
-  std::stringstream stream;
-  write_binary(stream, original);
-  EXPECT_EQ(read_binary(stream), original);
-}
-
-TEST(ScheduleIO, BinaryRoundTripKeepsExplicitRecvStarts) {
-  // Buffered schedules carry recv_start on every send; the binary form
-  // must preserve both the explicit values and the kNever sentinel.
-  const Schedule buffered = bcast::kitem_buffered(9, 2, 6).schedule;
-  std::stringstream stream;
-  write_binary(stream, buffered);
-  const Schedule parsed = read_binary(stream);
-  EXPECT_EQ(parsed, buffered);
-  bool any_delayed = false;
-  for (const auto& op : parsed.sends()) {
-    any_delayed = any_delayed || op.recv_start != kNever;
+bool ids_in_range(const Schedule& s) {
+  const auto proc_ok = [&](ProcId p) { return p >= 0 && p < s.params().P; };
+  const auto item_ok = [&](ItemId i) { return i >= 0 && i < s.num_items(); };
+  for (const InitialPlacement& init : s.initials()) {
+    if (!proc_ok(init.proc) || !item_ok(init.item)) return false;
   }
-  EXPECT_TRUE(any_delayed);
+  for (const SendOp& op : s.sends()) {
+    if (!proc_ok(op.from) || !proc_ok(op.to) || !item_ok(op.item)) {
+      return false;
+    }
+  }
+  return true;
 }
 
-TEST(ScheduleIO, BinaryRejectsBadMagicAndTruncation) {
-  std::stringstream garbage("XXXXXXXXXXXXXXXXXXXXXXXX");
-  EXPECT_THROW((void)read_binary(garbage), std::invalid_argument);
+TEST(ScheduleIO, MutationCorpusThrowsOrKeepsIdsInRange) {
+  const std::string good = to_text(bcast::kitem_buffered(5, 2, 3).schedule);
+  std::vector<std::string> corpus;
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    corpus.push_back(good.substr(0, len));
+  }
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    corpus.push_back(std::move(flipped));
+  }
+  // The count fields: the processor count P and the item count.
+  const std::size_t params_at = good.find("params ") + 7;
+  const std::size_t items_at = good.find("items ") + 6;
+  for (const char* count : {"4611686018427387904", "-1"}) {
+    for (const std::size_t at : {params_at, items_at}) {
+      std::string edited = good;
+      edited.replace(at, good.find_first_of(" \n", at) - at, count);
+      corpus.push_back(std::move(edited));
+    }
+  }
 
-  const Schedule original = bcast::optimal_single_item(Params{4, 2, 1, 2});
-  std::stringstream stream;
-  write_binary(stream, original);
-  const std::string full = stream.str();
-  std::stringstream truncated(full.substr(0, full.size() - 5));
-  EXPECT_THROW((void)read_binary(truncated), std::invalid_argument);
+  int parsed = 0;
+  for (const std::string& input : corpus) {
+    try {
+      const Schedule s = schedule_from_text(input);
+      ++parsed;
+      EXPECT_TRUE(s.params().valid()) << input;
+      EXPECT_TRUE(ids_in_range(s)) << input;
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,8 +108,13 @@ TEST(DecisionTable, SetRejectsIllFormedEntries) {
                          tree_decision(Problem::kBroadcast)),
                std::invalid_argument);
 
-  Decision zero_segments = segmented_decision(0);
-  EXPECT_THROW(table.set(key, zero_segments), std::invalid_argument);
+  // The pipeline splits into >= 2 segments; every other family sends the
+  // payload whole.
+  EXPECT_THROW(table.set(key, segmented_decision(0)), std::invalid_argument);
+  EXPECT_THROW(table.set(key, segmented_decision(1)), std::invalid_argument);
+  Decision segmented_tree = tree_decision(Problem::kChainBroadcast);
+  segmented_tree.segments = 4;
+  EXPECT_THROW(table.set(key, segmented_tree), std::invalid_argument);
 
   Decision negative = tree_decision(Problem::kBroadcast, -1);
   EXPECT_THROW(table.set(key, negative), std::invalid_argument);
@@ -158,6 +165,120 @@ TEST(DecisionTable, LoadRejectsCorruptSnapshots) {
   corrupt[corrupt.size() - 60] = '\x7f';  // clobbers a field of the record
   std::stringstream corrupted(corrupt);
   EXPECT_THROW((void)DecisionTable::load(corrupted), std::invalid_argument);
+}
+
+// The v1 table layout (decision_table.cpp): an 18-byte header, an i64
+// entry count, then eleven i64 fields per entry.
+constexpr std::size_t kTableHeaderBytes = 18;
+constexpr int kFieldP = 1;
+constexpr int kFieldProblem = 3;
+constexpr int kFieldSegments = 4;
+constexpr int kFieldCrossG = 8;
+
+/// `bytes` with the little-endian i64 at `offset` replaced by `v`.
+std::string with_i64(std::string bytes, std::size_t offset, std::int64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] =
+        static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff);
+  }
+  return bytes;
+}
+
+/// The saved one-entry table {(broadcast, P = 8, 256 B): `d`} with field
+/// `field` of its record set to `v`.
+std::string saved_with_field(const Decision& d, int field, std::int64_t v) {
+  DecisionTable table;
+  table.set({Collective::kBroadcast, 8, 8}, d);
+  std::stringstream stream;
+  table.save(stream);
+  return with_i64(stream.str(),
+                  kTableHeaderBytes + 8 + static_cast<std::size_t>(field) * 8,
+                  v);
+}
+
+void expect_load_rejects(const std::string& bytes) {
+  std::stringstream stream(bytes);
+  EXPECT_THROW((void)DecisionTable::load(stream), std::invalid_argument);
+}
+
+TEST(DecisionTable, LoadRejectsWinnersTheTunedPathCannotServe) {
+  // Scatter and gather are not broadcasts: served as one, 7 of 8 ranks
+  // would never see the payload.
+  for (const Problem p : {Problem::kScatter, Problem::kGather,
+                          Problem::kReduce, Problem::kAllToAll}) {
+    expect_load_rejects(saved_with_field(tree_decision(Problem::kBroadcast),
+                                         kFieldProblem,
+                                         static_cast<std::int64_t>(p)));
+  }
+  DecisionTable table;
+  EXPECT_THROW(table.set({Collective::kBroadcast, 8, 8},
+                         tree_decision(Problem::kScatter)),
+               std::invalid_argument);
+}
+
+TEST(DecisionTable, LoadRejectsAHierarchicalWinnerWithoutACrossMachine) {
+  // cross g = 0 would throw "invalid LogP parameters" on every request.
+  expect_load_rejects(saved_with_field(hier_decision(2), kFieldCrossG, 0));
+  Decision no_cross_g = hier_decision(2);
+  no_cross_g.cross_g = 0;
+  DecisionTable table;
+  EXPECT_THROW(table.set({Collective::kBroadcast, 8, 8}, no_cross_g),
+               std::invalid_argument);
+}
+
+TEST(DecisionTable, LoadRejectsFieldsOutsideTheirTypeBeforeNarrowing) {
+  // 2^32 + 8 would otherwise narrow to P = 8.
+  const std::int64_t wide = (std::int64_t{1} << 32) + 8;
+  expect_load_rejects(
+      saved_with_field(tree_decision(Problem::kBroadcast), kFieldP, wide));
+  expect_load_rejects(
+      saved_with_field(segmented_decision(4), kFieldSegments, wide));
+  std::stringstream intact(
+      saved_with_field(tree_decision(Problem::kBroadcast), kFieldP, 8));
+  EXPECT_EQ(DecisionTable::load(intact).size(), 1u);
+}
+
+TEST(DecisionTable, MutationCorpusThrowsOrReloadsUnchanged) {
+  DecisionTable table;
+  table.set({Collective::kBroadcast, 4, 8},
+            tree_decision(Problem::kBinomialBroadcast, 123, 456));
+  table.set({Collective::kBroadcast, 8, 12}, segmented_decision(4));
+  table.set({Collective::kBroadcast, 8, 18}, hier_decision(2));
+  std::stringstream stream;
+  table.save(stream);
+  const std::string good = stream.str();
+
+  std::vector<std::string> corpus;
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    corpus.push_back(good.substr(0, len));
+  }
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string flipped = good;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    corpus.push_back(std::move(flipped));
+  }
+  for (const std::int64_t count : {std::int64_t{1} << 62, std::int64_t{-1}}) {
+    corpus.push_back(with_i64(good, kTableHeaderBytes, count));
+  }
+
+  int loads = 0;
+  for (const std::string& input : corpus) {
+    std::stringstream is(input);
+    DecisionTable loaded;
+    try {
+      loaded = DecisionTable::load(is);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++loads;
+    // Whatever loads is a table the wire form carries exactly.
+    std::stringstream resaved;
+    loaded.save(resaved);
+    EXPECT_EQ(DecisionTable::load(resaved), loaded);
+  }
+  // Flips in the timings (and in unused high bits of small fields that
+  // still fit) load; the corpus exercises the re-save path.
+  EXPECT_GT(loads, 0);
 }
 
 TEST(AutoTune, RejectsIllFormedGrids) {
