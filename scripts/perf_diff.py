@@ -2,7 +2,6 @@
 """Diff a fresh BENCH_kernels.json against the committed baseline.
 
 Usage: perf_diff.py BASELINE CURRENT [--tolerance 0.25]
-       perf_diff.py --tuning BASELINE CURRENT
 
 Entries are matched on (name, params).  For each matched fold_chain cell
 the kernel-vs-generic *speedup* is compared — on shared CI runners the
@@ -27,16 +26,6 @@ script exits 1 if any group regressed.  Groups that
 *improved* beyond the tolerance are printed as notes (a too-good jump
 usually means the baseline is stale) but do not fail the run —
 perf_smoke.sh tells the operator to refresh the baseline instead.
-
---tuning switches to BENCH_tuning.json mode: "segment" entries are
-matched on (P, bytes) and the *winning schedule family* is compared
-instead of any timing.  Absolute nanoseconds are runner weather, but the
-decision table's winners are what the planner will actually serve, so a
-flip is worth a human glance — and no more than a glance: two families
-within noise of each other may legitimately trade places run to run
-(the margin column shows how contested each segment is), so tuning mode
-always exits 0.  bench_tuning itself already gates the quantities that
-must hold (tuned-vs-fixed wins, warm plan_tuned overhead).
 """
 
 import argparse
@@ -59,66 +48,6 @@ def load_groups(path):
     return groups
 
 
-def load_segments(path):
-    """(P, bytes) -> {winner, margin} from BENCH_tuning.json segments.
-
-    margin is runner_up/tuned - 1: how far ahead the winner was.  A small
-    margin marks a contested segment where a flip is expected noise.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    segments = {}
-    for e in doc.get("entries", []):
-        if e.get("name") != "segment":
-            continue
-        p = e["params"]
-        tuned = float(e["tuned_ns"])
-        margin = float(e["runner_up_ns"]) / tuned - 1.0 if tuned else 0.0
-        segments[(int(p["P"]), int(p["bytes"]))] = {
-            "winner": p["winner"], "margin": margin}
-    return segments
-
-
-def diff_tuning(args):
-    base = load_segments(args.baseline)
-    cur = load_segments(args.current)
-    if not base:
-        print(f"perf_diff: no tuning segments in baseline {args.baseline}",
-              file=sys.stderr)
-        return 2
-
-    flips = 0
-    for key, b in sorted(base.items()):
-        c = cur.get(key)
-        P, nbytes = key
-        if c is None:
-            print(f"note: segment (P={P}, bytes={nbytes}) missing from "
-                  "current run")
-            continue
-        flipped = b["winner"] != c["winner"]
-        flips += flipped
-        tag = "  << WINNER FLIP (non-blocking)" if flipped else ""
-        print(f"P={P:>3} bytes={nbytes:>9}  "
-              f"baseline {b['winner']:<24} (+{b['margin']:.1%} over #2)  "
-              f"current {c['winner']:<24} (+{c['margin']:.1%} over #2)"
-              f"{tag}")
-    for key in sorted(set(cur) - set(base)):
-        print(f"note: segment (P={key[0]}, bytes={key[1]}) present in "
-              "current but not in baseline")
-
-    print()
-    print(f"perf_diff --tuning: {len(base)} baseline segments, "
-          f"{flips} winner flip(s)")
-    if flips:
-        print("perf_diff --tuning: WARNING — decision-table winners "
-              "changed; eyeball the margins above and refresh "
-              "bench/baselines/BENCH_tuning.json if the new winners are "
-              "consistent across runs")
-    else:
-        print("perf_diff --tuning: OK")
-    return 0  # informational: bench_tuning's own gates are the guardrail
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
@@ -127,13 +56,7 @@ def main():
     ap.add_argument("--floor", type=float, default=6.0,
                     help="only fail a group whose current median speedup "
                          "is also below this absolute value")
-    ap.add_argument("--tuning", action="store_true",
-                    help="diff BENCH_tuning.json decision-table winners "
-                         "instead of fold_chain speedups (never fails)")
     args = ap.parse_args()
-
-    if args.tuning:
-        return diff_tuning(args)
 
     base = load_groups(args.baseline)
     cur = load_groups(args.current)

@@ -25,10 +25,7 @@
 # same-machine ratio whose committed readings sit far above the floor.
 # bench_profile gates too: it compares profile-on vs profile-off medians
 # measured back-to-back on the same machine, so runner load cancels out of
-# the ratio.  bench_tuning gates the same way (tuned-vs-fixed and warm
-# plan_tuned overhead are same-machine ratios) and its decision-table
-# winners are diffed against bench/baselines/BENCH_tuning.json as a
-# non-blocking warning.  bench_fault gates on outcomes, not timings: every
+# the ratio.  bench_fault gates on outcomes, not timings: every
 # rep must end kOk fault-free and under drops, and kRecovered on the seven
 # survivors when rank 3 dies.
 set -euo pipefail
@@ -45,7 +42,6 @@ done
 JOBS="${JOBS:-$(nproc)}"
 BUILD=build-perf
 BASELINE=bench/baselines/BENCH_kernels.json
-TUNING_BASELINE=bench/baselines/BENCH_tuning.json
 # BENCH_*.json land at the repo root by default so the artifact trail sits
 # next to the sources that produced it; override with LOGPC_BENCH_DIR.
 OUT="${LOGPC_BENCH_DIR:-.}"
@@ -55,7 +51,7 @@ echo "=== perf smoke: Release build ($BUILD/) ==="
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j "$JOBS" \
   --target bench_kernels bench_exec bench_service bench_loadgen \
-  bench_profile bench_plan_cache bench_tuning bench_fault
+  bench_profile bench_plan_cache bench_fault
 
 # Every bench runs whatever an earlier one returned: a non-zero exit is
 # recorded, the rest still run, and the script fails at the end listing
@@ -108,14 +104,6 @@ run_gate bench_profile "./$BUILD/bench/bench_profile"
 run_gate "bench_plan_cache (million-rank smoke)" \
   "./$BUILD/bench/bench_plan_cache" --benchmark_filter='^$' 2>/dev/null
 
-# Runs the real-engine tuning grid and gates (exit non-zero) on two
-# same-machine ratios: tuned per-segment selection must beat the best
-# single fixed schedule by >= 10% on >= 2 segments, and the warm
-# Planner::plan_tuned fast path must stay within 5% of a plain plan()
-# cache hit.  Also drops decision_table.snap next to the json — the
-# artifact a deploy would install via Planner::set_decision_table.
-run_gate "bench_tuning (auto-tuner acceptance)" "./$BUILD/bench/bench_tuning"
-
 # Fault-tolerant broadcast, fault-free / lossy / one rank killed.  Gates
 # (exit non-zero) when any rep ends with the wrong RunStatus or survivor
 # count; the wall times are recorded in BENCH_fault.json only.
@@ -136,24 +124,10 @@ report_and_exit() {
 
 # Baselines are written only from a run whose gates all passed.
 if ((${#FAILED[@]})) &&
-  [[ "$REBASELINE" == 1 || ! -f "$TUNING_BASELINE" || ! -f "$BASELINE" ]]; then
+  [[ "$REBASELINE" == 1 || ! -f "$BASELINE" ]]; then
   echo
   echo "perf_smoke: not writing baselines after a failed gate"
   report_and_exit
-fi
-
-if [[ "$REBASELINE" == 1 || ! -f "$TUNING_BASELINE" ]]; then
-  mkdir -p "$(dirname "$TUNING_BASELINE")"
-  cp "$OUT/BENCH_tuning.json" "$TUNING_BASELINE"
-  echo "perf_smoke: tuning baseline written to $TUNING_BASELINE"
-else
-  echo
-  echo "=== decision-table winners vs $TUNING_BASELINE ==="
-  # Winner flips are informational (always exit 0): bench_tuning already
-  # gated the quantities that must hold; this diff just surfaces when the
-  # measured regime map moved.
-  python3 scripts/perf_diff.py --tuning "$TUNING_BASELINE" \
-    "$OUT/BENCH_tuning.json"
 fi
 
 if [[ "$REBASELINE" == 1 || ! -f "$BASELINE" ]]; then

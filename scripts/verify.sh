@@ -35,7 +35,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # partially-built tree reports every unbuilt target as NOT_BUILT.
   cmake --build build-tsan -j "$JOBS" \
     --target test_plan_cache test_planner test_snapshot test_fib \
-             test_implicit_plan test_tuner \
+             test_implicit_plan \
              test_obs_metrics test_obs_trace test_obs_flight_recorder \
              test_exec_mailbox test_exec_kernels test_exec_engine \
              test_communicator_exec test_fault test_svc_sched test_svc \
@@ -48,10 +48,6 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # rank_schedule sweep proves the decode paths are read-only.
   ./build-tsan/tests/test_implicit_plan \
       --gtest_filter='ImplicitPlan.ConcurrentQueriesAreRaceFree'
-  # The tuned fast path is lock-free (atomic table view + CAS-published
-  # memo list); readers hammer plan_tuned while tables swap underneath.
-  ./build-tsan/tests/test_tuner \
-      --gtest_filter='PlannerTuning.ConcurrentPlanTunedIsRaceFree'
   ./build-tsan/tests/test_obs_metrics
   ./build-tsan/tests/test_obs_trace
   ./build-tsan/tests/test_obs_flight_recorder
@@ -89,9 +85,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_implicit_plan test_exec_mailbox test_exec_kernels test_exec_engine \
              test_communicator_exec test_exec_property test_fault \
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
-             test_prometheus_lint \
-             test_hier test_hierarchical test_hier_plan test_measure \
-             test_tuner test_io
+             test_prometheus_lint test_measure test_io
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -111,16 +105,11 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_svc_fusion
   ./build-asan/tests/test_svc_introspect
   ./build-asan/tests/test_prometheus_lint
-  # Hierarchical model + two-level schedules + tuner: pointer-heavy paths
-  # (greedy candidate scan, decision-table snapshots, memo list frees).
-  ./build-asan/tests/test_hier
-  ./build-asan/tests/test_hierarchical
-  ./build-asan/tests/test_hier_plan
   ./build-asan/tests/test_measure
-  ./build-asan/tests/test_tuner
-  # The three parsers of outside input (plan snapshots, decision tables,
-  # text schedules) each run a truncation/bit-flip mutation corpus; with
-  # test_snapshot and test_tuner above, test_io puts all three under ASan.
+  # The two parsers of outside input (plan snapshots, text schedules) each
+  # run a truncation/bit-flip mutation corpus; with test_snapshot above
+  # (which also carries the resealed huge-L/o keys PlanKey::make bounds),
+  # test_io puts both under ASan/UBSan.
   ./build-asan/tests/test_io
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault

@@ -197,25 +197,6 @@ exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,
       compile(runtime::Problem::kBroadcast, 1, root), exec::Payload{payload});
 }
 
-exec::ExecReport Communicator::run_broadcast_tuned(
-    std::span<const std::byte> payload, ProcId root,
-    exec::Engine* engine) const {
-  const obs::Span span("comm.run_broadcast_tuned", "comm");
-  runtime::PlanKey key = planner_->tuned_key(
-      tune::Collective::kBroadcast, params_, payload.size(), root);
-  if (key.problem == runtime::Problem::kKItemBroadcast && payload.empty()) {
-    // A zero-byte payload cannot be sliced; the bulk tree is equivalent.
-    key = runtime::PlanKey::broadcast(params_, root);
-  }
-  // A segmented winner runs the k-item pipeline over payload/k slices; the
-  // engine coalesces either shape to one buffer per proc.
-  return engine_or_shared(engine).run(
-      key.problem == runtime::Problem::kKItemBroadcast
-          ? compile(runtime::Problem::kKItemBroadcast, key.k, root)
-          : exec::compile_plan(*planner_->plan(key), "bcast"),
-      exec::Payload{payload});
-}
-
 exec::ExecReport Communicator::run_reduce(const std::vector<exec::Bytes>& values,
                                           const exec::Combiner& op,
                                           ProcId root,

@@ -170,16 +170,6 @@ class Communicator {
       std::span<const std::byte> payload, ProcId root = 0,
       exec::Engine* engine = nullptr) const;
 
-  /// Broadcast through the planner's tuned fast path: the measured winner
-  /// for this (P, payload size) — bulk optimal/baseline tree, two-level
-  /// hierarchical schedule, or the segmented k-item pipeline — resolved
-  /// via Planner::tuned_key and dispatched to the matching execution
-  /// path.  Byte-identical results to run_broadcast, schedule aside; with
-  /// no decision table installed it *is* run_broadcast.
-  [[nodiscard]] exec::ExecReport run_broadcast_tuned(
-      std::span<const std::byte> payload, ProcId root = 0,
-      exec::Engine* engine = nullptr) const;
-
   /// Message reduction of one value per processor (values[p] is p's
   /// contribution), folded with `op` in the plan's arrival order;
   /// report.folded_at(root) is the result.  `op` must be associative.  A

@@ -28,38 +28,11 @@ sim::MeasuredParams MeasuredLogP::as_measured_params(
   return m;
 }
 
-namespace {
-
-/// One class's running sums; finalized into a MeasuredLogP.
-struct FitAccum {
+MeasuredLogP measure(const ExecReport& report) {
   double latency_sum = 0;
   double overhead_sum = 0;
   double gap_sum = 0;
-  MeasuredLogP fit;
-
-  [[nodiscard]] MeasuredLogP finalize() const {
-    MeasuredLogP out = fit;
-    if (out.latency_samples > 0) {
-      out.L_ns = latency_sum / static_cast<double>(out.latency_samples);
-    }
-    if (out.overhead_samples > 0) {
-      out.o_ns = overhead_sum / static_cast<double>(out.overhead_samples);
-    }
-    if (out.gap_samples > 0) {
-      out.g_ns = gap_sum / static_cast<double>(out.gap_samples);
-    }
-    // The model requires g >= the per-message port occupancy.
-    out.g_ns = std::max(out.g_ns, out.o_ns);
-    return out;
-  }
-};
-
-/// The one accumulation loop behind both fits.  `classify(from, to)` maps
-/// each directed link to an accumulator index; the flat fit passes a
-/// single-class classifier.
-template <typename Classify>
-void accumulate(const ExecReport& report, Classify&& classify,
-                std::vector<FitAccum>& accums) {
+  MeasuredLogP out;
   // Per-link FIFO matching: the i-th push on a link pairs with the i-th
   // pop, so wire latency is recv.xfer - send.xfer of the matched pair.
   std::map<std::pair<ProcId, ProcId>, std::vector<std::uint64_t>> pushes;
@@ -74,82 +47,47 @@ void accumulate(const ExecReport& report, Classify&& classify,
   for (std::size_t p = 0; p < report.events.size(); ++p) {
     const auto self = static_cast<ProcId>(p);
     std::uint64_t prev_send_start = 0;
-    std::size_t prev_send_class = 0;
     bool have_prev_send = false;
     for (const ExecEvent& ev : report.events[p]) {
       if (ev.kind == ExecEvent::Kind::kRecv) {
-        FitAccum& acc = accums[classify(ev.peer, self)];
         // Receive overhead: payload-arrived to folded/stored.
-        acc.overhead_sum += static_cast<double>(ev.end_ns - ev.xfer_ns);
-        ++acc.fit.overhead_samples;
+        overhead_sum += static_cast<double>(ev.end_ns - ev.xfer_ns);
+        ++out.overhead_samples;
         const auto link = std::make_pair(ev.peer, self);
         auto it = pushes.find(link);
         if (it != pushes.end()) {
           const std::size_t i = popped[link]++;
           if (i < it->second.size() && ev.xfer_ns >= it->second[i]) {
-            acc.latency_sum +=
-                static_cast<double>(ev.xfer_ns - it->second[i]);
-            ++acc.fit.latency_samples;
+            latency_sum += static_cast<double>(ev.xfer_ns - it->second[i]);
+            ++out.latency_samples;
           }
         }
       } else {
-        const std::size_t cls = classify(self, ev.peer);
-        FitAccum& acc = accums[cls];
         // Send overhead: op begin to push accepted (includes backpressure
         // stalls, exactly as a saturated LogP port would charge them).
-        acc.overhead_sum += static_cast<double>(ev.xfer_ns - ev.start_ns);
-        ++acc.fit.overhead_samples;
+        overhead_sum += static_cast<double>(ev.xfer_ns - ev.start_ns);
+        ++out.overhead_samples;
         if (have_prev_send) {
-          // The spacing measures the *earlier* send's port occupancy, so
-          // the gap sample belongs to that send's class.
-          FitAccum& prev = accums[prev_send_class];
-          prev.gap_sum += static_cast<double>(ev.start_ns - prev_send_start);
-          ++prev.fit.gap_samples;
+          gap_sum += static_cast<double>(ev.start_ns - prev_send_start);
+          ++out.gap_samples;
         }
         prev_send_start = ev.start_ns;
-        prev_send_class = cls;
         have_prev_send = true;
       }
     }
   }
-}
-
-}  // namespace
-
-MeasuredLogP measure(const ExecReport& report) {
-  std::vector<FitAccum> accums(1);
-  accumulate(report, [](ProcId, ProcId) { return std::size_t{0}; }, accums);
-  return accums[0].finalize();
-}
-
-MeasuredHierLogP measure(const ExecReport& report, const HierParams& topo) {
-  topo.require_valid();
-  std::vector<FitAccum> accums(2);
-  accumulate(report,
-             [&topo](ProcId from, ProcId to) {
-               return topo.same_cluster(from, to) ? std::size_t{0}
-                                                  : std::size_t{1};
-             },
-             accums);
-  MeasuredHierLogP out;
-  out.intra = accums[0].finalize();
-  out.cross = accums[1].finalize();
+  if (out.latency_samples > 0) {
+    out.L_ns = latency_sum / static_cast<double>(out.latency_samples);
+  }
+  if (out.overhead_samples > 0) {
+    out.o_ns = overhead_sum / static_cast<double>(out.overhead_samples);
+  }
+  if (out.gap_samples > 0) {
+    out.g_ns = gap_sum / static_cast<double>(out.gap_samples);
+  }
+  // The model requires g >= the per-message port occupancy.
+  out.g_ns = std::max(out.g_ns, out.o_ns);
   return out;
-}
-
-HierParams MeasuredHierLogP::as_hier_params(double ns_per_cycle,
-                                            const HierParams& topo) const {
-  HierParams h = topo;
-  const auto any_samples = [](const MeasuredLogP& m) {
-    return m.latency_samples + m.overhead_samples + m.gap_samples > 0;
-  };
-  if (any_samples(intra)) {
-    h.intra = intra.as_measured_params(ns_per_cycle, topo.intra).as_params();
-  }
-  if (any_samples(cross)) {
-    h.cross = cross.as_measured_params(ns_per_cycle, topo.cross).as_params();
-  }
-  return h;
 }
 
 double fitted_ns_per_cycle(const ExecReport& report) {

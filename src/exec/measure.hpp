@@ -1,7 +1,6 @@
 #pragma once
 
 #include "exec/engine.hpp"
-#include "logp/hier.hpp"
 #include "sim/calibrate.hpp"
 
 /// \file measure.hpp
@@ -41,30 +40,6 @@ struct MeasuredLogP {
 
 /// Fits (L, o, g) from a report's per-processor event logs.
 [[nodiscard]] MeasuredLogP measure(const ExecReport& report);
-
-/// The two-class fit: one MeasuredLogP per link class of a hierarchical
-/// machine (logp/hier.hpp).  Sample counts tell callers whether a run
-/// actually exercised both classes — a schedule that never crosses
-/// clusters leaves `cross` empty.
-struct MeasuredHierLogP {
-  MeasuredLogP intra;
-  MeasuredLogP cross;
-
-  /// Quantizes both classes to model cycles (per-class minima as in
-  /// MeasuredLogP::as_measured_params), keeping `topo`'s cluster map.  A
-  /// class with no samples at all falls back to `topo`'s stated class, so
-  /// a partial run still yields a usable machine.
-  [[nodiscard]] HierParams as_hier_params(double ns_per_cycle,
-                                          const HierParams& topo) const;
-};
-
-/// Fits both link classes from one report: every event is tagged
-/// intra/cross by the cluster map of `topo` (the flat fit above is the
-/// same accumulation with a single class).  Gap samples are attributed to
-/// the class of the *earlier* send of each back-to-back pair — the one
-/// whose port occupancy the spacing measures.
-[[nodiscard]] MeasuredHierLogP measure(const ExecReport& report,
-                                       const HierParams& topo);
 
 /// The run's implied cycle length: measured wall time over predicted
 /// cycles (0 when the plan predicts a zero makespan).

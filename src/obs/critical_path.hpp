@@ -59,8 +59,7 @@
 /// plan machine's cycles onto those fitted values; and the residual is
 /// (measured critical path - scaled predicted makespan) / predicted.  A
 /// run that executed the schedule as the model prices it has a residual
-/// near zero; stragglers, contention or a mis-fitted machine push it up —
-/// exactly the signal the tuning loop (ROADMAP items 3 and 5) selects on.
+/// near zero; stragglers, contention or a mis-fitted machine push it up.
 
 namespace logpc::obs {
 

@@ -21,7 +21,6 @@ bool uses_root(Problem p) {
     case Problem::kBinaryBroadcast:
     case Problem::kChainBroadcast:
     case Problem::kFlatBroadcast:
-    case Problem::kHierarchicalBroadcast:
       return true;
     default:
       return false;
@@ -65,7 +64,6 @@ std::string_view problem_name(Problem p) {
     case Problem::kSerializedKItem:        return "serialized-kitem";
     case Problem::kPipelinedBinaryKItem:   return "pipelined-binary-kitem";
     case Problem::kPipelinedChainKItem:    return "pipelined-chain-kitem";
-    case Problem::kHierarchicalBroadcast:  return "hierarchical-broadcast";
   }
   return "unknown";
 }
@@ -85,44 +83,18 @@ bool is_postal_problem(Problem p) {
 }
 
 PlanKey PlanKey::make(Problem problem, const Params& params, std::int64_t k,
-                      ProcId root, std::uint64_t mask, std::int32_t clusters,
-                      Time cross_L, Time cross_o, Time cross_g) {
+                      ProcId root, std::uint64_t mask) {
   params.require_valid();
+  // Each field is checked alone first, so L + 2o cannot overflow.
+  if (params.L > kMaxMachineField || params.o > kMaxMachineField ||
+      params.g > kMaxMachineField ||
+      params.transfer_time() > kMaxMachineField) {
+    throw std::invalid_argument(
+        "PlanKey: L + 2o and g must each be <= 2^30 cycles");
+  }
   if (k < 1) throw std::invalid_argument("PlanKey: k must be >= 1");
   if (root < 0 || root >= params.P) {
     throw std::invalid_argument("PlanKey: root out of range");
-  }
-  if (problem == Problem::kHierarchicalBroadcast) {
-    if (clusters < 1 || clusters > params.P) {
-      throw std::invalid_argument(
-          "PlanKey: hierarchical keys need clusters in [1, P]");
-    }
-    if (mask != 0) {
-      throw std::invalid_argument(
-          "PlanKey: membership masks are topology-blind; no masked "
-          "hierarchical keys");
-    }
-    Params cross;
-    cross.P = clusters;
-    cross.L = cross_L;
-    cross.o = cross_o;
-    cross.g = cross_g;
-    cross.require_valid();
-    // Degenerate topologies fold into the flat optimal problem: a single
-    // cluster never uses a cross link, all-singleton clusters never use an
-    // intra link — either way the plan is the Theorem 2.1 tree on the one
-    // live class, so the key must not split the cache from kBroadcast's.
-    if (clusters == 1) {
-      return make(Problem::kBroadcast, params, 1, root);
-    }
-    if (clusters == params.P) {
-      Params flat_cross = cross;
-      flat_cross.P = params.P;
-      return make(Problem::kBroadcast, flat_cross, 1, root);
-    }
-  } else if (clusters != 0 || cross_L != 0 || cross_o != 0 || cross_g != 0) {
-    throw std::invalid_argument(
-        "PlanKey: topology fields are exclusive to kHierarchicalBroadcast");
   }
   PlanKey key;
   key.problem = problem;
@@ -131,12 +103,6 @@ PlanKey PlanKey::make(Problem problem, const Params& params, std::int64_t k,
                    : params;
   key.k = uses_k(problem) ? k : 1;
   key.root = uses_root(problem) ? root : 0;
-  if (problem == Problem::kHierarchicalBroadcast) {
-    key.clusters = clusters;
-    key.cross_L = cross_L;
-    key.cross_o = cross_o;
-    key.cross_g = cross_g;
-  }
   if (mask != 0) {
     if (params.P > 64) {
       throw std::invalid_argument(
@@ -189,29 +155,6 @@ PlanKey PlanKey::alltoall_personalized(const Params& p) {
 PlanKey PlanKey::allreduce(const Params& p) {
   return make(Problem::kAllReduce, p);
 }
-PlanKey PlanKey::hierarchical(const HierParams& h, ProcId root) {
-  h.require_valid();
-  if (!h.is_uniform_blocks()) {
-    throw std::invalid_argument(
-        "PlanKey: only the uniform balanced-block topology "
-        "(HierParams::uniform) is cache-keyable");
-  }
-  return make(Problem::kHierarchicalBroadcast, h.intra, 1, root, 0,
-              h.num_clusters(), h.cross.L, h.cross.o, h.cross.g);
-}
-
-HierParams PlanKey::hier_params() const {
-  if (problem != Problem::kHierarchicalBroadcast) {
-    throw std::logic_error("PlanKey: not a hierarchical key");
-  }
-  Params cross;
-  cross.P = clusters;
-  cross.L = cross_L;
-  cross.o = cross_o;
-  cross.g = cross_g;
-  return HierParams::uniform(params.P, clusters, params, cross);
-}
-
 PlanKey PlanKey::compacted() const {
   if (mask == 0) return *this;
   Params compact = params;
@@ -241,10 +184,6 @@ std::size_t PlanKey::hash() const {
   mix(static_cast<std::uint64_t>(k));
   mix(static_cast<std::uint64_t>(root));
   mix(mask);
-  mix(static_cast<std::uint64_t>(clusters));
-  mix(static_cast<std::uint64_t>(cross_L));
-  mix(static_cast<std::uint64_t>(cross_o));
-  mix(static_cast<std::uint64_t>(cross_g));
   return static_cast<std::size_t>(h);
 }
 
@@ -253,10 +192,6 @@ std::ostream& operator<<(std::ostream& os, const PlanKey& key) {
      << ", root=" << key.root;
   if (key.mask != 0) {
     os << ", mask=0x" << std::hex << key.mask << std::dec;
-  }
-  if (key.clusters != 0) {
-    os << ", clusters=" << key.clusters << ", cross(L=" << key.cross_L
-       << " o=" << key.cross_o << " g=" << key.cross_g << ")";
   }
   os << ")";
   return os;

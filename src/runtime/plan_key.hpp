@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "logp/hier.hpp"
 #include "logp/params.hpp"
 
 /// \file plan_key.hpp
@@ -55,17 +54,11 @@ enum class Problem : std::uint8_t {
   kSerializedKItem,         ///< k * B(P) strawman (postal)
   kPipelinedBinaryKItem,    ///< pipelined fixed binary tree (postal)
   kPipelinedChainKItem,     ///< pipelined chain (postal)
-  // --- topology-aware (src/bcast/hierarchical) --------------------------
-  /// Two-level broadcast on the uniform hierarchical machine: `params`
-  /// carries the intra-cluster class (P = total ranks), the key's topology
-  /// fields the cluster count and cross-cluster class.  Appended last so
-  /// older snapshots' numeric problem ids stay stable.
-  kHierarchicalBroadcast,
 };
 
 /// Number of Problem enumerators (snapshot loading validates against it).
 inline constexpr int kNumProblems =
-    static_cast<int>(Problem::kHierarchicalBroadcast) + 1;
+    static_cast<int>(Problem::kPipelinedChainKItem) + 1;
 
 /// Stable short name ("kitem", "allreduce", ...) for logs and key strings.
 [[nodiscard]] std::string_view problem_name(Problem p);
@@ -73,6 +66,15 @@ inline constexpr int kNumProblems =
 /// True iff `p` is stated in the postal model, i.e. its key normalizes the
 /// machine to Params::postal(P, L + 2o).
 [[nodiscard]] bool is_postal_problem(Problem p);
+
+/// Largest transfer time L + 2o, and largest gap g, a key accepts, in
+/// cycles.  A broadcast tree on P < 2^31 ranks then finishes within
+/// 32 (L + 2o + g) < 2^36 cycles, and a tree label child_label(parent, i)
+/// adds at most i * g < 2^61 to that, so no time a planner derives from
+/// the machine can overflow Time.  The bound holds for the postal
+/// projection too (its L is the physical L + 2o), so make() stays
+/// idempotent.
+inline constexpr Time kMaxMachineField = Time{1} << 30;
 
 struct PlanKey {
   Problem problem = Problem::kBroadcast;
@@ -97,46 +99,15 @@ struct PlanKey {
   /// replan is ever needed past 64 ranks.
   std::uint64_t mask = 0;
 
-  /// Topology extension, meaningful only for kHierarchicalBroadcast (zero
-  /// for every other problem, so flat keys hash and compare exactly as
-  /// before): the cluster count of the *uniform* hierarchical machine
-  /// (HierParams::uniform — C balanced contiguous blocks; a general
-  /// rank->cluster map cannot live in a fixed-size key) and the
-  /// cross-cluster link class.  `params` carries the intra class with
-  /// params.P = total ranks.  Normalizations in make(): clusters <= 1
-  /// degenerates to kBroadcast on the intra machine, clusters == P (all
-  /// singletons, intra links never used) to kBroadcast on the cross
-  /// machine.  Membership masks are rejected for hierarchical keys — the
-  /// recovery layer is topology-blind.
-  std::int32_t clusters = 0;
-  Time cross_L = 0;
-  Time cross_o = 0;
-  Time cross_g = 0;
-
   /// Builds the canonical key for a request stated on the *physical*
   /// machine `params` (normalization applied here).  Throws
-  /// std::invalid_argument for an invalid machine, a root out of range,
-  /// k < 1, an ill-formed membership mask, or an ill-formed topology.
-  /// Idempotent: make(key.problem, key.params, key.k, key.root, key.mask,
-  /// key.clusters, key.cross_L, key.cross_o, key.cross_g) returns the key
-  /// unchanged.
+  /// std::invalid_argument for an invalid machine, L + 2o or g past
+  /// kMaxMachineField, a root out of range, k < 1, or an ill-formed
+  /// membership mask.  Idempotent: make(key.problem, key.params, key.k,
+  /// key.root, key.mask) returns the key unchanged.
   [[nodiscard]] static PlanKey make(Problem problem, const Params& params,
                                     std::int64_t k = 1, ProcId root = 0,
-                                    std::uint64_t mask = 0,
-                                    std::int32_t clusters = 0,
-                                    Time cross_L = 0, Time cross_o = 0,
-                                    Time cross_g = 0);
-
-  /// The canonical key for a two-level broadcast on the uniform
-  /// hierarchical machine `h`.  Throws std::invalid_argument when `h` is
-  /// invalid or not the uniform() spelling (is_uniform_blocks()).
-  [[nodiscard]] static PlanKey hierarchical(const HierParams& h,
-                                            ProcId root = 0);
-
-  /// Reconstructs the uniform hierarchical machine of a
-  /// kHierarchicalBroadcast key; throws std::logic_error for other
-  /// problems.
-  [[nodiscard]] HierParams hier_params() const;
+                                    std::uint64_t mask = 0);
 
   /// Participating ranks: popcount of the mask, or P when the mask is 0.
   /// Throws std::logic_error for a hand-assembled key whose mask cannot

@@ -9,7 +9,6 @@
 #include "baselines/kitem_baselines.hpp"
 #include "bcast/all_to_all.hpp"
 #include "bcast/combining.hpp"
-#include "bcast/hierarchical.hpp"
 #include "bcast/kitem.hpp"
 #include "bcast/kitem_buffered.hpp"
 #include "obs/trace_recorder.hpp"
@@ -136,85 +135,11 @@ Planner::~Planner() {
   for (const auto& [name, labels] : callback_metrics_) {
     reg.unregister(name, labels);
   }
-  // No readers can remain once the destructor runs; free the memo list.
-  const TunedMemo* m = tuned_memo_.load(std::memory_order_acquire);
-  while (m != nullptr) {
-    const TunedMemo* next = m->next;
-    delete m;
-    m = next;
-  }
 }
 
 PlanPtr Planner::plan(Problem problem, const Params& params, std::int64_t k,
                       ProcId root) {
   return plan(PlanKey::make(problem, params, k, root));
-}
-
-void Planner::set_decision_table(
-    std::shared_ptr<const tune::DecisionTable> table) {
-  const std::scoped_lock lock(table_mu_);
-  if (table_current_) table_retired_.push_back(std::move(table_current_));
-  table_current_ = std::move(table);
-  table_view_.store(table_current_.get(), std::memory_order_release);
-}
-
-std::shared_ptr<const tune::DecisionTable> Planner::decision_table() const {
-  const std::scoped_lock lock(table_mu_);
-  return table_current_;
-}
-
-PlanKey Planner::tuned_key(tune::Collective collective, const Params& params,
-                           std::size_t bytes, ProcId root) const {
-  if (const tune::DecisionTable* table =
-          table_view_.load(std::memory_order_acquire)) {
-    if (const tune::Decision* d = table->find(collective, params.P, bytes)) {
-      switch (d->problem) {
-        case Problem::kKItemBroadcast:
-          // The segmented pipeline: the kitem key's root normalizes to 0;
-          // the executable lowering relabels for other roots
-          // (Communicator::compile's convention).
-          return PlanKey::segmented_broadcast(params, d->segments);
-        case Problem::kHierarchicalBroadcast:
-          return PlanKey::make(Problem::kHierarchicalBroadcast, params, 1,
-                               root, 0, d->clusters, d->cross_L, d->cross_o,
-                               d->cross_g);
-        default:
-          return PlanKey::make(d->problem, params, 1, root);
-      }
-    }
-  }
-  // Untuned machine (or no table): the paper's optimal tree.
-  return PlanKey::broadcast(params, root);
-}
-
-PlanPtr Planner::plan_tuned(tune::Collective collective, const Params& params,
-                            std::size_t bytes, ProcId root) {
-  // Warm path: the memo walk.  The table pointer is part of the match, so
-  // installing or clearing a table invalidates stale bindings implicitly.
-  const tune::DecisionTable* table =
-      table_view_.load(std::memory_order_acquire);
-  const int size_class = tune::size_class_of(bytes);
-  int depth = 0;
-  for (const TunedMemo* m = tuned_memo_.load(std::memory_order_acquire);
-       m != nullptr; m = m->next, ++depth) {
-    if (m->table == table && m->size_class == size_class &&
-        m->root == root && m->collective == collective &&
-        m->params == params) {
-      return m->plan;
-    }
-  }
-  PlanPtr resolved = plan(tuned_key(collective, params, bytes, root));
-  if (depth < kTunedMemoCap) {
-    auto* node = new TunedMemo{table,      collective, params, root,
-                               size_class, resolved,   nullptr};
-    const TunedMemo* head = tuned_memo_.load(std::memory_order_relaxed);
-    do {
-      node->next = head;
-    } while (!tuned_memo_.compare_exchange_weak(head, node,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed));
-  }
-  return resolved;
 }
 
 PlanPtr Planner::plan(const PlanKey& key) {
@@ -377,16 +302,6 @@ Plan Planner::build_uncached(const PlanKey& key) {
       plan.completion = completion_time(plan.schedule);
       plan.method = "pipelined chain";
       break;
-    case Problem::kHierarchicalBroadcast: {
-      // Note the stored schedule's machine is HierParams::flat(), not the
-      // key's intra class — the conservative projection hierarchical
-      // schedules are stated on (see bcast/hierarchical.hpp).
-      auto r = bcast::hierarchical_broadcast(key.hier_params(), key.root);
-      plan.schedule = std::move(r.schedule);
-      plan.completion = r.completion;
-      plan.method = "two-level hierarchical (cluster-aware greedy broadcast)";
-      break;
-    }
     case Problem::kBroadcast:
     case Problem::kReduce:
     case Problem::kBinomialBroadcast:

@@ -11,7 +11,6 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/plan_cache.hpp"
-#include "tune/decision_table.hpp"
 
 /// \file planner.hpp
 /// The concurrent planning service: one facade in front of every schedule
@@ -56,35 +55,6 @@ class Planner {
   [[nodiscard]] PlanPtr plan(Problem problem, const Params& params,
                              std::int64_t k = 1, ProcId root = 0);
 
-  /// Installs (nullptr clears) the measured decision table
-  /// (tune/decision_table.hpp) the tuned fast path consults.  Thread-safe
-  /// against concurrent readers; a replaced table is parked until the
-  /// planner is destroyed rather than freed, so the lock-free reader in
-  /// tuned_key() never races a teardown — tables are a few hundred bytes
-  /// and re-tuning happens O(1) times per process, so parking is cheaper
-  /// than making every warm lookup pay for reclamation.
-  void set_decision_table(std::shared_ptr<const tune::DecisionTable> table);
-  [[nodiscard]] std::shared_ptr<const tune::DecisionTable> decision_table()
-      const;
-
-  /// The key the decision table selects for a `bytes`-sized `collective`
-  /// on `params` from `root`: the tuned winner's family (segmented
-  /// pipeline spelled as the kitem key, hierarchical rebuilt from the
-  /// decision's recorded topology), or PlanKey::broadcast when no table is
-  /// installed or the (collective, P) was never tuned.
-  [[nodiscard]] PlanKey tuned_key(tune::Collective collective,
-                                  const Params& params, std::size_t bytes,
-                                  ProcId root = 0) const;
-
-  /// plan(tuned_key(...)), memoized: the first resolution of each
-  /// (table, collective, machine, root, size class) pays the key
-  /// reconstruction and cache probe, every warm repeat is one atomic load
-  /// plus a short immutable-list walk — cheaper than a plain plan() cache
-  /// hit.  bench_tuning gates the warm overhead at < 5%.
-  [[nodiscard]] PlanPtr plan_tuned(tune::Collective collective,
-                                   const Params& params, std::size_t bytes,
-                                   ProcId root = 0);
-
   /// Routes `key` to its producer, bypassing cache and dedup: the one
   /// function that knows every builder.  Also the cold path the plan-
   /// cache bench measures.  One representation per key: a key with an
@@ -122,30 +92,6 @@ class Planner {
       inflight_;
   int telemetry_id_ = 0;
   obs::Counter* dedup_waits_ = nullptr;  ///< shared across planners
-  /// Decision-table slot: readers take the raw view lock-free; owners (the
-  /// current table plus every replaced one) live under table_mu_ until
-  /// destruction (see set_decision_table).
-  mutable std::mutex table_mu_;
-  std::shared_ptr<const tune::DecisionTable> table_current_;
-  std::vector<std::shared_ptr<const tune::DecisionTable>> table_retired_;
-  std::atomic<const tune::DecisionTable*> table_view_{nullptr};
-  /// Warm-path memo for plan_tuned: an append-only lock-free list of
-  /// resolved bindings.  Nodes are immutable once published and freed only
-  /// at planner destruction; entries for a replaced table simply stop
-  /// matching (their table pointer stays valid — it is parked above).
-  /// Growth is capped, so a workload cycling through many machines pays
-  /// the slow path rather than growing the list without bound.
-  struct TunedMemo {
-    const tune::DecisionTable* table;
-    tune::Collective collective;
-    Params params;
-    ProcId root;
-    int size_class;
-    PlanPtr plan;
-    const TunedMemo* next;
-  };
-  static constexpr int kTunedMemoCap = 64;
-  std::atomic<const TunedMemo*> tuned_memo_{nullptr};
   /// (name, labels) of the callback gauges to unregister on destruction.
   std::vector<std::pair<std::string, std::string>> callback_metrics_;
 };

@@ -15,11 +15,11 @@ namespace logpc::runtime {
 namespace {
 
 // One format: the header, then little-endian i64 fields — the entry count,
-// per entry the twelve canonical key fields, and a 64-bit FNV-1a checksum
+// per entry the eight canonical key fields, and a 64-bit FNV-1a checksum
 // over every byte after the header.  FNV-1a's step (h ^ byte) * prime is a
 // bijection on h, so any same-length change to the bytes — every single-bit
 // flip included — changes the checksum.
-constexpr char kHeader[] = "logpc-plansnap v5\n";
+constexpr char kHeader[] = "logpc-plansnap v6\n";
 constexpr std::size_t kHeaderLen = 18;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
@@ -76,10 +76,6 @@ PlanKey read_key(std::istream& is, std::uint64_t& sum) {
   key.k = get_i64(is, sum);
   key.root = get_as<ProcId>(is, sum, "root");
   key.mask = static_cast<std::uint64_t>(get_i64(is, sum));
-  key.clusters = get_as<std::int32_t>(is, sum, "clusters");
-  key.cross_L = get_i64(is, sum);
-  key.cross_o = get_i64(is, sum);
-  key.cross_g = get_i64(is, sum);
   return key;
 }
 
@@ -98,9 +94,7 @@ std::size_t save_snapshot(const PlanCache& cache, std::ostream& os) {
     for (const std::int64_t field :
          {static_cast<std::int64_t>(key.problem), std::int64_t{key.params.P},
           key.params.L, key.params.o, key.params.g, key.k,
-          std::int64_t{key.root}, static_cast<std::int64_t>(key.mask),
-          std::int64_t{key.clusters}, key.cross_L, key.cross_o,
-          key.cross_g}) {
+          std::int64_t{key.root}, static_cast<std::int64_t>(key.mask)}) {
       put_i64(os, sum, field);
     }
   }
@@ -132,14 +126,13 @@ std::size_t load_snapshot(PlanCache& cache, std::istream& is) {
   const auto expected = static_cast<std::int64_t>(sum);
   if (get_i64(is, sum) != expected) fail("checksum mismatch");
 
-  // Canonicalize only checksummed keys: PlanKey::make does arithmetic on
-  // the machine fields that a flipped high bit could overflow.
+  // PlanKey::make bounds the machine fields before any arithmetic on
+  // them, so a resealed key with a huge L or o is rejected, not overflowed.
   for (const PlanKey& key : keys) {
     PlanKey canonical;
     try {
-      canonical = PlanKey::make(key.problem, key.params, key.k, key.root,
-                                key.mask, key.clusters, key.cross_L,
-                                key.cross_o, key.cross_g);
+      canonical =
+          PlanKey::make(key.problem, key.params, key.k, key.root, key.mask);
     } catch (const std::invalid_argument& e) {
       fail(std::string("bad key: ") + e.what());
     }

@@ -13,10 +13,10 @@
 /// every plan; the request path then builds none.
 ///
 /// Every plan is a deterministic function of its canonical key, so a
-/// snapshot stores keys only.  Format: header "logpc-plansnap v5\n" (the
+/// snapshot stores keys only.  Format: header "logpc-plansnap v6\n" (the
 /// only version read or written; any other header is rejected), an i64
-/// entry count, per entry the twelve canonical key fields (problem, P, L,
-/// o, g, k, root, membership mask, clusters, cross L/o/g), then a 64-bit
+/// entry count, per entry the eight canonical key fields (problem, P, L,
+/// o, g, k, root, membership mask), then a 64-bit
 /// FNV-1a checksum over every byte after the header.  Loading range-checks
 /// every field, verifies the checksum, requires each key to be its own
 /// PlanKey::make canonical form, and only then rebuilds each plan with

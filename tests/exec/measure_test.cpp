@@ -9,8 +9,7 @@ namespace {
 
 // Synthetic-report round trip: generate event logs from known ground-truth
 // parameters, fit, and assert the fit returns them.  Ground truth, in ns:
-constexpr std::uint64_t kIntraO = 20, kIntraL = 100;
-constexpr std::uint64_t kCrossO = 40, kCrossL = 400;
+constexpr std::uint64_t kO = 20, kL = 100;
 constexpr std::uint64_t kGap = 50;
 
 void add_send(ExecReport& r, ProcId from, ProcId to, std::uint64_t start,
@@ -50,40 +49,20 @@ void add_recv(ExecReport& r, ProcId at, ProcId from, std::uint64_t wire_ns,
   r.events[static_cast<std::size_t>(at)].push_back(ev);
 }
 
-/// A 4-rank report with one intra-class hop (0 -> 1), one cross-class hop
-/// (0 -> 2), and a second send from rank 0 spaced kGap after the first.
-/// Under the {0,1} | {2,3} partition the first send is intra, so the one
-/// gap sample belongs to the intra class.
-ExecReport two_class_report() {
-  ExecReport r;
-  r.params = Params{4, 1, 0, 1};
-  r.events.resize(4);
-  add_send(r, 0, 1, 0, kIntraO);
-  add_send(r, 0, 2, kGap, kCrossO);
-  add_recv(r, 1, 0, kIntraL, kIntraO);
-  add_recv(r, 2, 0, kCrossL, kCrossO);
-  return r;
-}
-
-HierParams topo() {
-  return HierParams::uniform(4, 2, Params{0, 2, 1, 2}, Params{0, 8, 2, 5});
-}
-
 TEST(Measure, FlatFitRoundTripsKnownParameters) {
-  // Single-class report: every hop intra-priced.
   ExecReport r;
   r.params = Params{4, 1, 0, 1};
   r.events.resize(4);
-  add_send(r, 0, 1, 0, kIntraO);
-  add_send(r, 0, 2, kGap, kIntraO);
-  add_send(r, 0, 3, 2 * kGap, kIntraO);
-  add_recv(r, 1, 0, kIntraL, kIntraO);
-  add_recv(r, 2, 0, kIntraL, kIntraO);
-  add_recv(r, 3, 0, kIntraL, kIntraO);
+  add_send(r, 0, 1, 0, kO);
+  add_send(r, 0, 2, kGap, kO);
+  add_send(r, 0, 3, 2 * kGap, kO);
+  add_recv(r, 1, 0, kL, kO);
+  add_recv(r, 2, 0, kL, kO);
+  add_recv(r, 3, 0, kL, kO);
 
   const MeasuredLogP fit = measure(r);
-  EXPECT_DOUBLE_EQ(fit.L_ns, static_cast<double>(kIntraL));
-  EXPECT_DOUBLE_EQ(fit.o_ns, static_cast<double>(kIntraO));
+  EXPECT_DOUBLE_EQ(fit.L_ns, static_cast<double>(kL));
+  EXPECT_DOUBLE_EQ(fit.o_ns, static_cast<double>(kO));
   EXPECT_DOUBLE_EQ(fit.g_ns, static_cast<double>(kGap));
   EXPECT_EQ(fit.latency_samples, 3u);
   EXPECT_EQ(fit.overhead_samples, 6u);  // 3 sends + 3 receives
@@ -95,73 +74,6 @@ TEST(Measure, FlatFitRoundTripsKnownParameters) {
   EXPECT_EQ(cycles.L, 10);
   EXPECT_EQ(cycles.o, 2);
   EXPECT_EQ(cycles.g, 5);
-}
-
-TEST(Measure, HierFitSeparatesTheTwoClasses) {
-  const MeasuredHierLogP fit = measure(two_class_report(), topo());
-  EXPECT_DOUBLE_EQ(fit.intra.L_ns, static_cast<double>(kIntraL));
-  EXPECT_DOUBLE_EQ(fit.intra.o_ns, static_cast<double>(kIntraO));
-  EXPECT_DOUBLE_EQ(fit.intra.g_ns, static_cast<double>(kGap));
-  EXPECT_EQ(fit.intra.latency_samples, 1u);
-  EXPECT_EQ(fit.intra.overhead_samples, 2u);
-  EXPECT_EQ(fit.intra.gap_samples, 1u);
-
-  EXPECT_DOUBLE_EQ(fit.cross.L_ns, static_cast<double>(kCrossL));
-  EXPECT_DOUBLE_EQ(fit.cross.o_ns, static_cast<double>(kCrossO));
-  // No cross gap samples; g floors at the class's own overhead.
-  EXPECT_DOUBLE_EQ(fit.cross.g_ns, static_cast<double>(kCrossO));
-  EXPECT_EQ(fit.cross.latency_samples, 1u);
-  EXPECT_EQ(fit.cross.gap_samples, 0u);
-}
-
-TEST(Measure, HierFitResidualNoWorseThanFlat) {
-  // The flat fit must average the two regimes, so on a genuinely two-class
-  // run its residual against either ground-truth class exceeds the hier
-  // fit's (which is exact here).  This is the acceptance check that the
-  // two-class model explains class-tagged runs at least as well.
-  const ExecReport r = two_class_report();
-  const MeasuredHierLogP hier = measure(r, topo());
-  const MeasuredLogP flat = measure(r);
-
-  const auto residual = [](double fitted, double truth) {
-    return fitted > truth ? fitted - truth : truth - fitted;
-  };
-  EXPECT_LE(residual(hier.intra.L_ns, kIntraL),
-            residual(flat.L_ns, kIntraL));
-  EXPECT_LE(residual(hier.cross.L_ns, kCrossL),
-            residual(flat.L_ns, kCrossL));
-  EXPECT_LE(residual(hier.intra.o_ns, kIntraO),
-            residual(flat.o_ns, kIntraO));
-  EXPECT_LE(residual(hier.cross.o_ns, kCrossO),
-            residual(flat.o_ns, kCrossO));
-  // And strictly better on the latency split (the classes differ 4x).
-  EXPECT_LT(residual(hier.cross.L_ns, kCrossL),
-            residual(flat.L_ns, kCrossL));
-}
-
-TEST(Measure, AsHierParamsQuantizesPerClassWithFallback) {
-  const HierParams t = topo();
-  const MeasuredHierLogP fit = measure(two_class_report(), t);
-  const HierParams fitted = fit.as_hier_params(10.0, t);
-  EXPECT_EQ(fitted.intra.P, 4);
-  EXPECT_EQ(fitted.intra.L, 10);
-  EXPECT_EQ(fitted.intra.o, 2);
-  EXPECT_EQ(fitted.intra.g, 5);
-  EXPECT_EQ(fitted.cross.P, 2);
-  EXPECT_EQ(fitted.cross.L, 40);
-  EXPECT_EQ(fitted.cross.o, 4);
-  EXPECT_EQ(fitted.cluster_of, t.cluster_of);
-
-  // A run that never crossed clusters leaves the cross class untouched.
-  ExecReport intra_only;
-  intra_only.params = Params{4, 1, 0, 1};
-  intra_only.events.resize(4);
-  add_send(intra_only, 0, 1, 0, kIntraO);
-  add_recv(intra_only, 1, 0, kIntraL, kIntraO);
-  const MeasuredHierLogP partial = measure(intra_only, t);
-  EXPECT_EQ(partial.cross.latency_samples, 0u);
-  const HierParams back = partial.as_hier_params(10.0, t);
-  EXPECT_EQ(back.cross, t.cross);
 }
 
 }  // namespace

@@ -405,17 +405,12 @@ TEST(ImplicitPlan, ImplicitCapableKeysAreImplicitOnlyAtEveryP) {
 }
 
 /// Every buildable key shape on one small machine (k-item keys at k = 2,
-/// summation at 40 operands, the hierarchical key on 2 clusters), plus a
-/// masked broadcast and a masked scatter.
+/// summation at 40 operands), plus a masked broadcast and a masked scatter.
 std::vector<PlanKey> one_key_per_problem() {
   const Params m{8, 2, 0, 1};
   std::vector<PlanKey> keys;
   for (int p = 0; p < kNumProblems; ++p) {
     const auto problem = static_cast<Problem>(p);
-    if (problem == Problem::kHierarchicalBroadcast) {
-      keys.push_back(PlanKey::make(problem, m, 1, 0, 0, 2, 9, 1, 3));
-      continue;
-    }
     const std::int64_t k = problem == Problem::kSummation ? 40 : 2;
     keys.push_back(PlanKey::make(problem, m, k));
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,30 @@ TEST(PlanKey, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW((void)PlanKey::broadcast(kMachine, 16), std::invalid_argument);
   EXPECT_THROW((void)PlanKey::kitem(kMachine, 0), std::invalid_argument);
+}
+
+TEST(PlanKey, BoundsTheMachineFieldsSoTimesCannotOverflow) {
+  // At the bound the key is accepted, its postal projection is its own
+  // canonical form, and the last label of the widest tree the bound admits
+  // (2^31 - 1 ranks, parent at the stated 32 (L + 2o + g) ceiling) still
+  // fits Time.
+  const Params edge{1024, kMaxMachineField - 2, 1, kMaxMachineField};
+  const PlanKey bcast = PlanKey::broadcast(edge);
+  EXPECT_EQ(bcast.params.transfer_time(), kMaxMachineField);
+  const PlanKey kitem = PlanKey::kitem(edge, 4);
+  EXPECT_EQ(PlanKey::make(kitem.problem, kitem.params, kitem.k), kitem);
+  const Time ceiling = 32 * (edge.transfer_time() + edge.g);
+  EXPECT_GT(edge.child_label(ceiling, std::numeric_limits<ProcId>::max() - 1),
+            ceiling);
+  // One past it, and fields whose L + 2o would overflow Time, are refused.
+  const Time huge = Time{1} << 62;
+  for (const Params& bad :
+       {Params{8, kMaxMachineField + 1, 0, 1}, Params{8, 1, huge, 1},
+        Params{8, huge, 0, 1}, Params{8, 2, 0, kMaxMachineField + 1},
+        Params{8, kMaxMachineField, 1, 1}}) {
+    EXPECT_THROW((void)PlanKey::broadcast(bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(PlanKey, MembershipMasksRequireSmallMachines) {

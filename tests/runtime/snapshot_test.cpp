@@ -19,14 +19,15 @@ namespace {
 
 const Params kMachine{16, 8, 1, 4};
 
-// The v5 layout (snapshot.hpp): header, i64 count, twelve i64 key fields
+// The v6 layout (snapshot.hpp): header, i64 count, eight i64 key fields
 // per entry, i64 FNV-1a checksum over everything after the header.
 constexpr std::size_t kHeaderBytes = 18;
-constexpr std::size_t kEntryBytes = 12 * 8;
+constexpr std::size_t kEntryBytes = 8 * 8;
+constexpr int kFieldProblem = 0;
 constexpr int kFieldP = 1;
+constexpr int kFieldO = 3;
 constexpr int kFieldK = 5;
 constexpr int kFieldRoot = 6;
-constexpr int kFieldClusters = 8;
 
 /// `bytes` with the little-endian i64 at `offset` replaced by `v`.
 std::string with_i64(std::string bytes, std::size_t offset, std::int64_t v) {
@@ -120,7 +121,8 @@ TEST(Snapshot, RejectsCorruptInput) {
   // Only the current format loads: an older version's header is as bad as
   // any other.
   for (const char* old_header : {"logpc-plansnap v3\n",
-                                  "logpc-plansnap v4\n"}) {
+                                  "logpc-plansnap v4\n",
+                                  "logpc-plansnap v5\n"}) {
     std::stringstream old_version(std::string(old_header) +
                                   std::string(8, '\0'));
     EXPECT_THROW((void)load_snapshot(cache, old_version),
@@ -138,6 +140,18 @@ TEST(Snapshot, RejectsCorruptInput) {
   PlanCache partial(16, 1);
   EXPECT_THROW((void)load_snapshot(partial, truncated),
                std::invalid_argument);
+  // The retired hierarchical broadcast's id (one past the last problem) is
+  // no longer a problem, even behind a valid checksum.
+  std::stringstream retired(resealed(full, kFieldProblem, kNumProblems));
+  try {
+    (void)load_snapshot(partial, retired);
+    ADD_FAILURE() << "the retired problem id loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown problem id"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(partial.size(), 0u);
 }
 
 TEST(Snapshot, LoadRebuildsImplicitFamiliesFromTheKey) {
@@ -221,7 +235,7 @@ TEST(Snapshot, StoresOnlyKeysAndAChecksum) {
   warm(planner);
   std::stringstream stream;
   const std::size_t n = save_snapshot(planner.cache(), stream);
-  // Header, entry count, twelve i64 key fields per entry, checksum.
+  // Header, entry count, eight i64 key fields per entry, checksum.
   EXPECT_EQ(stream.str().size(), kHeaderBytes + 8 + n * kEntryBytes + 8);
 }
 
@@ -231,13 +245,15 @@ TEST(Snapshot, RejectsResealedOutOfRangeAndNonCanonicalKeys) {
   std::stringstream stream;
   ASSERT_EQ(save_snapshot(planner.cache(), stream), 1u);
   const std::string good = stream.str();
-  // Each edit re-seals the checksum, so it reaches the key checks: P,
-  // root and clusters must fit their types before narrowing (2^32 + 8
-  // would otherwise read as 8), and a key must be its own canonical form.
+  // Each edit re-seals the checksum, so it reaches the key checks: P and
+  // root must fit their types before narrowing (2^32 + 8 would otherwise
+  // read as 8), o must be small enough that L + 2o cannot overflow, and a
+  // key must be its own canonical form.
   const std::int64_t wide = (std::int64_t{1} << 32) + 8;
   for (const auto& [field, value] :
        {std::pair{kFieldP, wide}, std::pair{kFieldRoot, wide},
-        std::pair{kFieldClusters, wide}, std::pair{kFieldK, std::int64_t{5}},
+        std::pair{kFieldO, std::int64_t{1} << 62},
+        std::pair{kFieldK, std::int64_t{5}},
         std::pair{kFieldRoot, std::int64_t{16}}}) {
     std::stringstream edited(resealed(good, field, value));
     PlanCache cache(8, 1);
@@ -274,6 +290,10 @@ TEST(Snapshot, MutationCorpusIsRejectedBeforeAnyBuild) {
   for (const std::int64_t count : {std::int64_t{1} << 62, std::int64_t{-1}}) {
     corpus.push_back(with_i64(good, kHeaderBytes, count));
   }
+  // The v6 payload under the previous format's header.
+  std::string v5 = good;
+  v5[kHeaderBytes - 2] = '5';
+  corpus.push_back(std::move(v5));
 
   for (const std::string& input : corpus) {
     std::stringstream is(input);
