@@ -9,13 +9,14 @@
 ///   allreduce      combining broadcast (Theorem 4.1) vs reduce+bcast
 ///   alltoall       the rotation schedule (Section 4.1)
 ///
-/// Every price is obtained through the planning runtime (src/runtime): the
-/// strategies are PlanKeys — optimal constructions and baselines alike —
-/// resolved by a shared runtime::Planner, so each schedule is built once,
-/// cached, and the cache statistics are printed at the end.  Postal-model
-/// strategies (Section 3, Theorem 4.1, the pipelined baselines) need no
-/// explicit L' = L + 2o projection here: PlanKey canonicalization applies
-/// it when the key is made.
+/// The paper's executable collectives (broadcast, k-item, reduce,
+/// summation, all-to-all) are priced through the planning runtime
+/// (src/runtime): each is a PlanKey resolved by a runtime::Planner, so its
+/// schedule is built once, cached, and the cache statistics are printed at
+/// the end.  The baselines and the schedule-only constructions (buffered
+/// k-item, combining broadcast) are priced by calling their builders
+/// directly.  The Section 3 k-item key applies the postal projection
+/// L' = L + 2o itself; the direct postal builders get it from `postal`.
 ///
 ///   ./collective_planner [P] [L] [o] [g] [k]
 
@@ -26,9 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "baselines/bcast_baselines.hpp"
 #include "baselines/kitem_baselines.hpp"
+#include "bcast/combining.hpp"
+#include "bcast/kitem_buffered.hpp"
 #include "bcast/tree.hpp"
 #include "runtime/planner.hpp"
+#include "sched/metrics.hpp"
 
 namespace {
 
@@ -78,21 +83,29 @@ int main(int argc, char** argv) {
   // --- single-item broadcast -------------------------------------------
   pick("broadcast (1 item)",
        {{"LogP-optimal tree", price(Problem::kBroadcast)},
-        {"binomial tree", price(Problem::kBinomialBroadcast)},
-        {"binary tree", price(Problem::kBinaryBroadcast)},
-        {"chain", price(Problem::kChainBroadcast)},
-        {"flat", price(Problem::kFlatBroadcast)}});
+        {"binomial tree",
+         baselines::binomial_tree(params, params.P).makespan()},
+        {"binary tree", baselines::binary_tree(params, params.P).makespan()},
+        {"chain", baselines::linear_chain(params, params.P).makespan()},
+        {"flat", baselines::flat_tree(params, params.P).makespan()}});
 
   // --- k-item broadcast (postal pricing: L' = L + 2o, g normalized) ------
-  // The Section 3 algorithms are stated in the postal model; their keys
-  // carry the effective per-hop latency L + 2o.
-  const Time Lp = params.transfer_time();
+  // The Section 3 algorithms are stated in the postal model; they run on
+  // the effective per-hop latency L + 2o.
+  const Params postal = Params::postal(params.P, params.transfer_time());
+  const Time Lp = postal.L;
   pick("broadcast (" + std::to_string(k) + " items, postal pricing)",
        {{"block-cyclic pipeline", price(Problem::kKItemBroadcast, k)},
-        {"buffered (Thm 3.8)", price(Problem::kBufferedKItemBroadcast, k)},
-        {"serialized optimal", price(Problem::kSerializedKItem, k)},
-        {"pipelined binary", price(Problem::kPipelinedBinaryKItem, k)},
-        {"pipelined chain", price(Problem::kPipelinedChainKItem, k)},
+        {"buffered (Thm 3.8)",
+         bcast::kitem_buffered(postal.P, Lp, k).completion},
+        {"serialized optimal",
+         completion_time(baselines::serialized_broadcast(postal, k))},
+        {"pipelined binary",
+         completion_time(baselines::pipelined_tree_broadcast(
+             baselines::binary_tree(postal, postal.P), k))},
+        {"pipelined chain",
+         completion_time(baselines::pipelined_tree_broadcast(
+             baselines::linear_chain(postal, postal.P), k))},
         {"Bar-Noy/Kipnis (stated)",
          baselines::bnk_stated_time(params.P, Lp, k)}});
 
@@ -110,7 +123,7 @@ int main(int argc, char** argv) {
   }
 
   // --- allreduce ----------------------------------------------------------
-  const Time combine_T = price(Problem::kAllReduce);
+  const Time combine_T = bcast::combining_time_for(postal.P, Lp);
   pick("allreduce (postal pricing)",
        {{"combining broadcast (Thm 4.1)", combine_T},
         {"reduce + broadcast", 2 * combine_T}});
@@ -123,7 +136,7 @@ int main(int argc, char** argv) {
 
   // A second pass over the same machine is free: every key hits the cache.
   for (const Problem p :
-       {Problem::kBroadcast, Problem::kKItemBroadcast, Problem::kAllReduce}) {
+       {Problem::kBroadcast, Problem::kKItemBroadcast, Problem::kReduce}) {
     (void)price(p, p == Problem::kKItemBroadcast ? k : 1);
   }
   const runtime::CacheStats stats = planner.cache().stats();

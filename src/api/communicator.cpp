@@ -20,6 +20,40 @@ Time scatter_time(const Params& params) {
   return (params.P - 2) * params.g + params.transfer_time();
 }
 
+namespace {
+
+/// Scatter: item d leaves the root in destination order, serialized by g
+/// (any order is optimal — every message crosses the root's send port).
+Schedule build_scatter(const Params& params, ProcId root) {
+  Schedule s(params, params.P);
+  for (ProcId d = 0; d < params.P; ++d) s.add_initial(d, root, 0);
+  Time start = 0;
+  for (ProcId d = 0; d < params.P; ++d) {
+    if (d == root) continue;
+    s.add_send(start, root, d, d);
+    start += params.g;
+  }
+  s.sort();
+  return s;
+}
+
+/// Gather: the scatter pattern reversed — senders staggered so arrivals at
+/// the root land exactly g apart.
+Schedule build_gather(const Params& params, ProcId root) {
+  Schedule s(params, params.P);
+  for (ProcId p = 0; p < params.P; ++p) s.add_initial(p, p, 0);
+  Time start = 0;
+  for (ProcId p = 0; p < params.P; ++p) {
+    if (p == root) continue;
+    s.add_send(start, p, root, p);
+    start += params.g;
+  }
+  s.sort();
+  return s;
+}
+
+}  // namespace
+
 Communicator::Communicator(Params params,
                            std::shared_ptr<runtime::Planner> planner)
     : params_(params),
@@ -65,13 +99,8 @@ bcast::KItemResult Communicator::bcast_k(int k) const {
 
 bcast::BufferedKItemResult Communicator::bcast_k_buffered(int k) const {
   const obs::Span span("comm.bcast_k_buffered", "comm");
-  const PlanPtr plan = planner_->plan(PlanKey::kitem_buffered(params_, k));
-  bcast::BufferedKItemResult r;
-  r.schedule = plan->schedule;
-  r.bounds = bcast::kitem_bounds(plan->key.params.P, plan->key.params.L, k);
-  r.completion = plan->completion;
-  r.max_buffer_depth = plan->max_buffer_depth;
-  return r;
+  const Params postal = postal_projection();
+  return bcast::kitem_buffered(postal.P, postal.L, k);
 }
 
 Schedule Communicator::scatter(ProcId root) const {
@@ -79,7 +108,7 @@ Schedule Communicator::scatter(ProcId root) const {
   if (root < 0 || root >= params_.P) {
     throw std::invalid_argument("Communicator::scatter: bad root");
   }
-  return planner_->plan(PlanKey::scatter(params_, root))->schedule;
+  return build_scatter(params_, root);
 }
 
 bcast::ReductionPlan Communicator::reduce(ProcId root) const {
@@ -98,7 +127,7 @@ Schedule Communicator::gather(ProcId root) const {
   if (root < 0 || root >= params_.P) {
     throw std::invalid_argument("Communicator::gather: bad root");
   }
-  return planner_->plan(PlanKey::gather(params_, root))->schedule;
+  return build_gather(params_, root);
 }
 
 sum::SummationPlan Communicator::reduce_operands(Count n) const {
@@ -122,17 +151,12 @@ Time Communicator::alltoall_time(int k) const {
 
 Schedule Communicator::alltoall_personalized() const {
   const obs::Span span("comm.alltoall_personalized", "comm");
-  return planner_->plan(PlanKey::alltoall_personalized(params_))->schedule;
+  return bcast::all_to_all_personalized(params_);
 }
 
 bcast::CombiningSchedule Communicator::allreduce() const {
   const obs::Span span("comm.allreduce", "comm");
-  const PlanPtr plan = planner_->plan(PlanKey::allreduce(params_));
-  bcast::CombiningSchedule cs;
-  cs.params = plan->schedule.params();
-  cs.T = plan->completion;
-  cs.sends = plan->schedule.sends();
-  return cs;
+  return bcast::combining_broadcast(allreduce_time(), postal_projection().L);
 }
 
 Time Communicator::allreduce_time() const {
@@ -179,14 +203,12 @@ exec::Program Communicator::compile(runtime::Problem problem, std::int64_t k,
           *planner_->plan(PlanKey::reduce(params_, root)), "reduce");
     case runtime::Problem::kAllToAll:
       return exec::compile_plan(
-          *planner_->plan(PlanKey::alltoall(params_, static_cast<int>(k))),
+          *planner_->plan(PlanKey::alltoall(params_, k)),
           k == 1 ? "allgather" : "alltoall");
     case runtime::Problem::kSummation:
       return exec::compile_summation(reduce_operands(k));
-    default:
-      throw std::invalid_argument(
-          "Communicator::compile: problem has no execution semantics");
   }
+  throw std::invalid_argument("Communicator::compile: unknown problem");
 }
 
 exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,

@@ -21,12 +21,15 @@
 /// against; everything it returns is constructed by the paper's algorithms
 /// and audited by validate::check in this library's tests.
 ///
-/// Every schedule-producing method resolves through the planning runtime
-/// (src/runtime): requests hit a shared, thread-safe plan cache keyed on
-/// the canonical (problem, P, L, o, g, k, root) signature, so repeated and
-/// concurrent requests for the same collective reuse one construction.
-/// By default all Communicator instances share one process-wide Planner;
-/// pass your own to isolate its cache.
+/// The five executable collectives (broadcast, k-item broadcast, reduce,
+/// all-to-all and summation; runtime::Problem) resolve through the
+/// planning runtime (src/runtime): requests hit a shared, thread-safe plan
+/// cache keyed on the canonical (problem, P, L, o, g, k, root) signature,
+/// so repeated and concurrent requests for the same collective reuse one
+/// construction.  By default all Communicator instances share one
+/// process-wide Planner; pass your own to isolate its cache.  The
+/// schedule-only getters (bcast_k_buffered, scatter, gather,
+/// alltoall_personalized, allreduce) call their builders directly.
 
 namespace logpc::api {
 
@@ -96,16 +99,16 @@ class Communicator {
                                       std::int64_t k = 1,
                                       ProcId root = 0) const;
 
-  /// The executable lowering of the cached plan for an *executable*
-  /// problem — kBroadcast, kKItemBroadcast (k = segment count; the root-0
+  /// The executable lowering of the cached plan for `problem` —
+  /// kBroadcast, kKItemBroadcast (k = segment count; the root-0
   /// plan is relabeled for other roots, so all roots share one cache
   /// entry), kReduce, kAllToAll (k = 1 is the allgather the run path uses)
   /// or kSummation (k = operand count n).  This is the
   /// exact program the corresponding run_* method would execute; a serving
   /// layer (svc::CollectiveService) caches the returned Program per
   /// (problem, k, root) and hands it straight to its pool engines, paying
-  /// plan lookup + compilation once instead of per request.  Throws
-  /// std::invalid_argument for problems with no execution semantics.
+  /// plan lookup + compilation once instead of per request.  Every Problem
+  /// compiles; std::invalid_argument for an out-of-range root.
   [[nodiscard]] exec::Program compile(runtime::Problem problem,
                                       std::int64_t k = 1,
                                       ProcId root = 0) const;
@@ -120,7 +123,8 @@ class Communicator {
   /// block-cyclic construction with its exact completion.
   [[nodiscard]] bcast::KItemResult bcast_k(int k) const;
 
-  /// The modified-model (buffered) k-item broadcast (Theorem 3.8).
+  /// The modified-model (buffered) k-item broadcast (Theorem 3.8), in the
+  /// postal projection of this machine like bcast_k.
   [[nodiscard]] bcast::BufferedKItemResult bcast_k_buffered(int k) const;
 
   /// One distinct message from the root to every processor.

@@ -22,38 +22,18 @@ void check_node(std::int64_t node, std::int64_t P, const char* where) {
   }
 }
 
-/// The construction label each implicit family's plan carries.
+/// The construction label each implicit plan carries.
 std::string implicit_method(Problem problem) {
-  switch (problem) {
-    case Problem::kBroadcast:
-      return "optimal tree (Thm 2.1)";
-    case Problem::kReduce:
-      return "reversed optimal tree (Sec 4.2)";
-    case Problem::kBinomialBroadcast:
-      return "binomial tree";
-    case Problem::kBinaryBroadcast:
-      return "binary tree";
-    case Problem::kChainBroadcast:
-      return "linear chain";
-    default:
-      fail("no implicit form");  // unreachable: supports() screened
-  }
+  return problem == Problem::kReduce ? "reversed optimal tree (Sec 4.2)"
+                                     : "optimal tree (Thm 2.1)";
 }
 
 }  // namespace
 
 bool ImplicitPlan::supports(const PlanKey& key) {
-  if (key.mask != 0) return false;  // implicit_only_plan compacts first
-  switch (key.problem) {
-    case Problem::kBroadcast:
-    case Problem::kReduce:
-    case Problem::kBinomialBroadcast:
-    case Problem::kBinaryBroadcast:
-    case Problem::kChainBroadcast:
-      return true;
-    default:
-      return false;
-  }
+  // A masked key is not itself supported; implicit_only_plan compacts first.
+  return key.mask == 0 && (key.problem == Problem::kBroadcast ||
+                           key.problem == Problem::kReduce);
 }
 
 ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
@@ -61,32 +41,11 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
   key.params.require_valid();
   ImplicitPlan plan;
   plan.key_ = key;
+  plan.reverse_ = key.problem == Problem::kReduce;
   plan.P_ = key.params.P;
   plan.T_ = key.params.transfer_time();
   plan.g_ = key.params.g;
-  switch (key.problem) {
-    case Problem::kReduce:
-      plan.reverse_ = true;
-      [[fallthrough]];
-    case Problem::kBroadcast:
-      plan.family_ = Family::kOptimal;
-      plan.build_optimal_tables();
-      break;
-    case Problem::kBinomialBroadcast:
-      plan.family_ = Family::kBinomial;
-      plan.build_binomial_tables();
-      break;
-    case Problem::kBinaryBroadcast:
-      plan.family_ = Family::kBinary;
-      plan.completion_ = plan.binary_subtree_max_label(0);
-      break;
-    case Problem::kChainBroadcast:
-      plan.family_ = Family::kChain;
-      plan.completion_ = static_cast<Time>(plan.P_ - 1) * plan.T_;
-      break;
-    default:
-      fail("no implicit form");  // unreachable: supports() screened
-  }
+  plan.build_optimal_tables();
   return plan;
 }
 
@@ -153,271 +112,42 @@ ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node) const {
   return out;
 }
 
-// ---- binomial tree (baselines::binomial_tree) ---------------------------
-//
-// The halving construction assigns indices in BFS order, and within the
-// tree each node's children are created rank-0-first, so index order is
-// (depth, lexicographic rank path).  Every subtree size along any peel
-// chain lies in {floor(P/2^h), ceil(P/2^h)} — at most two per depth — so
-// desc_ (depth-k descendant counts per reachable size) stays O(log^2 P)
-// and index <-> path conversion is combinatorial counting over it.
-
-std::vector<int> ImplicitPlan::binomial_child_sizes(int size) {
-  std::vector<int> out;
-  int rest = size;
-  while (rest > 1) {
-    const int half = rest / 2;
-    out.push_back(half);
-    rest -= half;
-  }
-  return out;
-}
-
-std::int64_t ImplicitPlan::binomial_descendants(int size, int depth) const {
-  const auto& counts = desc_.at(size);
-  if (depth < 0 || depth >= static_cast<int>(counts.size())) return 0;
-  return counts[static_cast<std::size_t>(depth)];
-}
-
-void ImplicitPlan::build_binomial_tables() {
-  const auto P = static_cast<int>(P_);
-  // Reachable subtree sizes, smallest first so children resolve before
-  // their parents in the per-depth sweeps below.
-  std::vector<int> pending{P};
-  while (!pending.empty()) {
-    const int s = pending.back();
-    pending.pop_back();
-    if (desc_.find(s) != desc_.end()) continue;
-    desc_.emplace(s, std::vector<std::int64_t>{});
-    for (const int c : binomial_child_sizes(s)) {
-      if (desc_.find(c) == desc_.end()) pending.push_back(c);
-    }
-  }
-  std::vector<int> sizes;
-  sizes.reserve(desc_.size());
-  for (const auto& [s, counts] : desc_) sizes.push_back(s);
-  std::sort(sizes.begin(), sizes.end());
-
-  for (const int s : sizes) desc_[s].push_back(1);  // depth 0: the node
-  max_depth_ = 0;
-  for (int k = 1;; ++k) {
-    for (const int s : sizes) {
-      std::int64_t total = 0;
-      for (const int c : binomial_child_sizes(s)) {
-        total += binomial_descendants(c, k - 1);
-      }
-      desc_[s].push_back(total);
-    }
-    if (binomial_descendants(P, k) == 0) break;
-    max_depth_ = k;
-  }
-
-  level_start_.assign(1, 0);
-  for (int d = 0; d <= max_depth_; ++d) {
-    level_start_.push_back(level_start_.back() + binomial_descendants(P, d));
-  }
-  if (level_start_.back() != P_) fail("binomial level counts do not sum to P");
-
-  // Completion = max label, by the same size-collapsed DP.
-  std::unordered_map<int, Time> max_label;
-  for (const int s : sizes) {
-    Time m = 0;
-    const std::vector<int> cs = binomial_child_sizes(s);
-    for (std::size_t j = 0; j < cs.size(); ++j) {
-      m = std::max(m, T_ + static_cast<Time>(j) * g_ + max_label[cs[j]]);
-    }
-    max_label[s] = m;
-  }
-  completion_ = max_label[P];
-}
-
-ImplicitPlan::BinomialPath ImplicitPlan::binomial_decode(
-    std::int64_t node) const {
-  const auto it =
-      std::upper_bound(level_start_.begin(), level_start_.end(), node);
-  const int depth = static_cast<int>(it - level_start_.begin()) - 1;
-  std::int64_t offset = node - level_start_[static_cast<std::size_t>(depth)];
-  BinomialPath path;
-  path.depth = depth;
-  path.ranks.reserve(static_cast<std::size_t>(depth));
-  path.sizes.reserve(static_cast<std::size_t>(depth));
-  int size = static_cast<int>(P_);
-  for (int e = 0; e < depth; ++e) {
-    const std::vector<int> cs = binomial_child_sizes(size);
-    int j = 0;
-    for (;; ++j) {
-      const std::int64_t under = binomial_descendants(cs[static_cast<std::size_t>(j)],
-                                                      depth - 1 - e);
-      if (offset < under) break;
-      offset -= under;
-    }
-    path.ranks.push_back(j);
-    size = cs[static_cast<std::size_t>(j)];
-    path.sizes.push_back(size);
-  }
-  return path;
-}
-
-std::int64_t ImplicitPlan::binomial_index(const BinomialPath& path,
-                                          int depth) const {
-  // Index of the length-`depth` prefix of `path`: level start plus the
-  // count of depth-`depth` nodes with a lexicographically smaller path.
-  std::int64_t within = 0;
-  int size = static_cast<int>(P_);
-  for (int e = 0; e < depth; ++e) {
-    const std::vector<int> cs = binomial_child_sizes(size);
-    const int je = path.ranks[static_cast<std::size_t>(e)];
-    for (int j = 0; j < je; ++j) {
-      within +=
-          binomial_descendants(cs[static_cast<std::size_t>(j)], depth - 1 - e);
-    }
-    size = cs[static_cast<std::size_t>(je)];
-  }
-  return level_start_[static_cast<std::size_t>(depth)] + within;
-}
-
-// ---- binary tree --------------------------------------------------------
-
-Time ImplicitPlan::binary_subtree_max_label(std::int64_t node) const {
-  if (2 * node + 1 >= P_) return 0;
-  // Height h: the deepest level whose leftmost descendant exists.
-  int h = 0;
-  std::int64_t leftmost = node;
-  while (2 * leftmost + 1 < P_) {
-    leftmost = 2 * leftmost + 1;
-    ++h;
-  }
-  // Perfect subtree: the all-right path (T + g per level) is the maximum.
-  std::int64_t rightmost = node;
-  for (int k = 0; k < h; ++k) rightmost = 2 * rightmost + 2;
-  if (rightmost < P_) return static_cast<Time>(h) * (T_ + g_);
-  // A heap's incomplete frontier is a single path, so at most one child
-  // recurses past its own perfect check: O(log^2 P) total.
-  Time best = binary_subtree_max_label(2 * node + 1);
-  if (2 * node + 2 < P_) {
-    best = std::max(best, g_ + binary_subtree_max_label(2 * node + 2));
-  }
-  return T_ + best;
-}
-
 // ---- node-space queries -------------------------------------------------
 
 Time ImplicitPlan::label(std::int64_t node) const {
   check_node(node, P_, "label");
-  switch (family_) {
-    case Family::kOptimal:
-      return label_of_index(node);
-    case Family::kBinomial: {
-      const BinomialPath path = binomial_decode(node);
-      Time lab = 0;
-      for (const int r : path.ranks) lab += T_ + static_cast<Time>(r) * g_;
-      return lab;
-    }
-    case Family::kBinary: {
-      Time lab = 0;
-      for (std::int64_t n = node; n != 0; n = (n - 1) / 2) {
-        lab += T_ + static_cast<Time>((n - 1) % 2) * g_;
-      }
-      return lab;
-    }
-    case Family::kChain:
-      return static_cast<Time>(node) * T_;
-  }
-  return 0;  // unreachable
+  return label_of_index(node);
 }
 
 std::int64_t ImplicitPlan::parent(std::int64_t node) const {
   check_node(node, P_, "parent");
-  if (node == 0) return -1;
-  switch (family_) {
-    case Family::kOptimal:
-      return optimal_parent(node).parent;
-    case Family::kBinomial: {
-      const BinomialPath path = binomial_decode(node);
-      return binomial_index(path, path.depth - 1);
-    }
-    case Family::kBinary:
-      return (node - 1) / 2;
-    case Family::kChain:
-      return node - 1;
-  }
-  return -1;  // unreachable
+  return node == 0 ? -1 : optimal_parent(node).parent;
 }
 
 int ImplicitPlan::child_rank(std::int64_t node) const {
   check_node(node, P_, "child_rank");
-  if (node == 0) return 0;
-  switch (family_) {
-    case Family::kOptimal:
-      return optimal_parent(node).rank;
-    case Family::kBinomial:
-      return binomial_decode(node).ranks.back();
-    case Family::kBinary:
-      return static_cast<int>((node - 1) % 2);
-    case Family::kChain:
-      return 0;
-  }
-  return 0;  // unreachable
+  return node == 0 ? 0 : optimal_parent(node).rank;
 }
 
 std::int64_t ImplicitPlan::child(std::int64_t node, int rank) const {
   check_node(node, P_, "child");
   if (rank < 0) throw std::out_of_range("ImplicitPlan::child: rank < 0");
-  switch (family_) {
-    case Family::kOptimal: {
-      const Time ell = label_of_index(node);
-      const Time c = ell + T_ + static_cast<Time>(rank) * g_;
-      if (c > completion_) return -1;  // label beyond B: outside B(P)
-      const Count before_classes =
-          ell >= g_ ? strided_[static_cast<std::size_t>(ell - g_)] : Count{0};
-      const Count idx = nodes_through(c - 1) + before_classes +
-                        (static_cast<Count>(node) - nodes_through(ell - 1));
-      return idx < static_cast<Count>(P_) ? static_cast<std::int64_t>(idx)
-                                          : -1;
-    }
-    case Family::kBinomial: {
-      BinomialPath path = binomial_decode(node);
-      const int size = path.depth == 0 ? static_cast<int>(P_)
-                                       : path.sizes.back();
-      const std::vector<int> cs = binomial_child_sizes(size);
-      if (rank >= static_cast<int>(cs.size())) return -1;
-      path.ranks.push_back(rank);
-      return binomial_index(path, path.depth + 1);
-    }
-    case Family::kBinary: {
-      if (rank > 1) return -1;
-      const std::int64_t c = 2 * node + 1 + rank;
-      return c < P_ ? c : -1;
-    }
-    case Family::kChain:
-      return (rank == 0 && node + 1 < P_) ? node + 1 : -1;
-  }
-  return -1;  // unreachable
+  const Time ell = label_of_index(node);
+  const Time c = ell + T_ + static_cast<Time>(rank) * g_;
+  if (c > completion_) return -1;  // label beyond B: outside B(P)
+  const Count before_classes =
+      ell >= g_ ? strided_[static_cast<std::size_t>(ell - g_)] : Count{0};
+  const Count idx = nodes_through(c - 1) + before_classes +
+                    (static_cast<Count>(node) - nodes_through(ell - 1));
+  return idx < static_cast<Count>(P_) ? static_cast<std::int64_t>(idx) : -1;
 }
 
 int ImplicitPlan::num_children(std::int64_t node) const {
   check_node(node, P_, "num_children");
-  switch (family_) {
-    case Family::kOptimal: {
-      // Child indices grow with rank (labels do), so presence is a prefix.
-      int n = 0;
-      while (child(node, n) >= 0) ++n;
-      return n;
-    }
-    case Family::kBinomial: {
-      const BinomialPath path = binomial_decode(node);
-      const int size = path.depth == 0 ? static_cast<int>(P_)
-                                       : path.sizes.back();
-      return static_cast<int>(binomial_child_sizes(size).size());
-    }
-    case Family::kBinary: {
-      if (2 * node + 2 < P_) return 2;
-      return 2 * node + 1 < P_ ? 1 : 0;
-    }
-    case Family::kChain:
-      return node + 1 < P_ ? 1 : 0;
-  }
-  return 0;  // unreachable
+  // Child indices grow with rank (labels do), so presence is a prefix.
+  int n = 0;
+  while (child(node, n) >= 0) ++n;
+  return n;
 }
 
 std::vector<std::int64_t> ImplicitPlan::children(std::int64_t node) const {
@@ -511,11 +241,6 @@ std::size_t ImplicitPlan::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += cum_.capacity() * sizeof(Count);
   bytes += strided_.capacity() * sizeof(Count);
-  bytes += level_start_.capacity() * sizeof(std::int64_t);
-  for (const auto& [size, counts] : desc_) {
-    bytes += sizeof(size) + sizeof(counts) +
-             counts.capacity() * sizeof(std::int64_t);
-  }
   return bytes;
 }
 

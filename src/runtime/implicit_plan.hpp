@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "logp/fib.hpp"
@@ -13,20 +12,18 @@
 #include "sched/schedule.hpp"
 
 /// \file implicit_plan.hpp
-/// O(log P)-sized implicit schedules for the regular collectives.
+/// O(log P)-sized implicit schedules for the optimal tree and its reversal.
 ///
 /// The direct builders materialize every tree node and every SendOp, so
-/// build time and memory grow linearly with P.  For the
-/// *regular* trees — the Section 2 optimal tree, its reversal (the
-/// Section 4.2 reduction), and the binomial / binary / chain baselines —
-/// the whole structure is determined by (P, L, o, g), and any single
-/// rank's role can be recovered from the counting recurrences alone
-/// (Träff, "Optimal Broadcast Schedules in Logarithmic Time",
-/// arXiv:2407.18004).  An ImplicitPlan stores only those recurrence
-/// tables — O(B) = O(log P) words for the optimal tree, O(log^2 P) for
-/// the binomial — and answers per-node and per-rank queries on demand:
+/// build time and memory grow linearly with P.  The Section 2 optimal tree
+/// and its reversal (the Section 4.2 reduction) are determined by
+/// (P, L, o, g), and any single rank's role can be recovered from the
+/// counting recurrences alone (Träff, "Optimal Broadcast Schedules in
+/// Logarithmic Time", arXiv:2407.18004).  An ImplicitPlan stores only
+/// those recurrence tables — O(B) = O(log P) words — and answers per-node
+/// and per-rank queries on demand:
 ///
-///  * optimal tree: the best-first materialization order of
+///  * broadcast: the best-first materialization order of
 ///    `BroadcastTree::optimal` is exactly the total order by
 ///    (label, parent index, child rank).  With N(t) = reachable(params, t)
 ///    (the Definition 2.3 node-counting DP; f_t in the postal model) the
@@ -34,21 +31,15 @@
 ///    within one label the nodes split into per-child-rank classes whose
 ///    sizes are N-differences — a strided prefix-sum table over send slots
 ///    (stride g) resolves parent and children in O(log P).
-///  * binomial tree: node indices are BFS order = (depth, lexicographic
-///    rank path).  Subtree sizes under the halving construction collapse
-///    to at most two values per depth, so a small table of depth-k
-///    descendant counts per reachable size turns index <-> rank-path
-///    conversion into combinatorial counting, O(log^2 P) per query.
-///  * binary / chain: closed-form heap / successor arithmetic.
-///  * reduce: the same optimal-tree decode, emitted time-reversed
-///    (a parent->child send at tau becomes child->parent at B - label).
+///  * reduce: the same decode, emitted time-reversed (a parent->child send
+///    at tau becomes child->parent at B - label).
 ///
 /// Node indices always refer to the deterministic order of the direct
 /// builder, so the two agree node by node, schedule by schedule — the
 /// property suite asserts equality, and exec::compile_implicit produces the
 /// same Program as compile_broadcast / compile_reduction of the direct
-/// builder's schedule.  The planner stores these five families in this
-/// form alone, at every P (implicit_only_plan).
+/// builder's schedule.  The planner stores both in this form alone, at
+/// every P (implicit_only_plan).
 
 namespace logpc::runtime {
 
@@ -69,13 +60,12 @@ struct RankSchedule {
   std::vector<SendOp> sends;  ///< outbound ops (op.from == proc), time order
 };
 
-/// Compact generator form of a regular collective plan; immutable and
+/// Compact generator form of a broadcast or reduce plan; immutable and
 /// cheap to share.  Build once per PlanKey (the Planner caches it inside
 /// the Plan), query from any thread.
 class ImplicitPlan {
  public:
-  /// True iff `key` has an implicit form: kBroadcast, kReduce,
-  /// kBinomialBroadcast, kBinaryBroadcast or kChainBroadcast with full
+  /// True iff `key` has an implicit form: kBroadcast or kReduce with full
   /// membership (mask == 0; implicit_only_plan compacts a masked key
   /// first).  Everything else is planned as a materialized Schedule.
   [[nodiscard]] static bool supports(const PlanKey& key);
@@ -89,8 +79,7 @@ class ImplicitPlan {
   [[nodiscard]] bool is_reduction() const { return reverse_; }
   [[nodiscard]] std::int64_t num_nodes() const { return P_; }
 
-  /// The plan's exact completion cycle: B(P) for the optimal tree and its
-  /// reversal, the tree makespan for the baselines.
+  /// The plan's exact completion cycle, B(P).
   [[nodiscard]] Time completion() const { return completion_; }
 
   /// Heap footprint of the recurrence tables (the whole point: O(log P),
@@ -99,7 +88,7 @@ class ImplicitPlan {
 
   // --- node-space queries ------------------------------------------------
   // Nodes are indexed in the materialized builder's deterministic order;
-  // node 0 is the tree root.  All run in O(log P) (O(log^2 P) binomial).
+  // node 0 is the tree root.  All run in O(log P).
 
   /// The node's broadcast delay relative to the root (TreeNode::label).
   [[nodiscard]] Time label(std::int64_t node) const;
@@ -123,26 +112,21 @@ class ImplicitPlan {
   [[nodiscard]] std::int64_t node_of_proc(ProcId proc) const;
 
   /// The full per-rank instruction pattern: O(log P) time and output size
-  /// (out-degrees of all supported trees are O(log P)).
+  /// (the optimal tree's out-degrees are O(log P)).
   [[nodiscard]] RankSchedule rank_schedule(ProcId proc) const;
 
   /// O(P log P) materialization, equal (by Schedule::operator==) to the
   /// direct builder's schedule for the same key (bcast::optimal_single_item,
-  /// bcast::optimal_reduction, baselines::*_tree(...).to_schedule).  For
-  /// the validator, the figures and the tests; the request path stays
-  /// implicit.
+  /// bcast::optimal_reduction).  For the validator, the figures and the
+  /// tests; the request path stays implicit.
   [[nodiscard]] Schedule to_schedule() const;
 
  private:
-  enum class Family : std::uint8_t { kOptimal, kBinomial, kBinary, kChain };
-
   ImplicitPlan() = default;
 
   void build_optimal_tables();
-  void build_binomial_tables();
-  [[nodiscard]] Time binary_subtree_max_label(std::int64_t node) const;
 
-  // Optimal-tree helpers over the cumulative node-count table.
+  // Helpers over the cumulative node-count table.
   [[nodiscard]] Count nodes_through(Time t) const;  ///< N(t); 0 for t < 0
   [[nodiscard]] Time label_of_index(std::int64_t node) const;
   struct OptParent {
@@ -153,40 +137,18 @@ class ImplicitPlan {
   /// One decode resolving label, parent index and child rank together.
   [[nodiscard]] OptParent optimal_parent(std::int64_t node) const;
 
-  // Binomial helpers.
-  struct BinomialPath {
-    int depth = 0;
-    std::vector<int> ranks;  ///< rank path from the root, size == depth
-    std::vector<int> sizes;  ///< subtree size at each step, size == depth
-  };
-  [[nodiscard]] static std::vector<int> binomial_child_sizes(int size);
-  [[nodiscard]] BinomialPath binomial_decode(std::int64_t node) const;
-  [[nodiscard]] std::int64_t binomial_descendants(int size, int depth) const;
-  [[nodiscard]] std::int64_t binomial_index(const BinomialPath& path,
-                                            int depth) const;
-
   PlanKey key_;
-  Family family_ = Family::kOptimal;
   bool reverse_ = false;  ///< emit time-reversed (kReduce)
   std::int64_t P_ = 1;
   Time T_ = 0;  ///< transfer time L + 2o
   Time g_ = 1;
   Time completion_ = 0;
 
-  // kOptimal / reverse: cumulative node counts of the universal tree,
-  // cum_[t] = N(t) for t in [0, B], plus the per-send-slot strided prefix
-  // sums strided_[t] = (N(t) - N(t-1)) + strided_[t - g].
+  // Cumulative node counts of the universal tree, cum_[t] = N(t) for t in
+  // [0, B], plus the per-send-slot strided prefix sums
+  // strided_[t] = (N(t) - N(t-1)) + strided_[t - g].
   std::vector<Count> cum_;
   std::vector<Count> strided_;
-
-  // kBinomial: descendant counts per reachable subtree size.
-  // desc_[size][k] = number of depth-k descendants of a size-`size`
-  // subtree root (desc_[s][0] == 1); level_start_[d] = index of the first
-  // depth-d node.  At most two sizes per halving depth are reachable, so
-  // both tables are O(log^2 P).
-  std::unordered_map<int, std::vector<std::int64_t>> desc_;
-  std::vector<std::int64_t> level_start_;
-  int max_depth_ = 0;
 };
 
 /// The plan for `key` in its generator form, or nullopt when the key has

@@ -47,8 +47,6 @@ struct Plan {
   Time completion = 0;
   std::string method;        ///< construction label ("block-cyclic", ...)
   int slack = 0;             ///< k-item: extra delay over the optimal
-  int max_buffer_depth = 0;  ///< buffered k-item: worst buffer occupancy
-  std::uint64_t total_operands = 0;  ///< summation: operands by deadline
 };
 
 using PlanPtr = std::shared_ptr<const Plan>;

@@ -1,6 +1,7 @@
 #include "runtime/plan_key.hpp"
 
 #include <bit>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -9,78 +10,32 @@ namespace logpc::runtime {
 
 namespace {
 
-/// Problems whose plan ignores the requested root (fixed source 0 or fully
-/// symmetric), so the key normalizes root to 0.
+/// Problems whose plan depends on the requested root; the others (fixed
+/// source 0 or fully symmetric) normalize root to 0.
 bool uses_root(Problem p) {
-  switch (p) {
-    case Problem::kBroadcast:
-    case Problem::kScatter:
-    case Problem::kGather:
-    case Problem::kReduce:
-    case Problem::kBinomialBroadcast:
-    case Problem::kBinaryBroadcast:
-    case Problem::kChainBroadcast:
-    case Problem::kFlatBroadcast:
-      return true;
-    default:
-      return false;
-  }
+  return p == Problem::kBroadcast || p == Problem::kReduce;
 }
 
 /// Problems parameterized by an item / operand count.
 bool uses_k(Problem p) {
-  switch (p) {
-    case Problem::kKItemBroadcast:
-    case Problem::kBufferedKItemBroadcast:
-    case Problem::kSummation:
-    case Problem::kAllToAll:
-    case Problem::kSerializedKItem:
-    case Problem::kPipelinedBinaryKItem:
-    case Problem::kPipelinedChainKItem:
-      return true;
-    default:
-      return false;
-  }
+  return p == Problem::kKItemBroadcast || p == Problem::kSummation ||
+         p == Problem::kAllToAll;
 }
 
 }  // namespace
 
 std::string_view problem_name(Problem p) {
   switch (p) {
-    case Problem::kBroadcast:              return "broadcast";
-    case Problem::kKItemBroadcast:         return "kitem";
-    case Problem::kBufferedKItemBroadcast: return "kitem-buffered";
-    case Problem::kScatter:                return "scatter";
-    case Problem::kGather:                 return "gather";
-    case Problem::kReduce:                 return "reduce";
-    case Problem::kSummation:              return "summation";
-    case Problem::kAllToAll:               return "alltoall";
-    case Problem::kAllToAllPersonalized:   return "alltoall-personalized";
-    case Problem::kAllReduce:              return "allreduce";
-    case Problem::kBinomialBroadcast:      return "binomial-broadcast";
-    case Problem::kBinaryBroadcast:        return "binary-broadcast";
-    case Problem::kChainBroadcast:         return "chain-broadcast";
-    case Problem::kFlatBroadcast:          return "flat-broadcast";
-    case Problem::kSerializedKItem:        return "serialized-kitem";
-    case Problem::kPipelinedBinaryKItem:   return "pipelined-binary-kitem";
-    case Problem::kPipelinedChainKItem:    return "pipelined-chain-kitem";
+    case Problem::kBroadcast:      return "broadcast";
+    case Problem::kKItemBroadcast: return "kitem";
+    case Problem::kReduce:         return "reduce";
+    case Problem::kSummation:      return "summation";
+    case Problem::kAllToAll:       return "alltoall";
   }
   return "unknown";
 }
 
-bool is_postal_problem(Problem p) {
-  switch (p) {
-    case Problem::kKItemBroadcast:
-    case Problem::kBufferedKItemBroadcast:
-    case Problem::kAllReduce:
-    case Problem::kSerializedKItem:
-    case Problem::kPipelinedBinaryKItem:
-    case Problem::kPipelinedChainKItem:
-      return true;
-    default:
-      return false;
-  }
-}
+bool is_postal_problem(Problem p) { return p == Problem::kKItemBroadcast; }
 
 PlanKey PlanKey::make(Problem problem, const Params& params, std::int64_t k,
                       ProcId root, std::uint64_t mask) {
@@ -93,6 +48,11 @@ PlanKey PlanKey::make(Problem problem, const Params& params, std::int64_t k,
         "PlanKey: L + 2o and g must each be <= 2^30 cycles");
   }
   if (k < 1) throw std::invalid_argument("PlanKey: k must be >= 1");
+  // The k-item and all-to-all builders take k as an int.
+  if ((problem == Problem::kKItemBroadcast || problem == Problem::kAllToAll) &&
+      k > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("PlanKey: k must fit an int");
+  }
   if (root < 0 || root >= params.P) {
     throw std::invalid_argument("PlanKey: root out of range");
   }
@@ -131,15 +91,6 @@ PlanKey PlanKey::kitem(const Params& p, std::int64_t k) {
 PlanKey PlanKey::segmented_broadcast(const Params& p, std::int64_t segments) {
   return kitem(p, segments);
 }
-PlanKey PlanKey::kitem_buffered(const Params& p, std::int64_t k) {
-  return make(Problem::kBufferedKItemBroadcast, p, k);
-}
-PlanKey PlanKey::scatter(const Params& p, ProcId root) {
-  return make(Problem::kScatter, p, 1, root);
-}
-PlanKey PlanKey::gather(const Params& p, ProcId root) {
-  return make(Problem::kGather, p, 1, root);
-}
 PlanKey PlanKey::reduce(const Params& p, ProcId root) {
   return make(Problem::kReduce, p, 1, root);
 }
@@ -148,12 +99,6 @@ PlanKey PlanKey::summation(const Params& p, std::int64_t n) {
 }
 PlanKey PlanKey::alltoall(const Params& p, std::int64_t k) {
   return make(Problem::kAllToAll, p, k);
-}
-PlanKey PlanKey::alltoall_personalized(const Params& p) {
-  return make(Problem::kAllToAllPersonalized, p);
-}
-PlanKey PlanKey::allreduce(const Params& p) {
-  return make(Problem::kAllReduce, p);
 }
 PlanKey PlanKey::compacted() const {
   if (mask == 0) return *this;

@@ -16,51 +16,36 @@
 /// arguments — normalized so every argument spelling that provably yields
 /// the same plan maps to the same key:
 ///
-///  * problems the paper states in the postal model (Section 3 k-item
-///    broadcasts, Theorem 4.1 combining broadcast, the postal baselines)
-///    fold the overheads into the effective hop latency L + 2o and store
-///    the postal machine (g = 1, o = 0) — exactly the projection
-///    api::Communicator applies before calling those builders;
+///  * the Section 3 k-item broadcast, stated in the postal model, folds
+///    the overheads into the effective hop latency L + 2o and stores the
+///    postal machine (g = 1, o = 0) — exactly the projection
+///    api::Communicator applies before calling the builder;
 ///  * problems with a fixed or irrelevant source (k-item, summation,
-///    all-to-all, all-reduce) normalize root to 0;
-///  * problems that ignore the item count (single-item broadcast, scatter,
-///    reduce, the tree baselines) normalize k to 1.
+///    all-to-all) normalize root to 0;
+///  * problems that ignore the item count (single-item broadcast, reduce)
+///    normalize k to 1.
 ///
 /// Keys hash and compare by value, so they drop straight into the sharded
 /// cache (plan_cache.hpp) and the in-flight dedup map (planner.hpp).
 
 namespace logpc::runtime {
 
-/// Which schedule producer a key addresses.  The first block are the
-/// paper's optimal constructions; the second are the src/baselines
-/// comparators, so a tuning layer can price alternatives through the same
-/// cache (examples/collective_planner.cpp does).
+/// Which schedule producer a key addresses: the paper's five executable
+/// collectives, the only kinds a serving path plans.  Schedule-only
+/// comparators (the src/baselines trees, buffered k-item, scatter, gather,
+/// all-reduce) are built by calling their builders directly.
 enum class Problem : std::uint8_t {
-  kBroadcast = 0,           ///< Theorem 2.1 optimal single-item broadcast
-  kKItemBroadcast,          ///< Section 3 single-sending k items (postal)
-  kBufferedKItemBroadcast,  ///< Theorem 3.8 buffered k items (postal)
-  kScatter,                 ///< one distinct item from the root to each proc
-  kGather,                  ///< one distinct item from each proc to the root
-  kReduce,                  ///< Section 4.2 message reduction
-  kSummation,               ///< Section 5 summation; k = operand count n
-  kAllToAll,                ///< Section 4.1 rotation; k items per processor
-  kAllToAllPersonalized,    ///< same rotation, distinct item per destination
-  kAllReduce,               ///< Theorem 4.1 combining broadcast (postal)
-  // --- baselines (src/baselines) ---------------------------------------
-  kBinomialBroadcast,
-  kBinaryBroadcast,
-  kChainBroadcast,
-  kFlatBroadcast,
-  kSerializedKItem,         ///< k * B(P) strawman (postal)
-  kPipelinedBinaryKItem,    ///< pipelined fixed binary tree (postal)
-  kPipelinedChainKItem,     ///< pipelined chain (postal)
+  kBroadcast = 0,   ///< Theorem 2.1 optimal single-item broadcast
+  kKItemBroadcast,  ///< Section 3 single-sending k items (postal)
+  kReduce,          ///< Section 4.2 message reduction
+  kSummation,       ///< Section 5 summation; k = operand count n
+  kAllToAll,        ///< Section 4.1 rotation; k items per processor
 };
 
 /// Number of Problem enumerators (snapshot loading validates against it).
-inline constexpr int kNumProblems =
-    static_cast<int>(Problem::kPipelinedChainKItem) + 1;
+inline constexpr int kNumProblems = static_cast<int>(Problem::kAllToAll) + 1;
 
-/// Stable short name ("kitem", "allreduce", ...) for logs and key strings.
+/// Stable short name ("kitem", "alltoall", ...) for logs and key strings.
 [[nodiscard]] std::string_view problem_name(Problem p);
 
 /// True iff `p` is stated in the postal model, i.e. its key normalizes the
@@ -102,7 +87,8 @@ struct PlanKey {
   /// Builds the canonical key for a request stated on the *physical*
   /// machine `params` (normalization applied here).  Throws
   /// std::invalid_argument for an invalid machine, L + 2o or g past
-  /// kMaxMachineField, a root out of range, k < 1, or an ill-formed
+  /// kMaxMachineField, a root out of range, k < 1, k past INT_MAX for the
+  /// k-item and all-to-all builders (they take an int), or an ill-formed
   /// membership mask.  Idempotent: make(key.problem, key.params, key.k,
   /// key.root, key.mask) returns the key unchanged.
   [[nodiscard]] static PlanKey make(Problem problem, const Params& params,
@@ -155,15 +141,9 @@ struct PlanKey {
   /// segment count) shared between the bench harnesses and the service.
   [[nodiscard]] static PlanKey segmented_broadcast(const Params& p,
                                                    std::int64_t segments);
-  [[nodiscard]] static PlanKey kitem_buffered(const Params& p,
-                                              std::int64_t k);
-  [[nodiscard]] static PlanKey scatter(const Params& p, ProcId root = 0);
-  [[nodiscard]] static PlanKey gather(const Params& p, ProcId root = 0);
   [[nodiscard]] static PlanKey reduce(const Params& p, ProcId root = 0);
   [[nodiscard]] static PlanKey summation(const Params& p, std::int64_t n);
   [[nodiscard]] static PlanKey alltoall(const Params& p, std::int64_t k = 1);
-  [[nodiscard]] static PlanKey alltoall_personalized(const Params& p);
-  [[nodiscard]] static PlanKey allreduce(const Params& p);
 
   /// "kitem(P=16 L=10 o=0 g=1, k=8, root=0)" — for logs and diagnostics.
   [[nodiscard]] std::string to_string() const;

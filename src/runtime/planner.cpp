@@ -5,15 +5,10 @@
 #include <string>
 #include <utility>
 
-#include "baselines/bcast_baselines.hpp"
-#include "baselines/kitem_baselines.hpp"
 #include "bcast/all_to_all.hpp"
-#include "bcast/combining.hpp"
 #include "bcast/kitem.hpp"
-#include "bcast/kitem_buffered.hpp"
 #include "obs/trace_recorder.hpp"
 #include "runtime/implicit_plan.hpp"
-#include "sched/metrics.hpp"
 #include "sum/summation_tree.hpp"
 
 namespace logpc::runtime {
@@ -31,43 +26,6 @@ obs::Histogram& build_latency_hist(Problem problem) {
       "logpc_planner_build_latency_ns", obs::default_latency_buckets_ns(),
       "Wall-clock nanoseconds spent building one plan, by problem",
       "problem=\"" + std::string(problem_name(problem)) + "\"");
-}
-
-/// Scatter: item d leaves the root in destination order, serialized by g
-/// (any order is optimal — every message crosses the root's send port).
-Schedule build_scatter(const Params& params, ProcId root) {
-  Schedule s(params, params.P);
-  for (ProcId d = 0; d < params.P; ++d) s.add_initial(d, root, 0);
-  Time start = 0;
-  for (ProcId d = 0; d < params.P; ++d) {
-    if (d == root) continue;
-    s.add_send(start, root, d, d);
-    start += params.g;
-  }
-  s.sort();
-  return s;
-}
-
-/// Gather: the scatter pattern reversed — senders staggered so arrivals at
-/// the root land exactly g apart.
-Schedule build_gather(const Params& params, ProcId root) {
-  Schedule s(params, params.P);
-  for (ProcId p = 0; p < params.P; ++p) s.add_initial(p, p, 0);
-  Time start = 0;
-  for (ProcId p = 0; p < params.P; ++p) {
-    if (p == root) continue;
-    s.add_send(start, p, root, p);
-    start += params.g;
-  }
-  s.sort();
-  return s;
-}
-
-/// Completion of the serialized port schedules above: P-2 gaps after the
-/// first send, then one full transfer.
-Time port_schedule_completion(const Params& params) {
-  if (params.P == 1) return 0;
-  return (params.P - 2) * params.g + params.transfer_time();
 }
 
 }  // namespace
@@ -199,8 +157,8 @@ PlanPtr Planner::plan(const PlanKey& key) {
 }
 
 Plan Planner::build_uncached(const PlanKey& key) {
-  // The five regular families (masked keys included) are stored in their
-  // O(log P) generator form alone, at every P; see implicit_plan.hpp.
+  // The optimal tree and its reversal (masked keys included) are stored in
+  // their O(log P) generator form alone, at every P; see implicit_plan.hpp.
   if (std::optional<Plan> plan = implicit_only_plan(key)) {
     return *std::move(plan);
   }
@@ -216,7 +174,7 @@ Plan Planner::build_uncached(const PlanKey& key) {
     return plan;
   }
   const Params& m = key.params;
-  const int k = static_cast<int>(key.k);
+  const int k = static_cast<int>(key.k);  // make() bounds it to an int
   Plan plan;
   plan.key = key;
   switch (key.problem) {
@@ -230,31 +188,12 @@ Plan Planner::build_uncached(const PlanKey& key) {
                         : "greedy";
       break;
     }
-    case Problem::kBufferedKItemBroadcast: {
-      auto r = bcast::kitem_buffered(m.P, m.L, k);
-      plan.schedule = std::move(r.schedule);
-      plan.completion = r.completion;
-      plan.max_buffer_depth = r.max_buffer_depth;
-      plan.method = "buffered (Thm 3.8)";
-      break;
-    }
-    case Problem::kScatter:
-      plan.schedule = build_scatter(m, key.root);
-      plan.completion = port_schedule_completion(m);
-      plan.method = "serialized send port";
-      break;
-    case Problem::kGather:
-      plan.schedule = build_gather(m, key.root);
-      plan.completion = port_schedule_completion(m);
-      plan.method = "serialized receive port";
-      break;
     case Problem::kSummation: {
       const Time t =
           sum::min_time_for_operands(m, static_cast<Count>(key.k));
       const auto r = sum::optimal_summation(m, t);
       plan.schedule = r.timing_view();
       plan.completion = r.t;
-      plan.total_operands = r.total_operands;
       plan.method = "reversed (L+1) tree (Sec 5)";
       break;
     }
@@ -263,50 +202,8 @@ Plan Planner::build_uncached(const PlanKey& key) {
       plan.completion = bcast::all_to_all_lower_bound(m, k);
       plan.method = "rotation (Sec 4.1)";
       break;
-    case Problem::kAllToAllPersonalized:
-      plan.schedule = bcast::all_to_all_personalized(m);
-      plan.completion = bcast::all_to_all_lower_bound(m);
-      plan.method = "rotation, personalized";
-      break;
-    case Problem::kAllReduce: {
-      const Time T = bcast::combining_time_for(m.P, m.L);
-      // Note: the Theorem 4.1 ring runs on f_T >= P slots, so the stored
-      // schedule's machine may be larger than the key's (see
-      // Communicator::allreduce for the padding convention).
-      plan.schedule = bcast::combining_broadcast(T, m.L).timing_view();
-      plan.completion = T;
-      plan.method = "combining broadcast (Thm 4.1)";
-      break;
-    }
-    case Problem::kFlatBroadcast: {
-      const auto tree = baselines::flat_tree(m, m.P);
-      plan.schedule = tree.to_schedule(key.root);
-      plan.completion = tree.makespan();
-      plan.method = "flat tree";
-      break;
-    }
-    case Problem::kSerializedKItem:
-      plan.schedule = baselines::serialized_broadcast(m, k);
-      plan.completion = completion_time(plan.schedule);
-      plan.method = "serialized optimal";
-      break;
-    case Problem::kPipelinedBinaryKItem:
-      plan.schedule = baselines::pipelined_tree_broadcast(
-          baselines::binary_tree(m, m.P), k);
-      plan.completion = completion_time(plan.schedule);
-      plan.method = "pipelined binary tree";
-      break;
-    case Problem::kPipelinedChainKItem:
-      plan.schedule = baselines::pipelined_tree_broadcast(
-          baselines::linear_chain(m, m.P), k);
-      plan.completion = completion_time(plan.schedule);
-      plan.method = "pipelined chain";
-      break;
     case Problem::kBroadcast:
     case Problem::kReduce:
-    case Problem::kBinomialBroadcast:
-    case Problem::kBinaryBroadcast:
-    case Problem::kChainBroadcast:
       throw std::logic_error("Planner::build_uncached: " + key.to_string() +
                              " has an implicit form");  // returned above
   }

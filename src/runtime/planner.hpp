@@ -13,8 +13,9 @@
 #include "runtime/plan_cache.hpp"
 
 /// \file planner.hpp
-/// The concurrent planning service: one facade in front of every schedule
-/// producer in src/bcast, src/sum and src/baselines.
+/// The concurrent planning service: one facade in front of the schedule
+/// producers in src/bcast and src/sum for the five executable collectives
+/// (runtime::Problem).
 ///
 /// plan(key) resolves in three stages:
 ///   1. cache probe — a hit returns the shared immutable plan instantly;
@@ -57,11 +58,11 @@ class Planner {
 
   /// Routes `key` to its producer, bypassing cache and dedup: the one
   /// function that knows every builder.  Also the cold path the plan-
-  /// cache bench measures.  One representation per key: a key with an
-  /// implicit form (the optimal tree, its reversal and the binomial, binary
-  /// and chain baselines, masked or not) yields runtime::implicit_only_plan
-  /// — O(log P), no Schedule — at every P; every other key materializes
-  /// its per-op Schedule.  Plan::materialized == (Plan::implicit == null).
+  /// cache bench measures.  One representation per key: a broadcast or
+  /// reduce key (the optimal tree and its reversal, masked or not) yields
+  /// runtime::implicit_only_plan — O(log P), no Schedule — at every P;
+  /// every other key materializes its per-op Schedule.
+  /// Plan::materialized == (Plan::implicit == null).
   [[nodiscard]] static Plan build_uncached(const PlanKey& key);
 
   [[nodiscard]] PlanCache& cache() { return cache_; }

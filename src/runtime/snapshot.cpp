@@ -19,7 +19,7 @@ namespace {
 // over every byte after the header.  FNV-1a's step (h ^ byte) * prime is a
 // bijection on h, so any same-length change to the bytes — every single-bit
 // flip included — changes the checksum.
-constexpr char kHeader[] = "logpc-plansnap v6\n";
+constexpr char kHeader[] = "logpc-plansnap v7\n";
 constexpr std::size_t kHeaderLen = 18;
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 

@@ -13,7 +13,7 @@
 /// every plan; the request path then builds none.
 ///
 /// Every plan is a deterministic function of its canonical key, so a
-/// snapshot stores keys only.  Format: header "logpc-plansnap v6\n" (the
+/// snapshot stores keys only.  Format: header "logpc-plansnap v7\n" (the
 /// only version read or written; any other header is rejected), an i64
 /// entry count, per entry the eight canonical key fields (problem, P, L,
 /// o, g, k, root, membership mask), then a 64-bit

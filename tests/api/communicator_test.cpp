@@ -42,6 +42,8 @@ TEST(Communicator, BufferedKItemMeetsBound) {
   const Communicator comm(kMachine);
   const auto r = comm.bcast_k_buffered(5);
   EXPECT_EQ(r.completion, r.bounds.single_sending_lower);
+  // A postal construction: it runs on L' = L + 2o = 10.
+  EXPECT_EQ(r.schedule.params(), Params::postal(16, 10));
 }
 
 TEST(Communicator, ScatterAndGatherAreDualsWithSameCost) {
@@ -104,6 +106,8 @@ TEST(Communicator, AllreduceHalvesReduceBroadcast) {
   const auto cs = comm.allreduce();
   EXPECT_EQ(cs.T, comm.allreduce_time());
   EXPECT_GE(cs.params.P, 16);  // f_T ring slots cover P
+  EXPECT_EQ(cs.params.L, 10);  // postal: L' = L + 2o
+  EXPECT_EQ(cs.sends, cs.timing_view().sends());  // in time order
   // Execute with identity padding.
   std::vector<long long> vals(static_cast<std::size_t>(cs.params.P), 0);
   for (int i = 0; i < 16; ++i) vals[static_cast<std::size_t>(i)] = i + 1;
@@ -117,6 +121,18 @@ TEST(Communicator, SingleProcessorDegenerates) {
   EXPECT_EQ(comm.bcast_time(), 0);
   EXPECT_EQ(comm.scatter_time(), 0);
   EXPECT_EQ(comm.alltoall_time(), 0);
+}
+
+TEST(Communicator, CompilesEveryPlannerProblem) {
+  // The planner keys only collectives with an execution path: a kind that
+  // cannot compile has no business in runtime::Problem.
+  const Communicator comm(Params{8, 4, 1, 2});
+  for (int p = 0; p < runtime::kNumProblems; ++p) {
+    const auto problem = static_cast<runtime::Problem>(p);
+    const std::int64_t k = problem == runtime::Problem::kSummation ? 40 : 2;
+    const exec::Program program = comm.compile(problem, k);
+    EXPECT_GT(program.num_messages, 0u) << runtime::problem_name(problem);
+  }
 }
 
 TEST(Communicator, RejectsBadRoots) {

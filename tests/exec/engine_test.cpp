@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/communicator.hpp"
 #include "bcast/all_to_all.hpp"
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
@@ -260,10 +261,10 @@ TEST(Engine, AllToAllKDeliversAllItems) {
 
 TEST(Engine, ScatterAndGatherMoveDistinctItems) {
   const Params params{8, 4, 1, 2};
+  const api::Communicator comm(params);
   Engine engine;
   {
-    const auto plan = Planner::build_uncached(PlanKey::scatter(params, 0));
-    const Program prog = compile_broadcast(plan.schedule, "scatter");
+    const Program prog = compile_broadcast(comm.scatter(0), "scatter");
     std::vector<Bytes> items;
     for (int i = 0; i < params.P; ++i) {
       items.push_back(tu::of_str("shard" + std::to_string(i)));
@@ -275,8 +276,7 @@ TEST(Engine, ScatterAndGatherMoveDistinctItems) {
     }
   }
   {
-    const auto plan = Planner::build_uncached(PlanKey::gather(params, 0));
-    const Program prog = compile_broadcast(plan.schedule, "gather");
+    const Program prog = compile_broadcast(comm.gather(0), "gather");
     std::vector<Bytes> items;
     for (int i = 0; i < params.P; ++i) {
       items.push_back(tu::of_str("part" + std::to_string(i)));

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/bcast_baselines.hpp"
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
 #include "bcast/tree.hpp"
@@ -17,12 +16,13 @@
 #include "runtime/planner.hpp"
 #include "runtime/snapshot.hpp"
 #include "sim/implicit_sim.hpp"
+#include "sum/summation_tree.hpp"
 #include "validate/checker.hpp"
 
 /// The implicit ≡ materialized property suite: every query an ImplicitPlan
 /// answers must agree with the direct builders' tree / schedule / compiled
-/// program for the same key (the planner stores these families implicit-
-/// only, so the builders in src/bcast and src/baselines are the reference),
+/// program for the same key (the planner stores broadcast and reduce
+/// implicit-only, so the builders in src/bcast are the reference),
 /// across the whole (P, L, o, g) space the random-machine sweeps cover, and
 /// the generator form must keep working at P = 1,000,000 where nothing
 /// materialized can exist.
@@ -30,26 +30,12 @@
 namespace logpc::runtime {
 namespace {
 
-constexpr std::array<Problem, 5> kImplicitProblems = {
-    Problem::kBroadcast, Problem::kReduce, Problem::kBinomialBroadcast,
-    Problem::kBinaryBroadcast, Problem::kChainBroadcast};
+constexpr std::array<Problem, 2> kImplicitProblems = {Problem::kBroadcast,
+                                                      Problem::kReduce};
 
 /// The materialized tree the implicit decode must reproduce node by node.
 bcast::BroadcastTree materialized_tree(const PlanKey& key) {
-  const Params& m = key.params;
-  switch (key.problem) {
-    case Problem::kBroadcast:
-    case Problem::kReduce:
-      return bcast::BroadcastTree::optimal(m, m.P);
-    case Problem::kBinomialBroadcast:
-      return baselines::binomial_tree(m, m.P);
-    case Problem::kBinaryBroadcast:
-      return baselines::binary_tree(m, m.P);
-    case Problem::kChainBroadcast:
-      return baselines::linear_chain(m, m.P);
-    default:
-      throw std::logic_error("not an implicit problem");
-  }
+  return bcast::BroadcastTree::optimal(key.params, key.params.P);
 }
 
 /// What the direct builder produces for an implicit-capable key: the
@@ -63,25 +49,13 @@ struct Direct {
 
 Direct direct_build(const PlanKey& key) {
   const Params& m = key.params;
-  switch (key.problem) {
-    case Problem::kBroadcast:
-      return {bcast::optimal_single_item(m, key.root), bcast::B_of_P(m, m.P),
-              "optimal tree (Thm 2.1)"};
-    case Problem::kReduce: {
-      bcast::ReductionPlan r = bcast::optimal_reduction(m, key.root);
-      return {std::move(r.schedule), r.completion,
-              "reversed optimal tree (Sec 4.2)"};
-    }
-    default: {
-      const bcast::BroadcastTree tree = materialized_tree(key);
-      const char* method = key.problem == Problem::kBinomialBroadcast
-                               ? "binomial tree"
-                           : key.problem == Problem::kBinaryBroadcast
-                               ? "binary tree"
-                               : "linear chain";
-      return {tree.to_schedule(key.root), tree.makespan(), method};
-    }
+  if (key.problem == Problem::kBroadcast) {
+    return {bcast::optimal_single_item(m, key.root), bcast::B_of_P(m, m.P),
+            "optimal tree (Thm 2.1)"};
   }
+  bcast::ReductionPlan r = bcast::optimal_reduction(m, key.root);
+  return {std::move(r.schedule), r.completion,
+          "reversed optimal tree (Sec 4.2)"};
 }
 
 /// Validator options per family: a reduction converges on the root, so it
@@ -120,18 +94,13 @@ TEST(ImplicitPlan, SupportsExactlyTheRegularFullMembershipCollectives) {
     EXPECT_TRUE(ImplicitPlan::supports(PlanKey::make(p, m)));
   }
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::kitem(m, 4)));
-  EXPECT_FALSE(ImplicitPlan::supports(PlanKey::scatter(m)));
-  EXPECT_FALSE(ImplicitPlan::supports(PlanKey::gather(m)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::summation(m, 100)));
   EXPECT_FALSE(ImplicitPlan::supports(PlanKey::alltoall(m)));
-  EXPECT_FALSE(ImplicitPlan::supports(PlanKey::allreduce(m)));
-  EXPECT_FALSE(
-      ImplicitPlan::supports(PlanKey::make(Problem::kFlatBroadcast, m)));
   // A masked key is not itself supported; implicit_only_plan compacts it
   // first.
   EXPECT_FALSE(ImplicitPlan::supports(
       PlanKey::make(Problem::kBroadcast, m, 1, 0, 0x00ffull)));
-  EXPECT_THROW((void)ImplicitPlan::build(PlanKey::scatter(m)),
+  EXPECT_THROW((void)ImplicitPlan::build(PlanKey::alltoall(m)),
                std::invalid_argument);
 }
 
@@ -357,24 +326,6 @@ TEST(ImplicitPlan, MillionRankPlansStayImplicitAndTiny) {
   }
   const RankSchedule last = ip.rank_schedule(m.P - 1);
   EXPECT_LE(ip.label(last.node), ip.completion());
-
-  // The baseline families also hold up at 1M (spot checks; the optimal
-  // family above gets the full sweep).
-  for (const Problem problem :
-       {Problem::kBinomialBroadcast, Problem::kBinaryBroadcast}) {
-    const ImplicitPlan bp =
-        ImplicitPlan::build(PlanKey::make(problem, m));
-    EXPECT_EQ(bp.num_nodes(), 1'000'000);
-    std::int64_t walked = 0;
-    for (std::int64_t n = 999'999; n != 0; n = bp.parent(n)) {
-      const std::int64_t parent = bp.parent(n);
-      ASSERT_GE(parent, 0);
-      ASSERT_LT(parent, n);
-      ASSERT_EQ(bp.child(parent, bp.child_rank(n)), n);
-      ++walked;
-    }
-    EXPECT_LE(walked, 64);  // depth is logarithmic
-  }
 }
 
 TEST(ImplicitPlan, ImplicitCapableKeysAreImplicitOnlyAtEveryP) {
@@ -394,18 +345,22 @@ TEST(ImplicitPlan, ImplicitCapableKeysAreImplicitOnlyAtEveryP) {
   const PlanPtr small = planner.plan(PlanKey::broadcast(Params{64, 4, 1, 2}));
   EXPECT_EQ(plan_schedule(*small),
             bcast::optimal_single_item(Params{64, 4, 1, 2}, 0));
-  // Problems without an implicit form materialize whatever P is.
+  // Problems without an implicit form materialize whatever P is (here a
+  // summation of one operand per rank).
   for (const int P : {2, 200, (1 << 16) + 1}) {
-    const PlanPtr scatter = planner.plan(PlanKey::scatter(Params{P, 4, 1, 2}));
-    EXPECT_TRUE(scatter->materialized);
-    EXPECT_EQ(scatter->implicit, nullptr);
-    EXPECT_EQ(scatter->schedule.sends().size(),
-              static_cast<std::size_t>(P - 1));
+    const Params m{P, 4, 1, 2};
+    const PlanPtr sum = planner.plan(PlanKey::summation(m, P));
+    EXPECT_TRUE(sum->materialized);
+    EXPECT_EQ(sum->implicit, nullptr);
+    EXPECT_EQ(sum->schedule,
+              sum::optimal_summation(m, sum::min_time_for_operands(m, P))
+                  .timing_view());
   }
 }
 
 /// Every buildable key shape on one small machine (k-item keys at k = 2,
-/// summation at 40 operands), plus a masked broadcast and a masked scatter.
+/// summation at 40 operands), plus a masked broadcast and a masked
+/// all-to-all.
 std::vector<PlanKey> one_key_per_problem() {
   const Params m{8, 2, 0, 1};
   std::vector<PlanKey> keys;
@@ -415,7 +370,7 @@ std::vector<PlanKey> one_key_per_problem() {
     keys.push_back(PlanKey::make(problem, m, k));
   }
   keys.push_back(PlanKey::make(Problem::kBroadcast, m, 1, 0, 0xf7u));
-  keys.push_back(PlanKey::make(Problem::kScatter, m, 1, 0, 0x7fu));
+  keys.push_back(PlanKey::make(Problem::kAllToAll, m, 1, 0, 0x7fu));
   return keys;
 }
 
@@ -449,7 +404,7 @@ TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
   (void)planner.plan(PlanKey::broadcast(Params{16, 3, 1, 2}));
   (void)planner.plan(PlanKey::broadcast(Params{4096, 3, 1, 2}));
   (void)planner.plan(PlanKey::reduce(Params{100, 2, 0, 1}));
-  (void)planner.plan(PlanKey::scatter(Params{16, 3, 1, 2}));
+  (void)planner.plan(PlanKey::alltoall(Params{16, 3, 1, 2}));
   std::stringstream buf;
   EXPECT_EQ(save_snapshot(planner.cache(), buf), 4u);
 
@@ -468,12 +423,13 @@ TEST(ImplicitPlan, SnapshotsRoundTripBothRepresentations) {
   ASSERT_NE(small->implicit, nullptr);
   EXPECT_EQ(small->implicit->to_schedule(),
             bcast::optimal_single_item(Params{16, 3, 1, 2}, 0));
-  const PlanPtr scatter = restored.get(PlanKey::scatter(Params{16, 3, 1, 2}));
-  ASSERT_NE(scatter, nullptr);
-  EXPECT_TRUE(scatter->materialized);
-  EXPECT_EQ(scatter->implicit, nullptr);
-  EXPECT_EQ(scatter->schedule,
-            planner.plan(PlanKey::scatter(Params{16, 3, 1, 2}))->schedule);
+  const PlanPtr alltoall =
+      restored.get(PlanKey::alltoall(Params{16, 3, 1, 2}));
+  ASSERT_NE(alltoall, nullptr);
+  EXPECT_TRUE(alltoall->materialized);
+  EXPECT_EQ(alltoall->implicit, nullptr);
+  EXPECT_EQ(alltoall->schedule,
+            planner.plan(PlanKey::alltoall(Params{16, 3, 1, 2}))->schedule);
 }
 
 TEST(ImplicitPlan, ConcurrentQueriesAreRaceFree) {

@@ -39,7 +39,7 @@ TEST(PlanKey, NormalizesIrrelevantArguments) {
   // But meaningful arguments distinguish keys.
   EXPECT_NE(PlanKey::broadcast(kMachine, 0), PlanKey::broadcast(kMachine, 1));
   EXPECT_NE(PlanKey::kitem(kMachine, 4), PlanKey::kitem(kMachine, 5));
-  EXPECT_NE(PlanKey::scatter(kMachine), PlanKey::gather(kMachine));
+  EXPECT_NE(PlanKey::broadcast(kMachine), PlanKey::reduce(kMachine));
 }
 
 TEST(PlanKey, RejectsBadArguments) {
@@ -47,6 +47,13 @@ TEST(PlanKey, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW((void)PlanKey::broadcast(kMachine, 16), std::invalid_argument);
   EXPECT_THROW((void)PlanKey::kitem(kMachine, 0), std::invalid_argument);
+  // The k-item and all-to-all builders take an int k: a wider k is
+  // refused, not narrowed (2^32 + 2 would otherwise plan as k = 2).
+  const std::int64_t wide = (std::int64_t{1} << 32) + 2;
+  EXPECT_THROW((void)PlanKey::alltoall(Params::postal(8, 3), wide),
+               std::invalid_argument);
+  EXPECT_THROW((void)PlanKey::kitem(kMachine, wide), std::invalid_argument);
+  EXPECT_NO_THROW((void)PlanKey::summation(kMachine, wide));
 }
 
 TEST(PlanKey, BoundsTheMachineFieldsSoTimesCannotOverflow) {
@@ -137,7 +144,7 @@ TEST(Planner, ConcurrentHammerBuildsEachKeyExactlyOnce) {
   std::vector<PlanKey> keys;
   for (int k = 1; k <= 4; ++k) {
     keys.push_back(PlanKey::kitem(Params::postal(10, 3), k));
-    keys.push_back(PlanKey::kitem_buffered(Params::postal(10, 3), k));
+    keys.push_back(PlanKey::alltoall(Params{10, 3, 1, 2}, k));
     keys.push_back(PlanKey::summation(Params{12, 4, 1, 3},
                                       static_cast<std::int64_t>(20 * k)));
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace {
 
 const Params kMachine{16, 8, 1, 4};
 
-// The v6 layout (snapshot.hpp): header, i64 count, eight i64 key fields
+// The v7 layout (snapshot.hpp): header, i64 count, eight i64 key fields
 // per entry, i64 FNV-1a checksum over everything after the header.
 constexpr std::size_t kHeaderBytes = 18;
 constexpr std::size_t kEntryBytes = 8 * 8;
@@ -54,7 +55,7 @@ std::string resealed(const std::string& snap, int field, std::int64_t v) {
 void warm(Planner& planner) {
   (void)planner.plan(PlanKey::broadcast(kMachine));
   (void)planner.plan(PlanKey::kitem(kMachine, 6));
-  (void)planner.plan(PlanKey::kitem_buffered(kMachine, 4));
+  (void)planner.plan(PlanKey::kitem(kMachine, 4));
   (void)planner.plan(PlanKey::reduce(kMachine, 5));
   (void)planner.plan(PlanKey::summation(Params{12, 4, 1, 3}, 50));
   (void)planner.plan(PlanKey::alltoall(kMachine, 2));
@@ -81,8 +82,6 @@ TEST(Snapshot, RoundTripsEveryPlanExactly) {
     EXPECT_EQ(restored->completion, original->completion);
     EXPECT_EQ(restored->method, original->method);
     EXPECT_EQ(restored->slack, original->slack);
-    EXPECT_EQ(restored->max_buffer_depth, original->max_buffer_depth);
-    EXPECT_EQ(restored->total_operands, original->total_operands);
   }
 }
 
@@ -122,7 +121,8 @@ TEST(Snapshot, RejectsCorruptInput) {
   // any other.
   for (const char* old_header : {"logpc-plansnap v3\n",
                                   "logpc-plansnap v4\n",
-                                  "logpc-plansnap v5\n"}) {
+                                  "logpc-plansnap v5\n",
+                                  "logpc-plansnap v6\n"}) {
     std::stringstream old_version(std::string(old_header) +
                                   std::string(8, '\0'));
     EXPECT_THROW((void)load_snapshot(cache, old_version),
@@ -140,16 +140,19 @@ TEST(Snapshot, RejectsCorruptInput) {
   PlanCache partial(16, 1);
   EXPECT_THROW((void)load_snapshot(partial, truncated),
                std::invalid_argument);
-  // The retired hierarchical broadcast's id (one past the last problem) is
-  // no longer a problem, even behind a valid checksum.
-  std::stringstream retired(resealed(full, kFieldProblem, kNumProblems));
-  try {
-    (void)load_snapshot(partial, retired);
-    ADD_FAILURE() << "the retired problem id loaded";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown problem id"),
-              std::string::npos)
-        << e.what();
+  // Ids past the last problem are no longer problems, even behind a valid
+  // checksum: 5, 16 (the last schedule-only kind's v6 id) and 17 (the
+  // hierarchical broadcast's v5 id).
+  for (const int id : {kNumProblems, 16, 17}) {
+    std::stringstream retired(resealed(full, kFieldProblem, id));
+    try {
+      (void)load_snapshot(partial, retired);
+      ADD_FAILURE() << "the retired problem id " << id << " loaded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown problem id"),
+                std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_EQ(partial.size(), 0u);
 }
@@ -192,11 +195,11 @@ TEST(Snapshot, LoadRebuildsImplicitFamiliesFromTheKey) {
 
 TEST(Snapshot, TamperedMaterializedEntryLoadsAsTheKeysOwnPlan) {
   // Materialized families had their schedules stored: an all-to-all entry
-  // with one send dropped, and a scatter entry whose scalars lie.  The
+  // with one send dropped, and a k-item entry whose scalars lie.  The
   // snapshot keeps only their keys, so each loads as the key's own plan.
   const Params machine{8, 4, 1, 2};
   const PlanKey alltoall = PlanKey::alltoall(machine);
-  const PlanKey scatter = PlanKey::scatter(machine, 3);
+  const PlanKey kitem = PlanKey::kitem(machine, 3);
   Plan dropped = Planner::build_uncached(alltoall);
   ASSERT_TRUE(dropped.materialized);
   Schedule fewer(dropped.schedule.params(), dropped.schedule.num_items());
@@ -207,20 +210,20 @@ TEST(Snapshot, TamperedMaterializedEntryLoadsAsTheKeysOwnPlan) {
     fewer.add_send(dropped.schedule.sends()[i]);
   }
   dropped.schedule = fewer;
-  Plan lying = Planner::build_uncached(scatter);
+  Plan lying = Planner::build_uncached(kitem);
   ASSERT_TRUE(lying.materialized);
   lying.completion += 1000;
   lying.method = "tampered";
 
   PlanCache cache(8, 1);
   cache.put(alltoall, std::make_shared<const Plan>(dropped));
-  cache.put(scatter, std::make_shared<const Plan>(lying));
+  cache.put(kitem, std::make_shared<const Plan>(lying));
   std::stringstream stream;
   ASSERT_EQ(save_snapshot(cache, stream), 2u);
 
   PlanCache loaded(8, 1);
   ASSERT_EQ(load_snapshot(loaded, stream), 2u);
-  for (const PlanKey& key : {alltoall, scatter}) {
+  for (const PlanKey& key : {alltoall, kitem}) {
     const PlanPtr plan = loaded.get(key);
     ASSERT_NE(plan, nullptr) << key.to_string();
     const Plan own = Planner::build_uncached(key);
@@ -245,17 +248,25 @@ TEST(Snapshot, RejectsResealedOutOfRangeAndNonCanonicalKeys) {
   std::stringstream stream;
   ASSERT_EQ(save_snapshot(planner.cache(), stream), 1u);
   const std::string good = stream.str();
+  Planner alltoall_planner;
+  (void)alltoall_planner.plan(PlanKey::alltoall(Params::postal(8, 3), 2));
+  std::stringstream alltoall_stream;
+  ASSERT_EQ(save_snapshot(alltoall_planner.cache(), alltoall_stream), 1u);
+  const std::string alltoall = alltoall_stream.str();
   // Each edit re-seals the checksum, so it reaches the key checks: P and
   // root must fit their types before narrowing (2^32 + 8 would otherwise
-  // read as 8), o must be small enough that L + 2o cannot overflow, and a
-  // key must be its own canonical form.
+  // read as 8), o must be small enough that L + 2o cannot overflow, an
+  // all-to-all k must fit the builder's int (2^32 + 2 would otherwise plan
+  // as k = 2), and a key must be its own canonical form.
   const std::int64_t wide = (std::int64_t{1} << 32) + 8;
-  for (const auto& [field, value] :
-       {std::pair{kFieldP, wide}, std::pair{kFieldRoot, wide},
-        std::pair{kFieldO, std::int64_t{1} << 62},
-        std::pair{kFieldK, std::int64_t{5}},
-        std::pair{kFieldRoot, std::int64_t{16}}}) {
-    std::stringstream edited(resealed(good, field, value));
+  const std::int64_t wide_k = (std::int64_t{1} << 32) + 2;
+  for (const auto& [snap, field, value] :
+       {std::tuple{&good, kFieldP, wide}, std::tuple{&good, kFieldRoot, wide},
+        std::tuple{&good, kFieldO, std::int64_t{1} << 62},
+        std::tuple{&alltoall, kFieldK, wide_k},
+        std::tuple{&good, kFieldK, std::int64_t{5}},
+        std::tuple{&good, kFieldRoot, std::int64_t{16}}}) {
+    std::stringstream edited(resealed(*snap, field, value));
     PlanCache cache(8, 1);
     try {
       (void)load_snapshot(cache, edited);
@@ -290,10 +301,10 @@ TEST(Snapshot, MutationCorpusIsRejectedBeforeAnyBuild) {
   for (const std::int64_t count : {std::int64_t{1} << 62, std::int64_t{-1}}) {
     corpus.push_back(with_i64(good, kHeaderBytes, count));
   }
-  // The v6 payload under the previous format's header.
-  std::string v5 = good;
-  v5[kHeaderBytes - 2] = '5';
-  corpus.push_back(std::move(v5));
+  // The v7 payload under the previous format's header.
+  std::string v6 = good;
+  v6[kHeaderBytes - 2] = '6';
+  corpus.push_back(std::move(v6));
 
   for (const std::string& input : corpus) {
     std::stringstream is(input);
