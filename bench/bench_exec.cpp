@@ -1,4 +1,4 @@
-/// The execution-engine bench: run planned collectives on real threads and
+/// The execution-engine bench: run planned collectives on the engine and
 /// close the predicted-vs-measured loop.  For a grid of machines (P >= 8)
 /// and the three collective shapes (single-item broadcast, all-to-all,
 /// summation), each plan executes on the shared-memory engine; we report
@@ -91,7 +91,7 @@ void add_point(Table& t, const Params& machine, const std::string& collective,
 }
 
 void report() {
-  logpc::bench::section("exec: planned collectives on real threads");
+  logpc::bench::section("exec: planned collectives on the engine");
   constexpr int kReps = 5;
   constexpr std::size_t kPayload = 1024;
 

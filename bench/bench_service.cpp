@@ -4,10 +4,10 @@
 /// 64-byte payload):
 ///
 ///  * cold  — the pre-service baseline: every request constructs a fresh
-///    exec::Engine (threads spawned and joined per run) and recompiles its
+///    exec::Engine (its run context built per run) and recompiles its
 ///    program, the way a one-shot Communicator caller would.
 ///  * warm  — the daemon path: 4 equal-weight tenants submit into a
-///    CollectiveService with persistent, prewarmed engine pools and a
+///    CollectiveService with persistent engine pools and a
 ///    service-lifetime program cache, keeping a bounded window in flight.
 ///    Measured once per serving class: interactive (unfused — the class
 ///    opts out of the fusion window) and batch (the admission-side
@@ -93,12 +93,12 @@ Sustained run_cold() {
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kColdRequests; ++i) {
     const auto r0 = std::chrono::steady_clock::now();
-    exec::Engine fresh;  // threads spawn here, join at destruction
+    exec::Engine fresh;  // a cold run context per request
     const exec::ExecReport report = comm.run_broadcast(
         std::span<const std::byte>(payload.data(), payload.size()), 0,
         &fresh);
     const auto r1 = std::chrono::steady_clock::now();
-    if (report.warm_pool) std::cout << "cold baseline ran warm?!\n";
+    if (report.warm_buffers) std::cout << "cold baseline ran warm?!\n";
     latencies.push_back(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(r1 - r0)
             .count()));

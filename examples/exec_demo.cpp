@@ -1,5 +1,5 @@
 /// Execution-engine demo: take the plans the paper's algorithms produce
-/// and actually run them — real OS threads, one per logical LogP
+/// and actually run them — one resumable cursor per logical LogP
 /// processor, exchanging payload bytes through the engine's lock-free
 /// mailboxes.
 ///
@@ -7,7 +7,7 @@
 ///   2. reduce per-processor strings with non-commutative concatenation
 ///      (the paper's footnote case: order is part of the answer),
 ///   3. fit effective (L, o, g) from the run's timestamps, and
-///   4. write exec_trace.json: the executed per-worker spans (process 1)
+///   4. write exec_trace.json: the executed run's span (process 1)
 ///      next to the plan's simulated timeline (process 2), so the
 ///      predicted and actual shapes sit in one Perfetto view.
 ///
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::cout << "machine: " << machine.to_string() << " -> "
             << machine.capacity() << " message(s) in flight per link\n\n";
 
-  // 1. Broadcast: one payload, P byte-exact copies, on real threads.
+  // 1. Broadcast: one payload, P byte-exact copies, on the engine.
   const std::string text = "optimal broadcast, executed";
   const auto* raw = reinterpret_cast<const std::byte*>(text.data());
   const exec::Bytes payload(raw, raw + text.size());
@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
             << "ns g=" << static_cast<long>(fit.g_ns) << "ns over "
             << fit.latency_samples << " link samples\n";
 
-  // 4. One Perfetto timeline, two processes: the spans the engine's
-  //    workers recorded while executing, and the plan's simulated
+  // 4. One Perfetto timeline, two processes: the spans the engine
+  //    recorded while executing, and the plan's simulated
   //    per-processor overhead intervals.
   obs::ChromeTraceWriter trace;
-  trace.add(obs::TraceRecorder::global(), 1, "executed (real threads)");
+  trace.add(obs::TraceRecorder::global(), 1, "executed (engine)");
   trace.add(sim::Trace::from(comm.bcast()), 2,
             "planned broadcast " + machine.to_string());
   const std::string trace_path = outdir + "exec_trace.json";

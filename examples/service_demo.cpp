@@ -8,8 +8,8 @@
 ///      queues, a token-bucket rate limit on the backfill tenant),
 ///   2. orders dispatch by QoS class, then weighted fair share among the
 ///      tenants inside a class, and
-///   3. executes on persistent, prewarmed engine pools, so every run
-///      reports warm_pool — no thread is spawned on the request path.
+///   3. executes on persistent engine pools, so every run reports
+///      warm_pool — no thread is spawned on the request path.
 ///
 ///   ./service_demo                          # one-shot demo
 ///   ./service_demo --introspect 0           # also serve HTTP introspection

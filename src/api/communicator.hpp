@@ -161,12 +161,13 @@ class Communicator {
   [[nodiscard]] bcast::CombiningSchedule allreduce() const;
   [[nodiscard]] Time allreduce_time() const;
 
-  // --- execution (plan, then run on real threads) -----------------------
+  // --- execution (plan, then run on the exec engine) ---------------------
   // Each run_* method resolves its plan through the planner, compiles it
   // to per-processor instruction streams and executes it on the exec
-  // engine — P OS threads exchanging payload bytes through bounded
-  // lock-free mailboxes.  Pass `engine` to control pooling/timeouts;
-  // nullptr uses the process-wide exec::Engine::shared().
+  // engine — P rank cursors, stepped on the calling thread, exchanging
+  // payload bytes through bounded lock-free mailboxes.  Pass `engine` to
+  // control its warm context and timeout; nullptr uses the process-wide
+  // exec::Engine::shared().
 
   /// Broadcasts `payload` (one item) from `root` to all P processors;
   /// report.item_at(p, 0) holds every copy.
@@ -205,7 +206,7 @@ class Communicator {
       std::span<const std::byte> payload, ProcId root = 0,
       const FtRunOptions& options = {}) const;
 
-  /// Section 5 summation executed on real threads: plans reduce_operands(n)
+  /// Section 5 summation executed on the exec engine: plans reduce_operands(n)
   /// and folds `operands` — laid out per sum::operand_layout of that plan
   /// (operands[i] belongs to plan.procs[i]; counts must match or the engine
   /// throws).  report.folded_at(plan root) equals the sequential left-fold

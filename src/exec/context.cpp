@@ -10,8 +10,7 @@ bool RunContext::prepare(const RunShape& shape) {
     // retransmitted duplicates in a data ring and best-effort re-acks in
     // an ack ring even after completing cleanly, and a stale ack from a
     // previous run's sequence space would satisfy a new run's ack wait
-    // spuriously.  Both sides of every ring are quiescent here (the pool's
-    // epoch barrier joined all workers), so draining is race-free.
+    // spuriously.
     Message m;
     for (auto& mb : mailboxes) {
       while (mb->try_pop(m)) {
@@ -28,11 +27,6 @@ bool RunContext::prepare(const RunShape& shape) {
       pq.buf.clear();
       pq.head = 0;
     }
-    if (shape.reliable) {
-      for (std::size_t p = 0; p < shape.procs; ++p) {
-        hearts[p].v.store(0, std::memory_order_relaxed);
-      }
-    }
   } else {
     mailboxes.clear();
     mailboxes.reserve(shape.links);
@@ -48,16 +42,16 @@ bool RunContext::prepare(const RunShape& shape) {
       for (std::size_t i = 0; i < shape.links; ++i) {
         acks.push_back(std::make_unique<AckRing>(shape.capacity));
       }
-      hearts = std::make_unique<Heartbeat[]>(shape.procs);
-    } else {
-      hearts.reset();
     }
+    ready.reserve(shape.procs);
+    next.reserve(shape.procs);
     shape_ = shape;
     prepared_ = true;
   }
 
-  // Per-run sequence state always starts from zero; the vectors keep their
-  // heap blocks across same-shape runs (assign never shrinks capacity).
+  // Per-run sequence state and cursors always start from zero; the vectors
+  // keep their heap blocks across same-shape runs (assign never shrinks
+  // capacity).
   if (shape.reliable) {
     send_seq.assign(shape.links, 0);
     acked.assign(shape.links, 0);
@@ -69,6 +63,9 @@ bool RunContext::prepare(const RunShape& shape) {
     accepted.clear();
     attempts.clear();
   }
+  cursors.assign(shape.procs, Cursor{});
+  ready.clear();
+  next.clear();
 
   // Slot tables are sized by the caller (they depend on num_items, not the
   // shape).

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -9,27 +9,19 @@
 #include "exec/mailbox.hpp"
 
 /// \file context.hpp
-/// The per-run half of the Engine split: everything a single execution
-/// needs that is *not* the worker threads — mailboxes, ack rings, drain
-/// queues, heartbeat slots and the kMove slot tables.
-///
-/// Before this split, Engine::run allocated all of it on the stack of
-/// every call: one heap allocation per link for the data ring, another per
-/// link for the ack ring, fresh scratch vectors.  A service dispatching
-/// back-to-back collectives onto a persistent pool pays that setup on
-/// every request even though consecutive runs of the same plan shape need
-/// byte-for-byte identical resources.
+/// The per-run state of an Engine: mailboxes, ack rings, drain queues,
+/// one resumable cursor per rank, and the kMove slot tables.
 ///
 /// A RunContext is owned by its Engine (one per engine, guarded by the
 /// engine's run mutex — runs on one engine serialize, so the context never
 /// sees two runs at once) and is *re-prepared* instead of rebuilt:
 /// prepare() compares the requested RunShape against the previous run's
-/// and, on a match, merely drains leftover ring contents, rewinds
-/// high-water marks and resets heartbeats — zero allocations on the warm
-/// path.  A shape change (different link count, capacity, reliability mode
-/// or processor count) rebuilds the mismatched resources once and stays
-/// warm from then on.  kMove result buffers are not context state: they
-/// are the run's ExecReport::items, handed to the caller.
+/// and, on a match, merely drains leftover ring contents and rewinds
+/// high-water marks — zero ring allocations on the warm path.  A shape
+/// change (different link count, capacity, reliability mode or processor
+/// count) rebuilds the mismatched resources once and stays warm from then
+/// on.  kMove result buffers are not context state: they are the run's
+/// ExecReport::items, handed to the caller.
 ///
 /// ExecReport::warm_buffers reports which side of that branch a run took,
 /// and the service's engine pools regression-assert it stays true under
@@ -42,18 +34,52 @@ namespace logpc::exec {
 struct RunShape {
   std::size_t links = 0;     ///< directed links with traffic (mailboxes)
   std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g)
-  bool reliable = false;     ///< acked delivery: ack rings + heartbeats
-  std::size_t procs = 0;     ///< logical processors (heartbeat slots)
+  bool reliable = false;     ///< acked delivery: ack rings
+  std::size_t procs = 0;     ///< logical processors (cursors)
 
   friend bool operator==(const RunShape&, const RunShape&) = default;
 };
 
-/// One heartbeat counter per logical processor, cache-line padded.  A live
-/// worker bumps its own slot on every instruction and every spin-wait
-/// tick; the failure detector accuses a rank dead only after its slot has
-/// stayed frozen through a full suspicion window.
-struct alignas(64) Heartbeat {
-  std::atomic<std::uint64_t> v{0};
+/// Where a rank's cursor stands inside its current instruction.  The
+/// fault-free path uses kFetch, kStart, kPush and kPop; the others belong
+/// to acked delivery (runs with a fault::Injector).
+enum class Phase : std::uint8_t {
+  kFetch,    ///< at an instruction boundary
+  kSlow,     ///< sitting out a slow-rank stall before the instruction
+  kStart,    ///< instruction fetched, op not begun
+  kDelay,    ///< send: sitting out an injected delay before the push
+  kPush,     ///< send: waiting for room in the link's mailbox
+  kAck,      ///< acked send: pushed, waiting for the cumulative ack
+  kPop,      ///< recv: waiting for a message
+  kAckBack,  ///< acked recv: accepted, waiting for room in the ack ring
+  kDone,     ///< stream finished
+  kDead,     ///< crash-stopped by the injector
+};
+
+/// One rank's resumable position in its instruction stream: everything a
+/// blocked op needs to pick up where it stopped when the engine steps the
+/// rank again.
+struct Cursor {
+  using Clock = std::chrono::steady_clock;
+
+  std::size_t pc = 0;  ///< index of the current instruction
+  Phase phase = Phase::kFetch;
+  bool queued = false;          ///< in the engine's runnable list
+  std::uint64_t start_ns = 0;   ///< the pending op's start stamp
+  std::uint64_t xfer_ns = 0;    ///< the pending op's transfer stamp
+  Message m;                    ///< the pending send's / popped message
+  bool acc_have = false;        ///< kFold/kSum: accumulator assigned
+  std::size_t operand_pos = 0;  ///< kSum: next local operand
+
+  // Acked delivery only (beats moves on every run, but only the acked
+  // path's failure detector reads it).
+  std::uint64_t beats = 0;        ///< heartbeat: bumped on every visit
+  Clock::time_point not_before;   ///< kSlow / kDelay: stall end
+  Clock::time_point next_retx;    ///< kAck: next retransmit
+  std::chrono::microseconds backoff{0};  ///< kAck: current retransmit wait
+  int retries_left = 0;           ///< kAck: backoff ramp steps left
+  std::uint64_t peer_beats = 0;   ///< the blocking peer's last heartbeat
+  Clock::time_point peer_changed; ///< when peer_beats last moved
 };
 
 /// Consumer-side drain buffer, one per link (each link has exactly one
@@ -79,27 +105,28 @@ class RunContext {
   RunContext& operator=(const RunContext&) = delete;
 
   /// Readies every resource for a run of `shape`.  Returns true when the
-  /// whole context was reused warm (no ring, heartbeat or queue
-  /// allocation); false when any resource had to be (re)built.  Must be
-  /// called single-threaded, before workers dispatch.
+  /// whole context was reused warm (no ring or queue allocation); false
+  /// when any resource had to be (re)built.  Cursors start at their
+  /// streams' first instruction either way.
   bool prepare(const RunShape& shape);
 
   [[nodiscard]] const RunShape& shape() const { return shape_; }
 
-  // Run resources.  Engine workers index these directly; the fields are
+  // Run resources.  The engine indexes these directly; the fields are
   // engine-internal state that lives here only so it can stay warm.
   std::vector<std::unique_ptr<SpscMailbox>> mailboxes;  ///< [link]
   std::vector<PendingQ> pending;                        ///< [link]
 
-  // Reliable-mode state, one slot per link.  Each slot is touched by only
-  // one side of its link (seq/acked by the producer, accepted/attempts by
-  // the consumer), so plain vectors are race-free.
+  // Reliable-mode state, one slot per link: seq/acked belong to the
+  // producer, accepted/attempts to the consumer.
   std::vector<std::unique_ptr<AckRing>> acks;  ///< [link]
   std::vector<std::uint64_t> send_seq;   ///< producer: last seq pushed
   std::vector<std::uint64_t> acked;      ///< producer: highest acked seen
   std::vector<std::uint64_t> accepted;   ///< consumer: highest seq accepted
   std::vector<std::uint64_t> attempts;   ///< consumer: arrivals of expected
-  std::unique_ptr<Heartbeat[]> hearts;   ///< [proc], reliable mode only
+
+  std::vector<Cursor> cursors;              ///< [proc]
+  std::vector<std::uint32_t> ready, next;  ///< runnable ranks, this/next sweep
 
   // kMove slot tables, sized per run (they depend on num_items, not the
   // shape) but heap-warm across runs.

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exec/wait.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
 
 namespace logpc::exec {
@@ -33,37 +29,497 @@ constexpr std::chrono::microseconds kMaxBackoff{5000};
 constexpr int kMaxRetries = 6;
 constexpr std::chrono::milliseconds kSuspectAfter{25};
 
-std::uint64_t ns_since(Clock::time_point epoch) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           epoch)
-          .count());
+/// Blocked ranks a deadlock or timeout message names before it summarizes.
+constexpr std::size_t kNamedBlocked = 8;
+
+/// Phases in which a rank waits on its current instruction's peer.
+bool waits_on_peer(Phase ph) {
+  return ph == Phase::kPush || ph == Phase::kAck || ph == Phase::kPop ||
+         ph == Phase::kAckBack;
 }
 
-/// Shared failure latch: the first error wins, everyone else bails out of
-/// their spin loops promptly.  `failed_rank` distinguishes a declared rank
-/// death (recoverable: run_broadcast_ft re-plans around it) from a plain
-/// engine error.
-struct Failure {
-  std::atomic<bool> abort{false};
-  std::atomic<ProcId> failed_rank{kNoProc};
-  std::mutex mu;
-  std::string message;
+/// One run of one Program: steps every rank's cursor on the calling thread
+/// until each has finished its stream (or crash-stopped), throwing on a
+/// deadlock, a declared rank death, a timeout or a malformed delivery.
+/// Run-level tallies accumulate straight into the report.
+class Stepper {
+ public:
+  Stepper(const Program& program, const fault::Injector* injector,
+          const Combiner* op, const Operands* operands, RunContext& ctx,
+          ExecReport& report, Clock::time_point start,
+          std::chrono::milliseconds timeout)
+      : program_(program),
+        injector_(injector),
+        reliable_(injector != nullptr),
+        op_(op),
+        kernel_(op != nullptr ? op->kernel() : nullptr),
+        operands_(operands),
+        ctx_(ctx),
+        report_(report),
+        start_(start),
+        deadline_(start + timeout) {}
 
-  void fail(const std::string& m) {
-    {
-      std::lock_guard lock(mu);
-      if (message.empty()) message = m;
+  /// Steps runnable ranks in sweeps until every cursor is done or dead.
+  /// Each sweep steps the ranks made runnable during the previous one, in
+  /// the order they became runnable; the first sweep steps every rank in
+  /// rank order.
+  void run() {
+    std::vector<Cursor>& cursors = ctx_.cursors;
+    const bool fold_mode = program_.mode == Mode::kFold;
+    for (std::size_t p = 0; p < cursors.size(); ++p) {
+      const ProcProgram& stream = program_.procs[p];
+      Cursor& c = cursors[p];
+      c.acc_have = fold_mode;
+      report_.events[p].reserve(stream.instrs.size());
+      if (stream.instrs.empty()) {
+        c.phase = Phase::kDone;
+        continue;
+      }
+      ++remaining_;
+      c.queued = true;
+      ctx_.ready.push_back(static_cast<std::uint32_t>(p));
+      if (injector_ != nullptr && injector_->is_slow(static_cast<ProcId>(p))) {
+        report_.fault_events[p].push_back(fault::FaultEvent{
+            fault::FaultKind::kSlow, static_cast<ProcId>(p), kNoProc, 0});
+      }
     }
-    abort.store(true, std::memory_order_release);
+    while (remaining_ > 0) {
+      for (const std::uint32_t p : ctx_.ready) {
+        cursors[p].queued = false;
+        step(p);
+      }
+      ctx_.ready.clear();
+      std::swap(ctx_.ready, ctx_.next);
+      if (!ctx_.ready.empty() || remaining_ == 0) continue;
+      if (!reliable_) {
+        throw std::runtime_error("exec::Engine: deadlock in " +
+                                 program_.label + ", no rank can advance: " +
+                                 blocked_ranks());
+      }
+      wait();
+      std::swap(ctx_.ready, ctx_.next);
+    }
   }
 
-  void fail_rank(ProcId rank, const std::string& m) {
-    ProcId expected = kNoProc;
-    failed_rank.compare_exchange_strong(expected, rank,
-                                        std::memory_order_relaxed);
-    fail(m);
+  std::size_t kernel_bytes = 0;    ///< payload bytes the typed kernel folded
+  std::vector<double> backoffs_ns;  ///< lapsed retransmit waits
+
+ private:
+  [[nodiscard]] std::uint64_t now_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
   }
+
+  /// Makes rank r runnable in the next sweep (no-op when it already is,
+  /// or has finished).
+  void wake(ProcId r) {
+    Cursor& c = ctx_.cursors[static_cast<std::size_t>(r)];
+    if (c.queued || c.phase >= Phase::kDone) return;
+    c.queued = true;
+    ctx_.next.push_back(static_cast<std::uint32_t>(r));
+  }
+
+  /// Runs rank p until it finishes, crash-stops, or blocks.
+  void step(std::size_t p) {
+    Cursor& c = ctx_.cursors[p];
+    const std::vector<Instr>& instrs = program_.procs[p].instrs;
+    ++c.beats;  // a live rank's heartbeat moves whenever it is visited
+    while (c.pc < instrs.size()) {
+      const Instr& ins = instrs[c.pc];
+      if (c.phase <= Phase::kSlow && !fetch(p, c)) return;
+      switch (ins.op) {
+        case OpCode::kSend:
+          if (!send(p, c, ins)) return;
+          break;
+        case OpCode::kRecv:
+          if (!recv(p, c, ins)) return;
+          break;
+        case OpCode::kCombineLocal: {
+          const auto& local = operands_->operands[static_cast<std::size_t>(
+              program_.procs[p].sum_index)];
+          for (std::int32_t i = 0; i < ins.count; ++i) {
+            const Bytes& operand = local[c.operand_pos++];
+            fold(p, c, std::span<const std::byte>(operand.data(),
+                                                  operand.size()));
+          }
+          break;
+        }
+      }
+      ++c.pc;
+      c.phase = Phase::kFetch;
+    }
+    c.phase = Phase::kDone;
+    --remaining_;
+  }
+
+  /// Instruction-boundary faults: the crash-stop, then the slow-rank
+  /// stall.  False while the rank cannot begin its instruction.
+  bool fetch(std::size_t p, Cursor& c) {
+    if (c.phase == Phase::kFetch) {
+      c.phase = Phase::kStart;
+      if (injector_ == nullptr) return true;
+      const auto rank = static_cast<ProcId>(p);
+      if (injector_->dies_at(rank, c.pc)) {
+        // Crash-stop: no more sends, receives, acks, or heartbeats.  The
+        // peers' failure detectors take it from here.
+        report_.fault_events[p].push_back(fault::FaultEvent{
+            fault::FaultKind::kDead, rank, kNoProc, c.pc});
+        c.phase = Phase::kDead;
+        --remaining_;
+        return false;
+      }
+      if (!injector_->is_slow(rank)) return true;
+      c.not_before =
+          Clock::now() + std::chrono::nanoseconds(injector_->slow_stall_ns());
+      c.phase = Phase::kSlow;
+    }
+    if (Clock::now() < c.not_before) return false;
+    c.phase = Phase::kStart;
+    return true;
+  }
+
+  /// Starts watching `peer`'s heartbeat for a wait that may begin now.
+  void watch(Cursor& c, ProcId peer) {
+    if (!reliable_) return;
+    c.peer_beats = ctx_.cursors[static_cast<std::size_t>(peer)].beats;
+    c.peer_changed = Clock::now();
+  }
+
+  /// One send, resumed at c.phase.  True once complete.
+  bool send(std::size_t p, Cursor& c, const Instr& ins) {
+    const auto link = static_cast<std::size_t>(ins.link);
+    SpscMailbox& mb = *ctx_.mailboxes[link];
+    if (c.phase == Phase::kStart) {
+      c.start_ns = now_ns();
+      if (program_.mode == Mode::kMove) {
+        const Slot& s = slot(p, ins.item);
+        c.m = Message{ins.item, s.data, s.size, 0};
+      } else {
+        const Bytes& acc = report_.folded[p];
+        c.m = Message{ins.item, acc.data(), acc.size(), 0};
+      }
+      c.phase = Phase::kPush;
+      if (reliable_) {
+        c.m.seq = ++ctx_.send_seq[link];
+        const std::uint64_t delay = injector_->send_delay_ns(
+            static_cast<ProcId>(p), ins.link, c.m.seq);
+        if (delay > 0) {
+          report_.fault_events[p].push_back(fault::FaultEvent{
+              fault::FaultKind::kDelay, static_cast<ProcId>(p), ins.peer,
+              c.m.seq});
+          c.not_before = Clock::now() + std::chrono::nanoseconds(delay);
+          c.phase = Phase::kDelay;
+        } else {
+          watch(c, ins.peer);
+        }
+      }
+    }
+    if (c.phase == Phase::kDelay) {
+      if (Clock::now() < c.not_before) return false;
+      c.phase = Phase::kPush;
+      watch(c, ins.peer);
+    }
+    if (c.phase == Phase::kPush) {
+      if (!mb.try_push(c.m)) return false;
+      wake(ins.peer);
+      c.xfer_ns = now_ns();
+      if (reliable_) {
+        c.phase = Phase::kAck;
+        c.backoff = kAckTimeout;
+        c.next_retx = Clock::now() + c.backoff;
+        c.retries_left = kMaxRetries;
+        watch(c, ins.peer);
+      }
+    }
+    if (c.phase == Phase::kAck) {
+      AckRing& ar = *ctx_.acks[link];
+      std::uint64_t& acked = ctx_.acked[link];
+      std::uint64_t a = 0;
+      bool drained = false;
+      while (ar.try_pop(a)) {
+        acked = std::max(acked, a);
+        drained = true;
+      }
+      if (drained) wake(ins.peer);  // its ack push may have found no room
+      if (acked < c.m.seq) return false;
+    }
+    const std::uint64_t end = reliable_ ? now_ns() : c.xfer_ns;
+    report_.events[p].push_back(ExecEvent{ExecEvent::Kind::kSend, ins.peer,
+                                          ins.item, c.start_ns, c.xfer_ns,
+                                          end, ins.when});
+    report_.payload_bytes += c.m.size;
+    return true;
+  }
+
+  /// One receive, resumed at c.phase.  True once complete.
+  bool recv(std::size_t p, Cursor& c, const Instr& ins) {
+    const auto link = static_cast<std::size_t>(ins.link);
+    if (c.phase == Phase::kStart) {
+      c.start_ns = now_ns();
+      c.phase = Phase::kPop;
+      watch(c, ins.peer);
+    }
+    if (c.phase == Phase::kPop &&
+        !(reliable_ ? pop_acked(p, c, ins, link) : pop(c, ins, link))) {
+      return false;
+    }
+    if (c.phase == Phase::kAckBack) {
+      if (!ctx_.acks[link]->try_push(ctx_.accepted[link])) return false;
+      wake(ins.peer);
+    }
+    c.xfer_ns = now_ns();
+    const Message& m = c.m;
+    if (m.item != ins.item) {
+      throw std::runtime_error(
+          "exec::Engine: P" + std::to_string(p) + " expected item " +
+          std::to_string(ins.item) + " from P" + std::to_string(ins.peer) +
+          ", got " + std::to_string(m.item));
+    }
+    if (program_.mode == Mode::kMove) {
+      const Slot& s = slot(p, m.item);
+      if (s.size != m.size) {
+        throw std::runtime_error(
+            "exec::Engine: P" + std::to_string(p) + " received item " +
+            std::to_string(m.item) + " with unexpected payload size " +
+            std::to_string(m.size));
+      }
+      if (m.size != 0) std::memcpy(s.data, m.data, m.size);
+    } else {
+      fold(p, c, std::span<const std::byte>(m.data, m.size));
+    }
+    report_.deliveries[p].push_back(validate::DeliveryRecord{ins.peer, m.item});
+    report_.events[p].push_back(ExecEvent{ExecEvent::Kind::kRecv, ins.peer,
+                                          ins.item, c.start_ns, c.xfer_ns,
+                                          now_ns(), ins.when});
+    return true;
+  }
+
+  /// Fault-free pop into c.m.  A chained receive (Instr::chain > 1) that
+  /// pops its head message also claims whatever the producer already
+  /// queued behind it — up to the rest of the chain — in one bulk pop, and
+  /// the following receives take from that batch without touching the
+  /// ring.  Unchained receives (e.g. all-to-all's rotating links) take a
+  /// plain pop.
+  bool pop(Cursor& c, const Instr& ins, std::size_t link) {
+    PendingQ& pq = ctx_.pending[link];
+    if (pq.head < pq.buf.size()) {
+      c.m = pq.buf[pq.head++];
+      return true;
+    }
+    SpscMailbox& mb = *ctx_.mailboxes[link];
+    if (!mb.try_pop(c.m)) return false;
+    if (ins.chain > 1) {
+      pq.buf.clear();
+      pq.head = 0;
+      (void)mb.pop_bulk(pq.buf, static_cast<std::size_t>(ins.chain) - 1);
+    }
+    wake(ins.peer);  // its push may have found the ring full
+    return true;
+  }
+
+  /// Acked pop: discards retransmitted duplicates exactly-once (re-acking
+  /// best-effort so the sender stops resending), applies injected drops,
+  /// and on acceptance moves to kAckBack.  False while nothing acceptable
+  /// has arrived.
+  bool pop_acked(std::size_t p, Cursor& c, const Instr& ins,
+                 std::size_t link) {
+    SpscMailbox& mb = *ctx_.mailboxes[link];
+    AckRing& ar = *ctx_.acks[link];
+    std::uint64_t& accepted = ctx_.accepted[link];
+    const std::uint64_t expect = accepted + 1;
+    while (mb.try_pop(c.m)) {
+      wake(ins.peer);
+      if (c.m.seq < expect) {
+        ++report_.duplicates;
+        ar.try_push(accepted);
+        continue;
+      }
+      if (c.m.seq > expect) {
+        throw std::runtime_error(
+            "exec::Engine: P" + std::to_string(p) +
+            " sequence gap on link from P" + std::to_string(ins.peer) +
+            " (got " + std::to_string(c.m.seq) + ", expected " +
+            std::to_string(expect) + ")");
+      }
+      const std::uint64_t attempt = ++ctx_.attempts[link];
+      if (injector_->drop_delivery(static_cast<ProcId>(p), ins.link, c.m.seq,
+                                   attempt)) {
+        // Discarded in transit: no ack, so the sender retransmits.
+        report_.fault_events[p].push_back(
+            fault::FaultEvent{fault::FaultKind::kDrop, static_cast<ProcId>(p),
+                              ins.peer, c.m.seq});
+        continue;
+      }
+      accepted = c.m.seq;
+      ctx_.attempts[link] = 0;
+      c.phase = Phase::kAckBack;
+      watch(c, ins.peer);
+      return true;
+    }
+    return false;
+  }
+
+  // kFold seeds the accumulator with the processor's own value (already
+  // copied into report.folded); kSum starts empty.  A typed combiner takes
+  // the fused kernel on every size-matched fold; anything else — including
+  // the first contribution, which is assigned — goes through the generic
+  // lane.  The fold ORDER is the instruction stream either way, so
+  // non-commutative combination_order survives intact.
+  void fold(std::size_t p, Cursor& c, std::span<const std::byte> rhs) {
+    Bytes& acc = report_.folded[p];
+    if (!c.acc_have) {
+      acc.assign(rhs.begin(), rhs.end());
+      c.acc_have = true;
+      return;
+    }
+    if (kernel_ != nullptr && acc.size() == rhs.size()) {
+      kernel_(acc.data(), rhs.data(), acc.size());
+      ++report_.kernel_folds;
+      kernel_bytes += rhs.size();
+    } else {
+      (op_->generic())(acc, rhs);
+      ++report_.generic_folds;
+    }
+  }
+
+  [[nodiscard]] const Slot& slot(std::size_t p, ItemId item) const {
+    return ctx_.slots[p * static_cast<std::size_t>(program_.num_items) +
+                      static_cast<std::size_t>(item)];
+  }
+
+  /// Acked delivery with no rank runnable: walks the wait ladder until a
+  /// stall ends or a slow tick's bookkeeping makes a rank runnable.
+  void wait() {
+    Waiter w;
+    for (;;) {
+      const Clock::time_point now = Clock::now();
+      for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
+        const Cursor& c = ctx_.cursors[p];
+        if ((c.phase == Phase::kSlow || c.phase == Phase::kDelay) &&
+            now >= c.not_before) {
+          wake(static_cast<ProcId>(p));
+        }
+      }
+      if (!ctx_.next.empty()) return;
+      if (w.should_tick()) {
+        tick();
+        if (!ctx_.next.empty()) return;
+        w.idle();
+      }
+    }
+  }
+
+  /// The slow-tick bookkeeping: the watchdog deadline, then — after every
+  /// live rank's heartbeat has moved — the failure detector and the
+  /// retransmit clock of every blocked rank.
+  void tick() {
+    const Clock::time_point now = Clock::now();
+    if (now > deadline_) {
+      throw std::runtime_error("exec::Engine: timeout in " + program_.label +
+                               ": " + blocked_ranks());
+    }
+    for (Cursor& c : ctx_.cursors) {
+      if (c.phase < Phase::kDone) ++c.beats;
+    }
+    for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
+      Cursor& c = ctx_.cursors[p];
+      if (!waits_on_peer(c.phase)) continue;
+      const Instr& ins = program_.procs[p].instrs[c.pc];
+      suspect(p, c, ins.peer, now);
+      if (c.phase == Phase::kAck && now >= c.next_retx) retransmit(c, ins, now);
+    }
+  }
+
+  /// Accuses `peer` dead once its heartbeat has stayed frozen for
+  /// kSuspectAfter while rank p waited on it.
+  void suspect(std::size_t p, Cursor& c, ProcId peer, Clock::time_point now) {
+    const std::uint64_t cur =
+        ctx_.cursors[static_cast<std::size_t>(peer)].beats;
+    if (cur != c.peer_beats) {
+      c.peer_beats = cur;
+      c.peer_changed = now;
+      return;
+    }
+    if (now - c.peer_changed < kSuspectAfter) return;
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global()
+          .counter("logpc_fault_rank_failures_total",
+                   "ranks declared dead by the engine failure detector")
+          .inc();
+    }
+    throw RankFailure(peer, "exec::Engine: rank " + std::to_string(peer) +
+                                " declared dead (heartbeat frozen while P" +
+                                std::to_string(p) + " waited on it, " +
+                                program_.label + ")");
+  }
+
+  /// Resends an unacked message for as long as the ack is missing: a
+  /// receiver that was busy on another link while the exponential ramp ran
+  /// out may still drop the queued copies, and a sender that stops
+  /// resending would deadlock the pair until the watchdog.  kMaxRetries
+  /// bounds the backoff RAMP; past it the cadence stays at kMaxBackoff
+  /// until the ack lands, the peer is declared dead, or the deadline
+  /// fires.
+  void retransmit(Cursor& c, const Instr& ins, Clock::time_point now) {
+    backoffs_ns.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(c.backoff)
+            .count()));
+    // try_push: if the ring is full the original copy is still queued, so
+    // there is nothing to retransmit past.
+    if (ctx_.mailboxes[static_cast<std::size_t>(ins.link)]->try_push(c.m)) {
+      ++report_.retries;
+      wake(ins.peer);
+    }
+    if (c.retries_left > 0) {
+      --c.retries_left;
+      c.backoff = std::min(c.backoff * kBackoffFactor, kMaxBackoff);
+    }
+    c.next_retx = now + c.backoff;
+  }
+
+  /// "P3 recv item 0 from P1 (instr 2); ..." for every unfinished rank,
+  /// the first kNamedBlocked by name.
+  [[nodiscard]] std::string blocked_ranks() const {
+    std::string out;
+    std::size_t named = 0;
+    std::size_t more = 0;
+    for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
+      const Cursor& c = ctx_.cursors[p];
+      if (c.phase >= Phase::kDone) continue;
+      if (named == kNamedBlocked) {
+        ++more;
+        continue;
+      }
+      const Instr& ins = program_.procs[p].instrs[c.pc];
+      out += (named++ == 0 ? "P" : "; P") + std::to_string(p);
+      if (ins.op == OpCode::kCombineLocal) {
+        out += " combine";
+      } else if (ins.op == OpCode::kSend) {
+        out += " send item " + std::to_string(ins.item) + " to P" +
+               std::to_string(ins.peer);
+      } else {
+        out += " recv item " + std::to_string(ins.item) + " from P" +
+               std::to_string(ins.peer);
+      }
+      out += " (instr " + std::to_string(c.pc) + ")";
+    }
+    if (more > 0) out += "; and " + std::to_string(more) + " more";
+    return out;
+  }
+
+  const Program& program_;
+  const fault::Injector* injector_;
+  const bool reliable_;
+  const Combiner* op_;
+  const KernelFn kernel_;
+  const Operands* operands_;
+  RunContext& ctx_;
+  ExecReport& report_;
+  const Clock::time_point start_;
+  const Clock::time_point deadline_;
+  std::size_t remaining_ = 0;  ///< cursors neither done nor dead
 };
 
 }  // namespace
@@ -73,17 +529,12 @@ Engine& Engine::shared() {
   return *engine;
 }
 
-void Engine::prewarm(int procs) {
-  if (procs <= 0) return;
-  pool_.reserve(static_cast<unsigned>(procs));
-}
-
 ExecReport Engine::run(const Program& program, const Inputs& inputs,
                        const fault::Injector* injector) {
   // --- resolve and validate the inputs against the program ---------------
   // The one validation point for every run.  Exactly one of these views is
-  // set — the one matching program.mode, checked first — and the workers
-  // read it directly.
+  // set — the one matching program.mode, checked first — and the stepper
+  // reads it directly.
   const auto* payload = std::get_if<Payload>(&inputs);
   const auto* items = std::get_if<Items>(&inputs);
   const auto* fold_values = std::get_if<FoldValues>(&inputs);
@@ -147,34 +598,19 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
         "schedule; fix the machine parameters instead of clamping");
   }
 
-  const bool reliable = injector != nullptr;
-  const KernelFn kernel = op != nullptr ? op->kernel() : nullptr;
 
   // Serialize runs on this engine *before* starting the watchdog clock:
-  // a run queued behind another must not burn its timeout budget waiting
-  // for the pool.
+  // a run queued behind another must not burn its timeout budget waiting.
   std::lock_guard run_lock(run_mu_);
 
   // --- run state: the engine's warm per-run context ----------------------
-  // Threads are warm when the pool already holds a worker per processor;
-  // buffers are warm when the context's previous shape matches and
+  // Buffers are warm when the context's previous shape matches and
   // prepare() recycled every ring and queue without allocating.
-  const bool pool_warm =
-      pool_.size() >= static_cast<unsigned>(program.params.P);
   RunShape shape;
   shape.links = program.links.size();
   shape.capacity = cap;
-  shape.reliable = reliable;
+  shape.reliable = injector != nullptr;
   shape.procs = P;
-  const bool buffers_warm = ctx_.prepare(shape);
-  std::vector<std::unique_ptr<SpscMailbox>>& mailboxes = ctx_.mailboxes;
-  std::vector<PendingQ>& pending = ctx_.pending;
-  std::vector<std::unique_ptr<AckRing>>& acks = ctx_.acks;
-  std::vector<std::uint64_t>& send_seq = ctx_.send_seq;
-  std::vector<std::uint64_t>& acked = ctx_.acked;
-  std::vector<std::uint64_t>& accepted = ctx_.accepted;
-  std::vector<std::uint64_t>& attempts = ctx_.attempts;
-  Heartbeat* const hearts = ctx_.hearts.get();
 
   ExecReport report;
   report.params = program.params;
@@ -183,8 +619,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   report.predicted_makespan = program.predicted_makespan;
   report.messages = program.num_messages;
   report.mailbox_capacity = cap;
-  report.warm_pool = pool_warm;
-  report.warm_buffers = buffers_warm;
+  report.warm_buffers = ctx_.prepare(shape);
   report.events.resize(P);
   report.deliveries.resize(P);
   report.fault_events.resize(P);
@@ -192,10 +627,10 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
 
   // --- kMove slots: in place in the report's result buffers -------------
   // Every (processor, item) slot the plan touches is sized in its final
-  // ExecReport::items buffer before workers start, so seeding is one
+  // ExecReport::items buffer before the first step, so seeding is one
   // memcpy from the caller's bytes, each receive is one memcpy into its
-  // slot, and nothing is copied out afterwards.  No allocator call runs on
-  // a worker thread.  A Payload run gives each touched processor one
+  // slot, and nothing is copied out afterwards.  No allocator call runs
+  // while ranks step.  A Payload run gives each touched processor one
   // buffer the size of the whole payload, each slot aliasing its range.
   // Whether a slot is used comes from the table, never from its pointer.
   std::vector<Slot>& slots = ctx_.slots;
@@ -256,395 +691,46 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
     }
   }
 
-  std::vector<std::size_t> bytes_moved(P, 0);
-  std::vector<std::size_t> retries(P, 0);
-  std::vector<std::size_t> duplicates(P, 0);
-  std::vector<std::size_t> kernel_folds(P, 0);
-  std::vector<std::size_t> generic_folds(P, 0);
-  std::vector<std::size_t> kernel_bytes(P, 0);
-  std::vector<std::vector<double>> backoffs_ns(P);  // lapsed retransmit waits
-  Failure failure;
+
   const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline =
-      start + std::chrono::milliseconds(opts_.timeout_ms);
-
-  auto worker = [&](int wi) {
-    const auto p = static_cast<std::size_t>(wi);
-    const auto rank = static_cast<ProcId>(wi);
-    const ProcProgram& stream = program.procs[p];
-    obs::Span span("exec.worker", "exec");
-    if (span.active()) {
-      span.set_arg("p" + std::to_string(wi) + " " + program.label);
-    }
-
-    auto beat = [&] {
-      if (reliable) hearts[p].v.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Liveness watch on one peer: last observed heartbeat + when it last
-    // moved.  suspect() accuses the peer dead once the heartbeat has been
-    // frozen for kSuspectAfter of blocked waiting.
-    struct Watch {
-      std::uint64_t hb;
-      Clock::time_point changed;
-    };
-    auto watch_of = [&](ProcId peer) {
-      return Watch{hearts[static_cast<std::size_t>(peer)].v.load(
-                       std::memory_order_relaxed),
-                   Clock::now()};
-    };
-    auto suspect = [&](ProcId peer, Watch& w) -> bool {
-      const std::uint64_t cur =
-          hearts[static_cast<std::size_t>(peer)].v.load(
-              std::memory_order_relaxed);
-      const Clock::time_point now = Clock::now();
-      if (cur != w.hb) {
-        w.hb = cur;
-        w.changed = now;
-        return false;
-      }
-      if (now - w.changed < kSuspectAfter) return false;
-      failure.fail_rank(
-          peer, "exec::Engine: rank " + std::to_string(peer) +
-                    " declared dead (heartbeat frozen while P" +
-                    std::to_string(wi) + " waited on it, " + program.label +
-                    ")");
-      return true;
-    };
-
-    // Plain blocking wait (fault-free path): walk the wait ladder —
-    // cpu_relax spins, then yields with slow ticks that check the watchdog
-    // deadline.
-    auto blocking = [&](auto&& attempt) -> bool {
-      Waiter w;
-      while (!attempt()) {
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          if (Clock::now() > deadline) {
-            failure.fail("exec::Engine: timeout at P" + std::to_string(wi) +
-                         " (" + program.label + ")");
-            return false;
-          }
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // Reliable blocking wait: additionally keeps our heartbeat moving and
-    // runs the failure detector against the peer we are blocked on.
-    auto blocking_on = [&](ProcId peer, auto&& attempt) -> bool {
-      Watch watch = watch_of(peer);
-      Waiter w;
-      while (!attempt()) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          if (Clock::now() > deadline) {
-            failure.fail("exec::Engine: timeout at P" + std::to_string(wi) +
-                         " (" + program.label + ")");
-            return false;
-          }
-          if (suspect(peer, watch)) return false;
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // Busy-stall (injected delay / slow-rank stall) that stays alive to
-    // the failure detector.
-    auto stall = [&](std::uint64_t ns) -> bool {
-      const Clock::time_point until =
-          Clock::now() + std::chrono::nanoseconds(ns);
-      while (Clock::now() < until) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        std::this_thread::yield();
-      }
-      return true;
-    };
-
-    // Sender side of acked delivery: drain cumulative acks; once the ack
-    // timeout lapses, retransmit with exponential backoff (kMaxRetries
-    // ramp steps, then a steady kMaxBackoff cadence) until the ack lands
-    // or the heartbeat detector / watchdog ends the wait.
-    auto await_ack = [&](ProcId peer, std::size_t link, const Message& m,
-                         SpscMailbox& mb) -> bool {
-      AckRing& ar = *acks[link];
-      auto drained = [&] {
-        std::uint64_t a = 0;
-        while (ar.try_pop(a)) acked[link] = std::max(acked[link], a);
-        return acked[link] >= m.seq;
-      };
-      Watch watch = watch_of(peer);
-      std::chrono::microseconds backoff = kAckTimeout;
-      Clock::time_point next_retx = Clock::now() + backoff;
-      int retries_left = kMaxRetries;
-      Waiter w;
-      while (!drained()) {
-        beat();
-        if (failure.abort.load(std::memory_order_acquire)) return false;
-        if (w.should_tick()) {
-          const Clock::time_point now = Clock::now();
-          if (now > deadline) {
-            failure.fail("exec::Engine: ack timeout at P" +
-                         std::to_string(wi) + " (" + program.label + ")");
-            return false;
-          }
-          if (suspect(peer, watch)) return false;
-          if (now >= next_retx) {
-            // Retransmit for as long as the ack is missing: a receiver
-            // that was busy on another link while the exponential ramp
-            // ran out may still drop the queued copies, and a sender
-            // that stops resending would deadlock the pair until the
-            // watchdog.  kMaxRetries bounds the backoff RAMP; past it
-            // the cadence stays at kMaxBackoff until the ack lands, the
-            // peer is declared dead, or the deadline fires.
-            backoffs_ns[p].push_back(static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(backoff)
-                    .count()));
-            // try_push: if the ring is full the original copy is still
-            // queued, so there is nothing to retransmit past.
-            if (mb.try_push(m)) ++retries[p];
-            if (retries_left > 0) {
-              --retries_left;
-              backoff = std::min(backoff * kBackoffFactor, kMaxBackoff);
-            }
-            next_retx = now + backoff;
-          }
-          w.idle();
-        }
-      }
-      return true;
-    };
-
-    // kFold seeds the accumulator with the processor's own value (already
-    // copied into report.folded); kSum starts empty.  A typed combiner
-    // takes the fused kernel on every size-matched fold; anything else —
-    // including the first contribution, which is assigned — goes through
-    // the generic lane.  The fold ORDER is the instruction stream either
-    // way, so non-commutative combination_order survives intact.
-    Bytes& acc = report.folded[p];
-    bool acc_have = program.mode == Mode::kFold;
-    std::size_t operand_pos = 0;
-    auto fold = [&](std::span<const std::byte> rhs) {
-      if (!acc_have) {
-        acc.assign(rhs.begin(), rhs.end());
-        acc_have = true;
-        return;
-      }
-      if (kernel != nullptr && acc.size() == rhs.size()) {
-        kernel(acc.data(), rhs.data(), acc.size());
-        ++kernel_folds[p];
-        kernel_bytes[p] += rhs.size();
-      } else {
-        (op->generic())(acc, rhs);
-        ++generic_folds[p];
-      }
-    };
-
-    const bool slow = injector != nullptr && injector->is_slow(rank);
-    if (slow && !stream.instrs.empty()) {
-      report.fault_events[p].push_back(
-          fault::FaultEvent{fault::FaultKind::kSlow, rank, kNoProc, 0});
-    }
-
-    report.events[p].reserve(stream.instrs.size());
-    std::size_t ii = 0;
-    for (const Instr& ins : stream.instrs) {
-      const std::size_t instr_index = ii++;
-      beat();
-      if (injector != nullptr && injector->dies_at(rank, instr_index)) {
-        // Crash-stop: no more sends, receives, acks, or heartbeats.  The
-        // peers' failure detectors take it from here.
-        report.fault_events[p].push_back(fault::FaultEvent{
-            fault::FaultKind::kDead, rank, kNoProc, instr_index});
-        return;
-      }
-      if (slow && !stall(injector->slow_stall_ns())) return;
-
-      switch (ins.op) {
-        case OpCode::kSend: {
-          ExecEvent ev;
-          ev.kind = ExecEvent::Kind::kSend;
-          ev.peer = ins.peer;
-          ev.item = ins.item;
-          ev.planned = ins.when;
-          ev.start_ns = ns_since(start);
-          const std::byte* payload_data;
-          std::size_t payload_size;
-          if (program.mode == Mode::kMove) {
-            const Slot& s = slots[slot_index(p, static_cast<std::size_t>(ins.item))];
-            payload_data = s.data;
-            payload_size = s.size;
-          } else {
-            payload_data = acc.data();
-            payload_size = acc.size();
-          }
-          const auto link = static_cast<std::size_t>(ins.link);
-          SpscMailbox& mb = *mailboxes[link];
-          Message m{ins.item, payload_data, payload_size, 0};
-          if (reliable) {
-            m.seq = ++send_seq[link];
-            const std::uint64_t delay =
-                injector != nullptr
-                    ? injector->send_delay_ns(rank, ins.link, m.seq)
-                    : 0;
-            if (delay > 0) {
-              report.fault_events[p].push_back(fault::FaultEvent{
-                  fault::FaultKind::kDelay, rank, ins.peer, m.seq});
-              if (!stall(delay)) return;
-            }
-            if (!blocking_on(ins.peer, [&] { return mb.try_push(m); })) return;
-            ev.xfer_ns = ns_since(start);
-            if (!await_ack(ins.peer, link, m, mb)) return;
-          } else {
-            if (!blocking([&] { return mb.try_push(m); })) return;
-            ev.xfer_ns = ns_since(start);
-          }
-          ev.end_ns = ns_since(start);
-          bytes_moved[p] += payload_size;
-          report.events[p].push_back(ev);
-          break;
-        }
-        case OpCode::kRecv: {
-          ExecEvent ev;
-          ev.kind = ExecEvent::Kind::kRecv;
-          ev.peer = ins.peer;
-          ev.item = ins.item;
-          ev.planned = ins.when;
-          ev.start_ns = ns_since(start);
-          const auto link = static_cast<std::size_t>(ins.link);
-          SpscMailbox& mb = *mailboxes[link];
-          Message m;
-          if (reliable) {
-            AckRing& ar = *acks[link];
-            const std::uint64_t expect = accepted[link] + 1;
-            for (;;) {
-              if (!blocking_on(ins.peer, [&] { return mb.try_pop(m); })) {
-                return;
-              }
-              if (m.seq < expect) {
-                // A retransmitted copy of a message already accepted:
-                // discard exactly-once, re-ack best-effort so the sender
-                // stops resending.
-                ++duplicates[p];
-                ar.try_push(accepted[link]);
-                continue;
-              }
-              if (m.seq > expect) {
-                failure.fail("exec::Engine: P" + std::to_string(wi) +
-                             " sequence gap on link from P" +
-                             std::to_string(ins.peer) + " (got " +
-                             std::to_string(m.seq) + ", expected " +
-                             std::to_string(expect) + ")");
-                return;
-              }
-              const std::uint64_t attempt = ++attempts[link];
-              if (injector != nullptr &&
-                  injector->drop_delivery(rank, ins.link, m.seq, attempt)) {
-                // Discarded in transit: no ack, so the sender retransmits.
-                report.fault_events[p].push_back(fault::FaultEvent{
-                    fault::FaultKind::kDrop, rank, ins.peer, m.seq});
-                continue;
-              }
-              break;
-            }
-            accepted[link] = m.seq;
-            attempts[link] = 0;
-            if (!blocking_on(ins.peer,
-                             [&] { return ar.try_push(accepted[link]); })) {
-              return;
-            }
-          } else {
-            // Fast lane: drain every message this stream consumes
-            // back-to-back on this link (Instr::chain) in one bulk pop —
-            // one acquire/release round for the whole batch instead of
-            // one per message.  Unchained receives (chain <= 1, e.g.
-            // all-to-all's rotating links) take a plain pop: a
-            // single-message bulk pop adds queue bookkeeping on top of
-            // the same ring round-trip.
-            PendingQ& pq = pending[link];
-            if (pq.head < pq.buf.size()) {
-              m = pq.buf[pq.head++];
-            } else if (ins.chain <= 1) {
-              if (!blocking([&] { return mb.try_pop(m); })) {
-                return;
-              }
-            } else {
-              // Chained receive with nothing pending: block for the head
-              // message exactly like the unchained path (a drip-feeding
-              // pipeline pays nothing over a plain pop), then claim
-              // whatever the producer already queued behind it — up to the
-              // rest of the chain — in one bulk pop.  A burst left while
-              // this worker was descheduled is drained with a single
-              // acquire/release round instead of one per message.
-              if (!blocking([&] { return mb.try_pop(m); })) {
-                return;
-              }
-              pq.buf.clear();
-              pq.head = 0;
-              (void)mb.pop_bulk(pq.buf,
-                                static_cast<std::size_t>(ins.chain) - 1);
-            }
-          }
-          ev.xfer_ns = ns_since(start);
-          if (m.item != ins.item) {
-            failure.fail("exec::Engine: P" + std::to_string(wi) +
-                         " expected item " + std::to_string(ins.item) +
-                         " from P" + std::to_string(ins.peer) + ", got " +
-                         std::to_string(m.item));
-            return;
-          }
-          if (program.mode == Mode::kMove) {
-            const Slot& slot =
-                slots[slot_index(p, static_cast<std::size_t>(m.item))];
-            if (slot.size != m.size) {
-              failure.fail("exec::Engine: P" + std::to_string(wi) +
-                           " received item " + std::to_string(m.item) +
-                           " with unexpected payload size " +
-                           std::to_string(m.size));
-              return;
-            }
-            if (m.size != 0) std::memcpy(slot.data, m.data, m.size);
-          } else {
-            fold(std::span<const std::byte>(m.data, m.size));
-          }
-          report.deliveries[p].push_back(
-              validate::DeliveryRecord{ins.peer, m.item});
-          ev.end_ns = ns_since(start);
-          report.events[p].push_back(ev);
-          break;
-        }
-        case OpCode::kCombineLocal: {
-          const auto& local =
-              operands->operands[static_cast<std::size_t>(stream.sum_index)];
-          for (std::int32_t c = 0; c < ins.count; ++c) {
-            fold(std::span<const std::byte>(local[operand_pos].data(),
-                                            local[operand_pos].size()));
-            ++operand_pos;
-          }
-          break;
-        }
-      }
-    }
-  };
-
+  Stepper stepper(program, injector, op, operands, ctx_, report, start,
+                  std::chrono::milliseconds(opts_.timeout_ms));
   {
     obs::Span run_span("exec.run", "exec");
     if (run_span.active()) {
       run_span.set_arg(program.label + " P=" +
                        std::to_string(program.params.P));
     }
-    pool_.run(static_cast<int>(P), worker);
-    report.wall_ns = ns_since(start);
+    try {
+      stepper.run();
+    } catch (...) {
+      // Drain every ring so an aborted run leaves no stale message (or
+      // stale ack) behind for a later run to trip on.  (The context
+      // re-drains on its next prepare() as well, but a throwing run must
+      // not leave the shared rings dirty in between.)
+      Message m;
+      for (const auto& mb : ctx_.mailboxes) {
+        while (mb->try_pop(m)) {
+        }
+      }
+      std::uint64_t a = 0;
+      for (const auto& ar : ctx_.acks) {
+        while (ar->try_pop(a)) {
+        }
+      }
+      throw;
+    }
+    report.wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
   }
 
 #ifndef NDEBUG
-  // The documented ordering guarantee of ExecReport::events: one worker
-  // records its events sequentially on a monotonic clock, so per-processor
-  // logs are non-decreasing in start_ns and op intervals never overlap.
+  // The documented ordering guarantee of ExecReport::events: a rank's
+  // cursor records its events sequentially on a monotonic clock, so
+  // per-processor logs are non-decreasing in start_ns and op intervals
+  // never overlap.
   for (const auto& evs : report.events) {
     for (std::size_t i = 1; i < evs.size(); ++i) {
       assert(evs[i].start_ns >= evs[i - 1].start_ns &&
@@ -655,128 +741,120 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   }
 #endif
 
-  for (const std::size_t r : retries) report.retries += r;
-  for (const std::size_t d : duplicates) report.duplicates += d;
-  for (const std::size_t k : kernel_folds) report.kernel_folds += k;
-  for (const std::size_t g : generic_folds) report.generic_folds += g;
-
-  if (failure.abort.load(std::memory_order_acquire)) {
-    // All workers have rejoined the epoch barrier, so nothing is producing
-    // or consuming: drain every ring so an aborted run leaves no stale
-    // message (or stale ack) behind for a later run to trip on.  (The
-    // context re-drains on its next prepare() as well, but a throwing run
-    // must not leave the shared rings dirty in between.)
-    Message m;
-    for (const auto& mb : mailboxes) {
-      while (mb->try_pop(m)) {
-      }
-    }
-    std::uint64_t a = 0;
-    for (const auto& ar : acks) {
-      while (ar->try_pop(a)) {
-      }
-    }
-    const ProcId fr = failure.failed_rank.load(std::memory_order_relaxed);
-    std::string message;
-    {
-      std::lock_guard lock(failure.mu);
-      message = failure.message;
-    }
-    if (obs::enabled() && fr != kNoProc) {
-      obs::MetricsRegistry::global()
-          .counter("logpc_fault_rank_failures_total",
-                   "ranks declared dead by the engine failure detector")
-          .inc();
-    }
-    if (fr != kNoProc) throw RankFailure(fr, message);
-    throw std::runtime_error(message);
-  }
-
-  for (const std::size_t b : bytes_moved) report.payload_bytes += b;
-  for (const auto& mb : mailboxes) {
+  for (const auto& mb : ctx_.mailboxes) {
     report.max_mailbox_occupancy =
         std::max(report.max_mailbox_occupancy, mb->max_occupancy());
   }
-
   if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string labels = "collective=\"" + program.label + "\"";
-    reg.counter("logpc_exec_runs_total",
-                "collective executions on the real-thread engine", labels)
-        .inc();
-    reg.counter("logpc_exec_messages_total",
-                "messages moved through exec mailboxes", labels)
-        .inc(report.messages);
-    reg.counter("logpc_exec_payload_bytes_total",
-                "payload bytes moved through exec mailboxes", labels)
-        .inc(report.payload_bytes);
-    reg.histogram("logpc_exec_run_latency_ns",
-                  obs::default_latency_buckets_ns(),
-                  "wall-clock duration of one executed collective", labels)
-        .observe(static_cast<double>(report.wall_ns));
-    reg.counter(report.warm_pool ? "logpc_exec_warm_runs_total"
-                                 : "logpc_exec_cold_starts_total",
-                report.warm_pool
-                    ? "runs dispatched onto already-resident worker threads"
-                    : "runs that spawned worker threads on the request path",
-                labels)
-        .inc();
-    if (op != nullptr && op->typed()) {
-      const std::string klabels = "op=\"" + std::string(op_name(op->spec().op)) +
-                                  "\",dtype=\"" +
-                                  dtype_name(op->spec().dtype) + "\"";
-      if (report.kernel_folds > 0) {
-        reg.counter("logpc_exec_kernel_folds_total",
-                    "folds executed by typed SIMD combine kernels", klabels)
-            .inc(report.kernel_folds);
-        std::size_t kb = 0;
-        for (const std::size_t b : kernel_bytes) kb += b;
-        reg.counter("logpc_exec_kernel_fold_bytes_total",
-                    "payload bytes folded by typed combine kernels", klabels)
-            .inc(kb);
-      }
-      if (report.generic_folds > 0) {
-        reg.counter("logpc_exec_kernel_fallback_folds_total",
-                    "folds a typed combiner routed to the generic lane "
-                    "(operand size mismatch)",
-                    klabels)
-            .inc(report.generic_folds);
-      }
-    }
-    if (reliable) {
-      std::array<std::size_t, 4> by_kind{};
-      for (const auto& evs : report.fault_events) {
-        for (const fault::FaultEvent& fe : evs) {
-          ++by_kind[static_cast<std::size_t>(fe.kind)];
-        }
-      }
-      for (std::size_t k = 0; k < by_kind.size(); ++k) {
-        if (by_kind[k] == 0) continue;
-        const auto kind = static_cast<fault::FaultKind>(k);
-        reg.counter("logpc_fault_injected_total", "injected faults by kind",
-                    "kind=\"" + std::string(fault::fault_kind_name(kind)) +
-                        "\"")
-            .inc(by_kind[k]);
-      }
-      if (report.retries > 0) {
-        reg.counter("logpc_fault_retries_total",
-                    "retransmissions under acked delivery")
-            .inc(report.retries);
-      }
-      if (report.duplicates > 0) {
-        reg.counter("logpc_fault_duplicates_total",
-                    "retransmitted duplicates discarded exactly-once")
-            .inc(report.duplicates);
-      }
-      auto& backoff_hist = reg.histogram(
-          "logpc_fault_backoff_ns", obs::default_latency_buckets_ns(),
-          "retransmit backoff lapsed before each retry");
-      for (const auto& per_worker : backoffs_ns) {
-        for (const double b : per_worker) backoff_hist.observe(b);
-      }
-    }
+    record_metrics(report, op, injector != nullptr, stepper.kernel_bytes,
+                   stepper.backoffs_ns);
   }
   return report;
+}
+
+void Engine::record_metrics(const ExecReport& report, const Combiner* op,
+                            bool reliable, std::size_t kernel_bytes,
+                            const std::vector<double>& backoffs_ns) {
+  auto& reg = obs::MetricsRegistry::global();
+  auto found = label_metrics_.find(report.label);
+  if (found == label_metrics_.end()) {
+    const std::string labels = "collective=\"" + report.label + "\"";
+    found = label_metrics_
+                .emplace(report.label,
+                         LabelMetrics{
+                             &reg.counter("logpc_exec_runs_total",
+                                          "collective executions on the "
+                                          "exec engine",
+                                          labels),
+                             &reg.counter("logpc_exec_messages_total",
+                                          "messages moved through exec "
+                                          "mailboxes",
+                                          labels),
+                             &reg.counter("logpc_exec_payload_bytes_total",
+                                          "payload bytes moved through exec "
+                                          "mailboxes",
+                                          labels),
+                             &reg.counter("logpc_exec_warm_runs_total",
+                                          "runs that started no thread on "
+                                          "the request path",
+                                          labels),
+                             &reg.histogram("logpc_exec_run_latency_ns",
+                                            obs::default_latency_buckets_ns(),
+                                            "wall-clock duration of one "
+                                            "executed collective",
+                                            labels)})
+                .first;
+  }
+  const LabelMetrics& m = found->second;
+  m.runs->inc();
+  m.messages->inc(report.messages);
+  m.payload_bytes->inc(report.payload_bytes);
+  m.latency->observe(static_cast<double>(report.wall_ns));
+  m.warm_runs->inc();
+
+  if (op != nullptr && op->typed() &&
+      (report.kernel_folds > 0 || report.generic_folds > 0)) {
+    const KernelSpec spec = op->spec();
+    KernelMetrics& k =
+        kernel_metrics_[static_cast<std::size_t>(spec.op) * kNumDTypes +
+                        static_cast<std::size_t>(spec.dtype)];
+    const auto klabels = [&spec] {
+      return "op=\"" + std::string(op_name(spec.op)) + "\",dtype=\"" +
+             dtype_name(spec.dtype) + "\"";
+    };
+    if (report.kernel_folds > 0) {
+      if (k.folds == nullptr) {
+        k.folds = &reg.counter("logpc_exec_kernel_folds_total",
+                               "folds executed by typed SIMD combine kernels",
+                               klabels());
+        k.fold_bytes =
+            &reg.counter("logpc_exec_kernel_fold_bytes_total",
+                         "payload bytes folded by typed combine kernels",
+                         klabels());
+      }
+      k.folds->inc(report.kernel_folds);
+      k.fold_bytes->inc(kernel_bytes);
+    }
+    if (report.generic_folds > 0) {
+      if (k.fallback_folds == nullptr) {
+        k.fallback_folds =
+            &reg.counter("logpc_exec_kernel_fallback_folds_total",
+                         "folds a typed combiner routed to the generic lane "
+                         "(operand size mismatch)",
+                         klabels());
+      }
+      k.fallback_folds->inc(report.generic_folds);
+    }
+  }
+
+  if (!reliable) return;
+  std::array<std::size_t, 4> by_kind{};
+  for (const auto& evs : report.fault_events) {
+    for (const fault::FaultEvent& fe : evs) {
+      ++by_kind[static_cast<std::size_t>(fe.kind)];
+    }
+  }
+  for (std::size_t k = 0; k < by_kind.size(); ++k) {
+    if (by_kind[k] == 0) continue;
+    const auto kind = static_cast<fault::FaultKind>(k);
+    reg.counter("logpc_fault_injected_total", "injected faults by kind",
+                "kind=\"" + std::string(fault::fault_kind_name(kind)) + "\"")
+        .inc(by_kind[k]);
+  }
+  if (report.retries > 0) {
+    reg.counter("logpc_fault_retries_total",
+                "retransmissions under acked delivery")
+        .inc(report.retries);
+  }
+  if (report.duplicates > 0) {
+    reg.counter("logpc_fault_duplicates_total",
+                "retransmitted duplicates discarded exactly-once")
+        .inc(report.duplicates);
+  }
+  auto& backoff_hist = reg.histogram(
+      "logpc_fault_backoff_ns", obs::default_latency_buckets_ns(),
+      "retransmit backoff lapsed before each retry");
+  for (const double b : backoffs_ns) backoff_hist.observe(b);
 }
 
 }  // namespace logpc::exec

@@ -1,11 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -13,27 +14,33 @@
 #include "exec/kernels.hpp"
 #include "exec/mailbox.hpp"
 #include "exec/program.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 
 /// \file engine.hpp
-/// The shared-memory execution engine: runs a compiled Program on a pool
-/// of OS threads — one logical LogP processor per worker — moving real
-/// payload bytes through one bounded lock-free mailbox per directed link.
-/// kMove runs deliver in place: every slot the plan touches is sized in
-/// its final ExecReport::items buffer before dispatch, initial placements
-/// are copied straight from the caller's bytes, and each receive is one
-/// memcpy into its slot — there is no staging area and no copy-out pass.
+/// The shared-memory execution engine: runs a compiled Program by stepping
+/// one resumable cursor per logical LogP processor on the calling thread,
+/// moving real payload bytes through one bounded lock-free mailbox per
+/// directed link.  A rank runs until its next send finds the ceil(L/g)
+/// mailbox full or its next receive finds it empty; then the next runnable
+/// rank goes, and every push or pop makes the rank at the link's other end
+/// runnable again.  A valid schedule's dependency graph is acyclic, so
+/// some rank can always advance: a fault-free run in which none can is a
+/// deadlock, and run() throws at once, naming every blocked rank and its
+/// pending instruction.  No run starts a thread.
 ///
-/// An Engine is two halves: a *persistent worker-pool resource* (the
-/// ThreadPool plus a warm RunContext of mailboxes, ack rings and slot
-/// tables, kept alive across runs) and a *cheap per-run execution
-/// context* (RunContext::prepare rewinds rather than rebuilds when
-/// consecutive runs share a shape).  Back-to-back runs on one engine
-/// therefore pay neither thread spawn/join nor per-link allocation —
-/// ExecReport::warm_pool / warm_buffers record which path a run took, and
-/// svc::CollectiveService keeps a small set of such engines as its
-/// persistent pools.
+/// kMove runs deliver in place: every slot the plan touches is sized in
+/// its final ExecReport::items buffer before the first step, initial
+/// placements are copied straight from the caller's bytes, and each
+/// receive is one memcpy into its slot — there is no staging area and no
+/// copy-out pass.
+///
+/// An Engine keeps a warm RunContext (mailboxes, ack rings, cursors, slot
+/// tables) alive across runs; RunContext::prepare rewinds rather than
+/// rebuilds when consecutive runs share a shape, and
+/// ExecReport::warm_buffers records which path a run took.
+/// svc::CollectiveService keeps a small set of engines as its persistent
+/// pools.
 ///
 /// Execution is as-fast-as-possible: planned cycles order each stream but
 /// never pace it.  The model's constraints survive as *structure* — the
@@ -44,9 +51,9 @@
 ///
 /// Every run records per-processor send/recv timestamps and the observed
 /// delivery sequence (cross-checkable with validate::check_delivery_order),
-/// increments the logpc_exec_* metrics, and wraps itself plus each worker
-/// in obs spans, so executions land in the Chrome-trace exporter next to
-/// sim::Trace timelines.
+/// increments the logpc_exec_* metrics, and wraps itself in an obs span,
+/// so executions land in the Chrome-trace exporter next to sim::Trace
+/// timelines.
 ///
 /// Fault tolerance: pass a fault::Injector to run() and the engine
 /// switches every link to *acked delivery* — the injector argument is the
@@ -54,13 +61,17 @@
 /// runs the protocol alone.  Messages carry per-link sequence numbers,
 /// receivers acknowledge acceptance on a reverse ring, senders retransmit
 /// after a timeout with exponential backoff, and receivers discard
-/// retransmitted duplicates exactly-once.  A rank whose heartbeat stays
-/// frozen for 25 ms while a peer waits on it is declared dead: the run
-/// aborts with RankFailure naming the rank, all workers are signalled,
-/// joined at the epoch barrier, and every mailbox is drained before the
-/// error returns — api::Communicator::run_broadcast_ft catches it and
-/// re-plans over the survivors.  Without an injector the fast path is
-/// byte-identical to the unreliable engine.
+/// retransmitted duplicates exactly-once.  The same stepper runs it: a
+/// live rank's heartbeat moves whenever the engine visits it, a crashed
+/// one's never does, and injected delays and slow-rank stalls are
+/// not-before times on the rank's cursor.  When no rank can advance, the
+/// engine walks the exec::Waiter ladder and on each slow tick runs the
+/// watchdog deadline, the failure detector and retransmits for every
+/// blocked rank.  A rank whose heartbeat stays frozen for 25 ms while a
+/// peer waits on it is declared dead: the run drains every mailbox and
+/// throws RankFailure naming the rank — api::Communicator::run_broadcast_ft
+/// catches it and re-plans over the survivors.  Without an injector the
+/// fast path is byte-identical to the unreliable engine.
 
 namespace logpc::exec {
 
@@ -110,21 +121,18 @@ struct ExecReport {
   std::size_t duplicates = 0;  ///< retransmitted copies discarded exactly-once
   std::size_t kernel_folds = 0;   ///< folds taken by the typed SIMD kernel
   std::size_t generic_folds = 0;  ///< folds through the type-erased lane
-  /// True when the run dispatched onto already-resident worker threads: no
-  /// OS thread was spawned on the request path.  A fresh engine's first
-  /// run (or the first run after a growth in P) is a cold start; every
-  /// same-or-smaller run after it — and every run after prewarm(P) —
-  /// reports true.  The service's persistent engine pools regression-
-  /// assert this stays true under sustained traffic.
-  bool warm_pool = false;
+  /// True: no OS thread is spawned on the request path, because every
+  /// run steps its ranks on the calling thread.  Kept so readers of a
+  /// report (the service's pools, benchmarks) need not special-case it.
+  bool warm_pool = true;
   /// True when the run reused the engine's RunContext warm: same shape as
-  /// the previous run, so mailboxes, ack rings, drain queues and heartbeat
-  /// slots were recycled with zero allocation.
+  /// the previous run, so mailboxes, ack rings, drain queues and cursors
+  /// were recycled with zero allocation.
   bool warm_buffers = false;
   /// Per-processor event logs, in stream order.  Guarantee (asserted after
   /// every run): `events[p]` is non-decreasing in start_ns — in fact each
   /// op completes before the next begins (start_ns[i+1] >= end_ns[i]),
-  /// because one worker thread records its events sequentially on the
+  /// because a rank's cursor records its events sequentially on the
   /// steady clock.  obs::analyze() builds the causal DAG on top of this.
   std::vector<std::vector<ExecEvent>> events;  ///< [proc], in stream order
   std::vector<std::vector<validate::DeliveryRecord>> deliveries;  ///< [proc]
@@ -197,9 +205,11 @@ class Engine {
   /// the fault tests: sub-millisecond retransmits, tens of milliseconds to
   /// a death verdict.
   struct Options {
-    /// Abort a run whose blocking wait exceeds this (a plan or engine bug
-    /// must fail loudly, not hang the pool).  The clock starts when the
-    /// run is dispatched, not while it queues behind another run.
+    /// Abort an acked-delivery run that is still waiting this long after
+    /// it started (a plan or engine bug must fail loudly, not hang the
+    /// caller).  The clock starts when the run begins, not while it queues
+    /// behind another run.  A fault-free run never waits: when no rank can
+    /// advance it throws at once.
     std::uint64_t timeout_ms = 20000;
   };
 
@@ -230,22 +240,36 @@ class Engine {
   /// timeout constructs its own Engine.
   static Engine& shared();
 
-  /// Pre-spawns `procs` worker threads so the first real run dispatches
-  /// warm (ExecReport::warm_pool).  A service brings its pools up with
-  /// this before opening admission.
-  void prewarm(int procs);
-
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
-
  private:
+  /// The logpc_exec_* instruments of one program label, resolved once.
+  struct LabelMetrics {
+    obs::Counter* runs;
+    obs::Counter* messages;
+    obs::Counter* payload_bytes;
+    obs::Counter* warm_runs;
+    obs::Histogram* latency;
+  };
+  /// The typed-kernel counters of one (op, dtype), resolved on first use.
+  struct KernelMetrics {
+    obs::Counter* folds = nullptr;
+    obs::Counter* fold_bytes = nullptr;
+    obs::Counter* fallback_folds = nullptr;
+  };
+
+  void record_metrics(const ExecReport& report, const Combiner* op,
+                      bool reliable, std::size_t kernel_bytes,
+                      const std::vector<double>& backoffs_ns);
+
   Options opts_;
-  ThreadPool pool_;
   /// Serializes runs on this engine *before* the watchdog clock starts, so
   /// a run queued behind a long one gets its full timeout budget.
   std::mutex run_mu_;
   /// Warm per-run resources, reused across same-shape runs (guarded by
   /// run_mu_ — exactly one run touches it at a time).
   RunContext ctx_;
+  /// Metric handles, so a warm run takes no registry lock (run_mu_).
+  std::unordered_map<std::string, LabelMetrics> label_metrics_;
+  std::array<KernelMetrics, kNumOps * kNumDTypes> kernel_metrics_{};
 };
 
 }  // namespace logpc::exec

@@ -125,9 +125,8 @@ class SpscRing {
 
   /// Rewinds the high-water mark for warm reuse across runs, so each run's
   /// occupancy report covers that run alone.  Requires both sides
-  /// quiescent (the engine calls it during single-threaded setup, after
-  /// the previous run's epoch barrier); the cursors themselves are modular
-  /// and never need rewinding.
+  /// quiescent (the engine calls it during setup, between runs); the
+  /// ring cursors themselves are modular and never need rewinding.
   void reset_stats() noexcept {
     max_occupancy_.store(0, std::memory_order_relaxed);
   }

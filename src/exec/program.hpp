@@ -12,8 +12,8 @@
 /// \file program.hpp
 /// Instruction compilation: lowering a planned collective — a `Schedule`,
 /// a `bcast::ReductionPlan` or a `sum::SummationPlan` — into one in-order
-/// instruction stream per logical processor, ready for exec::Engine to run
-/// on real threads.
+/// instruction stream per logical processor, ready for exec::Engine to
+/// run.
 ///
 /// Per processor, the stream is the plan's events in plan-time order:
 /// receives keyed by the cycle their payload becomes available, sends by
@@ -21,8 +21,8 @@
 /// t may forward an item that becomes available exactly at t).  Because a
 /// valid LogP schedule's dependency graph is acyclic in plan time, and the
 /// mailbox bound equals the model's capacity constraint, executing these
-/// streams with blocking sends/receives cannot deadlock however the real
-/// threads race.
+/// streams with blocking sends/receives cannot deadlock in whatever order
+/// the engine steps the ranks.
 ///
 /// Every compile_* function is a thin source for one lowering: it emits
 /// each rank's events in that order, and the lowering numbers the links

@@ -5,23 +5,23 @@
 #include <thread>
 
 /// \file wait.hpp
-/// The engine's one wait strategy.  Every blocking wait — plain mailbox
-/// waits, reliable waits with failure detection, and the ack/retransmit
-/// loop — walks the same adaptive ladder:
+/// The engine's one wait strategy.  Only an acked-delivery run ever waits:
+/// when no rank can advance, it is waiting for time to pass (a stall to
+/// end, a retransmit to come due, a silent peer to be declared dead), and
+/// it walks this adaptive ladder:
 ///
 ///   tier 1  spin with cpu_relax() (PAUSE/YIELD) for kRelaxSpins attempts:
 ///           the cheapest reaction when the condition flips within a few
 ///           hundred cycles;
-///   tier 2  yield once per failed attempt (an oversubscribed machine
-///           needs the waiter's core to run the producer — PAUSE-spinning
-///           between yields measurably stalls whole collectives), with a
-///           *slow tick* every kSlowTickSpins attempts where the caller
-///           runs its deadline / failure-detector / retransmit bookkeeping
-///           and then a capped exponential yield burst (1, 2, 4, ... up to
-///           kMaxYieldBurst extra yields).
+///   tier 2  yield once per failed attempt, ceding the core to other
+///           threads of the process (another engine's dispatcher, say),
+///           with a *slow tick* every kSlowTickSpins attempts where the
+///           caller runs its deadline / failure-detector / retransmit
+///           bookkeeping and then a capped exponential yield burst (1, 2,
+///           4, ... up to kMaxYieldBurst extra yields).
 ///
-/// A waiter never sleeps, so its heartbeat and its deadline checks keep
-/// running at the slow-tick cadence for as long as it waits.
+/// A waiter never sleeps, so heartbeats and deadline checks keep running
+/// at the slow-tick cadence for as long as it waits.
 
 namespace logpc::exec {
 
@@ -49,9 +49,7 @@ inline void cpu_relax() noexcept {
 class Waiter {
  public:
   /// Tier-1 attempts before yielding begins.  Deliberately short: PAUSE
-  /// costs ~100+ cycles on modern x86, and on an oversubscribed host the
-  /// condition can only flip after a context switch, so every extra relax
-  /// poll is pure latency on the critical path of a blocked receive.
+  /// costs ~100+ cycles on modern x86.
   static constexpr std::uint32_t kRelaxSpins = 8;
   /// Failed attempts between two slow ticks (bookkeeping runs).
   static constexpr std::uint32_t kSlowTickSpins = 256;
@@ -68,8 +66,7 @@ class Waiter {
       return false;
     }
     if (attempts_ < kSlowTickSpins) {
-      // Past tier 1 the condition is not flipping soon: cede the core so
-      // the peer this wait depends on can run.
+      // Past tier 1 the condition is not flipping soon: cede the core.
       std::this_thread::yield();
       return false;
     }

@@ -114,7 +114,6 @@ CollectiveService::CollectiveService(Params params, Options options,
   for (int i = 0; i < opts_.pools; ++i) {
     Pool pool;
     pool.engine = std::make_unique<exec::Engine>();
-    pool.engine->prewarm(params_.P);
     pools_.push_back(std::move(pool));
   }
   // Engines first, dispatcher threads second: a pool thread may pick work

@@ -33,10 +33,9 @@
 /// *requests* from logical tenants into per-tenant bounded queues, admits
 /// them through QoS / fair-share / rate-limit policy (svc::Scheduler), and
 /// dispatches them onto a small set of **persistent engine pools**: one
-/// exec::Engine per pool, threads prewarmed and run contexts kept warm, so
-/// back-to-back collectives pay neither thread spawn/join nor per-link
-/// allocation (ExecReport::warm_pool / warm_buffers on every Response
-/// prove it).
+/// exec::Engine per pool, its run context kept warm, so back-to-back
+/// collectives pay no per-link allocation (ExecReport::warm_buffers on
+/// every Response proves it).
 ///
 /// Data path of one admitted request:
 ///
@@ -102,13 +101,12 @@ class CollectiveService {
   /// window whose deadline overflows the clock, a segmentation policy that
   /// can never split (segment_bytes == 0 or max_segments < 2 with a
   /// non-zero threshold), or a port above 65535 — never clamps silently.
-  /// Everything else is fixed: every pool runs a default exec::Engine
-  /// whose worker threads are spawned before admission opens, so even the
-  /// first request dispatches warm.
+  /// Everything else is fixed: every pool runs a default exec::Engine.
   struct Options {
-    /// Persistent engine pools.  Each pool is one exec::Engine (P worker
-    /// threads + warm run context) plus one dispatcher thread; requests
-    /// across pools run concurrently, requests on one pool serialize.
+    /// Persistent engine pools.  Each pool is one exec::Engine (a warm run
+    /// context) plus one dispatcher thread that steps the engine's ranks;
+    /// requests across pools run concurrently, requests on one pool
+    /// serialize.
     int pools = 2;
     /// Profile every successful run (obs::analyze) into the flight
     /// recorder and onto Response::profile.  On by default: the analyzer
