@@ -18,8 +18,9 @@
 /// that runs first alternates by round — so load noise hits both sides
 /// alike, and medians pooled across all rounds squeeze scheduler spikes
 /// out.  One request is in flight at a time on an otherwise idle service,
-/// so the lone request dispatches without a fusion window: the overhead
-/// is measured on the unfused path, where no window hides it.  The
+/// so the lone request runs on the submitting thread, with no fusion
+/// window and no thread hand-off: the overhead is measured on the
+/// cheapest path, where no other cost hides it.  The
 /// analyzer is also timed standalone for the report.
 ///
 /// This bench *gates*: the run exits non-zero when the profiled service's

@@ -210,6 +210,7 @@ std::string IntrospectServer::statusz_json() const {
   out += ",\"fused_requests\":" + std::to_string(s.fused_requests);
   out += ",\"fused_batches\":" + std::to_string(s.fused_batches);
   out += ",\"segmented_runs\":" + std::to_string(s.segmented_runs);
+  out += ",\"caller_runs\":" + std::to_string(s.caller_runs);
   out += "}";
   out += ",\"params\":{\"P\":" + std::to_string(s.params.P) +
          ",\"L\":" + std::to_string(s.params.L) +

@@ -16,8 +16,9 @@
 ///   GET /metrics   Prometheus text exposition 0.0.4 of the global
 ///                  MetricsRegistry (what a scraper would pull)
 ///   GET /statusz   JSON snapshot of the daemon: admission state, engine
-///                  pools, per-tenant config + counters + per-QoS queue
-///                  depths, flight-recorder summary
+///                  pools, throughput totals (fused, segmented and
+///                  caller-thread runs), per-tenant config + counters +
+///                  per-QoS queue depths, flight-recorder summary
 ///   GET /tracez    JSON of the most recent runtime spans plus a complete
 ///                  Chrome-trace (chrome://tracing / Perfetto) timeline of
 ///                  the spans and the last profiled run's per-rank

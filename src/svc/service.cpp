@@ -109,6 +109,13 @@ CollectiveService::CollectiveService(Params params, Options options,
     batch_size_hist_ = &reg.histogram(
         "logpc_svc_batch_size", {1, 2, 4, 8, 16, 32, 64},
         "requests coalesced into one engine run per dispatch");
+    const char* dispatch_help =
+        "requests dispatched, by the thread that ran the engine: the "
+        "submitter (idle service) or a pool";
+    dispatch_caller_total_ = &reg.counter("logpc_svc_dispatch_total",
+                                          dispatch_help, "path=\"caller\"");
+    dispatch_pool_total_ = &reg.counter("logpc_svc_dispatch_total",
+                                        dispatch_help, "path=\"pool\"");
   }
   pools_.reserve(static_cast<std::size_t>(opts_.pools));
   for (int i = 0; i < opts_.pools; ++i) {
@@ -217,12 +224,16 @@ SubmitResult CollectiveService::submit(TenantId tenant, Request request) {
   // request); the dispatch side only compares keys.
   pending->fkey = fusion_key(pending->req);
   std::future<Response> response = pending->promise.get_future();
-  const double now = now_sec();
+  // The rate bucket reads the submission stamp: one clock read per submit.
+  const double now =
+      std::chrono::duration<double>(pending->submitted - epoch_).count();
 
   SubmitResult out;
+  int lent = -1;  // the pool whose engine this thread borrows, if idle
   {
     std::lock_guard lock(mu_);
     TenantMetrics& m = metrics_at(tenant);  // validates the id first
+    pending->tm = &m;
     if (stopping_) {
       out.status = Status::kShutdown;
       return out;
@@ -244,17 +255,53 @@ SubmitResult CollectiveService::submit(TenantId tenant, Request request) {
     m.admitted.fetch_add(1, std::memory_order_relaxed);
     m.admitted_total->inc();
     m.queue_depth->set(static_cast<double>(sched_.queue_depth(tenant)));
-    queued_reqs_.emplace(next_handle_, std::move(pending));
+    // Idle: nothing else queued and nothing in flight.  inflight_ falls
+    // outside mu_ only after a run has released its engine, so at 0 every
+    // engine not lent to another submitter is free.
+    if (!paused_ && sched_.queued() == 1 &&
+        inflight_.load(std::memory_order_relaxed) == 0) {
+      for (std::size_t i = 0; i < pools_.size(); ++i) {
+        if (!pools_[i].lent) {
+          lent = static_cast<int>(i);
+          break;
+        }
+      }
+    }
+    if (lent >= 0) {
+      // The only queued request is this one: pick it here, so it pays the
+      // stride charge and takes its dispatch_seq as on a pool.
+      TenantId picked = -1;
+      std::uint64_t handle = 0;
+      (void)sched_.pick(&picked, &handle);
+      pools_[static_cast<std::size_t>(lent)].lent = true;
+      mark_dispatched(*pending);
+    } else {
+      queued_reqs_.emplace(next_handle_, std::move(pending));
+    }
     ++next_handle_;
     inflight_.fetch_add(1, std::memory_order_relaxed);
     inflight_gauge_->add(1);
   }
-  // notify_all, not notify_one: a pool sitting in its fusion window also
-  // waits on cv_, and a single notify landing there for an unrelated
-  // request would leave an idle pool asleep.
-  cv_.notify_all();
   out.status = Status::kOk;
   out.response = std::move(response);
+  if (lent < 0) {
+    // notify_all, not notify_one: a pool sitting in its fusion window also
+    // waits on cv_, and a single notify landing there for an unrelated
+    // request would leave an idle pool asleep.
+    cv_.notify_all();
+    return out;
+  }
+  caller_runs_.fetch_add(1, std::memory_order_relaxed);
+  dispatch_caller_total_->inc();
+  std::vector<std::unique_ptr<Pending>> batch;
+  batch.push_back(std::move(pending));
+  dispatch(batch, lent);
+  std::lock_guard lock(mu_);
+  pools_[static_cast<std::size_t>(lent)].lent = false;
+  // Wake the pool's dispatcher if work queued behind the lend, and a
+  // shutdown waiting for caller runs.  Notified under mu_: once it is
+  // released, shutdown() may return and the service be destroyed.
+  if (stopping_ || sched_.queued() > 0) cv_.notify_all();
   return out;
 }
 
@@ -282,23 +329,24 @@ void CollectiveService::claim_siblings(
 }
 
 void CollectiveService::pool_loop(int pool_index) {
-  exec::Engine& engine = *pools_[static_cast<std::size_t>(pool_index)].engine;
+  const Pool& pool = pools_[static_cast<std::size_t>(pool_index)];
+  // drain=true keeps dispatching (a pause no longer holds work back) until
+  // every queue is empty; drain=false exits now and leaves the leftovers
+  // for shutdown() to fail with kShutdown.
+  const auto finished = [this] {
+    return stopping_ && (!drain_on_stop_ || sched_.queued() == 0);
+  };
+  // A lent pool picks nothing: its engine is busy with a submitter's run,
+  // and a picked batch would only wait on the engine's run mutex.
+  const auto runnable = [this, &pool] {
+    return !pool.lent && (stopping_ || !paused_) && sched_.queued() > 0;
+  };
   for (;;) {
     std::vector<std::unique_ptr<Pending>> batch;
-    std::vector<TenantMetrics*> tms;
     {
       std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] {
-        return stopping_ || (!paused_ && sched_.queued() > 0);
-      });
-      if (stopping_) {
-        // drain=true keeps dispatching (a pause no longer holds work back)
-        // until every queue is empty; drain=false exits now and leaves the
-        // leftovers for shutdown() to fail with kShutdown.
-        if (!drain_on_stop_ || sched_.queued() == 0) return;
-      } else if (paused_ || sched_.queued() == 0) {
-        continue;  // spurious wake or lost race with another pool
-      }
+      cv_.wait(lock, [&] { return finished() || runnable(); });
+      if (finished()) return;
       TenantId tenant = -1;
       std::uint64_t handle = 0;
       if (!sched_.pick(&tenant, &handle)) continue;
@@ -336,36 +384,19 @@ void CollectiveService::pool_loop(int pool_index) {
           claim_siblings(*lead.fkey, batch);
         }
       }
-      tms.reserve(batch.size());
       for (std::unique_ptr<Pending>& member : batch) {
-        member->seq = dispatch_seq_++;
-        TenantMetrics& tm = metrics_at(member->tenant);
-        tm.queue_depth->set(
-            static_cast<double>(sched_.queue_depth(member->tenant)));
-        tms.push_back(&tm);
+        mark_dispatched(*member);
       }
     }
-
-    std::vector<Response> responses = execute_batch(batch, engine, pool_index);
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Response& r = responses[i];
-      TenantMetrics& tm = *tms[i];
-      tm.queue_wait->observe(static_cast<double>(r.queue_wait_ns));
-      tm.e2e_latency->observe(static_cast<double>(r.total_ns));
-      tm.completed.fetch_add(1, std::memory_order_relaxed);
-      (r.status == Status::kOk ? tm.completed_ok_total
-                               : tm.completed_error_total)
-          ->inc();
-      if (batch.size() > 1) {
-        tm.fused.fetch_add(1, std::memory_order_relaxed);
-        tm.fused_total->inc();
-      }
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      inflight_gauge_->add(-1);
-      batch[i]->promise.set_value(std::move(r));
-    }
+    dispatch_pool_total_->inc(batch.size());
+    dispatch(batch, pool_index);
   }
+}
+
+void CollectiveService::mark_dispatched(Pending& pending) {
+  pending.seq = dispatch_seq_++;
+  pending.tm->queue_depth->set(
+      static_cast<double>(sched_.queue_depth(pending.tenant)));
 }
 
 std::shared_ptr<const exec::Program> CollectiveService::program_for(
@@ -393,9 +424,9 @@ std::shared_ptr<const exec::Program> CollectiveService::program_for(
   return program;
 }
 
-std::vector<Response> CollectiveService::execute_batch(
-    const std::vector<std::unique_ptr<Pending>>& batch, exec::Engine& engine,
-    int pool_index) {
+void CollectiveService::dispatch(
+    const std::vector<std::unique_ptr<Pending>>& batch, int pool_index) {
+  exec::Engine& engine = *pools_[static_cast<std::size_t>(pool_index)].engine;
   const std::size_t n = batch.size();
   const Request& lead = batch.front()->req;
   const auto dispatched = Clock::now();
@@ -421,6 +452,17 @@ std::vector<Response> CollectiveService::execute_batch(
                  std::to_string(pool_index) + " fused=" + std::to_string(n));
   }
 
+  // One engine run is the whole batch: a failure (including a rank death
+  // under Options::fault) fails every member with the same error — no
+  // member can have partially completed, and no future is left behind.
+  // Whatever a user combiner throws is caught too, so neither a pool thread
+  // nor a submitter on a borrowed engine unwinds past the promises.
+  const auto fail_all = [&out](const std::string& error) {
+    for (Response& r : out) {
+      r.status = Status::kError;
+      r.error = error;
+    }
+  };
   int segments = 1;
   try {
     // The per-run injector keeps Options::fault a pure test hook: the
@@ -508,19 +550,29 @@ std::vector<Response> CollectiveService::execute_batch(
       }
     }
   } catch (const std::exception& e) {
-    // One engine run is the whole batch: a failure (including a rank death
-    // under Options::fault) fails every member with the same error — no
-    // member can have partially completed, and no future is left behind.
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i].status = Status::kError;
-      out[i].error = e.what();
-    }
+    fail_all(e.what());
+  } catch (...) {
+    fail_all("unknown exception");
   }
   const auto done = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
-    out[i].total_ns = ns_between(batch[i]->submitted, done);
+    Response& r = out[i];
+    TenantMetrics& tm = *batch[i]->tm;
+    r.total_ns = ns_between(batch[i]->submitted, done);
+    tm.queue_wait->observe(static_cast<double>(r.queue_wait_ns));
+    tm.e2e_latency->observe(static_cast<double>(r.total_ns));
+    tm.completed.fetch_add(1, std::memory_order_relaxed);
+    (r.status == Status::kOk ? tm.completed_ok_total
+                             : tm.completed_error_total)
+        ->inc();
+    if (n > 1) {
+      tm.fused.fetch_add(1, std::memory_order_relaxed);
+      tm.fused_total->inc();
+    }
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    inflight_gauge_->add(-1);
+    batch[i]->promise.set_value(std::move(r));
   }
-  return out;
 }
 
 void CollectiveService::pause() {
@@ -555,7 +607,14 @@ void CollectiveService::shutdown(bool drain) {
   // behind so no future is abandoned unresolved.
   std::vector<std::unique_ptr<Pending>> leftovers;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
+    // A submitter running on a borrowed engine hands it back, under mu_,
+    // only after fulfilling its promise: once no pool is lent, every
+    // admitted request outside the queues is complete.
+    cv_.wait(lock, [this] {
+      return std::none_of(pools_.begin(), pools_.end(),
+                          [](const Pool& p) { return p.lent; });
+    });
     shut_down_ = true;
     leftovers.reserve(queued_reqs_.size());
     for (auto& [handle, pending] : queued_reqs_) {
@@ -609,6 +668,7 @@ CollectiveService::ServiceStatus CollectiveService::status() const {
   s.fused_requests = fused_requests_.load(std::memory_order_relaxed);
   s.fused_batches = fused_batches_.load(std::memory_order_relaxed);
   s.segmented_runs = segmented_runs_.load(std::memory_order_relaxed);
+  s.caller_runs = caller_runs_.load(std::memory_order_relaxed);
   auto* self = const_cast<CollectiveService*>(this);
   s.tenants.reserve(tenant_metrics_.size());
   for (std::size_t i = 0; i < tenant_metrics_.size(); ++i) {
@@ -649,10 +709,6 @@ bool CollectiveService::accepting() const {
 std::size_t CollectiveService::queued() const {
   std::lock_guard lock(mu_);
   return sched_.queued();
-}
-
-double CollectiveService::now_sec() const {
-  return std::chrono::duration<double>(Clock::now() - epoch_).count();
 }
 
 }  // namespace logpc::svc

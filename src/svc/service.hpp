@@ -47,6 +47,17 @@
 ///     the op ──> one Engine::run on the pool's warm engine ──> promise
 ///     fulfilled, future resolves with the Response.
 ///
+/// Idle fast path: a request admitted into an idle service — not paused,
+/// nothing else queued, nothing in flight — is picked by the submitting
+/// thread itself, which borrows an idle pool's engine and runs the same
+/// dispatch routine a pool thread runs; submit() then returns a future
+/// that is already ready.  The request skips both thread hand-offs (waking
+/// a pool thread, then waking the caller), which cost more than the
+/// engine run of a small collective.  Admission, the stride charge, the
+/// dispatch order, profiling and every metric are as on the pool path;
+/// logpc_svc_dispatch_total{path="caller"|"pool"} counts where requests
+/// ran.
+///
 /// High-throughput path (svc/fusion.hpp): after picking a batch or
 /// best-effort request (interactive requests always run solo), the pool
 /// coalesces up to 32 queued same-shape requests — any tenant — into one
@@ -54,8 +65,8 @@
 /// member; plan lookup, RunContext reuse and worker wakeups are paid once
 /// per batch.  It holds a short fusion window
 /// (Options::fusion_window_us) for late siblings only while other work is
-/// queued or in flight: a lone request in an otherwise idle service
-/// dispatches at once.  Broadcast payloads at or above
+/// queued or in flight; a lone request in an otherwise idle service runs
+/// at once on its submitter (above).  Broadcast payloads at or above
 /// Options::segment_threshold additionally split into the Section 3
 /// single-sending k-item schedule, overlapping successive segments'
 /// transfer rounds instead of serializing one bulk send.  Fairness is
@@ -76,7 +87,9 @@
 /// Shutdown is graceful by default: shutdown(true) stops admission,
 /// drains every queued request through the pools, then joins the pool
 /// threads; shutdown(false) stops after the in-flight runs and fails the
-/// still-queued requests with kShutdown.  The destructor drains.
+/// still-queued requests with kShutdown.  Either way it returns only after
+/// every run in progress on a submitting thread has fulfilled its promise.
+/// The destructor drains.
 ///
 /// Observability of the daemon itself: every successful run is profiled
 /// (obs::analyze — causal DAG, critical path, component decomposition,
@@ -106,7 +119,9 @@ class CollectiveService {
     /// Persistent engine pools.  Each pool is one exec::Engine (a warm run
     /// context) plus one dispatcher thread that steps the engine's ranks;
     /// requests across pools run concurrently, requests on one pool
-    /// serialize.
+    /// serialize.  A submit into an idle service borrows an idle pool's
+    /// engine and runs on the submitting thread; the pool's dispatcher
+    /// picks no work until the engine is handed back.
     int pools = 2;
     /// Profile every successful run (obs::analyze) into the flight
     /// recorder and onto Response::profile.  On by default: the analyzer
@@ -163,8 +178,16 @@ class CollectiveService {
   TenantId register_tenant(TenantConfig config);
 
   /// Admission: synchronous verdict plus (on kOk) a future for the
-  /// eventual Response.  Never blocks on execution.  Throws
-  /// std::invalid_argument for an unknown tenant id.
+  /// eventual Response.  Throws std::invalid_argument for an unknown
+  /// tenant id.
+  ///
+  /// Blocks on execution for its own request only, and only when the
+  /// service was idle (not paused, nothing else queued or in flight): the
+  /// request then runs on the calling thread and the returned future is
+  /// already ready.  Otherwise it queues the request for a pool and
+  /// returns at once.  So one thread that bursts submits into an idle
+  /// service runs them one after another on itself, and they do not fuse;
+  /// requests from concurrent submitters still queue and fuse.
   SubmitResult submit(TenantId tenant, Request request);
 
   /// Dispatch gate: pause() holds queued work (admission stays open),
@@ -216,6 +239,9 @@ class CollectiveService {
     std::uint64_t fused_requests = 0;
     std::uint64_t fused_batches = 0;
     std::uint64_t segmented_runs = 0;
+    /// Requests that ran on their submitting thread (the idle fast path);
+    /// the rest ran on a pool thread.
+    std::uint64_t caller_runs = 0;
     Params params;
     std::vector<TenantStatus> tenants;
     obs::FlightRecorder::Summary recorder;
@@ -242,19 +268,12 @@ class CollectiveService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Pending {
-    TenantId tenant = -1;
-    Request req;
-    std::promise<Response> promise;
-    Clock::time_point submitted;
-    std::uint64_t seq = 0;  ///< dispatch order, assigned at pick
-    /// Fusion identity, computed once at submit (nullopt = must run solo).
-    std::optional<FusionKey> fkey;
-  };
-
   struct Pool {
     std::unique_ptr<exec::Engine> engine;
     std::thread thread;
+    /// A submitting thread is running a request on this pool's engine
+    /// (guarded by mu_).  The pool's dispatcher picks no work meanwhile.
+    bool lent = false;
   };
 
   /// Registry-owned instruments + plain mirrors for tenant_counters().
@@ -277,12 +296,27 @@ class CollectiveService {
     obs::Histogram* e2e_latency = nullptr;
   };
 
+  struct Pending {
+    TenantId tenant = -1;
+    TenantMetrics* tm = nullptr;  ///< the tenant's instruments (stable)
+    Request req;
+    std::promise<Response> promise;
+    Clock::time_point submitted;
+    std::uint64_t seq = 0;  ///< dispatch order, assigned at pick
+    /// Fusion identity, computed once at submit (nullopt = must run solo).
+    std::optional<FusionKey> fkey;
+  };
+
   void pool_loop(int pool_index);
-  /// Runs one dispatch — the whole batch through one engine run — and
-  /// returns one Response per member, batch order.
-  std::vector<Response> execute_batch(
-      const std::vector<std::unique_ptr<Pending>>& batch, exec::Engine& engine,
-      int pool_index);
+  /// Stamps a picked request's dispatch order and its tenant's queue
+  /// depth.  Call under mu_.
+  void mark_dispatched(Pending& pending);
+  /// Runs one dispatch — the whole batch through one engine run on pool
+  /// `pool_index`'s engine — then completes every member: metrics,
+  /// in-flight accounting and the promise, batch order.  Pool threads and
+  /// an idle submitter both call it, without mu_.
+  void dispatch(const std::vector<std::unique_ptr<Pending>>& batch,
+                int pool_index);
   /// Moves every queued request matching `key` into `batch` (admission
   /// order, up to the fusion batch cap), charging each claim through
   /// Scheduler::take.  Call under mu_.
@@ -295,7 +329,6 @@ class CollectiveService {
   /// segments > 1 resolves the Section 3 k-item pipeline program.
   std::shared_ptr<const exec::Program> program_for(OpKind op, ProcId root,
                                                   int segments);
-  [[nodiscard]] double now_sec() const;
 
   Params params_;
   Options opts_;
@@ -327,7 +360,10 @@ class CollectiveService {
   std::atomic<std::uint64_t> fused_requests_{0};
   std::atomic<std::uint64_t> fused_batches_{0};
   std::atomic<std::uint64_t> segmented_runs_{0};
+  std::atomic<std::uint64_t> caller_runs_{0};
   obs::Gauge* inflight_gauge_ = nullptr;
+  obs::Counter* dispatch_caller_total_ = nullptr;
+  obs::Counter* dispatch_pool_total_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
 
   std::mutex shutdown_mu_;  ///< serializes shutdown(); makes it idempotent

@@ -523,11 +523,14 @@ TEST(SvcFusion, LoneRequestInAnIdleServiceDispatchesWithoutWaiting) {
   opts.fusion_window_us = 2'000'000;
   CollectiveService svc(machine(), opts);
   const TenantId t = svc.register_tenant({.name = "fusion-lone"});
-  // Nothing else is queued or in flight, so no sibling can come: the
-  // batch-class lead must dispatch at once instead of sitting out the
-  // window.
+  // Queued on a paused service, so the pool (not the submitter) picks it
+  // at resume.  Nothing else is queued or in flight, so no sibling can
+  // come: the batch-class lead must dispatch at once instead of sitting
+  // out the window.
+  svc.pause();
   SubmitResult sub = svc.submit(t, bcast_req("lone"));
   ASSERT_TRUE(sub.accepted());
+  svc.resume();
   const Response r = sub.response.get();
   ASSERT_EQ(r.status, Status::kOk) << r.error;
   EXPECT_EQ(r.fused, 1u);

@@ -98,6 +98,8 @@ TEST_F(IntrospectTest, StatuszIsValidJsonWithTenantsAndRecorder) {
   EXPECT_NE(r.body.find("\"flight_recorder\""), std::string::npos);
   EXPECT_NE(r.body.find("\"recorded\":1"), std::string::npos);
   EXPECT_NE(r.body.find("\"interactive\""), std::string::npos);
+  // The fixture's one request met an idle service and ran on its caller.
+  EXPECT_NE(r.body.find("\"caller_runs\":1"), std::string::npos);
 }
 
 TEST_F(IntrospectTest, TracezIsValidJsonWithProfileAndChromeTrace) {

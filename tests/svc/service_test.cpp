@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -74,6 +76,50 @@ Request reduce_req(int P) {
   return r;
 }
 
+/// Holds a run inside its combiner until released: the test learns the
+/// run is in progress (wait_entered) and decides when it may finish.
+class Gate {
+ public:
+  void pass() {
+    std::unique_lock lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void wait_entered() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+/// reduce_req with a generic combiner that waits at `gate` before every
+/// fold; the run completes only after gate.release().
+Request gated_reduce_req(int P, Gate& gate) {
+  Request r = reduce_req(P);
+  r.combine = exec::Combiner(
+      [&gate, fold = r.combine](exec::Bytes& acc,
+                                std::span<const std::byte> rhs) {
+        gate.pass();
+        fold(acc, rhs);
+      });
+  return r;
+}
+
+bool ready_now(const std::future<Response>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
@@ -135,8 +181,8 @@ TEST(SvcService, BroadcastRoundTripOnWarmPool) {
       EXPECT_EQ(to_str(r.report.item_at(p, 0)),
                 "payload-" + std::to_string(round));
     }
-    // Every pool spawns its workers before admission opens: even the very
-    // first request dispatches onto resident threads.
+    // The engine steps every rank on the thread that runs the request (here
+    // the submitter, as the service is idle), so no run spawns a thread.
     EXPECT_TRUE(r.report.warm_pool) << "round " << round;
     // From the second same-shape run on, the run context is recycled too.
     if (round > 0) {
@@ -505,11 +551,215 @@ TEST(SvcService, ConcurrentSubmittersAndShutdownResolveEveryFuture) {
   EXPECT_EQ(resolved.load(), accepted.load());
 }
 
+TEST(SvcService, IdleSubmitRunsOnTheCallingThread) {
+  CollectiveService svc(machine(), {});
+  const TenantId t = svc.register_tenant({.name = "idle-caller"});
+
+  SubmitResult b = svc.submit(t, bcast_req("on-the-caller"));
+  ASSERT_TRUE(b.accepted());
+  EXPECT_TRUE(ready_now(b.response)) << "an idle submit runs before returning";
+  const Response rb = b.response.get();
+  ASSERT_EQ(rb.status, Status::kOk) << rb.error;
+  for (ProcId p = 0; p < machine().P; ++p) {
+    EXPECT_EQ(to_str(rb.report.item_at(p, 0)), "on-the-caller");
+  }
+
+  SubmitResult r = svc.submit(t, reduce_req(machine().P));
+  ASSERT_TRUE(r.accepted());
+  EXPECT_TRUE(ready_now(r.response));
+  const Response rr = r.response.get();
+  ASSERT_EQ(rr.status, Status::kOk) << rr.error;
+  EXPECT_EQ(to_u64(rr.report.folded_at(0)), 1u + 2 + 3 + 4);
+
+  Request gather;
+  gather.op = OpKind::kAllgather;
+  for (int p = 0; p < machine().P; ++p) {
+    gather.values.push_back(of_str("v" + std::to_string(p)));
+  }
+  SubmitResult g = svc.submit(t, std::move(gather));
+  ASSERT_TRUE(g.accepted());
+  EXPECT_TRUE(ready_now(g.response));
+  const Response rg = g.response.get();
+  ASSERT_EQ(rg.status, Status::kOk) << rg.error;
+  for (ProcId p = 0; p < machine().P; ++p) {
+    for (ProcId q = 0; q < machine().P; ++q) {
+      EXPECT_EQ(to_str(rg.report.item_at(p, q)), "v" + std::to_string(q));
+    }
+  }
+
+  // Dispatch order, pool attribution and accounting as on the pool path.
+  EXPECT_EQ(rb.dispatch_seq, 0u);
+  EXPECT_EQ(rr.dispatch_seq, 1u);
+  EXPECT_EQ(rg.dispatch_seq, 2u);
+  for (const Response* resp : {&rb, &rr, &rg}) {
+    EXPECT_EQ(resp->pool, 0);
+    EXPECT_EQ(resp->fused, 1u);
+    EXPECT_GE(resp->total_ns, resp->queue_wait_ns);
+  }
+  const auto c = svc.tenant_counters(t);
+  EXPECT_EQ(c.admitted, 3u);
+  EXPECT_EQ(c.completed, 3u);
+  EXPECT_EQ(c.queue_depth, 0u);
+  const auto st = svc.status();
+  EXPECT_EQ(st.caller_runs, 3u);
+  EXPECT_EQ(st.inflight, 0u);
+}
+
+TEST(SvcService, PausedServiceQueuesInsteadOfRunningOnTheCaller) {
+  CollectiveService svc(machine(), {});
+  const TenantId t = svc.register_tenant({.name = "paused-caller"});
+  svc.pause();
+  SubmitResult sub = svc.submit(t, bcast_req("held"));
+  ASSERT_TRUE(sub.accepted());
+  EXPECT_EQ(sub.response.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "a paused service must hold the request, not run it";
+  EXPECT_EQ(svc.queued(), 1u);
+  svc.resume();
+  const Response r = sub.response.get();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(to_str(r.report.item_at(3, 0)), "held");
+  EXPECT_EQ(svc.status().caller_runs, 0u);
+}
+
+TEST(SvcService, SubmitDuringACallerRunGoesToAPool) {
+  CollectiveService::Options opts;
+  opts.pools = 2;
+  CollectiveService svc(machine(), opts);
+  const TenantId t = svc.register_tenant({.name = "lent-pool"});
+  Gate gate;
+  Response held;
+  std::thread caller([&] {
+    SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate));
+    ASSERT_TRUE(sub.accepted());
+    EXPECT_TRUE(ready_now(sub.response));
+    held = sub.response.get();
+  });
+  gate.wait_entered();
+  // The caller's run holds pool 0's engine: a second request is not idle
+  // work, so it queues, and the other pool runs it while the gate is shut.
+  SubmitResult other = svc.submit(t, bcast_req("beside", QoS::kInteractive));
+  ASSERT_TRUE(other.accepted());
+  ASSERT_EQ(other.response.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const Response ro = other.response.get();
+  ASSERT_EQ(ro.status, Status::kOk) << ro.error;
+  EXPECT_EQ(ro.pool, 1);
+  EXPECT_EQ(to_str(ro.report.item_at(2, 0)), "beside");
+  gate.release();
+  caller.join();
+  ASSERT_EQ(held.status, Status::kOk) << held.error;
+  EXPECT_EQ(held.pool, 0);
+  EXPECT_EQ(to_u64(held.report.folded_at(0)), 1u + 2 + 3 + 4);
+  const auto st = svc.status();
+  EXPECT_EQ(st.caller_runs, 1u);
+  EXPECT_EQ(st.inflight, 0u);
+  const auto c = svc.tenant_counters(t);
+  EXPECT_EQ(c.admitted, 2u);
+  EXPECT_EQ(c.completed, 2u);
+}
+
+TEST(SvcService, IdlePathKeepsRateLimitAndQueueFullRejections) {
+  {
+    CollectiveService svc(machine(), {});
+    const TenantId t = svc.register_tenant(
+        {.name = "idle-rl", .rate_per_sec = 1.0, .burst = 2.0});
+    SubmitResult s1 = svc.submit(t, bcast_req("a"));
+    SubmitResult s2 = svc.submit(t, bcast_req("b"));
+    SubmitResult s3 = svc.submit(t, bcast_req("c"));
+    ASSERT_TRUE(s1.accepted());
+    ASSERT_TRUE(s2.accepted());
+    EXPECT_TRUE(ready_now(s1.response));
+    EXPECT_TRUE(ready_now(s2.response));
+    EXPECT_EQ(s3.status, Status::kRateLimited);
+    EXPECT_FALSE(s3.response.valid());
+    const auto c = svc.tenant_counters(t);
+    EXPECT_EQ(c.admitted, 2u);
+    EXPECT_EQ(c.completed, 2u);
+    EXPECT_EQ(c.rejected_rate_limited, 1u);
+  }
+  {
+    // One pool, lent to a held caller run.  The run left the tenant's
+    // queue when it was picked, so one more request fits; the next is
+    // rejected.  Once the engine is handed back, the pool runs the queued
+    // one.
+    CollectiveService::Options opts;
+    opts.pools = 1;
+    CollectiveService svc(machine(), opts);
+    const TenantId t =
+        svc.register_tenant({.name = "idle-qf", .queue_capacity = 1});
+    Gate gate;
+    std::thread caller([&] {
+      SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate));
+      ASSERT_TRUE(sub.accepted());
+      EXPECT_EQ(sub.response.get().status, Status::kOk);
+    });
+    gate.wait_entered();
+    SubmitResult queued = svc.submit(t, bcast_req("queued"));
+    ASSERT_TRUE(queued.accepted());
+    SubmitResult full = svc.submit(t, bcast_req("full"));
+    EXPECT_EQ(full.status, Status::kQueueFull);
+    EXPECT_FALSE(ready_now(queued.response));
+    gate.release();
+    caller.join();
+    const Response r = queued.response.get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(r.pool, 0);
+    const auto c = svc.tenant_counters(t);
+    EXPECT_EQ(c.admitted, 2u);
+    EXPECT_EQ(c.completed, 2u);
+    EXPECT_EQ(c.rejected_queue_full, 1u);
+    EXPECT_EQ(svc.status().caller_runs, 1u);
+  }
+}
+
+TEST(SvcService, ShutdownWaitsForCallerRuns) {
+  CollectiveService svc(machine(), {});
+  const TenantId t = svc.register_tenant({.name = "shutdown-caller"});
+  Gate gate;
+  std::promise<Response> held;
+  std::thread caller([&] {
+    SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate));
+    if (sub.accepted()) {
+      held.set_value(sub.response.get());
+    } else {
+      Response rejected;
+      rejected.status = sub.status;
+      held.set_value(std::move(rejected));
+    }
+  });
+  gate.wait_entered();
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    svc.shutdown(/*drain=*/true);
+    returned.store(true);
+  });
+  // Every admitted request must be complete when shutdown returns, and
+  // this one is still running on its submitter.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load()) << "shutdown returned under a caller run";
+  gate.release();
+  stopper.join();
+  caller.join();
+  const Response r = held.get_future().get();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(to_u64(r.report.folded_at(0)), 1u + 2 + 3 + 4);
+  const auto c = svc.tenant_counters(t);
+  EXPECT_EQ(c.admitted, 1u);
+  EXPECT_EQ(c.completed, 1u);
+  EXPECT_EQ(c.queue_depth, 0u);
+  EXPECT_EQ(svc.status().inflight, 0u);
+}
+
 /// Randomized multi-tenant soak: mixed ops, QoS classes and rejection
 /// paths under concurrent submitters, bounded by LOGPC_SOAK_MS (CI's TSan
-/// job raises it; the default keeps tier-1 fast).  The invariant under
+/// job raises it; the default keeps tier-1 fast).  A fifth, closed-loop
+/// submitter runs throughout: while the others keep the pools busy its
+/// requests queue or run on itself whenever the service drains, racing
+/// pool dispatch; then it runs alone (every request on itself) until a
+/// draining shutdown lands in the middle of its runs.  The invariant under
 /// test: every accepted future resolves, and the per-tenant accounting
-/// balances exactly after a draining shutdown.
+/// balances exactly after the draining shutdown.
 TEST(SvcSoak, RandomizedMultiTenantTraffic) {
   const int soak_ms = env_int("LOGPC_SOAK_MS", 150);
   const unsigned seed =
@@ -530,10 +780,26 @@ TEST(SvcSoak, RandomizedMultiTenantTraffic) {
                                      .weight = 1,
                                      .queue_capacity = 8,
                                      .rate_per_sec = 200.0}));
+  const TenantId solo_id =
+      svc.register_tenant({.name = "soak-solo", .queue_capacity = 4});
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(soak_ms);
   std::atomic<std::uint64_t> ok{0}, failed{0};
+  // The closed-loop submitter: one request at a time until shutdown
+  // rejects it.
+  std::thread solo([&] {
+    std::mt19937 rng(seed + kTenants);
+    for (;;) {
+      Request req = rng() % 2 == 0 ? bcast_req("solo", QoS::kBatch)
+                                   : reduce_req(machine().P);
+      SubmitResult sub = svc.submit(solo_id, std::move(req));
+      if (sub.status == Status::kShutdown) break;
+      if (!sub.accepted()) continue;
+      const Response r = sub.response.get();
+      (r.status == Status::kOk ? ok : failed).fetch_add(1);
+    }
+  });
   std::vector<std::thread> submitters;
   for (int i = 0; i < kTenants; ++i) {
     submitters.emplace_back([&, i] {
@@ -566,8 +832,14 @@ TEST(SvcSoak, RandomizedMultiTenantTraffic) {
     });
   }
   for (auto& s : submitters) s.join();
+  // Single-submitter phase: the service is idle between the solo
+  // submitter's requests, so they run on it; shut down mid-stream.
+  std::this_thread::sleep_for(std::chrono::milliseconds(soak_ms / 4 + 1));
   svc.shutdown(/*drain=*/true);
+  solo.join();
   EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(svc.status().caller_runs, 0u);
+  ids.push_back(solo_id);
   // Accounting balances: everything admitted was completed (nothing
   // leaked, nothing double-counted), and rejection was the only other
   // exit.
