@@ -172,12 +172,12 @@ void BM_ExecSummation(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecSummation);
 
-/// Producer hot-path gauge: push/pop cycles through one ring, including
+/// Ring hot-path gauge: push/pop cycles through one mailbox, including
 /// the high-water-mark bookkeeping every push pays.
 void BM_MailboxPush(benchmark::State& state) {
-  exec::SpscMailbox mb(64);
+  exec::Mailbox mb(64);
   const exec::Bytes payload = payload_of(64);
-  const exec::Message m{0, payload.data(), payload.size(), 0};
+  const exec::Message m{0, 0, payload.data(), payload.size(), 0};
   exec::Message out;
   for (auto _ : state) {
     if (!mb.try_push(m)) {
@@ -186,31 +186,6 @@ void BM_MailboxPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MailboxPush);
-
-/// Bulk vs single-message drain on a full ring.
-void BM_MailboxDrain(benchmark::State& state) {
-  const bool bulk = state.range(0) != 0;
-  exec::SpscMailbox mb(64);
-  const exec::Bytes payload = payload_of(64);
-  const exec::Message m{0, payload.data(), payload.size(), 0};
-  std::vector<exec::Message> pending;
-  pending.reserve(64);
-  for (auto _ : state) {
-    while (mb.try_push(m)) {
-    }
-    if (bulk) {
-      pending.clear();
-      while (mb.pop_bulk(pending, 64) > 0) {
-      }
-      benchmark::DoNotOptimize(pending.data());
-    } else {
-      exec::Message out;
-      while (mb.try_pop(out)) benchmark::DoNotOptimize(out.item);
-    }
-  }
-  state.SetLabel(bulk ? "bulk" : "single");
-}
-BENCHMARK(BM_MailboxDrain)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 /// Execution-engine demo: take the plans the paper's algorithms produce
 /// and actually run them — one resumable cursor per logical LogP
-/// processor, exchanging payload bytes through the engine's lock-free
-/// mailboxes.
+/// processor, exchanging payload bytes through the engine's bounded
+/// per-link mailboxes.
 ///
 ///   1. broadcast a string to P processors and check every copy,
 ///   2. reduce per-processor strings with non-commutative concatenation

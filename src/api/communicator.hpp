@@ -165,7 +165,7 @@ class Communicator {
   // Each run_* method resolves its plan through the planner, compiles it
   // to per-processor instruction streams and executes it on the exec
   // engine — P rank cursors, stepped on the calling thread, exchanging
-  // payload bytes through bounded lock-free mailboxes.  Pass `engine` to
+  // payload bytes through bounded per-link mailboxes.  Pass `engine` to
   // control its warm context and timeout; nullptr uses the process-wide
   // exec::Engine::shared().
 

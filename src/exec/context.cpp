@@ -11,38 +11,18 @@ bool RunContext::prepare(const RunShape& shape) {
     // an ack ring even after completing cleanly, and a stale ack from a
     // previous run's sequence space would satisfy a new run's ack wait
     // spuriously.
-    Message m;
-    for (auto& mb : mailboxes) {
-      while (mb->try_pop(m)) {
-      }
-      mb->reset_stats();
+    for (Mailbox& mb : mailboxes) {
+      mb.clear();
+      mb.reset_stats();
     }
-    std::uint64_t a = 0;
-    for (auto& ar : acks) {
-      while (ar->try_pop(a)) {
-      }
-      ar->reset_stats();
-    }
-    for (PendingQ& pq : pending) {
-      pq.buf.clear();
-      pq.head = 0;
+    for (AckRing& ar : acks) {
+      ar.clear();
+      ar.reset_stats();
     }
   } else {
-    mailboxes.clear();
-    mailboxes.reserve(shape.links);
-    for (std::size_t i = 0; i < shape.links; ++i) {
-      mailboxes.push_back(
-          std::make_unique<SpscMailbox>(shape.capacity));
-    }
-    pending.assign(shape.links, PendingQ{});
-    for (PendingQ& pq : pending) pq.buf.reserve(shape.capacity);
+    mailboxes.assign(shape.links, Mailbox(shape.capacity));
     acks.clear();
-    if (shape.reliable) {
-      acks.reserve(shape.links);
-      for (std::size_t i = 0; i < shape.links; ++i) {
-        acks.push_back(std::make_unique<AckRing>(shape.capacity));
-      }
-    }
+    if (shape.reliable) acks.assign(shape.links, AckRing(shape.capacity));
     ready.reserve(shape.procs);
     next.reserve(shape.procs);
     shape_ = shape;

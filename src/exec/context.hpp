@@ -3,20 +3,19 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "exec/mailbox.hpp"
 
 /// \file context.hpp
-/// The per-run state of an Engine: mailboxes, ack rings, drain queues,
-/// one resumable cursor per rank, and the kMove slot tables.
+/// The per-run state of an Engine: mailboxes, ack rings, one resumable
+/// cursor per rank, and the kMove slot tables.
 ///
 /// A RunContext is owned by its Engine (one per engine, guarded by the
 /// engine's run mutex — runs on one engine serialize, so the context never
 /// sees two runs at once) and is *re-prepared* instead of rebuilt:
 /// prepare() compares the requested RunShape against the previous run's
-/// and, on a match, merely drains leftover ring contents and rewinds
+/// and, on a match, merely clears leftover ring contents and rewinds
 /// high-water marks — zero ring allocations on the warm path.  A shape
 /// change (different link count, capacity, reliability mode or processor
 /// count) rebuilds the mismatched resources once and stays warm from then
@@ -82,15 +81,6 @@ struct Cursor {
   Clock::time_point peer_changed; ///< when peer_beats last moved
 };
 
-/// Consumer-side drain buffer, one per link (each link has exactly one
-/// consumer).  pop_bulk refills it with every message the stream is about
-/// to consume back-to-back (Instr::chain), amortizing the ring's
-/// acquire/release pair across the batch.
-struct PendingQ {
-  std::vector<Message> buf;
-  std::size_t head = 0;
-};
-
 /// One (processor, item) kMove slot: the range of the processor's
 /// ExecReport::items buffer the item is seeded or delivered into.
 struct Slot {
@@ -105,7 +95,7 @@ class RunContext {
   RunContext& operator=(const RunContext&) = delete;
 
   /// Readies every resource for a run of `shape`.  Returns true when the
-  /// whole context was reused warm (no ring or queue allocation); false
+  /// whole context was reused warm (no ring allocation); false
   /// when any resource had to be (re)built.  Cursors start at their
   /// streams' first instruction either way.
   bool prepare(const RunShape& shape);
@@ -114,12 +104,11 @@ class RunContext {
 
   // Run resources.  The engine indexes these directly; the fields are
   // engine-internal state that lives here only so it can stay warm.
-  std::vector<std::unique_ptr<SpscMailbox>> mailboxes;  ///< [link]
-  std::vector<PendingQ> pending;                        ///< [link]
+  std::vector<Mailbox> mailboxes;  ///< [link]
 
   // Reliable-mode state, one slot per link: seq/acked belong to the
   // producer, accepted/attempts to the consumer.
-  std::vector<std::unique_ptr<AckRing>> acks;  ///< [link]
+  std::vector<AckRing> acks;  ///< [link]
   std::vector<std::uint64_t> send_seq;   ///< producer: last seq pushed
   std::vector<std::uint64_t> acked;      ///< producer: highest acked seen
   std::vector<std::uint64_t> accepted;   ///< consumer: highest seq accepted

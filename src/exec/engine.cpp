@@ -190,15 +190,17 @@ class Stepper {
   /// One send, resumed at c.phase.  True once complete.
   bool send(std::size_t p, Cursor& c, const Instr& ins) {
     const auto link = static_cast<std::size_t>(ins.link);
-    SpscMailbox& mb = *ctx_.mailboxes[link];
+    Mailbox& mb = ctx_.mailboxes[link];
     if (c.phase == Phase::kStart) {
       c.start_ns = now_ns();
+      // This send's index in the rank's event log, appended in stream order.
+      const auto event = static_cast<std::uint32_t>(report_.events[p].size());
       if (program_.mode == Mode::kMove) {
         const Slot& s = slot(p, ins.item);
-        c.m = Message{ins.item, s.data, s.size, 0};
+        c.m = Message{ins.item, event, s.data, s.size, 0};
       } else {
         const Bytes& acc = report_.folded[p];
-        c.m = Message{ins.item, acc.data(), acc.size(), 0};
+        c.m = Message{ins.item, event, acc.data(), acc.size(), 0};
       }
       c.phase = Phase::kPush;
       if (reliable_) {
@@ -234,7 +236,7 @@ class Stepper {
       }
     }
     if (c.phase == Phase::kAck) {
-      AckRing& ar = *ctx_.acks[link];
+      AckRing& ar = ctx_.acks[link];
       std::uint64_t& acked = ctx_.acked[link];
       std::uint64_t a = 0;
       bool drained = false;
@@ -246,9 +248,9 @@ class Stepper {
       if (acked < c.m.seq) return false;
     }
     const std::uint64_t end = reliable_ ? now_ns() : c.xfer_ns;
-    report_.events[p].push_back(ExecEvent{ExecEvent::Kind::kSend, ins.peer,
-                                          ins.item, c.start_ns, c.xfer_ns,
-                                          end, ins.when});
+    report_.events[p].push_back(ExecEvent{
+        ExecEvent::Kind::kSend, ins.peer, ins.item, ExecEvent::kNoMatch,
+        c.start_ns, c.xfer_ns, end, ins.when});
     report_.payload_bytes += c.m.size;
     return true;
   }
@@ -266,7 +268,7 @@ class Stepper {
       return false;
     }
     if (c.phase == Phase::kAckBack) {
-      if (!ctx_.acks[link]->try_push(ctx_.accepted[link])) return false;
+      if (!ctx_.acks[link].try_push(ctx_.accepted[link])) return false;
       wake(ins.peer);
     }
     c.xfer_ns = now_ns();
@@ -289,32 +291,15 @@ class Stepper {
     } else {
       fold(p, c, std::span<const std::byte>(m.data, m.size));
     }
-    report_.deliveries[p].push_back(validate::DeliveryRecord{ins.peer, m.item});
     report_.events[p].push_back(ExecEvent{ExecEvent::Kind::kRecv, ins.peer,
-                                          ins.item, c.start_ns, c.xfer_ns,
-                                          now_ns(), ins.when});
+                                          ins.item, m.send_event, c.start_ns,
+                                          c.xfer_ns, now_ns(), ins.when});
     return true;
   }
 
-  /// Fault-free pop into c.m.  A chained receive (Instr::chain > 1) that
-  /// pops its head message also claims whatever the producer already
-  /// queued behind it — up to the rest of the chain — in one bulk pop, and
-  /// the following receives take from that batch without touching the
-  /// ring.  Unchained receives (e.g. all-to-all's rotating links) take a
-  /// plain pop.
+  /// Fault-free pop into c.m.
   bool pop(Cursor& c, const Instr& ins, std::size_t link) {
-    PendingQ& pq = ctx_.pending[link];
-    if (pq.head < pq.buf.size()) {
-      c.m = pq.buf[pq.head++];
-      return true;
-    }
-    SpscMailbox& mb = *ctx_.mailboxes[link];
-    if (!mb.try_pop(c.m)) return false;
-    if (ins.chain > 1) {
-      pq.buf.clear();
-      pq.head = 0;
-      (void)mb.pop_bulk(pq.buf, static_cast<std::size_t>(ins.chain) - 1);
-    }
+    if (!ctx_.mailboxes[link].try_pop(c.m)) return false;
     wake(ins.peer);  // its push may have found the ring full
     return true;
   }
@@ -325,8 +310,8 @@ class Stepper {
   /// has arrived.
   bool pop_acked(std::size_t p, Cursor& c, const Instr& ins,
                  std::size_t link) {
-    SpscMailbox& mb = *ctx_.mailboxes[link];
-    AckRing& ar = *ctx_.acks[link];
+    Mailbox& mb = ctx_.mailboxes[link];
+    AckRing& ar = ctx_.acks[link];
     std::uint64_t& accepted = ctx_.accepted[link];
     const std::uint64_t expect = accepted + 1;
     while (mb.try_pop(c.m)) {
@@ -468,7 +453,7 @@ class Stepper {
             .count()));
     // try_push: if the ring is full the original copy is still queued, so
     // there is nothing to retransmit past.
-    if (ctx_.mailboxes[static_cast<std::size_t>(ins.link)]->try_push(c.m)) {
+    if (ctx_.mailboxes[static_cast<std::size_t>(ins.link)].try_push(c.m)) {
       ++report_.retries;
       wake(ins.peer);
     }
@@ -523,6 +508,19 @@ class Stepper {
 };
 
 }  // namespace
+
+std::vector<std::vector<validate::DeliveryRecord>> ExecReport::deliveries()
+    const {
+  std::vector<std::vector<validate::DeliveryRecord>> out(events.size());
+  for (std::size_t p = 0; p < events.size(); ++p) {
+    for (const ExecEvent& ev : events[p]) {
+      if (ev.kind == ExecEvent::Kind::kRecv) {
+        out[p].push_back(validate::DeliveryRecord{ev.peer, ev.item});
+      }
+    }
+  }
+  return out;
+}
 
 Engine& Engine::shared() {
   static Engine* engine = new Engine();  // leaked: outlives static teardown
@@ -621,7 +619,6 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   report.mailbox_capacity = cap;
   report.warm_buffers = ctx_.prepare(shape);
   report.events.resize(P);
-  report.deliveries.resize(P);
   report.fault_events.resize(P);
   report.folded.resize(P);
 
@@ -701,25 +698,9 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
       run_span.set_arg(program.label + " P=" +
                        std::to_string(program.params.P));
     }
-    try {
-      stepper.run();
-    } catch (...) {
-      // Drain every ring so an aborted run leaves no stale message (or
-      // stale ack) behind for a later run to trip on.  (The context
-      // re-drains on its next prepare() as well, but a throwing run must
-      // not leave the shared rings dirty in between.)
-      Message m;
-      for (const auto& mb : ctx_.mailboxes) {
-        while (mb->try_pop(m)) {
-        }
-      }
-      std::uint64_t a = 0;
-      for (const auto& ar : ctx_.acks) {
-        while (ar->try_pop(a)) {
-        }
-      }
-      throw;
-    }
+    // A run that throws leaves messages in its rings; the next prepare()
+    // clears them before any later run can trip on one.
+    stepper.run();
     report.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              start)
@@ -741,9 +722,9 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   }
 #endif
 
-  for (const auto& mb : ctx_.mailboxes) {
+  for (const Mailbox& mb : ctx_.mailboxes) {
     report.max_mailbox_occupancy =
-        std::max(report.max_mailbox_occupancy, mb->max_occupancy());
+        std::max(report.max_mailbox_occupancy, mb.max_occupancy());
   }
   if (obs::enabled()) {
     record_metrics(report, op, injector != nullptr, stepper.kernel_bytes,

@@ -20,8 +20,8 @@
 /// \file engine.hpp
 /// The shared-memory execution engine: runs a compiled Program by stepping
 /// one resumable cursor per logical LogP processor on the calling thread,
-/// moving real payload bytes through one bounded lock-free mailbox per
-/// directed link.  A rank runs until its next send finds the ceil(L/g)
+/// moving real payload bytes through one bounded mailbox per directed
+/// link.  A rank runs until its next send finds the ceil(L/g)
 /// mailbox full or its next receive finds it empty; then the next runnable
 /// rank goes, and every push or pop makes the rank at the link's other end
 /// runnable again.  A valid schedule's dependency graph is acyclic, so
@@ -49,11 +49,15 @@
 /// plan's dependency graph executed raw, and the returned timestamps are
 /// what exec::measure() fits effective (L, o, g) from.
 ///
-/// Every run records per-processor send/recv timestamps and the observed
-/// delivery sequence (cross-checkable with validate::check_delivery_order),
-/// increments the logpc_exec_* metrics, and wraps itself in an obs span,
-/// so executions land in the Chrome-trace exporter next to sim::Trace
-/// timelines.
+/// Every run records per-processor send/recv timestamps, and each receive
+/// names the send whose message it accepted (ExecEvent::match): one thread
+/// pops every message, so the causal pairing is known at the pop and no
+/// reader has to rebuild it.  The observed delivery sequence
+/// (ExecReport::deliveries(), cross-checkable with
+/// validate::check_delivery_order) is a projection of the same events.
+/// Every run increments the logpc_exec_* metrics and wraps itself in an
+/// obs span, so executions land in the Chrome-trace exporter next to
+/// sim::Trace timelines.
 ///
 /// Fault tolerance: pass a fault::Injector to run() and the engine
 /// switches every link to *acked delivery* — the injector argument is the
@@ -68,10 +72,11 @@
 /// engine walks the exec::Waiter ladder and on each slow tick runs the
 /// watchdog deadline, the failure detector and retransmits for every
 /// blocked rank.  A rank whose heartbeat stays frozen for 25 ms while a
-/// peer waits on it is declared dead: the run drains every mailbox and
-/// throws RankFailure naming the rank — api::Communicator::run_broadcast_ft
-/// catches it and re-plans over the survivors.  Without an injector the
-/// fast path is byte-identical to the unreliable engine.
+/// peer waits on it is declared dead: the run throws RankFailure naming
+/// the rank (the next run's prepare() clears what it left in the rings) —
+/// api::Communicator::run_broadcast_ft catches it and re-plans over the
+/// survivors.  Without an injector the fast path is byte-identical to the
+/// unreliable engine.
 
 namespace logpc::exec {
 
@@ -82,9 +87,17 @@ namespace logpc::exec {
 /// the steady clock, relative to the run's start.
 struct ExecEvent {
   enum class Kind : std::uint8_t { kSend, kRecv };
+  /// `match` of a send, and of a receive in a hand-built log that does not
+  /// know its cause.
+  static constexpr std::uint32_t kNoMatch = UINT32_MAX;
+
   Kind kind = Kind::kSend;
   ProcId peer = kNoProc;
   ItemId item = 0;
+  /// Receive: the index in events[peer] of the send whose message this
+  /// receive accepted (under acked delivery, the original send of the
+  /// accepted copy).  Recorded by the engine at the pop.
+  std::uint32_t match = kNoMatch;
   std::uint64_t start_ns = 0;  ///< op begin (includes any blocking wait)
   std::uint64_t xfer_ns = 0;   ///< send: push accepted; recv: payload arrived
   std::uint64_t end_ns = 0;    ///< payload copied / folded, op complete
@@ -126,16 +139,16 @@ struct ExecReport {
   /// report (the service's pools, benchmarks) need not special-case it.
   bool warm_pool = true;
   /// True when the run reused the engine's RunContext warm: same shape as
-  /// the previous run, so mailboxes, ack rings, drain queues and cursors
-  /// were recycled with zero allocation.
+  /// the previous run, so mailboxes, ack rings and cursors were recycled
+  /// with zero allocation.
   bool warm_buffers = false;
   /// Per-processor event logs, in stream order.  Guarantee (asserted after
   /// every run): `events[p]` is non-decreasing in start_ns — in fact each
   /// op completes before the next begins (start_ns[i+1] >= end_ns[i]),
   /// because a rank's cursor records its events sequentially on the
-  /// steady clock.  obs::analyze() builds the causal DAG on top of this.
+  /// steady clock.  Each receive's `match` names its send, so obs::analyze()
+  /// reads the causal DAG straight off these logs.
   std::vector<std::vector<ExecEvent>> events;  ///< [proc], in stream order
-  std::vector<std::vector<validate::DeliveryRecord>> deliveries;  ///< [proc]
   /// Injected faults, per processor in injection order.  Decisions are
   /// deterministic in the fault seed, so two same-seed runs produce equal
   /// logs (duplicate discards, which depend on retransmit timing, are
@@ -143,6 +156,12 @@ struct ExecReport {
   std::vector<std::vector<fault::FaultEvent>> fault_events;
   std::vector<std::vector<Bytes>> items;  ///< kMove results: [proc][item]
   std::vector<Bytes> folded;  ///< kFold/kSum accumulators: [proc]
+
+  /// The observed delivery sequence, [proc]: each receive event's (peer,
+  /// item) in stream order — the observed side of
+  /// validate::check_delivery_order and validate::check_exactly_once.
+  [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
+  deliveries() const;
 
   /// kMove: processor p's copy of `item`.
   [[nodiscard]] const Bytes& item_at(ProcId p, ItemId item) const {

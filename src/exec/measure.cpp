@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace logpc::exec {
@@ -33,32 +31,22 @@ MeasuredLogP measure(const ExecReport& report) {
   double overhead_sum = 0;
   double gap_sum = 0;
   MeasuredLogP out;
-  // Per-link FIFO matching: the i-th push on a link pairs with the i-th
-  // pop, so wire latency is recv.xfer - send.xfer of the matched pair.
-  std::map<std::pair<ProcId, ProcId>, std::vector<std::uint64_t>> pushes;
-  for (std::size_t p = 0; p < report.events.size(); ++p) {
-    for (const ExecEvent& ev : report.events[p]) {
-      if (ev.kind == ExecEvent::Kind::kSend) {
-        pushes[{static_cast<ProcId>(p), ev.peer}].push_back(ev.xfer_ns);
-      }
-    }
-  }
-  std::map<std::pair<ProcId, ProcId>, std::size_t> popped;
-  for (std::size_t p = 0; p < report.events.size(); ++p) {
-    const auto self = static_cast<ProcId>(p);
+  for (const std::vector<ExecEvent>& evs : report.events) {
     std::uint64_t prev_send_start = 0;
     bool have_prev_send = false;
-    for (const ExecEvent& ev : report.events[p]) {
+    for (const ExecEvent& ev : evs) {
       if (ev.kind == ExecEvent::Kind::kRecv) {
         // Receive overhead: payload-arrived to folded/stored.
         overhead_sum += static_cast<double>(ev.end_ns - ev.xfer_ns);
         ++out.overhead_samples;
-        const auto link = std::make_pair(ev.peer, self);
-        auto it = pushes.find(link);
-        if (it != pushes.end()) {
-          const std::size_t i = popped[link]++;
-          if (i < it->second.size() && ev.xfer_ns >= it->second[i]) {
-            latency_sum += static_cast<double>(ev.xfer_ns - it->second[i]);
+        // Wire latency: the matched send's push accepted to payload
+        // arrived.  A receive without a recorded match has no sample.
+        const auto peer = static_cast<std::size_t>(ev.peer);
+        if (peer < report.events.size() &&
+            ev.match < report.events[peer].size()) {
+          const std::uint64_t push = report.events[peer][ev.match].xfer_ns;
+          if (ev.xfer_ns >= push) {
+            latency_sum += static_cast<double>(ev.xfer_ns - push);
             ++out.latency_samples;
           }
         }

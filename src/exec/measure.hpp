@@ -11,7 +11,8 @@
 ///   o — how long a processor is busy per send/receive (push latency,
 ///       arrival-to-folded latency),
 ///   L — how long a payload spends "on the wire": push-accepted on the
-///       sender to pop-succeeded at the receiver, matched per-link FIFO,
+///       sender to pop-succeeded at the receiver, the send being the one
+///       the receive names (ExecEvent::match),
 ///   g — the spacing of back-to-back sends from one processor.
 ///
 /// The fit is in nanoseconds; as_measured_params() quantizes to model

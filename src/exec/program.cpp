@@ -59,9 +59,7 @@ Program skeleton(const Params& params, Mode mode, std::string label,
 /// per id keeps it to one table probe per message.  The same walk refuses
 /// a stream that would block forever — kMove: a send of an item the rank
 /// has neither received nor been placed; kFold/kSum: a receive after the
-/// rank's one send — and a backward sweep then fills Instr::chain: this
-/// receive plus the consecutive receives after it on the same link, the
-/// engine's licence to drain that many messages in one bulk pop.
+/// rank's one send.
 void lower(Program& prog, std::size_t num_ids) {
   const bool move = prog.mode == Mode::kMove;
   const auto items = static_cast<std::size_t>(prog.num_items);
@@ -74,9 +72,8 @@ void lower(Program& prog, std::size_t num_ids) {
   LinkTable links;
   for (std::size_t p = 0; p < prog.procs.size(); ++p) {
     const auto self = static_cast<ProcId>(p);
-    std::vector<Instr>& v = prog.procs[p].instrs;
     bool sent = false;
-    for (Instr& ins : v) {
+    for (Instr& ins : prog.procs[p].instrs) {
       if (ins.op == OpCode::kCombineLocal) continue;
       const bool send = ins.op == OpCode::kSend;
       std::int32_t& link = link_of[static_cast<std::size_t>(ins.link)];
@@ -101,13 +98,6 @@ void lower(Program& prog, std::size_t num_ids) {
         }
         sent = sent || send;
       }
-    }
-    for (std::size_t j = v.size(); j-- > 0;) {
-      if (v[j].op != OpCode::kRecv) continue;
-      const bool chained = j + 1 < v.size() &&
-                           v[j + 1].op == OpCode::kRecv &&
-                           v[j + 1].link == v[j].link;
-      v[j].chain = chained ? v[j + 1].chain + 1 : 1;
     }
   }
   prog.links = links.take();

@@ -27,9 +27,9 @@
 /// Every compile_* function is a thin source for one lowering: it emits
 /// each rank's events in that order, and the lowering numbers the links
 /// rank-major (in order of first appearance walking rank 0's stream, then
-/// rank 1's, ...), refuses streams that would hang, and annotates receive
-/// chains.  The same plan therefore lowers to the same Program whichever
-/// form — materialized schedule or implicit generator — it arrives in.
+/// rank 1's, ...) and refuses streams that would hang.  The same plan
+/// therefore lowers to the same Program whichever form — materialized
+/// schedule or implicit generator — it arrives in.
 ///
 /// Three value semantics, one per planner output family:
 ///  * kMove  — broadcast-shaped plans (bcast, k-item, scatter, gather,
@@ -68,12 +68,6 @@ struct Instr {
   std::int32_t count = 0;  ///< kCombineLocal: operands to fold
   std::int32_t link = -1;  ///< mailbox index (kSend/kRecv)
   Time when = 0;           ///< planned cycle of the event
-  /// kRecv drain hint: this receive plus the count of immediately
-  /// following receives on the same link (>= 1).  The engine's bulk drain
-  /// pops at most `chain` messages in one acquire/release round — only
-  /// what this stream consumes back-to-back anyway, so the mailbox bound
-  /// keeps its capacity-constraint meaning.  Computed at compile time.
-  std::int32_t chain = 1;
 
   friend bool operator==(const Instr&, const Instr&) = default;
 };

@@ -16,6 +16,18 @@ struct EventRef {
   std::size_t index = 0;
 };
 
+/// True when receive `ev` on rank p names a send of its item to p.
+bool names_send(const exec::ExecReport& report, std::size_t p,
+                const ExecEvent& ev) {
+  const auto peer = static_cast<std::size_t>(ev.peer);
+  if (peer >= report.events.size() || ev.match >= report.events[peer].size()) {
+    return false;
+  }
+  const ExecEvent& s = report.events[peer][ev.match];
+  return s.kind == ExecEvent::Kind::kSend &&
+         s.peer == static_cast<ProcId>(p) && s.item == ev.item;
+}
+
 Component arrival_component(exec::Mode mode) {
   // Move-mode receives copy bytes (receive overhead in the model's sense);
   // fold/sum receives combine the payload into the accumulator.
@@ -86,6 +98,12 @@ RunProfile analyze(const exec::ExecReport& report) {
             "obs::analyze: malformed event timestamps at rank " +
             std::to_string(p));
       }
+      if (ev.kind == ExecEvent::Kind::kRecv &&
+          ev.match != ExecEvent::kNoMatch && !names_send(report, p, ev)) {
+        throw std::invalid_argument(
+            "obs::analyze: receive at rank " + std::to_string(p) +
+            " names no matching send on P" + std::to_string(ev.peer));
+      }
       auto add = [&](Component c, std::uint64_t from, std::uint64_t to,
                      ProcId peer, ItemId item) {
         if (to <= from) return;
@@ -110,50 +128,6 @@ RunProfile analyze(const exec::ExecReport& report) {
         add(arrive, ev.xfer_ns, ev.end_ns, ev.peer, ev.item);
       }
       prev_end = ev.end_ns;
-    }
-  }
-
-  // --- causal matching: i-th send on (from, to) pairs with i-th recv ------
-  // Flat per-link FIFOs instead of a map: a run has O(P) active links and
-  // this is on the serving path (the service analyzes every request), so
-  // a linear probe over a small vector beats tree allocations.
-  struct LinkFifo {
-    ProcId from = kNoProc;
-    ProcId to = kNoProc;
-    std::vector<std::size_t> sends;  ///< event indices on `from`, in order
-    std::size_t popped = 0;
-  };
-  std::vector<LinkFifo> links;
-  links.reserve(P);
-  auto link_index = [&links](ProcId from, ProcId to) {
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (links[i].from == from && links[i].to == to) return i;
-    }
-    links.push_back(LinkFifo{from, to, {}, 0});
-    return links.size() - 1;
-  };
-  for (std::size_t p = 0; p < P; ++p) {
-    for (std::size_t i = 0; i < report.events[p].size(); ++i) {
-      const ExecEvent& ev = report.events[p][i];
-      if (ev.kind == ExecEvent::Kind::kSend) {
-        links[link_index(static_cast<ProcId>(p), ev.peer)].sends.push_back(i);
-      }
-    }
-  }
-  // matched_send[rank][event index] = the EventRef of the send whose push
-  // this receive popped, or rank == kNoProc when unmatched (a send, or a
-  // recv whose sender log is missing).
-  std::vector<std::vector<EventRef>> matched_send(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    matched_send[p].resize(report.events[p].size());
-    for (std::size_t i = 0; i < report.events[p].size(); ++i) {
-      const ExecEvent& ev = report.events[p][i];
-      if (ev.kind != ExecEvent::Kind::kRecv) continue;
-      LinkFifo& link = links[link_index(ev.peer, static_cast<ProcId>(p))];
-      const std::size_t k = link.popped++;
-      if (k < link.sends.size()) {
-        matched_send[p][i] = EventRef{ev.peer, link.sends[k]};
-      }
     }
   }
 
@@ -184,13 +158,13 @@ RunProfile analyze(const exec::ExecReport& report) {
       // everything else by the previous event on the same rank.
       bool wire = false;
       EventRef pred;
-      const EventRef& m = matched_send[p][cur.index];
-      if (ev.kind == ExecEvent::Kind::kRecv && m.rank != kNoProc) {
+      if (ev.kind == ExecEvent::Kind::kRecv &&
+          ev.match != ExecEvent::kNoMatch) {
         const ExecEvent& s =
-            report.events[static_cast<std::size_t>(m.rank)][m.index];
+            report.events[static_cast<std::size_t>(ev.peer)][ev.match];
         if (s.xfer_ns >= ev.start_ns) {
           wire = true;
-          pred = m;
+          pred = EventRef{ev.peer, ev.match};
         }
       }
       if (!wire && cur.index > 0) {

@@ -13,11 +13,11 @@
 ///
 /// The engine already records one timestamped event per send/recv on every
 /// rank (ExecReport::events, stream-ordered and non-decreasing in
-/// start_ns).  analyze() reconstructs the run's *causal DAG* from those
-/// logs — the i-th push on a directed link pairs with the i-th accepted
-/// pop (the mailboxes are per-link FIFOs and reliable delivery discards
-/// duplicates exactly-once, so FIFO matching is exact), and intra-rank
-/// events chain in stream order — then walks it two ways:
+/// start_ns), and each receive names the send whose message it accepted
+/// (ExecEvent::match, recorded at the pop).  Those logs *are* the run's
+/// causal DAG — wire edges from each receive to its named send, stream
+/// edges between a rank's consecutive events — and analyze() walks it two
+/// ways:
 ///
 ///  1. **Decomposition.**  Each rank's busy+blocked span
 ///     [first event start, last event end] is partitioned *exactly* into
@@ -163,8 +163,10 @@ struct RunProfile {
 };
 
 /// Profiles one run.  Requires per-rank events non-decreasing in start_ns
-/// (the engine's documented ordering guarantee); throws
-/// std::invalid_argument otherwise rather than returning garbage.
+/// (the engine's documented ordering guarantee) and every receive's
+/// `match` to be kNoMatch (no wire edge) or the index of a send of the
+/// same item to that rank; throws std::invalid_argument otherwise rather
+/// than returning garbage.
 [[nodiscard]] RunProfile analyze(const exec::ExecReport& report);
 
 }  // namespace logpc::obs

@@ -67,7 +67,7 @@ TEST(Engine, SingleItemBroadcastDeliversBytesEverywhere) {
   EXPECT_EQ(report.messages, s.sends().size());
   EXPECT_GT(report.wall_ns, 0u);
   EXPECT_EQ(report.predicted_makespan, s.makespan());
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -91,7 +91,7 @@ TEST(Engine, KItemBroadcastDeliversEveryItemOnce) {
     }
   }
   EXPECT_TRUE(
-      validate::check_delivery_order(plan.schedule, report.deliveries).ok());
+      validate::check_delivery_order(plan.schedule, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -117,7 +117,7 @@ TEST(Engine, SegmentRunCoalescesToTheBulkShape) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
   }
   EXPECT_TRUE(
-      validate::check_delivery_order(plan.schedule, report.deliveries).ok());
+      validate::check_delivery_order(plan.schedule, report.deliveries()).ok());
   // And it matches the bulk run bit for bit.
   const Program bulk = compile_broadcast(bcast::optimal_single_item(params));
   const ExecReport bulk_report =
@@ -256,7 +256,7 @@ TEST(Engine, AllToAllKDeliversAllItems) {
                 1000u + static_cast<std::uint64_t>(i));
     }
   }
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
   EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
 }
 
@@ -539,8 +539,8 @@ TEST(Engine, LargeMachinesRunByteExactOnOneThread) {
     for (ProcId p = 0; p < params.P; ++p) {
       ASSERT_EQ(report.item_at(p, 0), payload) << "P" << p;
     }
-    EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
-    EXPECT_TRUE(validate::check_exactly_once(report.deliveries).ok());
+    EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
+    EXPECT_TRUE(validate::check_exactly_once(report.deliveries()).ok());
     EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
   }
   {
@@ -559,10 +559,82 @@ TEST(Engine, LargeMachinesRunByteExactOnOneThread) {
             << "P" << p << " item " << i;
       }
     }
-    EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
-    EXPECT_TRUE(validate::check_exactly_once(report.deliveries).ok());
+    EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
+    EXPECT_TRUE(validate::check_exactly_once(report.deliveries()).ok());
     EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
   }
+}
+
+// --- recorded causality: each receive names the send it popped ----------
+
+/// The run made `recvs` receives, each naming the send its link's FIFO
+/// pairs it with, and no mailbox outgrew the model's bound.
+void expect_receives_name_fifo_sends(const ExecReport& report,
+                                     std::size_t recvs) {
+  std::size_t n = 0;
+  for (const auto& d : report.deliveries()) n += d.size();
+  EXPECT_EQ(n, recvs);
+  EXPECT_EQ(tu::match_errors(report), "");
+  EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
+}
+
+TEST(EngineCausality, BroadcastReceivesNameTheirFifoSends) {
+  const Params params{8, 4, 1, 2};
+  Engine engine;
+  const ExecReport report =
+      engine.run(compile_broadcast(bcast::optimal_single_item(params)),
+                 Items{std::vector<Bytes>{tu::of_str("cause")}});
+  expect_receives_name_fifo_sends(report, 7);
+}
+
+TEST(EngineCausality, ReductionReceivesNameTheirFifoSends) {
+  const Params params{8, 4, 1, 2};
+  const Program prog = compile_reduction(bcast::optimal_reduction(params, 0));
+  std::vector<Bytes> values;
+  for (int p = 0; p < params.P; ++p) {
+    values.push_back(tu::of_u64(static_cast<std::uint64_t>(p)));
+  }
+  Engine engine;
+  expect_receives_name_fifo_sends(
+      engine.run(prog, FoldValues{values, tu::add_u64()}), 7);
+}
+
+TEST(EngineCausality, AllgatherReceivesNameTheirFifoSends) {
+  const Params params{8, 6, 1, 2};
+  const Schedule s = bcast::all_to_all(params);
+  std::vector<Bytes> items;
+  for (int i = 0; i < s.num_items(); ++i) items.push_back(tu::of_u64(1));
+  Engine engine;
+  expect_receives_name_fifo_sends(
+      engine.run(compile_broadcast(s, "alltoall"), Items{items}),
+      56);  // P * (P - 1)
+}
+
+TEST(EngineCausality, KItemBackToBackReceivesNameTheirFifoSends) {
+  // A pipelined k-item broadcast: some rank receives several items in a
+  // row on one link, so the recorded matches must tell the queued
+  // messages of one link apart.
+  const auto plan =
+      Planner::build_uncached(PlanKey::kitem(Params{8, 3, 1, 2}, 4));
+  const Program prog = compile_broadcast(plan.schedule, "kitem");
+  bool back_to_back = false;
+  for (const ProcProgram& pp : prog.procs) {
+    for (std::size_t j = 1; j < pp.instrs.size(); ++j) {
+      const Instr& a = pp.instrs[j - 1];
+      const Instr& b = pp.instrs[j];
+      back_to_back = back_to_back || (a.op == OpCode::kRecv &&
+                                      b.op == OpCode::kRecv &&
+                                      a.link == b.link);
+    }
+  }
+  ASSERT_TRUE(back_to_back);
+  std::vector<Bytes> items;
+  for (int i = 0; i < plan.schedule.num_items(); ++i) {
+    items.push_back(tu::of_str("item-" + std::to_string(i)));
+  }
+  Engine engine;
+  expect_receives_name_fifo_sends(engine.run(prog, Items{items}),
+                                  plan.schedule.sends().size());
 }
 
 TEST(Engine, SharedEngineServesConcurrentCallersSafely) {

@@ -80,8 +80,9 @@ TEST(ExecProperty, BroadcastDeliversEveryItemExactlyOnce) {
       ++placed[static_cast<std::size_t>(init.proc)]
               [static_cast<std::size_t>(init.item)];
     }
+    const auto deliveries = report.deliveries();
     for (std::size_t p = 0; p < P; ++p) {
-      for (const auto& d : report.deliveries[p]) {
+      for (const auto& d : deliveries[p]) {
         ++placed[p][static_cast<std::size_t>(d.item)];
       }
       for (int i = 0; i < k; ++i) {
@@ -92,7 +93,7 @@ TEST(ExecProperty, BroadcastDeliversEveryItemExactlyOnce) {
 
     // And the executed delivery sequence is the planned one.
     const validate::CheckResult order =
-        validate::check_delivery_order(s, report.deliveries);
+        validate::check_delivery_order(s, deliveries);
     EXPECT_TRUE(order.ok()) << order.summary();
   }
 }

@@ -376,13 +376,14 @@ TEST(EngineOptions, MailboxOccupancyIsTrackedWithinCapacity) {
             tracked_report.mailbox_capacity);
 }
 
-TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
-  // A stream of back-to-back receives on one link (Instr::chain > 1): the
-  // fault-free run takes the bulk drain, the reliable run takes the
-  // sequenced single-pop path.  Both must deliver identical items.  The
-  // program is handcrafted so the receive chain is guaranteed and the send
-  // graph is one-directional (reliable mode's synchronous acked sends need
-  // a cycle-free rendezvous order).
+TEST(EngineKernels, BackToBackReceivesOnOneLinkAgreeWithAckedDelivery) {
+  // A stream of back-to-back receives on one link, fed by sends that can
+  // queue up to the mailbox bound: the fault-free run pops plainly, the
+  // reliable runs (lossless and lossy) take the sequenced acked path.  All
+  // must deliver identical items, and each receive must name the send it
+  // popped.  The program is handcrafted so the receives are guaranteed
+  // consecutive and the send graph is one-directional (reliable mode's
+  // synchronous acked sends need a cycle-free rendezvous order).
   const Params params{2, 4, 1, 1};  // capacity ceil(L/g) = 4: sends can queue
   constexpr int kItems = 4;
   Program prog;
@@ -399,9 +400,8 @@ TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
     prog.initials.push_back(InitialPlacement{i, 0, 0});
     prog.procs[0].instrs.push_back(
         Instr{OpCode::kSend, 1, i, 0, 0, static_cast<Time>(i)});
-    prog.procs[1].instrs.push_back(Instr{OpCode::kRecv, 0, i, 0, 0,
-                                         static_cast<Time>(i + 4),
-                                         kItems - i});
+    prog.procs[1].instrs.push_back(
+        Instr{OpCode::kRecv, 0, i, 0, 0, static_cast<Time>(i + 4)});
   }
 
   std::vector<Bytes> items;
@@ -412,15 +412,30 @@ TEST(EngineKernels, BulkDrainAndAckedDeliveryAgreeOnChainedReceives) {
   const ExecReport fast_run = fast.run(prog, Items{items});
 
   // An injector over an empty spec turns on acked delivery and injects
-  // nothing.
+  // nothing; the lossy one drops every first delivery, so each receive
+  // accepts a retransmitted copy.
   Engine reliable;
   const fault::Injector no_faults(fault::FaultSpec{});
   const ExecReport reliable_run =
       reliable.run(prog, Items{items}, &no_faults);
+  fault::FaultSpec drops;
+  drops.drop_prob = 1.0;
+  drops.max_drops_per_message = 1;
+  const fault::Injector lossy(drops);
+  const ExecReport lossy_run = reliable.run(prog, Items{items}, &lossy);
+  EXPECT_GT(lossy_run.retries, 0u);
 
   EXPECT_EQ(fast_run.items, reliable_run.items);
+  EXPECT_EQ(fast_run.items, lossy_run.items);
   for (ItemId i = 0; i < kItems; ++i) {
     EXPECT_EQ(fast_run.item_at(1, i), items[static_cast<std::size_t>(i)]);
+  }
+  for (const ExecReport* run : {&fast_run, &reliable_run, &lossy_run}) {
+    EXPECT_LE(run->max_mailbox_occupancy, run->mailbox_capacity);
+    ASSERT_EQ(run->events[1].size(), static_cast<std::size_t>(kItems));
+    for (std::uint32_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(run->events[1][i].match, i);  // the i-th send on rank 0
+    }
   }
 }
 

@@ -23,26 +23,15 @@ void add_send(ExecReport& r, ProcId from, ProcId to, std::uint64_t start,
   r.events[static_cast<std::size_t>(from)].push_back(ev);
 }
 
-void add_recv(ExecReport& r, ProcId at, ProcId from, std::uint64_t wire_ns,
-              std::uint64_t o) {
-  // Arrival pairs FIFO with the matching push on the (from, at) link.
-  const auto& sends = r.events[static_cast<std::size_t>(from)];
-  std::uint64_t push = 0;
-  std::size_t seen = 0, want = 0;
-  for (const ExecEvent& ev : r.events[static_cast<std::size_t>(at)]) {
-    if (ev.kind == ExecEvent::Kind::kRecv && ev.peer == from) ++want;
-  }
-  for (const ExecEvent& ev : sends) {
-    if (ev.kind == ExecEvent::Kind::kSend && ev.peer == at) {
-      if (seen++ == want) {
-        push = ev.xfer_ns;
-        break;
-      }
-    }
-  }
+/// A receive on `at` that accepted the message of events[from][match].
+void add_recv(ExecReport& r, ProcId at, ProcId from, std::uint32_t match,
+              std::uint64_t wire_ns, std::uint64_t o) {
+  const std::uint64_t push =
+      r.events[static_cast<std::size_t>(from)][match].xfer_ns;
   ExecEvent ev;
   ev.kind = ExecEvent::Kind::kRecv;
   ev.peer = from;
+  ev.match = match;
   ev.start_ns = push;
   ev.xfer_ns = push + wire_ns;     // payload arrived after the wire latency
   ev.end_ns = ev.xfer_ns + o;      // stored after the receive overhead
@@ -56,9 +45,9 @@ TEST(Measure, FlatFitRoundTripsKnownParameters) {
   add_send(r, 0, 1, 0, kO);
   add_send(r, 0, 2, kGap, kO);
   add_send(r, 0, 3, 2 * kGap, kO);
-  add_recv(r, 1, 0, kL, kO);
-  add_recv(r, 2, 0, kL, kO);
-  add_recv(r, 3, 0, kL, kO);
+  add_recv(r, 1, 0, 0, kL, kO);
+  add_recv(r, 2, 0, 1, kL, kO);
+  add_recv(r, 3, 0, 2, kL, kO);
 
   const MeasuredLogP fit = measure(r);
   EXPECT_DOUBLE_EQ(fit.L_ns, static_cast<double>(kL));

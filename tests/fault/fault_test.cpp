@@ -11,6 +11,7 @@
 #include "bcast/single_item.hpp"
 #include "exec/engine.hpp"
 #include "exec/program.hpp"
+#include "obs/critical_path.hpp"
 #include "runtime/implicit_plan.hpp"
 #include "runtime/plan_key.hpp"
 #include "runtime/planner.hpp"
@@ -142,8 +143,8 @@ TEST(EngineFault, BroadcastSurvivesDropsWithExactlyOnceDelivery) {
   for (ProcId p = 0; p < params.P; ++p) {
     EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
   }
-  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries).ok());
-  EXPECT_TRUE(validate::check_exactly_once(report.deliveries).ok());
+  EXPECT_TRUE(validate::check_delivery_order(s, report.deliveries()).ok());
+  EXPECT_TRUE(validate::check_exactly_once(report.deliveries()).ok());
   // drop_prob 0.7 over 7 messages: some delivery was dropped and retried
   // at any seed with overwhelming probability -- but only assert the
   // accounting is consistent, not that faults fired.
@@ -156,6 +157,32 @@ TEST(EngineFault, BroadcastSurvivesDropsWithExactlyOnceDelivery) {
   if (drops > 0) {
     EXPECT_GT(report.retries, 0u);
   }
+}
+
+TEST(EngineFault, AckedReceivesNameTheOriginalSendUnderDrops) {
+  // Every first delivery is dropped, so every message arrives as a
+  // retransmitted copy; each accepted copy must still name the send event
+  // that first pushed it, and the profiler must accept the log.
+  const Params params{8, 4, 1, 2};
+  const Schedule s = bcast::optimal_single_item(params);
+  const exec::Program prog = exec::compile_broadcast(s, "bcast-drop");
+  fault::FaultSpec spec;
+  spec.seed = env_seed();
+  spec.drop_prob = 1.0;
+  spec.max_drops_per_message = 1;
+  const fault::Injector inj(spec);
+  Engine engine;
+  const Bytes payload = tu::of_str("named after a retransmit");
+  const ExecReport report =
+      engine.run(prog, Items{std::vector<Bytes>{payload}}, &inj);
+  for (ProcId p = 0; p < params.P; ++p) {
+    EXPECT_EQ(report.item_at(p, 0), payload) << "P" << p;
+  }
+  EXPECT_GT(report.retries, 0u);
+  EXPECT_EQ(tu::match_errors(report), "");
+  EXPECT_LE(report.max_mailbox_occupancy, report.mailbox_capacity);
+  const obs::RunProfile profile = obs::analyze(report);
+  EXPECT_FALSE(profile.critical_path.empty());
 }
 
 TEST(EngineFault, SameSeedSameFaultEventLog) {
@@ -247,7 +274,7 @@ TEST(EngineFault, SummationUnderDropsKeepsNonCommutativeOrder) {
   // fold byte for byte.
   EXPECT_EQ(tu::to_str(faulty.folded_at(plan.root)),
             tu::to_str(clean.folded_at(plan.root)));
-  EXPECT_TRUE(validate::check_exactly_once(faulty.deliveries).ok());
+  EXPECT_TRUE(validate::check_exactly_once(faulty.deliveries()).ok());
 }
 
 TEST(CheckExactlyOnce, FlagsALeakedDuplicate) {
@@ -397,9 +424,9 @@ TEST(Recovery, BroadcastCompletesOnSurvivorsAfterMidRunDeath) {
   ASSERT_NE(res.plan, nullptr);
   EXPECT_TRUE(
       validate::check_delivery_order(runtime::plan_schedule(*res.plan),
-                                     res.report.deliveries)
+                                     res.report.deliveries())
           .ok());
-  EXPECT_TRUE(validate::check_exactly_once(res.report.deliveries).ok());
+  EXPECT_TRUE(validate::check_exactly_once(res.report.deliveries()).ok());
 }
 
 TEST(Recovery, SameSeedSameRecoveryAndSameEventLog) {

@@ -83,10 +83,11 @@ TEST(ChromeTrace, RunProfileExportsColorCodedComponentTracks) {
   report.params = Params{2, 4, 1, 2};
   report.mode = exec::Mode::kMove;
   report.events.resize(2);
-  report.events[0].push_back(exec::ExecEvent{
-      exec::ExecEvent::Kind::kSend, 1, 0, 10, 25, 30, 0});
+  report.events[0].push_back(
+      exec::ExecEvent{exec::ExecEvent::Kind::kSend, 1, 0,
+                      exec::ExecEvent::kNoMatch, 10, 25, 30, 0});
   report.events[1].push_back(exec::ExecEvent{
-      exec::ExecEvent::Kind::kRecv, 0, 0, 5, 40, 50, 5});
+      exec::ExecEvent::Kind::kRecv, 0, 0, /*match=*/0, 5, 40, 50, 5});
   const RunProfile profile = analyze(report);
 
   ChromeTraceWriter w;

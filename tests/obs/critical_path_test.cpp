@@ -12,7 +12,8 @@
 #include "exec/engine.hpp"
 
 /// Tests of the run profiler: the six-component decomposition identity,
-/// FIFO causal matching, the critical-path walk, and the model residual —
+/// the recorded causal matches, the critical-path walk, and the model
+/// residual —
 /// first on hand-built event logs where every edge is known, then on real
 /// P=8 engine runs where the acceptance bounds (components sum to the
 /// rank's span within 1%, path ends at the last-finishing rank) must hold.
@@ -24,14 +25,17 @@ using exec::ExecEvent;
 
 ExecEvent send_ev(ProcId peer, ItemId item, std::uint64_t start,
                   std::uint64_t xfer, std::uint64_t end, Time planned = 0) {
-  return ExecEvent{ExecEvent::Kind::kSend, peer, item, start, xfer, end,
-                   planned};
+  return ExecEvent{ExecEvent::Kind::kSend, peer, item, ExecEvent::kNoMatch,
+                   start, xfer, end, planned};
 }
 
-ExecEvent recv_ev(ProcId peer, ItemId item, std::uint64_t start,
-                  std::uint64_t xfer, std::uint64_t end, Time planned = 0) {
-  return ExecEvent{ExecEvent::Kind::kRecv, peer, item, start, xfer, end,
-                   planned};
+/// A receive of `item` from `peer` that accepted the message of the send
+/// at index `match` in events[peer], as the engine records it at the pop.
+ExecEvent recv_ev(ProcId peer, ItemId item, std::uint32_t match,
+                  std::uint64_t start, std::uint64_t xfer, std::uint64_t end,
+                  Time planned = 0) {
+  return ExecEvent{ExecEvent::Kind::kRecv, peer, item, match, start, xfer,
+                   end, planned};
 }
 
 /// A two-rank run: rank 0 sends at t=10..30, rank 1 waits from t=5, the
@@ -45,7 +49,7 @@ exec::ExecReport two_rank_report() {
   report.wall_ns = 50;
   report.events.resize(2);
   report.events[0].push_back(send_ev(1, 0, 10, 25, 30, 0));
-  report.events[1].push_back(recv_ev(0, 0, 5, 40, 50, 5));
+  report.events[1].push_back(recv_ev(0, 0, 0, 5, 40, 50, 5));
   return report;
 }
 
@@ -93,7 +97,7 @@ TEST(CriticalPath, LateReceiverTakesTheStreamEdge) {
   report.events.resize(2);
   report.events[0].push_back(send_ev(1, 0, 0, 10, 12));
   report.events[1].push_back(send_ev(0, 1, 0, 20, 22));
-  report.events[1].push_back(recv_ev(0, 0, 35, 35, 45));
+  report.events[1].push_back(recv_ev(0, 0, 0, 35, 35, 45));
   const RunProfile profile = analyze(report);
   EXPECT_EQ(profile.straggler, 1);
   ASSERT_EQ(profile.critical_path.size(), 2u);
@@ -104,16 +108,17 @@ TEST(CriticalPath, LateReceiverTakesTheStreamEdge) {
 }
 
 TEST(CriticalPath, FifoMatchingPairsIthSendWithIthRecv) {
-  // Two messages on one link: the chain must thread through the *second*
-  // send (the one the straggling recv actually popped), not the first.
+  // Two messages on one link, each receive naming the send it popped: the
+  // chain must thread through the *second* send (the one the straggling
+  // recv recorded), not the first.
   exec::ExecReport report;
   report.params = Params{2, 4, 1, 2};
   report.mode = exec::Mode::kMove;
   report.events.resize(2);
   report.events[0].push_back(send_ev(1, 0, 0, 5, 6));
   report.events[0].push_back(send_ev(1, 1, 10, 60, 62));
-  report.events[1].push_back(recv_ev(0, 0, 1, 8, 9));
-  report.events[1].push_back(recv_ev(0, 1, 20, 70, 80));
+  report.events[1].push_back(recv_ev(0, 0, 0, 1, 8, 9));
+  report.events[1].push_back(recv_ev(0, 1, 1, 20, 70, 80));
   const RunProfile profile = analyze(report);
   ASSERT_FALSE(profile.critical_path.empty());
   const PathSegment& last = profile.critical_path.back();
@@ -166,6 +171,22 @@ TEST(CriticalPath, RejectsOutOfOrderAndMalformedEvents) {
   report.events[0].clear();
   report.events[0].push_back(send_ev(0, 0, 10, 8, 15));  // xfer before start
   EXPECT_THROW(analyze(report), std::invalid_argument);
+
+  // A receive's match must name a send of its item to its rank.
+  exec::ExecReport two = two_rank_report();
+  two.events[1][0].match = 1;  // out of range: rank 0 logged one event
+  EXPECT_THROW(analyze(two), std::invalid_argument);
+  two = two_rank_report();
+  two.events[0].push_back(recv_ev(1, 1, ExecEvent::kNoMatch, 60, 61, 62));
+  two.events[1][0].match = 1;  // points at rank 0's receive
+  EXPECT_THROW(analyze(two), std::invalid_argument);
+  two = two_rank_report();
+  two.events[1][0].item = 1;  // rank 0's send carried item 0
+  EXPECT_THROW(analyze(two), std::invalid_argument);
+  two = two_rank_report();
+  two.events[1][0].peer = 5;  // no such rank
+  EXPECT_THROW(analyze(two), std::invalid_argument);
+  EXPECT_NO_THROW(analyze(two_rank_report()));
 }
 
 // --- real engine runs ------------------------------------------------------
