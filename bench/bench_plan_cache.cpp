@@ -8,6 +8,8 @@
 /// speedup at every thread count (exit 1 otherwise); typical results are
 /// orders of magnitude beyond it.  A snapshot of the grid must also reload
 /// into the producer's plans and replay with zero builds (exit 1 otherwise).
+/// A cold-compile grid (ns per message lowered from a cached plan, per
+/// collective family) is recorded alongside, not gated.
 
 #include "bench_util.hpp"
 
@@ -16,10 +18,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "api/communicator.hpp"
 #include "bcast/single_item.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/implicit_plan.hpp"
@@ -324,6 +328,57 @@ void report() {
                  implicit_only
                      ? static_cast<double>(plan->implicit->memory_bytes())
                      : 0.0}});
+  }
+
+  // ---- cold compile: plan -> instruction streams ------------------------
+  // The plan is cached; every compile lowers it afresh, as the planning
+  // sweep does for each new key.  Recorded, not a gate.
+  logpc::bench::section("cold compile (cached plan -> exec::Program)");
+  {
+    struct Case {
+      const char* family;
+      runtime::Problem problem;
+      Params params;
+      std::int64_t k;
+    };
+    const Case cases[] = {
+        {"bcast", runtime::Problem::kBroadcast, Params{1024, 6, 1, 2}, 1},
+        {"reduce", runtime::Problem::kReduce, Params{1024, 6, 1, 2}, 1},
+        {"allgather", runtime::Problem::kAllToAll, Params{128, 6, 1, 2}, 1},
+        {"kitem", runtime::Problem::kKItemBroadcast, Params::postal(64, 6),
+         16},
+        {"summation", runtime::Problem::kSummation, Params{64, 6, 1, 2},
+         4096},
+    };
+    constexpr int kCompiles = 51;
+    Table grid({"family", "P", "k", "messages", "median us", "ns/message"});
+    for (const Case& c : cases) {
+      const api::Communicator comm(c.params, std::make_shared<Planner>());
+      const std::size_t messages = comm.compile(c.problem, c.k).num_messages;
+      std::vector<double> ns;
+      for (int i = 0; i < kCompiles; ++i) {
+        const auto s0 = Clock::now();
+        benchmark::DoNotOptimize(comm.compile(c.problem, c.k));
+        ns.push_back(seconds_since(s0) * 1e9);
+      }
+      std::nth_element(ns.begin(), ns.begin() + kCompiles / 2, ns.end());
+      const double median_ns = ns[kCompiles / 2];
+      const double per_message =
+          median_ns / static_cast<double>(std::max<std::size_t>(messages, 1));
+      grid.row(c.family, c.params.P, c.k,
+               static_cast<std::int64_t>(messages), median_ns / 1e3,
+               per_message);
+      json.entry("cold_compile",
+                 {{"family", c.family},
+                  {"P", std::to_string(c.params.P)},
+                  {"k", std::to_string(c.k)}},
+                 {{"messages", static_cast<double>(messages)},
+                  {"median_us", median_ns / 1e3},
+                  {"ns_per_message", per_message}});
+    }
+    grid.print();
+    std::cout << "median of " << kCompiles
+              << " compiles each (recorded, not a gate)\n";
   }
 
   json.attach_metrics(obs::MetricsRegistry::global());

@@ -83,7 +83,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_obs_critical_path test_obs_flight_recorder \
              test_plan_cache test_planner test_snapshot \
              test_implicit_plan test_exec_mailbox test_exec_kernels test_exec_engine \
-             test_communicator_exec test_exec_property test_fault \
+             test_exec_program test_communicator_exec test_exec_property test_fault \
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint test_measure test_io
   ./build-asan/tests/test_obs_metrics
@@ -98,6 +98,9 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_exec_mailbox
   ./build-asan/tests/test_exec_kernels
   ./build-asan/tests/test_exec_engine
+  # The lowering against its reference, and its refusals of malformed
+  # sources (peer-indexed arrays, so bounds matter).
+  ./build-asan/tests/test_exec_program
   ./build-asan/tests/test_communicator_exec
   ./build-asan/tests/test_exec_property
   ./build-asan/tests/test_svc_sched

@@ -172,43 +172,34 @@ constexpr std::size_t kMaxRecoveries = 2;
 exec::Engine& engine_or_shared(exec::Engine* engine) {
   return engine != nullptr ? *engine : exec::Engine::shared();
 }
+
+/// The telemetry label of each problem's compiled program.
+const char* compile_label(runtime::Problem problem, std::int64_t k) {
+  switch (problem) {
+    case runtime::Problem::kBroadcast: return "bcast";
+    case runtime::Problem::kKItemBroadcast: return "bcast-seg";
+    case runtime::Problem::kReduce: return "reduce";
+    case runtime::Problem::kAllToAll: return k == 1 ? "allgather" : "alltoall";
+    case runtime::Problem::kSummation: return "summation";
+  }
+  throw std::invalid_argument("Communicator::compile: unknown problem");
+}
 }  // namespace
 
 exec::Program Communicator::compile(runtime::Problem problem, std::int64_t k,
                                     ProcId root) const {
   const obs::Span span("comm.compile", "comm");
-  switch (problem) {
-    case runtime::Problem::kBroadcast:
-      return exec::compile_plan(
-          *planner_->plan(PlanKey::broadcast(params_, root)), "bcast");
-    case runtime::Problem::kKItemBroadcast: {
-      // Segmented broadcast: the Section 3 single-sending k-item schedule,
-      // one segment per item.  The cache key normalizes root to 0 (the
-      // schedule shape is root-invariant), so a non-zero root is served by
-      // swapping ranks 0 and root in the compiled program rather than
-      // splitting the plan cache per root.
-      if (root < 0 || root >= params_.P) {
-        throw std::invalid_argument("Communicator::compile: bad root");
-      }
-      exec::Program program = exec::compile_plan(
-          *planner_->plan(PlanKey::segmented_broadcast(params_, k)),
-          "bcast-seg");
-      if (root != 0) {
-        program = exec::relabel_swapped(std::move(program), 0, root);
-      }
-      return program;
-    }
-    case runtime::Problem::kReduce:
-      return exec::compile_plan(
-          *planner_->plan(PlanKey::reduce(params_, root)), "reduce");
-    case runtime::Problem::kAllToAll:
-      return exec::compile_plan(
-          *planner_->plan(PlanKey::alltoall(params_, k)),
-          k == 1 ? "allgather" : "alltoall");
-    case runtime::Problem::kSummation:
-      return exec::compile_summation(reduce_operands(k));
+  const char* label = compile_label(problem, k);
+  // Every problem lowers its cached plan; a summation plan carries its
+  // sum::SummationPlan, so nothing is planned again.  The segmented
+  // broadcast (Section 3 k-item schedule) is keyed at root 0, its shape
+  // being root-invariant: other roots swap ranks 0 and root in the program.
+  exec::Program program =
+      exec::compile_plan(*planner_->plan(problem, params_, k, root), label);
+  if (problem == runtime::Problem::kKItemBroadcast && root != 0) {
+    program = exec::relabel_swapped(std::move(program), 0, root);
   }
-  throw std::invalid_argument("Communicator::compile: unknown problem");
+  return program;
 }
 
 exec::ExecReport Communicator::run_broadcast(std::span<const std::byte> payload,
@@ -332,7 +323,7 @@ exec::ExecReport Communicator::run_reduce_operands(
     Count n, const std::vector<std::vector<exec::Bytes>>& operands,
     const exec::Combiner& op, exec::Engine* engine) const {
   const obs::Span span("comm.run_reduce_operands", "comm");
-  const exec::Program program = exec::compile_summation(reduce_operands(n));
+  const exec::Program program = compile(runtime::Problem::kSummation, n);
   return engine_or_shared(engine).run(program, exec::Operands{operands, op});
 }
 

@@ -35,8 +35,10 @@ Schedule all_to_all_k(const Params& params, int k) {
     }
   }
   // Round r (r = 0 .. k(P-1)-1): processor i sends item copy r/(P-1) to
-  // processor i + (r mod (P-1)) + 1.  Every processor is the target of
-  // exactly one message per round, so receives are conflict-free.
+  // processor i + (r mod (P-1)) + 1: one message to every processor per
+  // round (conflict-free), added in sort() order (round, then sender).
+  const auto n = static_cast<std::size_t>(P);
+  s.reserve_sends(n * (n - 1) * static_cast<std::size_t>(k));
   for (int r = 0; r < k * (P - 1); ++r) {
     const int j = r / (P - 1);
     const int offset = r % (P - 1) + 1;
@@ -46,7 +48,6 @@ Schedule all_to_all_k(const Params& params, int k) {
       s.add_send(start, i, to, i * k + j);
     }
   }
-  s.sort();
   return s;
 }
 

@@ -16,6 +16,7 @@
 #include "exec/program.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
+#include "validate/checker.hpp"
 
 /// \file engine.hpp
 /// The shared-memory execution engine: runs a compiled Program by stepping

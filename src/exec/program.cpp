@@ -1,9 +1,10 @@
 #include "exec/program.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "runtime/implicit_plan.hpp"
@@ -13,26 +14,6 @@
 namespace logpc::exec {
 
 namespace {
-
-/// Interns directed links: one mailbox index per (from, to) pair.
-class LinkTable {
- public:
-  std::int32_t intern(ProcId from, ProcId to) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(
-                                   static_cast<std::uint32_t>(from))
-                               << 32) |
-                              static_cast<std::uint32_t>(to);
-    auto [it, inserted] = index_.try_emplace(key, links_.size());
-    if (inserted) links_.push_back(Link{from, to});
-    return static_cast<std::int32_t>(it->second);
-  }
-
-  std::vector<Link> take() { return std::move(links_); }
-
- private:
-  std::unordered_map<std::uint64_t, std::size_t> index_;
-  std::vector<Link> links_;
-};
 
 /// A program with its machine, mode, label and prediction set and one
 /// empty stream per processor, ready for a source to fill.
@@ -52,79 +33,126 @@ Program skeleton(const Params& params, Mode mode, std::string label,
 }
 
 /// The one lowering.  On entry `prog.procs[p].instrs` holds rank p's
-/// events in plan-time order, and every kSend/kRecv carries in `link` the
-/// id of its message, in [0, num_ids) and shared by the send and its
-/// receive.  Walking the ranks in order, each id becomes the mailbox index
-/// of its (from, to) link, links numbered by first appearance; memoizing
-/// per id keeps it to one table probe per message.  The same walk refuses
-/// a stream that would block forever — kMove: a send of an item the rank
-/// has neither received nor been placed; kFold/kSum: a receive after the
-/// rank's one send.
+/// events in plan-time order, each kSend/kRecv carrying in `link` its
+/// message id in [0, num_ids).  Walking the ranks in order, each id becomes
+/// the mailbox index of its (from, to) link, numbered by first appearance.
+/// A link between ranks a and b is first met on rank min(a, b)'s walk, so
+/// an unseen id names a link created on this walk, found through two
+/// peer-indexed arrays (no hashing, nothing reset).  The walk refuses
+/// streams that would misroute or hang: an id used with other endpoints
+/// than its first use, or first used after its peer's walk; kMove: a send
+/// of an item not yet held; kFold/kSum: a receive after the one send.
 void lower(Program& prog, std::size_t num_ids) {
   const bool move = prog.mode == Mode::kMove;
+  const std::size_t P = prog.procs.size();
   const auto items = static_cast<std::size_t>(prog.num_items);
-  std::vector<char> have(move ? prog.procs.size() * items : 0, 0);
+  std::vector<char> have(move ? P * items : 0, 0);
   for (const InitialPlacement& init : prog.initials) {
     have[static_cast<std::size_t>(init.proc) * items +
          static_cast<std::size_t>(init.item)] = 1;
   }
   std::vector<std::int32_t> link_of(num_ids, -1);
-  LinkTable links;
-  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+  prog.links.reserve(num_ids);  // at most one new link per message
+  std::vector<std::int32_t> out_to(P, -1);
+  std::vector<std::int32_t> in_from(P, -1);
+  const auto fail = [](std::size_t p, const std::string& what) {
+    throw std::invalid_argument("exec::compile: P" + std::to_string(p) +
+                                " " + what);
+  };
+  for (std::size_t p = 0; p < P; ++p) {
     const auto self = static_cast<ProcId>(p);
     bool sent = false;
     for (Instr& ins : prog.procs[p].instrs) {
       if (ins.op == OpCode::kCombineLocal) continue;
       const bool send = ins.op == OpCode::kSend;
+      const Link want = send ? Link{self, ins.peer} : Link{ins.peer, self};
       std::int32_t& link = link_of[static_cast<std::size_t>(ins.link)];
       if (link < 0) {
-        link = send ? links.intern(self, ins.peer)
-                    : links.intern(ins.peer, self);
+        if (ins.peer < self) {
+          fail(p, "uses message " + std::to_string(ins.link) +
+                      " but P" + std::to_string(ins.peer) + " does not");
+        }
+        std::int32_t& slot = send || ins.peer == self
+                                 ? out_to[static_cast<std::size_t>(ins.peer)]
+                                 : in_from[static_cast<std::size_t>(ins.peer)];
+        if (slot < 0 || prog.links[static_cast<std::size_t>(slot)] != want) {
+          slot = static_cast<std::int32_t>(prog.links.size());
+          prog.links.push_back(want);
+        }
+        link = slot;
+      } else if (prog.links[static_cast<std::size_t>(link)] != want) {
+        fail(p, "routes message " + std::to_string(ins.link) +
+                    " unlike its other end");
       }
       ins.link = link;
       if (move) {
         char& held = have[p * items + static_cast<std::size_t>(ins.item)];
         if (send && held == 0) {
-          throw std::invalid_argument(
-              "exec::compile: P" + std::to_string(p) + " sends item " +
-              std::to_string(ins.item) + " before holding it");
+          fail(p, "sends item " + std::to_string(ins.item) +
+                      " before holding it");
         }
         if (!send) held = 1;
       } else {
         if (!send && sent) {
-          throw std::invalid_argument(
-              "exec::compile: P" + std::to_string(p) +
-              " receives after its send — not a reduction plan");
+          fail(p, "receives after its send — not a reduction plan");
         }
         sent = sent || send;
       }
     }
   }
-  prog.links = links.take();
 }
 
-/// Source for a materialized schedule: each SendOp is a kSend on its
-/// sender at its start cycle and a kRecv on its receiver at its
-/// payload-available cycle, its schedule position the message id.  Per
-/// rank, events sort by cycle, a receive before a send on the same cycle
-/// (the send may forward the item that just landed), then by position.
-Program from_schedule(Program prog, const Schedule& s) {
-  const auto& sends = s.sends();
+/// Per-rank stream order: by cycle, a receive before a send on the same
+/// cycle (the send may forward the item that just landed), then by
+/// message id.
+bool before(const Instr& a, const Instr& b) {
+  return std::tuple(a.when, a.op == OpCode::kSend, a.link) <
+         std::tuple(b.when, b.op == OpCode::kSend, b.link);
+}
+
+/// The source for schedules and implicit trees alike: each SendOp is a
+/// kSend on its sender at its start cycle and a kRecv on its receiver at
+/// its payload-available cycle, its position in `sends` the message id.
+/// Each rank's stream is filled with its receives, then its sends, both in
+/// `sends` order; for a time-sorted list each run is already in stream
+/// order, so one merge orders the rank, and any other input is sorted.
+Program from_sends(Program prog, const std::vector<SendOp>& sends) {
+  const Schedule timing(prog.params, 1);  // for Schedule::available_at
   prog.num_messages = sends.size();
+  // Cursors into each sized stream: receives fill [0, r), sends [r, end).
+  std::vector<std::size_t> recv_at(prog.procs.size(), 0);
+  std::vector<std::size_t> send_at(prog.procs.size(), 0);
+  for (const SendOp& op : sends) {
+    ++recv_at[static_cast<std::size_t>(op.to)];
+    ++send_at[static_cast<std::size_t>(op.from)];
+  }
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    prog.procs[p].instrs.resize(recv_at[p] + send_at[p]);
+    send_at[p] = std::exchange(recv_at[p], 0);
+  }
   for (std::size_t i = 0; i < sends.size(); ++i) {
     const SendOp& op = sends[i];
     const auto id = static_cast<std::int32_t>(i);
-    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
-        Instr{OpCode::kSend, op.to, op.item, 0, id, op.start});
-    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
-        Instr{OpCode::kRecv, op.from, op.item, 0, id, s.available_at(op)});
+    const auto to = static_cast<std::size_t>(op.to);
+    const auto from = static_cast<std::size_t>(op.from);
+    prog.procs[to].instrs[recv_at[to]++] =
+        Instr{OpCode::kRecv, op.from, op.item, 0, id, timing.available_at(op)};
+    prog.procs[from].instrs[send_at[from]++] =
+        Instr{OpCode::kSend, op.to, op.item, 0, id, op.start};
   }
-  for (ProcProgram& pp : prog.procs) {
-    std::sort(pp.instrs.begin(), pp.instrs.end(),
-              [](const Instr& a, const Instr& b) {
-                return std::tuple(a.when, a.op == OpCode::kSend, a.link) <
-                       std::tuple(b.when, b.op == OpCode::kSend, b.link);
-              });
+  std::vector<Instr> merged;
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    std::vector<Instr>& instrs = prog.procs[p].instrs;
+    const auto mid = instrs.begin() + static_cast<std::ptrdiff_t>(recv_at[p]);
+    if (!std::is_sorted(instrs.begin(), mid, before) ||
+        !std::is_sorted(mid, instrs.end(), before)) {
+      std::sort(instrs.begin(), instrs.end(), before);
+    } else if (mid != instrs.begin() && mid != instrs.end()) {
+      merged.clear();
+      std::merge(instrs.begin(), mid, mid, instrs.end(),
+                 std::back_inserter(merged), before);
+      std::copy(merged.begin(), merged.end(), instrs.begin());
+    }
   }
   lower(prog, sends.size());
   return prog;
@@ -132,31 +160,18 @@ Program from_schedule(Program prog, const Schedule& s) {
 
 }  // namespace
 
-std::vector<std::vector<validate::DeliveryRecord>>
-Program::expected_deliveries() const {
-  std::vector<std::vector<validate::DeliveryRecord>> out(procs.size());
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    for (const Instr& ins : procs[p].instrs) {
-      if (ins.op == OpCode::kRecv) {
-        out[p].push_back(validate::DeliveryRecord{ins.peer, ins.item});
-      }
-    }
-  }
-  return out;
-}
-
 Program compile_broadcast(const Schedule& s, std::string label) {
   Program prog =
       skeleton(s.params(), Mode::kMove, std::move(label), s.makespan());
   prog.num_items = s.num_items();
   prog.initials = s.initials();
-  return from_schedule(std::move(prog), s);
+  return from_sends(std::move(prog), s.sends());
 }
 
 Program compile_reduction(const bcast::ReductionPlan& plan) {
-  return from_schedule(skeleton(plan.schedule.params(), Mode::kFold,
-                                "reduce", plan.completion),
-                       plan.schedule);
+  return from_sends(skeleton(plan.schedule.params(), Mode::kFold, "reduce",
+                             plan.completion),
+                    plan.schedule.sends());
 }
 
 Program relabel_swapped(Program program, ProcId a, ProcId b) {
@@ -190,48 +205,23 @@ Program compile_implicit(const runtime::ImplicitPlan& plan,
   if (label.empty()) label = reduce ? "reduce" : "bcast";
   Program prog = skeleton(plan.params(), reduce ? Mode::kFold : Mode::kMove,
                           std::move(label), plan.completion());
-  const auto P = static_cast<std::size_t>(plan.params().P);
-  const Time T = plan.params().transfer_time();
-  prog.num_messages = P - 1;
   if (!reduce) {
     prog.initials.push_back(InitialPlacement{0, plan.plan_key().root, 0});
   }
-  // Per-rank streams straight from the generators.  A RankSchedule's recvs
-  // and sends are each in time order, and every receive's payload is
-  // available no later than the first send's start (equality only on the
-  // parent link), so recvs-then-sends is plan-time order.  Every tree edge
-  // carries one message, named by its child end: the receiver of a
-  // broadcast edge, the sender of a reduction edge.
-  const auto id = [reduce](const SendOp& op) {
-    return static_cast<std::int32_t>(reduce ? op.from : op.to);
-  };
-  for (std::size_t p = 0; p < P; ++p) {
-    const runtime::RankSchedule rs =
-        plan.rank_schedule(static_cast<ProcId>(p));
-    std::vector<Instr>& instrs = prog.procs[p].instrs;
-    instrs.reserve(rs.recvs.size() + rs.sends.size());
-    for (const SendOp& op : rs.recvs) {
-      instrs.push_back(
-          Instr{OpCode::kRecv, op.from, op.item, 0, id(op), op.start + T});
-    }
-    for (const SendOp& op : rs.sends) {
-      instrs.push_back(
-          Instr{OpCode::kSend, op.to, op.item, 0, id(op), op.start});
-    }
-  }
-  lower(prog, P);
-  return prog;
+  return from_sends(std::move(prog), plan.sends());
 }
 
 Program compile_plan(const runtime::Plan& plan, std::string label) {
   if (plan.implicit) return compile_implicit(*plan.implicit, std::move(label));
+  if (plan.summation) {
+    return compile_summation(*plan.summation, std::move(label));
+  }
   return compile_broadcast(plan.schedule, std::move(label));
 }
 
-Program compile_summation(const sum::SummationPlan& plan) {
-  Program prog = skeleton(plan.params, Mode::kSum, "summation", plan.t);
-  // Each participant sends at most once, so a message is named by its
-  // sender.
+Program compile_summation(const sum::SummationPlan& plan, std::string label) {
+  Program prog = skeleton(plan.params, Mode::kSum, std::move(label), plan.t);
+  // Each participant sends at most once, so its sender names a message.
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
@@ -239,6 +229,7 @@ Program compile_summation(const sum::SummationPlan& plan) {
     stream.sum_index = static_cast<std::int32_t>(i);
     stream.num_operands = layout[i].total();
     const auto& chunks = layout[i].chunk_sizes;
+    stream.instrs.reserve(chunks.size() + pp.recv_from.size() + 1);
     auto add_chunk = [&stream](std::size_t count, Time when) {
       if (count == 0) return;
       stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,

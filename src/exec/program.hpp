@@ -7,7 +7,6 @@
 #include "bcast/reduction.hpp"
 #include "sched/schedule.hpp"
 #include "sum/summation_tree.hpp"
-#include "validate/checker.hpp"
 
 /// \file program.hpp
 /// Instruction compilation: lowering a planned collective — a `Schedule`,
@@ -27,9 +26,10 @@
 /// Every compile_* function is a thin source for one lowering: it emits
 /// each rank's events in that order, and the lowering numbers the links
 /// rank-major (in order of first appearance walking rank 0's stream, then
-/// rank 1's, ...) and refuses streams that would hang.  The same plan
-/// therefore lowers to the same Program whichever form — materialized
-/// schedule or implicit generator — it arrives in.
+/// rank 1's, ...) in time linear in the messages, and refuses streams that
+/// would hang or misroute.  The same plan therefore lowers to the same
+/// Program whichever form — materialized schedule or implicit generator —
+/// it arrives in.
 ///
 /// Three value semantics, one per planner output family:
 ///  * kMove  — broadcast-shaped plans (bcast, k-item, scatter, gather,
@@ -102,11 +102,6 @@ struct Program {
   std::vector<Link> links;                 ///< mailbox directory
   std::vector<InitialPlacement> initials;  ///< kMove: pre-filled slots
 
-  /// The receive sequence each processor will log when execution follows
-  /// the plan — the expected side of validate::check_delivery_order.
-  [[nodiscard]] std::vector<std::vector<validate::DeliveryRecord>>
-  expected_deliveries() const;
-
   friend bool operator==(const Program&, const Program&) = default;
 };
 
@@ -123,27 +118,27 @@ struct Program {
 /// would receive after its send.
 [[nodiscard]] Program compile_reduction(const bcast::ReductionPlan& plan);
 
-/// Lowers an implicit plan straight from its per-rank generators — no
-/// materialized Schedule anywhere on the path.  The result equals
-/// (Program::operator==) compile_broadcast / compile_reduction of the
-/// materialized schedule for the same key, link table included.  `label`
-/// defaults to "bcast" / "reduce" by plan kind.
+/// Lowers an implicit plan from one walk of its tree
+/// (ImplicitPlan::sends), equal (Program::operator==, links included) to
+/// compile_broadcast / compile_reduction of the materialized schedule for
+/// the same key.  `label` defaults to "bcast" / "reduce" by plan kind.
 [[nodiscard]] Program compile_implicit(const runtime::ImplicitPlan& plan,
                                        std::string label = {});
 
 /// Lowers a cached runtime::Plan: from its implicit form when it carries
-/// one (no materialized schedule on the path), otherwise from its
-/// schedule with move semantics.  Both forms give the same Program.  Every
-/// kReduce plan is implicit-only (runtime::implicit_only_plan), so
-/// reductions always lower with fold semantics.  This is the one place a
-/// planned collective chooses its lowering.
+/// one, from its sum::SummationPlan for a summation, otherwise from its
+/// schedule with move semantics.  Every kReduce plan is implicit-only
+/// (runtime::implicit_only_plan), so reductions always lower with fold
+/// semantics.  This is the one place a planned collective chooses its
+/// lowering.
 [[nodiscard]] Program compile_plan(const runtime::Plan& plan,
                                    std::string label);
 
 /// Lowers a summation plan: local chunks from sum::operand_layout
 /// interleave with receptions; processors outside plan.procs get empty
-/// streams.
-[[nodiscard]] Program compile_summation(const sum::SummationPlan& plan);
+/// streams.  Throws std::invalid_argument if recv_from and send_to disagree.
+[[nodiscard]] Program compile_summation(const sum::SummationPlan& plan,
+                                        std::string label = "summation");
 
 /// Relabels a compiled program by swapping processors `a` and `b`:
 /// instruction streams, link endpoints and initial placements all move

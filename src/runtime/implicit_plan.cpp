@@ -84,11 +84,10 @@ Time ImplicitPlan::label_of_index(std::int64_t node) const {
   return static_cast<Time>(it - cum_.begin());
 }
 
-ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node) const {
+ImplicitPlan::OptParent ImplicitPlan::optimal_parent(std::int64_t node,
+                                                     Time ell) const {
   OptParent out;
-  out.label = label_of_index(node);
   if (node == 0) return out;
-  const Time ell = out.label;
   const Count j = static_cast<Count>(node) - nodes_through(ell - 1);
   const Time i_max = (ell - T_) / g_;
   const Time lam_min = ell - T_ - i_max * g_;
@@ -121,12 +120,12 @@ Time ImplicitPlan::label(std::int64_t node) const {
 
 std::int64_t ImplicitPlan::parent(std::int64_t node) const {
   check_node(node, P_, "parent");
-  return node == 0 ? -1 : optimal_parent(node).parent;
+  return node == 0 ? -1 : optimal_parent(node, label_of_index(node)).parent;
 }
 
 int ImplicitPlan::child_rank(std::int64_t node) const {
   check_node(node, P_, "child_rank");
-  return node == 0 ? 0 : optimal_parent(node).rank;
+  return node == 0 ? 0 : optimal_parent(node, label_of_index(node)).rank;
 }
 
 std::int64_t ImplicitPlan::child(std::int64_t node, int rank) const {
@@ -218,21 +217,31 @@ RankSchedule ImplicitPlan::rank_schedule(ProcId proc) const {
   return rs;
 }
 
+std::vector<SendOp> ImplicitPlan::sends() const {
+  std::vector<SendOp> out;
+  out.reserve(static_cast<std::size_t>(P_ - 1));
+  Time ell = reverse_ ? label_of_index(P_ - 1) : 0;
+  for (std::int64_t i = 1; i < P_; ++i) {
+    const std::int64_t node = reverse_ ? P_ - i : i;
+    while (nodes_through(ell) <= static_cast<Count>(node)) ++ell;
+    while (nodes_through(ell - 1) > static_cast<Count>(node)) --ell;
+    const ProcId child = proc_of_node(node);
+    const ProcId up = proc_of_node(optimal_parent(node, ell).parent);
+    // Section 4.2 reversal: parent->child at ell - T, child->parent at B - ell.
+    out.push_back(reverse_ ? SendOp{completion_ - ell, child, up, 0}
+                           : SendOp{ell - T_, up, child, 0});
+  }
+  return out;
+}
+
 Schedule ImplicitPlan::to_schedule() const {
   Schedule out(key_.params, 1);
-  if (!reverse_) {
-    out.add_initial(0, key_.root, 0);
-    for (std::int64_t n = 1; n < P_; ++n) {
-      out.add_send(label(n) - T_, proc_of_node(parent(n)), proc_of_node(n),
-                   0);
-    }
-  } else {
+  if (reverse_) {
     for (ProcId p = 0; p < key_.params.P; ++p) out.add_initial(0, p, 0);
-    for (std::int64_t n = 1; n < P_; ++n) {
-      out.add_send(completion_ - label(n), proc_of_node(n),
-                   proc_of_node(parent(n)), 0);
-    }
+  } else {
+    out.add_initial(0, key_.root, 0);
   }
+  for (const SendOp& op : sends()) out.add_send(op);
   out.sort();
   return out;
 }

@@ -115,6 +115,12 @@ class ImplicitPlan {
   /// (the optimal tree's out-degrees are O(log P)).
   [[nodiscard]] RankSchedule rank_schedule(ProcId proc) const;
 
+  /// Every message, one per tree edge, from one walk over nodes 1 .. P-1
+  /// (labels advanced, not searched; one parent decode per node): ascending
+  /// for a broadcast (each parent's sends in time order), descending for a
+  /// reduce (each node's receives in arrival order).
+  [[nodiscard]] std::vector<SendOp> sends() const;
+
   /// O(P log P) materialization, equal (by Schedule::operator==) to the
   /// direct builder's schedule for the same key (bcast::optimal_single_item,
   /// bcast::optimal_reduction).  For the validator, the figures and the
@@ -130,12 +136,12 @@ class ImplicitPlan {
   [[nodiscard]] Count nodes_through(Time t) const;  ///< N(t); 0 for t < 0
   [[nodiscard]] Time label_of_index(std::int64_t node) const;
   struct OptParent {
-    Time label = 0;
     std::int64_t parent = -1;
     int rank = 0;
   };
-  /// One decode resolving label, parent index and child rank together.
-  [[nodiscard]] OptParent optimal_parent(std::int64_t node) const;
+  /// One decode resolving the parent index and child rank of `node`, whose
+  /// label is `ell`.
+  [[nodiscard]] OptParent optimal_parent(std::int64_t node, Time ell) const;
 
   PlanKey key_;
   bool reverse_ = false;  ///< emit time-reversed (kReduce)

@@ -10,6 +10,7 @@
 
 #include "runtime/plan_key.hpp"
 #include "sched/schedule.hpp"
+#include "sum/summation_tree.hpp"
 
 /// \file plan_cache.hpp
 /// The sharded, thread-safe LRU cache at the heart of the planning runtime.
@@ -35,7 +36,8 @@ class ImplicitPlan;
 /// Exactly one representation per plan, fixed by the key's family:
 ///  * `implicit` — the O(log P) generator form (implicit_plan.hpp), for
 ///    every key with one (runtime::implicit_only_plan), at every P;
-///  * `schedule` — the materialized per-op IR, for every other key.
+///  * `schedule` — the materialized per-op IR, for every other key; a
+///    summation also keeps the sum::SummationPlan it views (`summation`).
 /// So `materialized == (implicit == nullptr)`, and an implicit entry is a
 /// few hundred bytes whatever P is.  Use runtime::plan_schedule(plan) when
 /// you need a Schedule regardless of representation.
@@ -43,6 +45,7 @@ struct Plan {
   PlanKey key;
   Schedule schedule;  ///< empty unless `materialized`
   std::shared_ptr<const ImplicitPlan> implicit;  ///< null iff `materialized`
+  std::shared_ptr<const sum::SummationPlan> summation;  ///< kSummation only
   bool materialized = true;  ///< is `schedule` populated?
   Time completion = 0;
   std::string method;        ///< construction label ("block-cyclic", ...)

@@ -191,9 +191,10 @@ Plan Planner::build_uncached(const PlanKey& key) {
     case Problem::kSummation: {
       const Time t =
           sum::min_time_for_operands(m, static_cast<Count>(key.k));
-      const auto r = sum::optimal_summation(m, t);
-      plan.schedule = r.timing_view();
-      plan.completion = r.t;
+      plan.summation = std::make_shared<const sum::SummationPlan>(
+          sum::optimal_summation(m, t));
+      plan.schedule = plan.summation->timing_view();
+      plan.completion = plan.summation->t;
       plan.method = "reversed (L+1) tree (Sec 5)";
       break;
     }

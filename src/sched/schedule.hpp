@@ -29,12 +29,12 @@ class Schedule {
 
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] int num_items() const { return num_items_; }
-  void set_num_items(int n) { num_items_ = n; }
 
   [[nodiscard]] const std::vector<InitialPlacement>& initials() const {
     return initials_;
   }
   [[nodiscard]] const std::vector<SendOp>& sends() const { return sends_; }
+  void reserve_sends(std::size_t n) { sends_.reserve(n); }
 
   /// Declares that `item` exists at `proc` from cycle `time` on.
   void add_initial(ItemId item, ProcId proc, Time time = 0);

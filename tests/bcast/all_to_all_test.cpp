@@ -67,6 +67,18 @@ TEST(AllToAll, EveryProcessorReceivesOncePerRound) {
   }
 }
 
+TEST(AllToAll, KItemSendsComeOutInSortedOrder) {
+  for (const int P : {2, 3, 8, 65, 128}) {
+    for (const int k : {1, 3}) {
+      const Schedule s = all_to_all_k(Params{P, 5, 1, 2}, k);
+      Schedule sorted = s;
+      sorted.sort();
+      EXPECT_EQ(s, sorted) << "P=" << P << " k=" << k;
+      EXPECT_EQ(s.sends().size(), static_cast<std::size_t>(P * (P - 1) * k));
+    }
+  }
+}
+
 TEST(AllToAll, SingleProcessorIsTrivial) {
   const Schedule s = all_to_all(Params{1, 3, 1, 2});
   EXPECT_TRUE(s.sends().empty());

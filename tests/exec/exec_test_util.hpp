@@ -1,18 +1,26 @@
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/engine.hpp"
+#include "exec/program.hpp"
+#include "runtime/implicit_plan.hpp"
+#include "runtime/plan_cache.hpp"
+#include "sum/executor.hpp"
 
 /// Shared payload helpers for the exec test suites: fixed-width integers
 /// and variable-length strings in and out of exec::Bytes, plus the two
 /// combine operators the paper's summation footnote distinguishes (a
-/// commutative one and a non-commutative one), and an independent oracle
-/// for the causality the engine records on each receive.
+/// commutative one and a non-commutative one), an independent oracle for
+/// the causality the engine records on each receive, and a reference
+/// lowering that the compiler's Programs must equal.
 
 namespace logpc::exec::testutil {
 
@@ -94,5 +102,166 @@ inline std::string match_errors(const ExecReport& report) {
   }
   return "";
 }
+
+/// A reference lowering, written for clarity rather than speed: links
+/// interned through a hash map, every rank's stream fully sorted, and the
+/// implicit source built from ImplicitPlan::rank_schedule.  exec::compile_*
+/// must produce Programs equal to these (Program::operator==, links
+/// included) on every valid plan.
+namespace reference {
+
+inline Program skeleton(const Params& params, Mode mode, std::string label,
+                        Time predicted_makespan) {
+  Program prog;
+  prog.params = params;
+  prog.mode = mode;
+  prog.label = std::move(label);
+  prog.predicted_makespan = predicted_makespan;
+  prog.procs.resize(static_cast<std::size_t>(params.P));
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    prog.procs[p].proc = static_cast<ProcId>(p);
+  }
+  return prog;
+}
+
+/// Each instruction's `link` holds its message id on entry; links are
+/// numbered by first appearance walking rank 0's stream, then rank 1's ...
+inline void lower(Program& prog, std::size_t num_ids) {
+  std::unordered_map<std::uint64_t, std::int32_t> index;
+  std::vector<std::int32_t> link_of(num_ids, -1);
+  const auto intern = [&](ProcId from, ProcId to) {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
+        static_cast<std::uint32_t>(to);
+    const auto [it, inserted] = index.try_emplace(
+        key, static_cast<std::int32_t>(prog.links.size()));
+    if (inserted) prog.links.push_back(Link{from, to});
+    return it->second;
+  };
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    const auto self = static_cast<ProcId>(p);
+    for (Instr& ins : prog.procs[p].instrs) {
+      if (ins.op == OpCode::kCombineLocal) continue;
+      std::int32_t& link = link_of[static_cast<std::size_t>(ins.link)];
+      if (link < 0) {
+        link = ins.op == OpCode::kSend ? intern(self, ins.peer)
+                                       : intern(ins.peer, self);
+      }
+      ins.link = link;
+    }
+  }
+}
+
+inline Program from_schedule(Program prog, const Schedule& s) {
+  const auto& sends = s.sends();
+  prog.num_messages = sends.size();
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const SendOp& op = sends[i];
+    const auto id = static_cast<std::int32_t>(i);
+    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
+        Instr{OpCode::kSend, op.to, op.item, 0, id, op.start});
+    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
+        Instr{OpCode::kRecv, op.from, op.item, 0, id, s.available_at(op)});
+  }
+  for (ProcProgram& pp : prog.procs) {
+    std::sort(pp.instrs.begin(), pp.instrs.end(),
+              [](const Instr& a, const Instr& b) {
+                return std::tuple(a.when, a.op == OpCode::kSend, a.link) <
+                       std::tuple(b.when, b.op == OpCode::kSend, b.link);
+              });
+  }
+  lower(prog, sends.size());
+  return prog;
+}
+
+inline Program compile_broadcast(const Schedule& s,
+                                 std::string label = "bcast") {
+  Program prog =
+      skeleton(s.params(), Mode::kMove, std::move(label), s.makespan());
+  prog.num_items = s.num_items();
+  prog.initials = s.initials();
+  return from_schedule(std::move(prog), s);
+}
+
+inline Program compile_reduction(const bcast::ReductionPlan& plan) {
+  return from_schedule(skeleton(plan.schedule.params(), Mode::kFold,
+                                "reduce", plan.completion),
+                       plan.schedule);
+}
+
+inline Program compile_implicit(const runtime::ImplicitPlan& plan,
+                                std::string label) {
+  const bool reduce = plan.is_reduction();
+  Program prog = skeleton(plan.params(), reduce ? Mode::kFold : Mode::kMove,
+                          std::move(label), plan.completion());
+  const auto P = static_cast<std::size_t>(plan.params().P);
+  const Time T = plan.params().transfer_time();
+  prog.num_messages = P - 1;
+  if (!reduce) {
+    prog.initials.push_back(InitialPlacement{0, plan.plan_key().root, 0});
+  }
+  const auto id = [reduce](const SendOp& op) {
+    return static_cast<std::int32_t>(reduce ? op.from : op.to);
+  };
+  for (std::size_t p = 0; p < P; ++p) {
+    const runtime::RankSchedule rs =
+        plan.rank_schedule(static_cast<ProcId>(p));
+    std::vector<Instr>& instrs = prog.procs[p].instrs;
+    for (const SendOp& op : rs.recvs) {
+      instrs.push_back(
+          Instr{OpCode::kRecv, op.from, op.item, 0, id(op), op.start + T});
+    }
+    for (const SendOp& op : rs.sends) {
+      instrs.push_back(
+          Instr{OpCode::kSend, op.to, op.item, 0, id(op), op.start});
+    }
+  }
+  lower(prog, P);
+  return prog;
+}
+
+inline Program compile_summation(const sum::SummationPlan& plan,
+                                 std::string label = "summation") {
+  Program prog = skeleton(plan.params, Mode::kSum, std::move(label), plan.t);
+  const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    const sum::ProcPlan& pp = plan.procs[i];
+    ProcProgram& stream = prog.procs[static_cast<std::size_t>(pp.proc)];
+    stream.sum_index = static_cast<std::int32_t>(i);
+    stream.num_operands = layout[i].total();
+    const auto& chunks = layout[i].chunk_sizes;
+    const auto add_chunk = [&stream](std::size_t count, Time when) {
+      if (count == 0) return;
+      stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
+                                    static_cast<std::int32_t>(count), -1,
+                                    when});
+    };
+    add_chunk(chunks[0], 0);
+    for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
+      stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
+                                    pp.recv_from[j], pp.recv_times[j]});
+      add_chunk(chunks[j + 1], pp.recv_times[j]);
+    }
+    if (pp.send_to != kNoProc) {
+      stream.instrs.push_back(
+          Instr{OpCode::kSend, pp.send_to, 0, 0, pp.proc, pp.send_time});
+      ++prog.num_messages;
+    }
+  }
+  lower(prog, prog.procs.size());
+  return prog;
+}
+
+/// The reference for exec::compile_plan: the cached plan's implicit form,
+/// summation plan or schedule, whichever it carries.
+inline Program compile_plan(const runtime::Plan& plan, std::string label) {
+  if (plan.implicit) return compile_implicit(*plan.implicit, std::move(label));
+  if (plan.summation) {
+    return compile_summation(*plan.summation, std::move(label));
+  }
+  return compile_broadcast(plan.schedule, std::move(label));
+}
+
+}  // namespace reference
 
 }  // namespace logpc::exec::testutil
