@@ -9,7 +9,8 @@
 /// orders of magnitude beyond it.  A snapshot of the grid must also reload
 /// into the producer's plans and replay with zero builds (exit 1 otherwise).
 /// A cold-compile grid (ns per message lowered from a cached plan, per
-/// collective family) is recorded alongside, not gated.
+/// collective family) and a cold-plan grid (microseconds from key to
+/// cached plan, per family) are recorded alongside, not gated.
 
 #include "bench_util.hpp"
 
@@ -379,6 +380,55 @@ void report() {
     grid.print();
     std::cout << "median of " << kCompiles
               << " compiles each (recorded, not a gate)\n";
+  }
+
+  // ---- cold plan: key -> cached plan ------------------------------------
+  // build_uncached alone, and Planner::plan on a fresh planner (the build
+  // plus the miss path around it: span, dedup promise, cache put).
+  // Planner construction is outside the timed region.  Recorded, not a
+  // gate.
+  logpc::bench::section("cold plan (build_uncached and a fresh Planner::plan)");
+  {
+    struct Case {
+      const char* family;
+      PlanKey key;
+    };
+    const Case cases[] = {
+        {"bcast", PlanKey::broadcast(Params{1 << 20, 6, 1, 2})},
+        {"reduce", PlanKey::reduce(Params{1 << 20, 6, 1, 2})},
+        {"summation", PlanKey::summation(Params{64, 6, 1, 2}, 4096)},
+        {"kitem", PlanKey::kitem(Params::postal(64, 6), 16)},
+    };
+    constexpr int kPlans = 51;
+    const auto median_us = [](std::vector<double>& ns) {
+      std::nth_element(ns.begin(), ns.begin() + kPlans / 2, ns.end());
+      return ns[kPlans / 2] / 1e3;
+    };
+    Table grid({"family", "P", "k", "build us", "cold plan us"});
+    for (const Case& c : cases) {
+      std::vector<double> build_ns;
+      std::vector<double> plan_ns;
+      for (int i = 0; i < kPlans; ++i) {
+        const auto s0 = Clock::now();
+        benchmark::DoNotOptimize(Planner::build_uncached(c.key));
+        build_ns.push_back(seconds_since(s0) * 1e9);
+        Planner planner;
+        const auto s1 = Clock::now();
+        benchmark::DoNotOptimize(planner.plan(c.key));
+        plan_ns.push_back(seconds_since(s1) * 1e9);
+      }
+      const double build_us = median_us(build_ns);
+      const double plan_us = median_us(plan_ns);
+      grid.row(c.family, c.key.params.P, c.key.k, build_us, plan_us);
+      json.entry("cold_plan",
+                 {{"family", c.family},
+                  {"P", std::to_string(c.key.params.P)},
+                  {"k", std::to_string(c.key.k)}},
+                 {{"build_us", build_us}, {"cold_plan_us", plan_us}});
+    }
+    grid.print();
+    std::cout << "median of " << kPlans
+              << " plans each (recorded, not a gate)\n";
   }
 
   json.attach_metrics(obs::MetricsRegistry::global());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, then the runtime concurrency
 # tests again under ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs,
-# runtime and parser suites under ASan/UBSan
+# runtime, counting-recurrence and parser suites under ASan/UBSan
 # (-DLOGPC_SANITIZE=address,undefined).
 #
 #   scripts/verify.sh            # all three passes
@@ -76,7 +76,7 @@ fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo
-  echo "=== asan/ubsan: obs + runtime + parser tests (build-asan/) ==="
+  echo "=== asan/ubsan: obs + runtime + recurrence + parser tests (build-asan/) ==="
   cmake -B build-asan -S . -DLOGPC_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_obs_metrics test_obs_trace test_obs_chrome \
@@ -85,7 +85,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_implicit_plan test_exec_mailbox test_exec_kernels test_exec_engine \
              test_exec_program test_communicator_exec test_exec_property test_fault \
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
-             test_prometheus_lint test_measure test_io
+             test_prometheus_lint test_measure test_io test_tree \
+             test_summation
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -114,6 +115,11 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # (which also carries the resealed huge-L/o keys PlanKey::make bounds),
   # test_io puts both under ASan/UBSan.
   ./build-asan/tests/test_io
+  # The counting recurrence and the summation's count-table arithmetic
+  # (saturating adds, label sums, the closed form past B(P)) against
+  # their quadratic and tree-building oracles.
+  ./build-asan/tests/test_tree
+  ./build-asan/tests/test_summation
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault
   done

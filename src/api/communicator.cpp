@@ -132,12 +132,11 @@ Schedule Communicator::gather(ProcId root) const {
 
 sum::SummationPlan Communicator::reduce_operands(Count n) const {
   const obs::Span span("comm.reduce_operands", "comm");
-  return sum::optimal_summation(params_,
-                                sum::min_time_for_operands(params_, n));
+  return *planner_->plan(runtime::Problem::kSummation, params_, n)->summation;
 }
 
 Time Communicator::reduce_operands_time(Count n) const {
-  return sum::min_time_for_operands(params_, n);
+  return planner_->plan(runtime::Problem::kSummation, params_, n)->completion;
 }
 
 Schedule Communicator::alltoall(int k) const {

@@ -141,7 +141,7 @@ class Communicator {
   [[nodiscard]] Time gather_time() const { return api::scatter_time(params_); }
 
   /// Summation of n input operands with unit-cost additions (Section 5);
-  /// requires g >= o + 1.
+  /// requires g >= o + 1.  Both read the cached kSummation plan.
   [[nodiscard]] sum::SummationPlan reduce_operands(Count n) const;
   [[nodiscard]] Time reduce_operands_time(Count n) const;
 

@@ -2,31 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
-#include <tuple>
 
 namespace logpc::bcast {
-
-namespace {
-
-// Candidate "next node to materialize" in the best-first expansion of the
-// universal tree: the rank-th child of an existing node.
-struct Candidate {
-  Time label;
-  int parent;  // node index; tie-break: earlier-created parents first
-  int rank;
-
-  bool operator>(const Candidate& other) const {
-    return std::tie(label, parent, rank) >
-           std::tie(other.label, other.parent, other.rank);
-  }
-};
-
-using CandidateQueue =
-    std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>;
-
-}  // namespace
 
 BroadcastTree BroadcastTree::optimal(const Params& params, int P) {
   params.require_valid();
@@ -35,19 +13,23 @@ BroadcastTree BroadcastTree::optimal(const Params& params, int P) {
   tree.params_ = params;
   tree.nodes_.reserve(static_cast<std::size_t>(P));
   tree.nodes_.push_back(TreeNode{0, -1, 0, {}});
-  CandidateQueue frontier;
-  frontier.push(Candidate{params.child_label(0, 0), 0, 0});
-  while (tree.size() < P) {
-    const Candidate c = frontier.top();
-    frontier.pop();
-    const int idx = tree.size();
-    tree.nodes_.push_back(TreeNode{c.label, c.parent, c.rank, {}});
-    tree.nodes_[static_cast<std::size_t>(c.parent)].children.push_back(idx);
-    // The new node's oldest child, and the parent's next child.
-    frontier.push(Candidate{params.child_label(c.label, 0), idx, 0});
-    frontier.push(Candidate{
-        params.child_label(tree.node(c.parent).label, c.rank + 1), c.parent,
-        c.rank + 1});
+  // Nodes in (label, parent index, child rank) order, label by label: the
+  // nodes labelled l are the rank-i children of the nodes labelled
+  // lam = l - T - i*g, which hold indices [N(lam - 1), N(lam)); the oldest
+  // parents (largest i) come first.
+  const std::vector<Count> N = reachable_until(params, static_cast<Count>(P));
+  const Time T = params.transfer_time();
+  for (Time l = T; tree.size() < P; ++l) {
+    for (Time i = (l - T) / params.g; i >= 0 && tree.size() < P; --i) {
+      const Time lam = l - T - i * params.g;
+      const Count first = lam == 0 ? 0 : N[static_cast<std::size_t>(lam - 1)];
+      for (Count p = first;
+           p < N[static_cast<std::size_t>(lam)] && tree.size() < P; ++p) {
+        const int parent = static_cast<int>(p);
+        tree.nodes_[p].children.push_back(tree.size());
+        tree.nodes_.push_back(TreeNode{l, parent, static_cast<int>(i), {}});
+      }
+    }
   }
   return tree;
 }
@@ -56,21 +38,14 @@ BroadcastTree BroadcastTree::up_to(const Params& params, Time t,
                                    std::size_t max_nodes) {
   params.require_valid();
   if (t < 0) throw std::invalid_argument("BroadcastTree::up_to: t >= 0");
+  // optimal() takes an int node count, and `max_nodes` may exceed INT_MAX.
   const Count n = reachable(params, t);
-  if (n > max_nodes) {
+  if (n > std::min<Count>(max_nodes, std::numeric_limits<int>::max())) {
     throw std::invalid_argument("BroadcastTree::up_to: tree too large (" +
                                 std::to_string(n) + " nodes)");
   }
-  // `max_nodes` is caller-controlled and may exceed INT_MAX; optimal() takes
-  // an int node count, so reject instead of truncating.
-  if (n > static_cast<Count>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(
-        "BroadcastTree::up_to: tree exceeds INT_MAX nodes (" +
-        std::to_string(n) + "); use the implicit planner for large P");
-  }
-  BroadcastTree tree = optimal(params, static_cast<int>(n));
-  // By construction the n cheapest nodes are exactly those with label <= t.
-  return tree;
+  // The n cheapest nodes are exactly those with label <= t.
+  return optimal(params, static_cast<int>(n));
 }
 
 BroadcastTree BroadcastTree::from_parents(const Params& params,
@@ -157,50 +132,34 @@ Schedule BroadcastTree::to_schedule(ProcId source) const {
 Count reachable(const Params& params, Time t) {
   params.require_valid();
   if (t < 0) return 0;
-  return reachable_prefix(params, t).back();
+  // N is monotone, so once it saturates it stays there.
+  return reachable_until(params, kSaturated, t).back();
 }
 
 std::vector<Count> reachable_prefix(const Params& params, Time t) {
+  // N never exceeds kSaturated, so this runs through t.
+  return reachable_until(params, kSaturated + 1, t);
+}
+
+std::vector<Count> reachable_until(const Params& params, Count P, Time t) {
   params.require_valid();
-  if (t < 0) {
-    throw std::invalid_argument("reachable_prefix: t >= 0");
-  }
-  // N(u) = processors reachable within u cycles of the root being informed:
-  // the root itself plus, for each child started at i*g (landing at
-  // i*g + L + 2o <= u), a full subtree with the remaining budget.
-  const Time T = params.transfer_time();
-  std::vector<Count> N(static_cast<std::size_t>(t) + 1, 1);
-  for (Time u = 0; u <= t; ++u) {
-    Count total = 1;
-    for (Time i = 0; T + i * params.g <= u; ++i) {
-      total = sat_add(total, N[static_cast<std::size_t>(u - T - i * params.g)]);
-      if (total >= kSaturated) break;
-    }
-    N[static_cast<std::size_t>(u)] = total;
+  if (t < 0) throw std::invalid_argument("reachable_until: t >= 0");
+  // The root's children from the second on are the same tree one send slot
+  // later; the oldest child's subtree is the tree T later.
+  const auto T = static_cast<std::size_t>(params.transfer_time());
+  const auto g = static_cast<std::size_t>(params.g);
+  std::vector<Count> N{1};
+  for (std::size_t u = 1; N.back() < P && static_cast<Time>(u) <= t; ++u) {
+    N.push_back(sat_add(u >= g ? N[u - g] : 1, u >= T ? N[u - T] : 0));
   }
   return N;
 }
 
 Time B_of_P(const Params& params, int P) {
-  params.require_valid();
   if (P < 1) throw std::invalid_argument("B_of_P: P >= 1");
-  if (P == 1) return 0;
-  // reachable() is monotone in t; gallop then binary search.
-  Time lo = 0;
-  Time hi = 1;
-  while (reachable(params, hi) < static_cast<Count>(P)) {
-    lo = hi;
-    hi *= 2;
-  }
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (reachable(params, mid) >= static_cast<Count>(P)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return static_cast<Time>(
+             reachable_until(params, static_cast<Count>(P)).size()) -
+         1;
 }
 
 }  // namespace logpc::bcast

@@ -34,6 +34,7 @@ class BroadcastTree {
  public:
   /// Builds B(P): the P cheapest nodes of the universal tree (Def. 2.4).
   /// Ties are broken deterministically (older parents, lower ranks first).
+  /// Reads the node order off reachable_until's count table in O(P + B^2 / g).
   static BroadcastTree optimal(const Params& params, int P);
 
   /// Builds the *t-step* universal tree: every node with label <= t.
@@ -84,19 +85,24 @@ class BroadcastTree {
 };
 
 /// Number of processors reachable by single-item broadcast in t cycles,
-/// P(t; L, o, g), computed by dynamic programming on the universal tree
-/// (saturating at kSaturated).  In the postal model this equals f_t
-/// (Theorem 2.2).
+/// P(t; L, o, g) = N(t), the count of universal-tree nodes with label <= t,
+/// saturating at kSaturated.  N follows the Section 2 recurrence
+///   N(u) = (u >= g ? N(u - g) : 1) + (u >= L + 2o ? N(u - L - 2o) : 0),
+/// Theorem 2.2's f_t = f_{t-1} + f_{t-L} in the postal model: O(1) per cycle.
 [[nodiscard]] Count reachable(const Params& params, Time t);
 
-/// The whole prefix of the reachability DP in one pass: out[u] = N(u) =
-/// reachable(params, u) for u in [0, t] (out.size() == t + 1).  The implicit
-/// planner keys its O(log P) decode tables off this table.
+/// out[u] = N(u) for u in [0, t] (out.size() == t + 1), in one O(t) pass.
 [[nodiscard]] std::vector<Count> reachable_prefix(const Params& params,
                                                   Time t);
 
+/// N(0), N(1), ... until N(u) >= P or u == t, in one O(min(t, B(P))) pass:
+/// back() == N(min(t, B(P))), and size() - 1 == B(P) when t >= B(P).  The
+/// implicit planner's decode tables and the Section 5 operand counts read it.
+[[nodiscard]] std::vector<Count> reachable_until(const Params& params,
+                                                 Count P, Time t = kNever);
+
 /// The single-item broadcast complexity B(P; L, o, g): the least t with
-/// reachable(t) >= P.
+/// reachable(t) >= P, from one reachable_until pass.
 [[nodiscard]] Time B_of_P(const Params& params, int P);
 
 }  // namespace logpc::bcast

@@ -51,9 +51,9 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
 
 // ---- optimal tree (Section 2) -------------------------------------------
 //
-// BroadcastTree::optimal materializes the universal tree best-first with
-// the tie-break (label, parent index, child rank), so node indices follow
-// that total order exactly.  With N(t) nodes of label <= t:
+// BroadcastTree::optimal materializes the universal tree in the order
+// (label, parent index, child rank), so node indices follow that total
+// order exactly.  With N(t) nodes of label <= t:
 //  * label(n) is the least t with N(t) > n (binary search over cum_);
 //  * within label l, nodes split into classes by child rank i, parent
 //    label lam = l - T - i*g.  All classes share the send-slot residue
@@ -63,8 +63,10 @@ ImplicitPlan ImplicitPlan::build(const PlanKey& key) {
 //    class totals in O(1), leaving one binary search per decode.
 
 void ImplicitPlan::build_optimal_tables() {
-  completion_ = bcast::B_of_P(key_.params, key_.params.P);
-  cum_ = bcast::reachable_prefix(key_.params, completion_);
+  // One pass of the recurrence, stopped at B(P): the first t with N(t) >= P.
+  cum_ = bcast::reachable_until(key_.params, static_cast<Count>(P_));
+  cum_.shrink_to_fit();  // memory_bytes() counts capacity
+  completion_ = static_cast<Time>(cum_.size()) - 1;
   strided_.resize(cum_.size());
   const auto stride = static_cast<std::size_t>(g_);
   for (std::size_t t = 0; t < cum_.size(); ++t) {

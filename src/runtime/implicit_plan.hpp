@@ -23,10 +23,11 @@
 /// those recurrence tables — O(B) = O(log P) words — and answers per-node
 /// and per-rank queries on demand:
 ///
-///  * broadcast: the best-first materialization order of
+///  * broadcast: the materialization order of
 ///    `BroadcastTree::optimal` is exactly the total order by
 ///    (label, parent index, child rank).  With N(t) = reachable(params, t)
-///    (the Definition 2.3 node-counting DP; f_t in the postal model) the
+///    (the Definition 2.3 node count, N(t) = N(t-g) + N(t-L-2o); f_t in
+///    the postal model), filled through B(P) in one O(B) pass, the
 ///    index -> label map is a binary search over the cumulative table, and
 ///    within one label the nodes split into per-child-rank classes whose
 ///    sizes are N-differences — a strided prefix-sum table over send slots

@@ -1,5 +1,7 @@
 #include "runtime/planner.hpp"
 
+#include <array>
+#include <atomic>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,13 +21,20 @@ namespace {
 constexpr std::size_t kCacheCapacity = 4096;
 constexpr std::size_t kCacheShards = 8;
 
-/// The per-problem build-latency histogram — registry lookup per call is
-/// fine here: this runs once per cache miss, next to a schedule build.
+/// The per-problem build-latency histogram, looked up on the problem's first
+/// build and kept (nothing unregisters it, and the global registry outlives
+/// every planner), so a cache miss takes no registry lock and builds no
+/// label string.
 obs::Histogram& build_latency_hist(Problem problem) {
-  return obs::MetricsRegistry::global().histogram(
+  static std::array<std::atomic<obs::Histogram*>, kNumProblems> hists{};
+  auto& slot = hists[static_cast<std::size_t>(problem)];
+  if (obs::Histogram* hist = slot.load(std::memory_order_acquire)) return *hist;
+  obs::Histogram& hist = obs::MetricsRegistry::global().histogram(
       "logpc_planner_build_latency_ns", obs::default_latency_buckets_ns(),
       "Wall-clock nanoseconds spent building one plan, by problem",
       "problem=\"" + std::string(problem_name(problem)) + "\"");
+  slot.store(&hist, std::memory_order_release);
+  return hist;
 }
 
 }  // namespace

@@ -1,9 +1,45 @@
 #include "sum/summation_tree.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace logpc::sum {
+
+namespace {
+
+void require_gap(const Params& params) {
+  if (params.g < params.o + 1) {
+    throw std::invalid_argument(
+        "summation: requires g >= o + 1 (a reception's o+1 cycles must fit "
+        "inside one gap)");
+  }
+}
+
+/// Node counts N(0..min(h, B(P))) of the (L+1, o, g) tree.  For deadline t
+/// the optimal plan's participants are its min(N(max(0, t - o)), P) cheapest
+/// nodes: a node at label d sums t - d - o operands beyond its reception
+/// cost, so one with d > t - o would subtract (the root, label 0, always
+/// takes part; with t < o it still sums t + 1 operands alone).
+std::vector<Count> reversal_counts(const Params& params, Time h) {
+  params.require_valid();
+  require_gap(params);
+  return bcast::reachable_until(reversal_params(params),
+                                static_cast<Count>(params.P), h);
+}
+
+/// Lemma 5.1 summed over the `nodes` cheapest nodes of the reversal tree,
+/// whose labels add up to `label_sum`, for deadline t: node i sends at
+/// t - d_i after k_i receptions, and the receptions are the nodes - 1 tree
+/// edges.  Saturates at kSaturated.
+Count operands(Count nodes, Count label_sum, Time t, Time o) {
+  const Count per_node = static_cast<Count>(t) + 1;
+  if (per_node > std::numeric_limits<Count>::max() / nodes) return kSaturated;
+  return std::min(kSaturated, nodes * per_node - label_sum -
+                                  static_cast<Count>(o + 1) * (nodes - 1));
+}
+
+}  // namespace
 
 Schedule SummationPlan::timing_view() const {
   Schedule s(params, 1);
@@ -24,11 +60,7 @@ SummationPlan plan_from_tree(const Params& params, const BroadcastTree& tree,
                              Time t) {
   params.require_valid();
   if (t < 0) throw std::invalid_argument("plan_from_tree: t >= 0");
-  if (params.g < params.o + 1) {
-    throw std::invalid_argument(
-        "summation: requires g >= o + 1 (a reception's o+1 cycles must fit "
-        "inside one gap)");
-  }
+  require_gap(params);
   if (tree.params() != reversal_params(params)) {
     throw std::invalid_argument(
         "plan_from_tree: tree must be built on reversal_params(params)");
@@ -73,41 +105,51 @@ SummationPlan plan_from_tree(const Params& params, const BroadcastTree& tree,
 }
 
 SummationPlan optimal_summation(const Params& params, Time t) {
-  params.require_valid();
   if (t < 0) throw std::invalid_argument("optimal_summation: t >= 0");
-  const Params rev = reversal_params(params);
-  // A node at label d contributes S - (o+1)k... net S - o = t - d - o
-  // operands beyond its reception cost, so nodes with d > t - o subtract
-  // from the total: restrict to labels <= t - o (the root, label 0, always
-  // participates - with t < o it still sums t + 1 operands alone).
-  const Time horizon = std::max<Time>(0, t - params.o);
-  const Count avail = bcast::reachable(rev, horizon);
-  const int n_nodes =
-      static_cast<int>(std::min<Count>(avail, static_cast<Count>(params.P)));
-  return plan_from_tree(params, BroadcastTree::optimal(rev, n_nodes), t);
+  const Count nodes =
+      std::min(reversal_counts(params, std::max<Time>(0, t - params.o)).back(),
+               static_cast<Count>(params.P));
+  return plan_from_tree(
+      params,
+      BroadcastTree::optimal(reversal_params(params), static_cast<int>(nodes)),
+      t);
 }
 
 Count max_operands(const Params& params, Time t) {
-  return optimal_summation(params, t).total_operands;
+  if (t < 0) throw std::invalid_argument("max_operands: t >= 0");
+  // Every label but the table's last is taken whole.
+  const std::vector<Count> N =
+      reversal_counts(params, std::max<Time>(0, t - params.o));
+  const Count nodes = std::min(N.back(), static_cast<Count>(params.P));
+  Count label_sum = 0;
+  for (std::size_t u = 1; u < N.size(); ++u) {
+    label_sum += u * (std::min(N[u], nodes) - N[u - 1]);
+  }
+  return operands(nodes, label_sum, t, params.o);
 }
 
 Time min_time_for_operands(const Params& params, Count n) {
-  if (n < 1) throw std::invalid_argument("min_time_for_operands: n >= 1");
-  Time lo = 0;
-  Time hi = 1;
-  while (max_operands(params, hi) < n) {
-    lo = hi;
-    hi *= 2;
+  if (n < 1 || n > kSaturated) {
+    throw std::invalid_argument("min_time_for_operands: 1 <= n <= 2^62");
   }
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (max_operands(params, mid) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+  const std::vector<Count> N = reversal_counts(params, kNever);
+  // Up to t = o the root sums alone, one operand per cycle.
+  const Time o = params.o;
+  if (n <= static_cast<Count>(o) + 1) return static_cast<Time>(n) - 1;
+  // At t = o + h the participants are the nodes with label <= h: all P of
+  // them from h = B(P) = N.size() - 1 on.
+  const auto P = static_cast<Count>(params.P);
+  Count label_sum = 0;
+  for (std::size_t h = 1; h < N.size(); ++h) {
+    const Count nodes = std::min(N[h], P);
+    label_sum += h * (nodes - N[h - 1]);
+    const Time t = o + static_cast<Time>(h);
+    if (operands(nodes, label_sum, t, o) >= n) return t;
   }
-  return lo;
+  // Later each cycle adds P operands: the least t with
+  // P * (t + 1) - label_sum - (o + 1) * (P - 1) >= n.
+  const Count fixed = label_sum + static_cast<Count>(o + 1) * (P - 1);
+  return static_cast<Time>((n + fixed + P - 1) / P) - 1;
 }
 
 }  // namespace logpc::sum

@@ -80,12 +80,14 @@ struct SummationPlan {
 /// summations on `params` (L+1, same o, g, P).
 [[nodiscard]] Params reversal_params(const Params& params);
 
-/// Maximum number of operands summable in t cycles (Lemma 5.1 applied to
-/// the optimal plan).
+/// Maximum number of operands summable in t cycles, optimal_summation(t)'s
+/// total_operands from the (L+1, o, g) count table alone: its n =
+/// min(N_rev(max(0, t - o)), P) participants sum n(t + 1) - (their label
+/// sum) - (o + 1)(n - 1) operands (Lemma 5.1).  O(min(t, B_rev(P))).
 [[nodiscard]] Count max_operands(const Params& params, Time t);
 
-/// Minimum t with max_operands(params, t) >= n (binary search on the
-/// monotone max_operands).
+/// Minimum t with max_operands(params, t) >= n, for 1 <= n <= kSaturated:
+/// one pass over the same table while processors join, then a closed form.
 [[nodiscard]] Time min_time_for_operands(const Params& params, Count n);
 
 }  // namespace logpc::sum

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
+#include "runtime/planner.hpp"
 #include "sched/metrics.hpp"
 #include "validate/checker.hpp"
 
@@ -88,6 +90,20 @@ TEST(Communicator, ReduceOperandsInvertsTime) {
   const auto plan = comm.reduce_operands(n);
   EXPECT_GE(plan.total_operands, n);
   EXPECT_EQ(plan.t, comm.reduce_operands_time(n));
+}
+
+TEST(Communicator, ReduceOperandsPlansOnce) {
+  auto planner = std::make_shared<runtime::Planner>();
+  const Communicator comm(Params{16, 8, 1, 4}, planner);
+  const Count n = 300;
+  const Time t = comm.reduce_operands_time(n);
+  EXPECT_EQ(planner->builds(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(comm.reduce_operands(n).t, t);
+    EXPECT_EQ(comm.reduce_operands_time(n), t);
+  }
+  EXPECT_EQ(planner->builds(), 1u);
+  EXPECT_EQ(t, sum::min_time_for_operands(comm.params(), n));
 }
 
 TEST(Communicator, AlltoallMatchesBound) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "sched/metrics.hpp"
@@ -151,6 +154,138 @@ TEST(Tree, ReachablePrefixMatchesPointQueries) {
     for (Time u = 0; u <= t; ++u) {
       EXPECT_EQ(prefix[static_cast<std::size_t>(u)], reachable(params, u));
     }
+  }
+}
+
+/// The reference the recurrence replaced: N(u) summed directly over the
+/// root's children, 1 + sum_i N(u - T - i*g), O(u / g) per cycle.
+std::vector<Count> quadratic_reachable_prefix(const Params& params, Time t) {
+  const Time T = params.transfer_time();
+  std::vector<Count> N(static_cast<std::size_t>(t) + 1, 1);
+  for (Time u = 0; u <= t; ++u) {
+    Count total = 1;
+    for (Time i = 0; T + i * params.g <= u; ++i) {
+      total = sat_add(total, N[static_cast<std::size_t>(u - T - i * params.g)]);
+      if (total >= kSaturated) break;
+    }
+    N[static_cast<std::size_t>(u)] = total;
+  }
+  return N;
+}
+
+/// Machine sizes 1 .. 2^20: every P up to 64, then 2^k - 1, 2^k, 2^k + 1
+/// and an odd size in between for each k.
+std::vector<int> oracle_sizes() {
+  std::vector<int> sizes;
+  for (int P = 1; P <= 64; ++P) sizes.push_back(P);
+  for (int k = 7; k <= 20; ++k) {
+    const int p2 = 1 << k;
+    for (const int P : {p2 - 1, p2, p2 + 1, p2 + p2 / 3 + 1}) {
+      if (P <= (1 << 20)) sizes.push_back(P);
+    }
+  }
+  return sizes;
+}
+
+TEST(Tree, RecurrenceMatchesQuadraticOracle) {
+  const std::vector<int> sizes = oracle_sizes();
+  for (Time L = 1; L <= 16; ++L) {
+    for (Time o = 0; o <= 3; ++o) {
+      for (Time g = 1; g <= 8; ++g) {  // g > T = L + 2o included
+        const Params params{1, L, o, g};
+        const Time horizon = B_of_P(params, 1 << 20) + g;
+        const std::vector<Count> oracle =
+            quadratic_reachable_prefix(params, horizon);
+        ASSERT_EQ(reachable_prefix(params, horizon), oracle)
+            << params.to_string();
+        for (Time u = 0; u <= horizon; u += 7) {
+          ASSERT_EQ(reachable(params, u), oracle[static_cast<std::size_t>(u)])
+              << params.to_string() << " u=" << u;
+        }
+        for (const int P : sizes) {
+          const auto B = static_cast<Time>(
+              std::lower_bound(oracle.begin(), oracle.end(),
+                               static_cast<Count>(P)) -
+              oracle.begin());
+          ASSERT_EQ(B_of_P(params, P), B) << params.to_string() << " P=" << P;
+          const std::vector<Count> until =
+              reachable_until(params, static_cast<Count>(P));
+          ASSERT_EQ(until.size(), static_cast<std::size_t>(B) + 1);
+          EXPECT_TRUE(std::equal(until.begin(), until.end(), oracle.begin()));
+        }
+      }
+    }
+  }
+}
+
+/// The reference the label-by-label construction replaced: best-first
+/// expansion of the universal tree with a heap of (label, parent, rank)
+/// candidates.  Returns (label, parent, rank) per node.
+std::vector<std::tuple<Time, int, int>> best_first_tree(const Params& params,
+                                                        int P) {
+  using Candidate = std::tuple<Time, int, int>;
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>
+      frontier;
+  std::vector<Candidate> nodes{{0, -1, 0}};
+  frontier.emplace(params.child_label(0, 0), 0, 0);
+  while (static_cast<int>(nodes.size()) < P) {
+    const auto [label, parent, rank] = frontier.top();
+    frontier.pop();
+    nodes.emplace_back(label, parent, rank);
+    const Time parent_label = std::get<0>(nodes[static_cast<std::size_t>(parent)]);
+    frontier.emplace(params.child_label(label, 0),
+                     static_cast<int>(nodes.size()) - 1, 0);
+    frontier.emplace(params.child_label(parent_label, rank + 1), parent,
+                     rank + 1);
+  }
+  return nodes;
+}
+
+TEST(Tree, OptimalMatchesBestFirstExpansion) {
+  for (Time L = 1; L <= 9; L += 2) {
+    for (Time o = 0; o <= 2; ++o) {
+      for (Time g = 1; g <= 7; g += 2) {  // g > T included
+        const Params params{1, L, o, g};
+        for (const int P : {1, 2, 3, 7, 64, 100, 1000, 4097}) {
+          const BroadcastTree tree = BroadcastTree::optimal(params, P);
+          const auto reference = best_first_tree(params, P);
+          ASSERT_EQ(tree.size(), P);
+          for (int i = 0; i < P; ++i) {
+            const TreeNode& n = tree.node(i);
+            ASSERT_EQ(std::make_tuple(n.label, n.parent, n.rank),
+                      reference[static_cast<std::size_t>(i)])
+                << params.to_string() << " P=" << P << " node " << i;
+            if (n.parent >= 0) {
+              const auto& siblings = tree.node(n.parent).children;
+              ASSERT_EQ(siblings[static_cast<std::size_t>(n.rank)], i);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Tree, ReachableUntilStopsAtTheDeadline) {
+  const Params params{1, 6, 2, 4};  // Figure 1's machine, B(8) = 24
+  EXPECT_EQ(reachable_until(params, 8, 10),
+            quadratic_reachable_prefix(params, 10));
+  EXPECT_EQ(reachable_until(params, 8, 100).size(), 25u);
+  EXPECT_EQ(reachable_until(params, 1, 100), (std::vector<Count>{1}));
+  EXPECT_THROW((void)reachable_until(params, 8, -1), std::invalid_argument);
+}
+
+TEST(Tree, ReachableSaturatesForLongHorizons) {
+  // T = g = 1: N(u) = 2 N(u - 1) = 2^u, which reaches kSaturated = 2^62 at
+  // u = 62 and stays there.
+  const Params params{1, 1, 0, 1};
+  EXPECT_EQ(reachable(params, 61), Count{1} << 61);
+  EXPECT_EQ(reachable(params, 62), kSaturated);
+  EXPECT_EQ(reachable(params, 100'000), kSaturated);
+  const std::vector<Count> prefix = reachable_prefix(params, 200);
+  EXPECT_EQ(prefix, quadratic_reachable_prefix(params, 200));
+  for (Time u = 62; u <= 200; ++u) {
+    EXPECT_EQ(prefix[static_cast<std::size_t>(u)], kSaturated) << "u=" << u;
   }
 }
 

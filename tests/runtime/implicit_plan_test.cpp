@@ -292,6 +292,23 @@ TEST(ImplicitPlan, EngineRunsAreByteExactAgainstTheMaterializedPath) {
   EXPECT_EQ(fi.folded_at(5).size(), static_cast<std::size_t>(m.P));
 }
 
+TEST(ImplicitPlan, TablesHoldOneCountPerCycleThroughB) {
+  // Two tables (cumulative and strided counts) of exactly B + 1 entries.
+  for (const Params& m : {Params{1, 4, 1, 2}, Params{8, 6, 2, 4},
+                          Params{1000, 5, 0, 7}, Params{1 << 20, 16, 3, 8},
+                          Params{(1 << 20) + 1, 1, 0, 1}}) {
+    for (const PlanKey& key : {PlanKey::broadcast(m), PlanKey::reduce(m)}) {
+      const ImplicitPlan ip = ImplicitPlan::build(key);
+      EXPECT_EQ(ip.completion(), bcast::B_of_P(m, m.P)) << m.to_string();
+      EXPECT_EQ(ip.memory_bytes(),
+                sizeof(ImplicitPlan) +
+                    2 * static_cast<std::size_t>(ip.completion() + 1) *
+                        sizeof(Count))
+          << m.to_string();
+    }
+  }
+}
+
 TEST(ImplicitPlan, MillionRankPlansStayImplicitAndTiny) {
   const Params m{1'000'000, 4, 1, 2};
   Planner planner;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "baselines/reduce_baselines.hpp"
 #include "sum/lazy.hpp"
@@ -83,6 +84,70 @@ TEST(Summation, MinTimeInvertsMaxOperands) {
       EXPECT_LT(max_operands(params, t - 1), n);
     }
   }
+}
+
+/// The machines of the count-table oracles: L in 1..16, o in 0..3,
+/// g in o+1..8, P in {1, 2, 3, 8, 17, 64, 100}.
+template <typename Fn>
+void for_each_oracle_machine(Fn&& fn) {
+  for (const int P : {1, 2, 3, 8, 17, 64, 100}) {
+    for (Time L = 1; L <= 16; ++L) {
+      for (Time o = 0; o <= 3; ++o) {
+        for (Time g = o + 1; g <= 8; ++g) fn(Params{P, L, o, g});
+      }
+    }
+  }
+}
+
+TEST(Summation, CountTableMatchesTheBuiltPlans) {
+  for_each_oracle_machine([](const Params& params) {
+    // oracle[t] = optimal_summation(t).total_operands, from the built plan.
+    std::vector<Count> oracle;
+    for (Time t = 0; t < 60; ++t) {
+      oracle.push_back(optimal_summation(params, t).total_operands);
+      ASSERT_EQ(max_operands(params, t), oracle.back())
+          << params.to_string() << " t=" << t;
+    }
+    // min_time_for_operands against a linear scan of the oracle, at every
+    // n where the answer moves (and its neighbours).
+    const auto scan = [&](Count n) {
+      Time t = 0;
+      while (oracle[static_cast<std::size_t>(t)] < n) ++t;
+      return t;
+    };
+    for (const Count m : oracle) {
+      for (const Count n : {m - 1, m, m + 1}) {
+        if (n < 1 || n > oracle.back()) continue;
+        ASSERT_EQ(min_time_for_operands(params, n), scan(n))
+            << params.to_string() << " n=" << n;
+      }
+    }
+    // Past the table: the closed form once every processor takes part.
+    for (const Count n : {Count{1'000'003}, Count{1} << 40}) {
+      const Time tn = min_time_for_operands(params, n);
+      EXPECT_GE(max_operands(params, tn), n) << params.to_string();
+      EXPECT_LT(max_operands(params, tn - 1), n) << params.to_string();
+    }
+  });
+}
+
+TEST(Summation, OperandCountsSaturate) {
+  // One processor sums t + 1 operands: kSaturated = 2^62 takes t = 2^62 - 1.
+  const Params solo{1, 3, 1, 4};
+  const Time t = min_time_for_operands(solo, kSaturated);
+  EXPECT_EQ(t, static_cast<Time>(kSaturated) - 1);
+  EXPECT_EQ(max_operands(solo, t), kSaturated);
+  EXPECT_EQ(max_operands(solo, t - 1), kSaturated - 1);
+  // 64 processors overflow the count long before t = 2^62.
+  EXPECT_EQ(max_operands(Params{64, 3, 1, 4}, t), kSaturated);
+  EXPECT_THROW((void)min_time_for_operands(solo, kSaturated + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)min_time_for_operands(solo, 0), std::invalid_argument);
+  EXPECT_THROW((void)max_operands(solo, -1), std::invalid_argument);
+  EXPECT_THROW((void)max_operands(Params{4, 3, 2, 2}, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)min_time_for_operands(Params{4, 3, 2, 2}, 10),
+               std::invalid_argument);
 }
 
 TEST(Summation, ReversalCorrespondence) {
