@@ -2,10 +2,10 @@
 /// runtime put the collective back together.
 ///
 ///   1. broadcast on P=8 under a lossy network (every message has a 50%
-///      chance of being dropped on delivery) — acked retransmission gets
-///      every byte through exactly once,
-///   2. kill rank 3 mid-collective — the heartbeat detector accuses it,
-///      the Communicator re-plans the broadcast over the 7 survivors
+///      chance of being dropped on delivery) — each dropped delivery is
+///      resent, and every byte gets through exactly once,
+///   2. kill rank 3 mid-collective — the engine finds no live rank able
+///      to advance and names rank 3, the Communicator re-plans the broadcast over the 7 survivors
 ///      (the tree is universal, so the degraded plan is itself optimal)
 ///      and re-runs to completion,
 ///   3. print the injected-fault event log, which is a pure function of
@@ -39,7 +39,7 @@ int main() {
   std::cout << "machine: " << machine.to_string() << ", fault seed " << seed
             << "\n\n";
 
-  // 1. A lossy network: drops force retransmission, never corruption.
+  // 1. A lossy network: drops force resends, never corruption.
   fault::FaultSpec lossy;
   lossy.seed = seed;
   lossy.drop_prob = 0.5;
@@ -52,8 +52,7 @@ int main() {
   }
   std::cout << "lossy network (drop p=0.5): " << copies << "/" << comm.size()
             << " byte-exact copies, " << dropped.report.retries
-            << " retransmissions, " << dropped.report.duplicates
-            << " duplicates discarded, took " << dropped.report.wall_ns / 1000
+            << " deliveries resent, took " << dropped.report.wall_ns / 1000
             << " us\n";
 
   // 2. A mortal processor: rank 3 dies before its first instruction.
@@ -69,7 +68,7 @@ int main() {
             << (killed.status == api::RunStatus::kRecovered ? "RECOVERED"
                 : killed.status == api::RunStatus::kOk      ? "OK"
                                                             : "FAILED")
-            << ", " << killed.attempts << " attempts, recovery took "
+            << ", " << killed.attempts << " attempts, re-plan and re-run took "
             << killed.recovery_ns / 1000 << " us\n";
   std::cout << "survivors:";
   for (const ProcId r : killed.survivors) std::cout << " P" << r;

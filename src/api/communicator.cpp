@@ -233,8 +233,8 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
     throw std::invalid_argument("Communicator::run_broadcast_ft: bad root");
   }
   exec::Engine engine;
-  // The injector is what turns on acked delivery and failure detection; an
-  // empty spec injects nothing and runs the protocol alone.
+  // An injector over an empty spec injects nothing: the run steps exactly
+  // as a fault-free one.
   fault::FaultSpec spec = options.faults.value_or(fault::FaultSpec{});
 
   using Clock = std::chrono::steady_clock;

@@ -55,7 +55,7 @@ enum class RunStatus : std::uint8_t {
 struct FtRunOptions {
   FailurePolicy policy = FailurePolicy::kReplan;
   /// Faults to inject (deterministic in FaultSpec::seed); nullopt runs
-  /// fault-free but still under acked delivery + failure detection.
+  /// fault-free.
   std::optional<fault::FaultSpec> faults;
 };
 
@@ -192,8 +192,8 @@ class Communicator {
       const std::vector<exec::Bytes>& contributions,
       exec::Engine* engine = nullptr) const;
 
-  /// Fault-tolerant broadcast: runs under the engine's acked-delivery
-  /// protocol (with `options.faults` injected when set) and, under
+  /// Fault-tolerant broadcast: runs on the engine with `options.faults`
+  /// injected when set (a dropped delivery is resent) and, under
   /// FailurePolicy::kReplan, survives rank deaths by asking the planner
   /// for a fresh optimal schedule over the survivors — the key gains a
   /// membership mask, the 𝔅 tree is universal so the degraded plan is

@@ -8,8 +8,8 @@
 #include "exec/mailbox.hpp"
 
 /// \file context.hpp
-/// The per-run state of an Engine: mailboxes, ack rings, one resumable
-/// cursor per rank, and the kMove slot tables.
+/// The per-run state of an Engine: mailboxes, one resumable cursor per
+/// rank, and the kMove slot tables.
 ///
 /// A RunContext is owned by its Engine (one per engine, guarded by the
 /// engine's run mutex — runs on one engine serialize, so the context never
@@ -17,9 +17,9 @@
 /// prepare() compares the requested RunShape against the previous run's
 /// and, on a match, merely clears leftover ring contents and rewinds
 /// high-water marks — zero ring allocations on the warm path.  A shape
-/// change (different link count, capacity, reliability mode or processor
-/// count) rebuilds the mismatched resources once and stays warm from then
-/// on.  kMove result buffers are not context state: they are the run's
+/// change (different link count, capacity or processor count) rebuilds
+/// the mismatched resources once and stays warm from then on.  kMove
+/// result buffers are not context state: they are the run's
 /// ExecReport::items, handed to the caller.
 ///
 /// ExecReport::warm_buffers reports which side of that branch a run took,
@@ -33,26 +33,23 @@ namespace logpc::exec {
 struct RunShape {
   std::size_t links = 0;     ///< directed links with traffic (mailboxes)
   std::size_t capacity = 0;  ///< per-link ring bound, ceil(L/g)
-  bool reliable = false;     ///< acked delivery: ack rings
   std::size_t procs = 0;     ///< logical processors (cursors)
 
   friend bool operator==(const RunShape&, const RunShape&) = default;
 };
 
 /// Where a rank's cursor stands inside its current instruction.  The
-/// fault-free path uses kFetch, kStart, kPush and kPop; the others belong
-/// to acked delivery (runs with a fault::Injector).
+/// fault-free path uses kFetch, kStart, kPush and kPop; kSlow, kDelay and
+/// kDead occur only in runs with a fault::Injector.
 enum class Phase : std::uint8_t {
-  kFetch,    ///< at an instruction boundary
-  kSlow,     ///< sitting out a slow-rank stall before the instruction
-  kStart,    ///< instruction fetched, op not begun
-  kDelay,    ///< send: sitting out an injected delay before the push
-  kPush,     ///< send: waiting for room in the link's mailbox
-  kAck,      ///< acked send: pushed, waiting for the cumulative ack
-  kPop,      ///< recv: waiting for a message
-  kAckBack,  ///< acked recv: accepted, waiting for room in the ack ring
-  kDone,     ///< stream finished
-  kDead,     ///< crash-stopped by the injector
+  kFetch,  ///< at an instruction boundary
+  kSlow,   ///< sitting out a slow-rank stall before the instruction
+  kStart,  ///< instruction fetched, op not begun
+  kDelay,  ///< send: sitting out an injected delay before the push
+  kPush,   ///< send: waiting for room in the link's mailbox
+  kPop,    ///< recv: waiting for a message
+  kDone,   ///< stream finished
+  kDead,   ///< crash-stopped by the injector
 };
 
 /// One rank's resumable position in its instruction stream: everything a
@@ -69,16 +66,7 @@ struct Cursor {
   Message m;                    ///< the pending send's / popped message
   bool acc_have = false;        ///< kFold/kSum: accumulator assigned
   std::size_t operand_pos = 0;  ///< kSum: next local operand
-
-  // Acked delivery only (beats moves on every run, but only the acked
-  // path's failure detector reads it).
-  std::uint64_t beats = 0;        ///< heartbeat: bumped on every visit
-  Clock::time_point not_before;   ///< kSlow / kDelay: stall end
-  Clock::time_point next_retx;    ///< kAck: next retransmit
-  std::chrono::microseconds backoff{0};  ///< kAck: current retransmit wait
-  int retries_left = 0;           ///< kAck: backoff ramp steps left
-  std::uint64_t peer_beats = 0;   ///< the blocking peer's last heartbeat
-  Clock::time_point peer_changed; ///< when peer_beats last moved
+  Clock::time_point not_before;  ///< kSlow / kDelay: stall end
 };
 
 /// One (processor, item) kMove slot: the range of the processor's
@@ -105,14 +93,9 @@ class RunContext {
   // Run resources.  The engine indexes these directly; the fields are
   // engine-internal state that lives here only so it can stay warm.
   std::vector<Mailbox> mailboxes;  ///< [link]
-
-  // Reliable-mode state, one slot per link: seq/acked belong to the
-  // producer, accepted/attempts to the consumer.
-  std::vector<AckRing> acks;  ///< [link]
-  std::vector<std::uint64_t> send_seq;   ///< producer: last seq pushed
-  std::vector<std::uint64_t> acked;      ///< producer: highest acked seen
-  std::vector<std::uint64_t> accepted;   ///< consumer: highest seq accepted
-  std::vector<std::uint64_t> attempts;   ///< consumer: arrivals of expected
+  /// Runs with a fault::Injector: messages sent so far on each link, so
+  /// each message's `seq` (what the injector's decisions key on).
+  std::vector<std::uint64_t> send_seq;  ///< [link]
 
   std::vector<Cursor> cursors;              ///< [proc]
   std::vector<std::uint32_t> ready, next;  ///< runnable ranks, this/next sweep

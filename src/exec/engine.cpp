@@ -7,9 +7,9 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
-#include "exec/wait.hpp"
 #include "obs/trace_recorder.hpp"
 
 namespace logpc::exec {
@@ -18,54 +18,40 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Acked-delivery timings (runs with a fault::Injector).  The first
-// retransmit waits kAckTimeout; each later wait doubles, kMaxRetries
-// times, up to kMaxBackoff, then the cadence stays there until the ack
-// lands.  A peer whose heartbeat has not moved for kSuspectAfter while
-// someone is blocked on it is declared dead.
-constexpr std::chrono::microseconds kAckTimeout{200};
-constexpr std::int64_t kBackoffFactor = 2;
-constexpr std::chrono::microseconds kMaxBackoff{5000};
-constexpr int kMaxRetries = 6;
-constexpr std::chrono::milliseconds kSuspectAfter{25};
-
-/// Blocked ranks a deadlock or timeout message names before it summarizes.
+/// Blocked ranks a deadlock or rank-failure message names before it
+/// summarizes.
 constexpr std::size_t kNamedBlocked = 8;
 
-/// Phases in which a rank waits on its current instruction's peer.
-bool waits_on_peer(Phase ph) {
-  return ph == Phase::kPush || ph == Phase::kAck || ph == Phase::kPop ||
-         ph == Phase::kAckBack;
-}
+/// Phases in which a rank sits out an injected stall until not_before.
+bool stalled(Phase ph) { return ph == Phase::kSlow || ph == Phase::kDelay; }
 
 /// One run of one Program: steps every rank's cursor on the calling thread
-/// until each has finished its stream (or crash-stopped), throwing on a
-/// deadlock, a declared rank death, a timeout or a malformed delivery.
-/// Run-level tallies accumulate straight into the report.
+/// until each has finished its stream, throwing on a deadlock, a
+/// crash-stopped rank or a malformed delivery.  Run-level tallies
+/// accumulate straight into the report.
 class Stepper {
  public:
   Stepper(const Program& program, const fault::Injector* injector,
           const Combiner* op, const Operands* operands, RunContext& ctx,
-          ExecReport& report, Clock::time_point start,
-          std::chrono::milliseconds timeout)
+          ExecReport& report, Clock::time_point start)
       : program_(program),
         injector_(injector),
-        reliable_(injector != nullptr),
         op_(op),
         kernel_(op != nullptr ? op->kernel() : nullptr),
         operands_(operands),
         ctx_(ctx),
         report_(report),
-        start_(start),
-        deadline_(start + timeout) {}
+        start_(start) {}
 
-  /// Steps runnable ranks in sweeps until every cursor is done or dead.
-  /// Each sweep steps the ranks made runnable during the previous one, in
-  /// the order they became runnable; the first sweep steps every rank in
-  /// rank order.
+  /// Steps runnable ranks in sweeps until every cursor is done.  Each
+  /// sweep steps the ranks made runnable during the previous one, in the
+  /// order they became runnable; the first sweep steps every rank in rank
+  /// order.  With no rank runnable, a run sleeps until the earliest
+  /// injected stall ends; with none stalled either, it fails.
   void run() {
     std::vector<Cursor>& cursors = ctx_.cursors;
     const bool fold_mode = program_.mode == Mode::kFold;
+    if (injector_ != nullptr) ctx_.send_seq.assign(program_.links.size(), 0);
     for (std::size_t p = 0; p < cursors.size(); ++p) {
       const ProcProgram& stream = program_.procs[p];
       Cursor& c = cursors[p];
@@ -91,18 +77,13 @@ class Stepper {
       ctx_.ready.clear();
       std::swap(ctx_.ready, ctx_.next);
       if (!ctx_.ready.empty() || remaining_ == 0) continue;
-      if (!reliable_) {
-        throw std::runtime_error("exec::Engine: deadlock in " +
-                                 program_.label + ", no rank can advance: " +
-                                 blocked_ranks());
-      }
-      wait();
+      if (injector_ == nullptr || !sleep_out_stall()) fail();
       std::swap(ctx_.ready, ctx_.next);
     }
+    if (dead_ != kNoProc) fail();
   }
 
-  std::size_t kernel_bytes = 0;    ///< payload bytes the typed kernel folded
-  std::vector<double> backoffs_ns;  ///< lapsed retransmit waits
+  std::size_t kernel_bytes = 0;  ///< payload bytes the typed kernel folded
 
  private:
   [[nodiscard]] std::uint64_t now_ns() const {
@@ -125,7 +106,6 @@ class Stepper {
   void step(std::size_t p) {
     Cursor& c = ctx_.cursors[p];
     const std::vector<Instr>& instrs = program_.procs[p].instrs;
-    ++c.beats;  // a live rank's heartbeat moves whenever it is visited
     while (c.pc < instrs.size()) {
       const Instr& ins = instrs[c.pc];
       if (c.phase <= Phase::kSlow && !fetch(p, c)) return;
@@ -162,11 +142,12 @@ class Stepper {
       if (injector_ == nullptr) return true;
       const auto rank = static_cast<ProcId>(p);
       if (injector_->dies_at(rank, c.pc)) {
-        // Crash-stop: no more sends, receives, acks, or heartbeats.  The
-        // peers' failure detectors take it from here.
+        // Crash-stop: no more sends or receives.  The run fails once no
+        // live rank can advance.
         report_.fault_events[p].push_back(fault::FaultEvent{
             fault::FaultKind::kDead, rank, kNoProc, c.pc});
         c.phase = Phase::kDead;
+        dead_ = rank;
         --remaining_;
         return false;
       }
@@ -180,17 +161,9 @@ class Stepper {
     return true;
   }
 
-  /// Starts watching `peer`'s heartbeat for a wait that may begin now.
-  void watch(Cursor& c, ProcId peer) {
-    if (!reliable_) return;
-    c.peer_beats = ctx_.cursors[static_cast<std::size_t>(peer)].beats;
-    c.peer_changed = Clock::now();
-  }
-
-  /// One send, resumed at c.phase.  True once complete.
+  /// One send, resumed at c.phase.  True once complete: a send completes
+  /// at its push.
   bool send(std::size_t p, Cursor& c, const Instr& ins) {
-    const auto link = static_cast<std::size_t>(ins.link);
-    Mailbox& mb = ctx_.mailboxes[link];
     if (c.phase == Phase::kStart) {
       c.start_ns = now_ns();
       // This send's index in the rank's event log, appended in stream order.
@@ -203,74 +176,49 @@ class Stepper {
         c.m = Message{ins.item, event, acc.data(), acc.size(), 0};
       }
       c.phase = Phase::kPush;
-      if (reliable_) {
-        c.m.seq = ++ctx_.send_seq[link];
-        const std::uint64_t delay = injector_->send_delay_ns(
-            static_cast<ProcId>(p), ins.link, c.m.seq);
-        if (delay > 0) {
-          report_.fault_events[p].push_back(fault::FaultEvent{
-              fault::FaultKind::kDelay, static_cast<ProcId>(p), ins.peer,
-              c.m.seq});
-          c.not_before = Clock::now() + std::chrono::nanoseconds(delay);
-          c.phase = Phase::kDelay;
-        } else {
-          watch(c, ins.peer);
-        }
-      }
+      if (injector_ != nullptr) delay(p, c, ins);
     }
     if (c.phase == Phase::kDelay) {
       if (Clock::now() < c.not_before) return false;
       c.phase = Phase::kPush;
-      watch(c, ins.peer);
     }
-    if (c.phase == Phase::kPush) {
-      if (!mb.try_push(c.m)) return false;
-      wake(ins.peer);
-      c.xfer_ns = now_ns();
-      if (reliable_) {
-        c.phase = Phase::kAck;
-        c.backoff = kAckTimeout;
-        c.next_retx = Clock::now() + c.backoff;
-        c.retries_left = kMaxRetries;
-        watch(c, ins.peer);
-      }
+    if (!ctx_.mailboxes[static_cast<std::size_t>(ins.link)].try_push(c.m)) {
+      return false;
     }
-    if (c.phase == Phase::kAck) {
-      AckRing& ar = ctx_.acks[link];
-      std::uint64_t& acked = ctx_.acked[link];
-      std::uint64_t a = 0;
-      bool drained = false;
-      while (ar.try_pop(a)) {
-        acked = std::max(acked, a);
-        drained = true;
-      }
-      if (drained) wake(ins.peer);  // its ack push may have found no room
-      if (acked < c.m.seq) return false;
-    }
-    const std::uint64_t end = reliable_ ? now_ns() : c.xfer_ns;
+    wake(ins.peer);
+    c.xfer_ns = now_ns();
     report_.events[p].push_back(ExecEvent{
         ExecEvent::Kind::kSend, ins.peer, ins.item, ExecEvent::kNoMatch,
-        c.start_ns, c.xfer_ns, end, ins.when});
+        c.start_ns, c.xfer_ns, c.xfer_ns, ins.when});
     report_.payload_bytes += c.m.size;
     return true;
   }
 
-  /// One receive, resumed at c.phase.  True once complete.
+  /// Numbers the message on its link and applies an injected send delay:
+  /// a not-before time on the sender's cursor.
+  void delay(std::size_t p, Cursor& c, const Instr& ins) {
+    c.m.seq = ++ctx_.send_seq[static_cast<std::size_t>(ins.link)];
+    const std::uint64_t ns =
+        injector_->send_delay_ns(static_cast<ProcId>(p), ins.link, c.m.seq);
+    if (ns == 0) return;
+    report_.fault_events[p].push_back(fault::FaultEvent{
+        fault::FaultKind::kDelay, static_cast<ProcId>(p), ins.peer, c.m.seq});
+    c.not_before = Clock::now() + std::chrono::nanoseconds(ns);
+    c.phase = Phase::kDelay;
+  }
+
+  /// One receive, resumed at c.phase.  True once complete: a receive
+  /// completes at its pop.
   bool recv(std::size_t p, Cursor& c, const Instr& ins) {
-    const auto link = static_cast<std::size_t>(ins.link);
     if (c.phase == Phase::kStart) {
       c.start_ns = now_ns();
       c.phase = Phase::kPop;
-      watch(c, ins.peer);
     }
-    if (c.phase == Phase::kPop &&
-        !(reliable_ ? pop_acked(p, c, ins, link) : pop(c, ins, link))) {
+    if (!ctx_.mailboxes[static_cast<std::size_t>(ins.link)].try_pop(c.m)) {
       return false;
     }
-    if (c.phase == Phase::kAckBack) {
-      if (!ctx_.acks[link].try_push(ctx_.accepted[link])) return false;
-      wake(ins.peer);
-    }
+    wake(ins.peer);  // its push may have found the ring full
+    if (injector_ != nullptr) redeliver(p, ins, c.m.seq);
     c.xfer_ns = now_ns();
     const Message& m = c.m;
     if (m.item != ins.item) {
@@ -297,53 +245,18 @@ class Stepper {
     return true;
   }
 
-  /// Fault-free pop into c.m.
-  bool pop(Cursor& c, const Instr& ins, std::size_t link) {
-    if (!ctx_.mailboxes[link].try_pop(c.m)) return false;
-    wake(ins.peer);  // its push may have found the ring full
-    return true;
-  }
-
-  /// Acked pop: discards retransmitted duplicates exactly-once (re-acking
-  /// best-effort so the sender stops resending), applies injected drops,
-  /// and on acceptance moves to kAckBack.  False while nothing acceptable
-  /// has arrived.
-  bool pop_acked(std::size_t p, Cursor& c, const Instr& ins,
-                 std::size_t link) {
-    Mailbox& mb = ctx_.mailboxes[link];
-    AckRing& ar = ctx_.acks[link];
-    std::uint64_t& accepted = ctx_.accepted[link];
-    const std::uint64_t expect = accepted + 1;
-    while (mb.try_pop(c.m)) {
-      wake(ins.peer);
-      if (c.m.seq < expect) {
-        ++report_.duplicates;
-        ar.try_push(accepted);
-        continue;
-      }
-      if (c.m.seq > expect) {
-        throw std::runtime_error(
-            "exec::Engine: P" + std::to_string(p) +
-            " sequence gap on link from P" + std::to_string(ins.peer) +
-            " (got " + std::to_string(c.m.seq) + ", expected " +
-            std::to_string(expect) + ")");
-      }
-      const std::uint64_t attempt = ++ctx_.attempts[link];
-      if (injector_->drop_delivery(static_cast<ProcId>(p), ins.link, c.m.seq,
-                                   attempt)) {
-        // Discarded in transit: no ack, so the sender retransmits.
-        report_.fault_events[p].push_back(
-            fault::FaultEvent{fault::FaultKind::kDrop, static_cast<ProcId>(p),
-                              ins.peer, c.m.seq});
-        continue;
-      }
-      accepted = c.m.seq;
-      ctx_.attempts[link] = 0;
-      c.phase = Phase::kAckBack;
-      watch(c, ins.peer);
-      return true;
+  /// Injected drops of the popped message `seq`: each dropped delivery
+  /// attempt is logged and resent, and the next attempt asks the injector
+  /// again.  drop_delivery is false past max_drops_per_message, so this
+  /// ends.
+  void redeliver(std::size_t p, const Instr& ins, std::uint64_t seq) {
+    const auto rank = static_cast<ProcId>(p);
+    for (std::uint64_t attempt = 1;
+         injector_->drop_delivery(rank, ins.link, seq, attempt); ++attempt) {
+      report_.fault_events[p].push_back(
+          fault::FaultEvent{fault::FaultKind::kDrop, rank, ins.peer, seq});
+      ++report_.retries;
     }
-    return false;
   }
 
   // kFold seeds the accumulator with the processor's own value (already
@@ -374,94 +287,44 @@ class Stepper {
                       static_cast<std::size_t>(item)];
   }
 
-  /// Acked delivery with no rank runnable: walks the wait ladder until a
-  /// stall ends or a slow tick's bookkeeping makes a rank runnable.
-  void wait() {
-    Waiter w;
-    for (;;) {
-      const Clock::time_point now = Clock::now();
-      for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
-        const Cursor& c = ctx_.cursors[p];
-        if ((c.phase == Phase::kSlow || c.phase == Phase::kDelay) &&
-            now >= c.not_before) {
-          wake(static_cast<ProcId>(p));
-        }
-      }
-      if (!ctx_.next.empty()) return;
-      if (w.should_tick()) {
-        tick();
-        if (!ctx_.next.empty()) return;
-        w.idle();
-      }
+  /// Nothing runnable in a run with an injector: sleeps until the
+  /// earliest injected stall ends, then wakes every rank whose stall is
+  /// over.  False when no rank is stalled.
+  bool sleep_out_stall() {
+    Clock::time_point earliest = Clock::time_point::max();
+    for (const Cursor& c : ctx_.cursors) {
+      if (stalled(c.phase)) earliest = std::min(earliest, c.not_before);
     }
-  }
-
-  /// The slow-tick bookkeeping: the watchdog deadline, then — after every
-  /// live rank's heartbeat has moved — the failure detector and the
-  /// retransmit clock of every blocked rank.
-  void tick() {
+    if (earliest == Clock::time_point::max()) return false;
+    std::this_thread::sleep_until(earliest);
     const Clock::time_point now = Clock::now();
-    if (now > deadline_) {
-      throw std::runtime_error("exec::Engine: timeout in " + program_.label +
-                               ": " + blocked_ranks());
-    }
-    for (Cursor& c : ctx_.cursors) {
-      if (c.phase < Phase::kDone) ++c.beats;
-    }
     for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
-      Cursor& c = ctx_.cursors[p];
-      if (!waits_on_peer(c.phase)) continue;
-      const Instr& ins = program_.procs[p].instrs[c.pc];
-      suspect(p, c, ins.peer, now);
-      if (c.phase == Phase::kAck && now >= c.next_retx) retransmit(c, ins, now);
+      const Cursor& c = ctx_.cursors[p];
+      if (stalled(c.phase) && now >= c.not_before) {
+        wake(static_cast<ProcId>(p));
+      }
     }
+    return true;
   }
 
-  /// Accuses `peer` dead once its heartbeat has stayed frozen for
-  /// kSuspectAfter while rank p waited on it.
-  void suspect(std::size_t p, Cursor& c, ProcId peer, Clock::time_point now) {
-    const std::uint64_t cur =
-        ctx_.cursors[static_cast<std::size_t>(peer)].beats;
-    if (cur != c.peer_beats) {
-      c.peer_beats = cur;
-      c.peer_changed = now;
-      return;
+  /// The run cannot complete: RankFailure naming the crash-stopped rank
+  /// when there is one, else a deadlock error.
+  [[noreturn]] void fail() const {
+    const std::string blocked = blocked_ranks();
+    if (dead_ == kNoProc) {
+      throw std::runtime_error("exec::Engine: deadlock in " + program_.label +
+                               ", no rank can advance: " + blocked);
     }
-    if (now - c.peer_changed < kSuspectAfter) return;
     if (obs::enabled()) {
       obs::MetricsRegistry::global()
           .counter("logpc_fault_rank_failures_total",
-                   "ranks declared dead by the engine failure detector")
+                   "crash-stopped ranks that failed an engine run")
           .inc();
     }
-    throw RankFailure(peer, "exec::Engine: rank " + std::to_string(peer) +
-                                " declared dead (heartbeat frozen while P" +
-                                std::to_string(p) + " waited on it, " +
-                                program_.label + ")");
-  }
-
-  /// Resends an unacked message for as long as the ack is missing: a
-  /// receiver that was busy on another link while the exponential ramp ran
-  /// out may still drop the queued copies, and a sender that stops
-  /// resending would deadlock the pair until the watchdog.  kMaxRetries
-  /// bounds the backoff RAMP; past it the cadence stays at kMaxBackoff
-  /// until the ack lands, the peer is declared dead, or the deadline
-  /// fires.
-  void retransmit(Cursor& c, const Instr& ins, Clock::time_point now) {
-    backoffs_ns.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(c.backoff)
-            .count()));
-    // try_push: if the ring is full the original copy is still queued, so
-    // there is nothing to retransmit past.
-    if (ctx_.mailboxes[static_cast<std::size_t>(ins.link)].try_push(c.m)) {
-      ++report_.retries;
-      wake(ins.peer);
-    }
-    if (c.retries_left > 0) {
-      --c.retries_left;
-      c.backoff = std::min(c.backoff * kBackoffFactor, kMaxBackoff);
-    }
-    c.next_retx = now + c.backoff;
+    throw RankFailure(dead_, "exec::Engine: rank " + std::to_string(dead_) +
+                                 " crash-stopped in " + program_.label +
+                                 (blocked.empty() ? std::string()
+                                                  : ", blocking: " + blocked));
   }
 
   /// "P3 recv item 0 from P1 (instr 2); ..." for every unfinished rank,
@@ -496,15 +359,14 @@ class Stepper {
 
   const Program& program_;
   const fault::Injector* injector_;
-  const bool reliable_;
   const Combiner* op_;
   const KernelFn kernel_;
   const Operands* operands_;
   RunContext& ctx_;
   ExecReport& report_;
   const Clock::time_point start_;
-  const Clock::time_point deadline_;
   std::size_t remaining_ = 0;  ///< cursors neither done nor dead
+  ProcId dead_ = kNoProc;      ///< the crash-stopped rank, if any
 };
 
 }  // namespace
@@ -597,8 +459,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   }
 
 
-  // Serialize runs on this engine *before* starting the watchdog clock:
-  // a run queued behind another must not burn its timeout budget waiting.
+  // Runs on one engine serialize: one run at a time owns the context.
   std::lock_guard run_lock(run_mu_);
 
   // --- run state: the engine's warm per-run context ----------------------
@@ -607,7 +468,6 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
   RunShape shape;
   shape.links = program.links.size();
   shape.capacity = cap;
-  shape.reliable = injector != nullptr;
   shape.procs = P;
 
   ExecReport report;
@@ -690,8 +550,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
 
 
   const Clock::time_point start = Clock::now();
-  Stepper stepper(program, injector, op, operands, ctx_, report, start,
-                  std::chrono::milliseconds(opts_.timeout_ms));
+  Stepper stepper(program, injector, op, operands, ctx_, report, start);
   {
     obs::Span run_span("exec.run", "exec");
     if (run_span.active()) {
@@ -727,15 +586,13 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
         std::max(report.max_mailbox_occupancy, mb.max_occupancy());
   }
   if (obs::enabled()) {
-    record_metrics(report, op, injector != nullptr, stepper.kernel_bytes,
-                   stepper.backoffs_ns);
+    record_metrics(report, op, injector != nullptr, stepper.kernel_bytes);
   }
   return report;
 }
 
 void Engine::record_metrics(const ExecReport& report, const Combiner* op,
-                            bool reliable, std::size_t kernel_bytes,
-                            const std::vector<double>& backoffs_ns) {
+                            bool faults, std::size_t kernel_bytes) {
   auto& reg = obs::MetricsRegistry::global();
   auto found = label_metrics_.find(report.label);
   if (found == label_metrics_.end()) {
@@ -808,7 +665,7 @@ void Engine::record_metrics(const ExecReport& report, const Combiner* op,
     }
   }
 
-  if (!reliable) return;
+  if (!faults) return;
   std::array<std::size_t, 4> by_kind{};
   for (const auto& evs : report.fault_events) {
     for (const fault::FaultEvent& fe : evs) {
@@ -824,18 +681,9 @@ void Engine::record_metrics(const ExecReport& report, const Combiner* op,
   }
   if (report.retries > 0) {
     reg.counter("logpc_fault_retries_total",
-                "retransmissions under acked delivery")
+                "deliveries resent after an injected drop")
         .inc(report.retries);
   }
-  if (report.duplicates > 0) {
-    reg.counter("logpc_fault_duplicates_total",
-                "retransmitted duplicates discarded exactly-once")
-        .inc(report.duplicates);
-  }
-  auto& backoff_hist = reg.histogram(
-      "logpc_fault_backoff_ns", obs::default_latency_buckets_ns(),
-      "retransmit backoff lapsed before each retry");
-  for (const double b : backoffs_ns) backoff_hist.observe(b);
 }
 
 }  // namespace logpc::exec

@@ -26,9 +26,9 @@
 /// mailbox full or its next receive finds it empty; then the next runnable
 /// rank goes, and every push or pop makes the rank at the link's other end
 /// runnable again.  A valid schedule's dependency graph is acyclic, so
-/// some rank can always advance: a fault-free run in which none can is a
-/// deadlock, and run() throws at once, naming every blocked rank and its
-/// pending instruction.  No run starts a thread.
+/// some rank can always advance: a run in which none can (and none sits
+/// out an injected stall) is a deadlock, and run() throws at once, naming
+/// every blocked rank and its pending instruction.  No run starts a thread.
 ///
 /// kMove runs deliver in place: every slot the plan touches is sized in
 /// its final ExecReport::items buffer before the first step, initial
@@ -36,8 +36,8 @@
 /// receive is one memcpy into its slot — there is no staging area and no
 /// copy-out pass.
 ///
-/// An Engine keeps a warm RunContext (mailboxes, ack rings, cursors, slot
-/// tables) alive across runs; RunContext::prepare rewinds rather than
+/// An Engine keeps a warm RunContext (mailboxes, cursors, slot tables)
+/// alive across runs; RunContext::prepare rewinds rather than
 /// rebuilds when consecutive runs share a shape, and
 /// ExecReport::warm_buffers records which path a run took.
 /// svc::CollectiveService keeps a small set of engines as its persistent
@@ -60,24 +60,19 @@
 /// obs span, so executions land in the Chrome-trace exporter next to
 /// sim::Trace timelines.
 ///
-/// Fault tolerance: pass a fault::Injector to run() and the engine
-/// switches every link to *acked delivery* — the injector argument is the
-/// one switch; an injector over an empty FaultSpec injects nothing and
-/// runs the protocol alone.  Messages carry per-link sequence numbers,
-/// receivers acknowledge acceptance on a reverse ring, senders retransmit
-/// after a timeout with exponential backoff, and receivers discard
-/// retransmitted duplicates exactly-once.  The same stepper runs it: a
-/// live rank's heartbeat moves whenever the engine visits it, a crashed
-/// one's never does, and injected delays and slow-rank stalls are
-/// not-before times on the rank's cursor.  When no rank can advance, the
-/// engine walks the exec::Waiter ladder and on each slow tick runs the
-/// watchdog deadline, the failure detector and retransmits for every
-/// blocked rank.  A rank whose heartbeat stays frozen for 25 ms while a
-/// peer waits on it is declared dead: the run throws RankFailure naming
-/// the rank (the next run's prepare() clears what it left in the rings) —
-/// api::Communicator::run_broadcast_ft catches it and re-plans over the
-/// survivors.  Without an injector the fast path is byte-identical to the
-/// unreliable engine.
+/// Fault injection: pass a fault::Injector to run() and the stepper
+/// applies its faults under the same stepping rule as a fault-free run —
+/// a send completes at its push, a receive at its pop.  The stepper owns
+/// every rank, so it sees every fault directly.  A dropped delivery is
+/// logged and resent at the pop (one ExecReport::retries per drop) until
+/// the injector lets it through.  Injected delays and slow-rank stalls are
+/// not-before times on the rank's cursor; when no rank can advance, the
+/// run sleeps until the earliest stall ends.  A crash-stopped rank makes
+/// no further move: once no live rank can advance and none is stalled,
+/// the run throws RankFailure naming it (the next run's prepare() clears
+/// what it left in the rings) — api::Communicator::run_broadcast_ft
+/// catches it and re-plans over the survivors.  Without a crashed rank
+/// such a run is a deadlock, as without an injector.
 
 namespace logpc::exec {
 
@@ -96,8 +91,7 @@ struct ExecEvent {
   ProcId peer = kNoProc;
   ItemId item = 0;
   /// Receive: the index in events[peer] of the send whose message this
-  /// receive accepted (under acked delivery, the original send of the
-  /// accepted copy).  Recorded by the engine at the pop.
+  /// receive accepted.  Recorded by the engine at the pop.
   std::uint32_t match = kNoMatch;
   std::uint64_t start_ns = 0;  ///< op begin (includes any blocking wait)
   std::uint64_t xfer_ns = 0;   ///< send: push accepted; recv: payload arrived
@@ -105,8 +99,8 @@ struct ExecEvent {
   Time planned = 0;            ///< planned cycle of this event
 };
 
-/// Thrown by Engine::run when the failure detector declares a rank dead:
-/// a peer waited on the rank while its heartbeat stayed frozen.  The
+/// Thrown by Engine::run when an injected crash-stop leaves the run unable
+/// to complete: no live rank can advance and none is stalled.  The
 /// recovery layer excludes rank() and re-plans; everyone else treats it as
 /// the runtime_error it is.
 class RankFailure : public std::runtime_error {
@@ -131,8 +125,7 @@ struct ExecReport {
   std::size_t payload_bytes = 0;   ///< bytes moved through mailboxes
   std::size_t mailbox_capacity = 0;
   std::size_t max_mailbox_occupancy = 0;  ///< high-water mark over all links
-  std::size_t retries = 0;     ///< retransmissions under acked delivery
-  std::size_t duplicates = 0;  ///< retransmitted copies discarded exactly-once
+  std::size_t retries = 0;  ///< deliveries resent after an injected drop
   std::size_t kernel_folds = 0;   ///< folds taken by the typed SIMD kernel
   std::size_t generic_folds = 0;  ///< folds through the type-erased lane
   /// True: no OS thread is spawned on the request path, because every
@@ -140,8 +133,8 @@ struct ExecReport {
   /// report (the service's pools, benchmarks) need not special-case it.
   bool warm_pool = true;
   /// True when the run reused the engine's RunContext warm: same shape as
-  /// the previous run, so mailboxes, ack rings and cursors were recycled
-  /// with zero allocation.
+  /// the previous run, so mailboxes and cursors were recycled with zero
+  /// allocation.
   bool warm_buffers = false;
   /// Per-processor event logs, in stream order.  Guarantee (asserted after
   /// every run): `events[p]` is non-decreasing in start_ns — in fact each
@@ -152,8 +145,7 @@ struct ExecReport {
   std::vector<std::vector<ExecEvent>> events;  ///< [proc], in stream order
   /// Injected faults, per processor in injection order.  Decisions are
   /// deterministic in the fault seed, so two same-seed runs produce equal
-  /// logs (duplicate discards, which depend on retransmit timing, are
-  /// counted in `duplicates` instead).
+  /// logs and equal `retries`.
   std::vector<std::vector<fault::FaultEvent>> fault_events;
   std::vector<std::vector<Bytes>> items;  ///< kMove results: [proc][item]
   std::vector<Bytes> folded;  ///< kFold/kSum accumulators: [proc]
@@ -217,24 +209,11 @@ struct Operands {
 /// outlive the run() call.
 using Inputs = std::variant<Payload, Items, FoldValues, Operands>;
 
+/// Every mailbox holds the model's capacity ceil(L/g) and records its
+/// high-water mark (ExecReport::max_mailbox_occupancy).  An engine has no
+/// options: a run that cannot progress throws at once.
 class Engine {
  public:
-  /// Every mailbox holds the model's capacity ceil(L/g) and records its
-  /// high-water mark (ExecReport::max_mailbox_occupancy).  The acked-
-  /// delivery protocol's timings are constants in engine.cpp, sized for
-  /// the fault tests: sub-millisecond retransmits, tens of milliseconds to
-  /// a death verdict.
-  struct Options {
-    /// Abort an acked-delivery run that is still waiting this long after
-    /// it started (a plan or engine bug must fail loudly, not hang the
-    /// caller).  The clock starts when the run begins, not while it queues
-    /// behind another run.  A fault-free run never waits: when no rank can
-    /// advance it throws at once.
-    std::uint64_t timeout_ms = 20000;
-  };
-
-  Engine() = default;
-  explicit Engine(Options options) : opts_(options) {}
 
   /// Runs `program` over `inputs`.  Throws std::invalid_argument before
   /// dispatch when the inputs do not fit the program: an alternative of
@@ -242,8 +221,7 @@ class Engine {
   /// operands), a Combiner without an operator, or an empty Payload for a
   /// multi-item program.  Every processor named in an initial placement
   /// starts with its items seeded.  `injector` (optional, non-owning, must
-  /// outlive the call) enables fault injection plus the acked-delivery
-  /// protocol.
+  /// outlive the call) enables fault injection.
   ExecReport run(const Program& program, const Inputs& inputs,
                  const fault::Injector* injector = nullptr);
 
@@ -252,12 +230,7 @@ class Engine {
   ///
   /// Thread-safety contract (all engines, enforced by run_mu_): run() may
   /// be called from any number of threads concurrently; runs serialize on
-  /// the engine's run mutex, each getting its full watchdog budget from
-  /// dispatch (not from when it started queueing).  Options are fixed at
-  /// construction and immutable afterwards — there is deliberately no
-  /// setter, so a run never observes a torn options struct and the shared
-  /// engine always carries the defaults.  A caller needing a different
-  /// timeout constructs its own Engine.
+  /// the engine's run mutex.
   static Engine& shared();
 
  private:
@@ -277,12 +250,9 @@ class Engine {
   };
 
   void record_metrics(const ExecReport& report, const Combiner* op,
-                      bool reliable, std::size_t kernel_bytes,
-                      const std::vector<double>& backoffs_ns);
+                      bool faults, std::size_t kernel_bytes);
 
-  Options opts_;
-  /// Serializes runs on this engine *before* the watchdog clock starts, so
-  /// a run queued behind a long one gets its full timeout budget.
+  /// Serializes runs on this engine.
   std::mutex run_mu_;
   /// Warm per-run resources, reused across same-shape runs (guarded by
   /// run_mu_ — exactly one run touches it at a time).

@@ -25,11 +25,8 @@
 /// The engine steps every rank on one thread, so a ring is plain memory:
 /// no atomics, no fences, no padding.  A run owns its engine's rings
 /// exclusively (Engine::run serializes on the engine's run mutex).
-///
-/// Under fault injection the engine runs an acked-delivery protocol: each
-/// data mailbox is paired with a reverse AckRing carrying the highest
-/// sequence number the receiver has accepted, so a sender can retransmit a
-/// dropped message after a timeout (see engine.cpp).
+/// Injected faults never add a channel: a dropped delivery is resent at
+/// the pop (see engine.cpp).
 
 namespace logpc::exec {
 
@@ -37,11 +34,10 @@ namespace logpc::exec {
 /// bytes.  The pointer refers into the sending processor's buffers, which
 /// the engine keeps immutable from push until the end of the run, so the
 /// receiver may copy (or fold) from it directly.  `send_event` is the
-/// index in the sender's ExecReport::events of the send that pushed it — a
-/// retransmitted copy carries the original's — so the receive that accepts
-/// it records its cause (ExecEvent::match).  `seq` is the 1-based per-link
-/// sequence number used by the acked-delivery protocol; 0 when the run
-/// executes without reliability.
+/// index in the sender's ExecReport::events of the send that pushed it, so
+/// the receive that accepts it records its cause (ExecEvent::match).
+/// `seq` is the 1-based per-link sequence number the fault injector's
+/// decisions key on; 0 in a run without an injector.
 struct Message {
   ItemId item = 0;
   std::uint32_t send_event = 0;
@@ -115,9 +111,5 @@ class Ring {
 
 /// The per-link payload channel.
 using Mailbox = Ring<Message>;
-
-/// The per-link reverse acknowledgment channel: values are cumulative — the
-/// highest per-link sequence number the receiver has accepted.
-using AckRing = Ring<std::uint64_t>;
 
 }  // namespace logpc::exec

@@ -15,21 +15,21 @@
 /// decision is a hash of (seed, rank, link, sequence number, attempt), never
 /// of wall-clock time or thread interleaving, so two runs of the same
 /// program with the same spec inject exactly the same faults and produce
-/// the same per-rank fault event log however the OS schedules the threads.
+/// the same per-rank fault event log.
 ///
 /// The injector only decides; the engine (exec/engine.cpp) applies the
 /// faults and records a FaultEvent per injected fault into
-/// ExecReport::fault_events.  Recovery — acked delivery with bounded
-/// retry/backoff, heartbeat failure detection, and re-planning around a
-/// dead rank — lives in the engine and api::Communicator::run_broadcast_ft;
-/// this file is deliberately mechanism-free so the fault model stays
-/// testable in isolation.
+/// ExecReport::fault_events.  Recovery — resending a dropped delivery,
+/// failing the run on a crash-stopped rank, and re-planning around it —
+/// lives in the engine and api::Communicator::run_broadcast_ft; this file
+/// is deliberately mechanism-free so the fault model stays testable in
+/// isolation.
 
 namespace logpc::fault {
 
 enum class FaultKind : std::uint8_t {
   kDelay,  ///< a send stalled before entering the network
-  kDrop,   ///< a delivery discarded in transit (sender must retransmit)
+  kDrop,   ///< a delivery discarded in transit (and resent)
   kSlow,   ///< a worker stalling before every instruction
   kDead,   ///< a worker stopped executing mid-stream
 };
@@ -55,30 +55,28 @@ struct FaultEvent {
 struct FaultSpec {
   std::uint64_t seed = 0;
 
-  /// Each first transmission of a message is delayed `delay_ns` with
-  /// probability `delay_prob` (retransmissions are never delayed, so the
-  /// injected-event log stays timing-independent).
+  /// Each message's send is delayed `delay_ns` with probability
+  /// `delay_prob` (a resent delivery is never delayed).
   double delay_prob = 0.0;
   std::uint64_t delay_ns = 0;
 
   /// Each delivery attempt is discarded in transit with probability
   /// `drop_prob`, up to `max_drops_per_message` consecutive discards of one
-  /// message.  The bound keeps every run terminating: the engine
-  /// retransmits until the ack lands (at a steady cadence once its backoff
-  /// ramp ends), so the first attempt past the bound gets through unless
-  /// the peer is declared dead or the watchdog fires first.
+  /// message.  The bound keeps every run terminating: the engine resends a
+  /// dropped delivery at once, so the first attempt past the bound gets
+  /// through.
   double drop_prob = 0.0;
   int max_drops_per_message = 3;
 
-  /// These ranks stall `slow_stall_ns` before every instruction.  A slow
-  /// rank keeps its heartbeat moving, so the failure detector never
-  /// escalates it — slowness degrades latency, not membership.
+  /// These ranks stall `slow_stall_ns` before every instruction.  A stall
+  /// ends, so a slow rank never fails a run — slowness degrades latency,
+  /// not membership.
   std::vector<ProcId> slow_ranks;
   std::uint64_t slow_stall_ns = 0;
 
   /// This rank executes `dead_after_instrs` instructions and then stops:
-  /// no more sends, receives, acks, or heartbeats — a crash, as seen from
-  /// every other rank.  kNoProc disables.
+  /// no more sends or receives — a crash, as seen from every other rank.
+  /// kNoProc disables.
   ProcId dead_rank = kNoProc;
   std::size_t dead_after_instrs = 0;
 };
@@ -98,14 +96,14 @@ class Injector {
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
 
-  /// Nanoseconds to stall the first transmission of message `seq` on
-  /// `link`; 0 = no delay.
+  /// Nanoseconds to stall the send of message `seq` on `link`; 0 = no
+  /// delay.
   [[nodiscard]] std::uint64_t send_delay_ns(ProcId from, std::int32_t link,
                                             std::uint64_t seq) const;
 
   /// Whether the receiver discards the `attempt`-th arrival (1-based) of
   /// message `seq` on `link`.  Always false once `attempt` exceeds
-  /// max_drops_per_message, so a retransmitting sender always gets through.
+  /// max_drops_per_message, so a resent delivery always gets through.
   [[nodiscard]] bool drop_delivery(ProcId to, std::int32_t link,
                                    std::uint64_t seq,
                                    std::uint64_t attempt) const;

@@ -154,7 +154,6 @@ exec::ExecReport member_report(const exec::ExecReport& run, std::size_t chunk,
   r.mailbox_capacity = run.mailbox_capacity;
   r.max_mailbox_occupancy = run.max_mailbox_occupancy;
   r.retries = run.retries;
-  r.duplicates = run.duplicates;
   r.kernel_folds = run.kernel_folds;
   r.generic_folds = run.generic_folds;
   r.warm_pool = run.warm_pool;

@@ -453,7 +453,7 @@ void CollectiveService::dispatch(
   }
 
   // One engine run is the whole batch: a failure (including a rank death
-  // under Options::fault) fails every member with the same error — no
+  // under an injected fault) fails every member with the same error — no
   // member can have partially completed, and no future is left behind.
   // Whatever a user combiner throws is caught too, so neither a pool thread
   // nor a submitter on a borrowed engine unwinds past the promises.
@@ -465,11 +465,10 @@ void CollectiveService::dispatch(
   };
   int segments = 1;
   try {
-    // The per-run injector keeps Options::fault a pure test hook: the
-    // engine's acked-delivery protocol switches on per run, and a killed
-    // rank never poisons the next dispatch's decisions.
+    // A per-run injector: a killed rank never poisons the next dispatch's
+    // decisions.
     std::optional<fault::Injector> injector;
-    if (opts_.fault.has_value()) injector.emplace(*opts_.fault);
+    if (fault_.has_value()) injector.emplace(*fault_);
     const fault::Injector* inj = injector ? &*injector : nullptr;
 
     std::vector<const Request*> members;

@@ -155,11 +155,6 @@ class CollectiveService {
     /// to [2, max_segments].
     std::size_t segment_bytes = 64 * 1024;
     int max_segments = 16;
-    /// Deterministic fault injection applied to every run (an Injector is
-    /// built from this spec per dispatch).  Test hook: a rank death inside
-    /// a fused batch must fail every member consistently, and that can
-    /// only be provoked from inside the service's own dispatch path.
-    std::optional<fault::FaultSpec> fault;
   };
 
   /// \param planner plan-lookup service; nullptr uses the process-wide
@@ -331,7 +326,16 @@ class CollectiveService {
                                                   int segments);
 
   Params params_;
+  /// The test seam (CollectiveServiceTestPeer sets it before the first
+  /// dispatch): a rank death inside a fused batch must fail every member
+  /// consistently, and that can only be provoked from inside the service's
+  /// own dispatch path.
+  friend struct CollectiveServiceTestPeer;
+
   Options opts_;
+  /// Fault injection applied to every run (an Injector is built from this
+  /// spec per dispatch); only the test seam sets it.
+  std::optional<fault::FaultSpec> fault_;
   api::Communicator comm_;
   const Clock::time_point epoch_ = Clock::now();
 

@@ -327,7 +327,7 @@ CheckResult check_exactly_once(
                   std::to_string(obs[i].item) + " from P" +
                   std::to_string(obs[i].from) + " twice (receptions " +
                   std::to_string(i) + " and " + std::to_string(j) +
-                  ") — a retransmitted duplicate leaked through"});
+                  ") — a duplicate delivery leaked through"});
         }
       }
     }

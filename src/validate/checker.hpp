@@ -80,10 +80,10 @@ struct DeliveryRecord {
     const Schedule& plan,
     const std::vector<std::vector<DeliveryRecord>>& observed);
 
-/// Exactly-once audit for executions under fault injection: the engine's
-/// acked-delivery protocol may retransmit a message, but a retransmitted
-/// copy must be *discarded*, never accepted — so no processor's observed
-/// reception sequence may contain the same (from, item) pair twice.  Each
+/// Exactly-once audit for executions under fault injection: the engine
+/// resends a dropped delivery, but the message must be accepted once —
+/// so no processor's observed reception sequence may contain the same
+/// (from, item) pair twice.  Each
 /// repeat is reported as a kDuplicateReceive violation.  (This is the
 /// per-pair complement of check_delivery_order, which would also flag a
 /// duplicate but as an order divergence; running both pins the failure to

@@ -431,33 +431,12 @@ TEST(Engine, WrongPayloadCountThrows) {
                std::invalid_argument);
 }
 
-TEST(Engine, TimesOutInsteadOfHangingOnImpossibleProgram) {
-  // A hand-built program whose receive has no matching send: the engine
-  // must abort the run with an error, not hang the pool.
-  Program prog;
-  prog.params = Params{2, 2, 0, 1};
-  prog.mode = Mode::kMove;
-  prog.label = "impossible";
-  prog.num_items = 1;
-  prog.procs.resize(2);
-  prog.procs[0].proc = 0;
-  prog.procs[1].proc = 1;
-  prog.links.push_back(Link{1, 0});
-  prog.procs[0].instrs.push_back(
-      Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0, /*link=*/0, 0});
-  Engine::Options short_fuse;
-  short_fuse.timeout_ms = 100;
-  Engine engine(short_fuse);
-  EXPECT_THROW(
-      (void)engine.run(prog, Items{std::vector<Bytes>{tu::of_u64(1)}}),
-      std::runtime_error);
-}
-
 TEST(Engine, DeadlockThrowsAtOnceAndLeavesTheEngineReusable) {
-  // A fault-free run in which no rank can advance is a deadlock: the
-  // engine must throw at once, naming the blocked rank and its pending
-  // instruction, instead of waiting out the (default, 20 s) timeout — and
-  // leave no stale message behind for the next run.
+  // A run in which no rank can advance is a deadlock: the engine must
+  // throw at once, naming the blocked rank and its pending instruction,
+  // instead of hanging — and leave no stale message behind for the next
+  // run.  An injector over an empty FaultSpec changes none of that: no
+  // rank crashed, so it is the same deadlock error, not a RankFailure.
   Program impossible;
   impossible.params = Params{2, 2, 0, 1};
   impossible.mode = Mode::kMove;
@@ -471,18 +450,26 @@ TEST(Engine, DeadlockThrowsAtOnceAndLeavesTheEngineReusable) {
       Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0, /*link=*/0, 0});
 
   Engine engine;
-  ASSERT_EQ(Engine::Options{}.timeout_ms, 20000u);
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    (void)engine.run(impossible, Items{std::vector<Bytes>{tu::of_u64(1)}});
-    FAIL() << "expected a deadlock error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("P0 recv item 0 from P1 (instr 0)"), std::string::npos)
-        << what;
+  const fault::Injector no_faults(fault::FaultSpec{});
+  for (const fault::Injector* injector :
+       {static_cast<const fault::Injector*>(nullptr), &no_faults}) {
+    SCOPED_TRACE(injector == nullptr ? "no injector" : "empty FaultSpec");
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)engine.run(impossible, Items{std::vector<Bytes>{tu::of_u64(1)}},
+                       injector);
+      FAIL() << "expected a deadlock error";
+    } catch (const RankFailure& e) {
+      FAIL() << "no rank crashed, yet: " << e.what();
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+      EXPECT_NE(what.find("P0 recv item 0 from P1 (instr 0)"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
   }
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 
   // The same engine must run a real collective immediately afterwards:
   // the abort left no stale message behind.

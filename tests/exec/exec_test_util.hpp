@@ -67,9 +67,8 @@ inline CombineFn concat() {
 
 /// Checks every receive's recorded ExecEvent::match against the per-link
 /// FIFO pairing rebuilt from the logs alone — the i-th receive on a
-/// directed link pairs with the i-th send on it, which holds on the
-/// acked path too, since receivers accept each link's messages in
-/// sequence order.  A send must carry ExecEvent::kNoMatch.  Returns ""
+/// directed link pairs with the i-th send on it, which holds under
+/// injected drops too, since a dropped delivery is resent at the pop.  A send must carry ExecEvent::kNoMatch.  Returns ""
 /// when every event agrees, else a description of the first mismatch.
 inline std::string match_errors(const ExecReport& report) {
   std::map<std::pair<ProcId, ProcId>, std::vector<std::uint32_t>> sends;

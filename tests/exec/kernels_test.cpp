@@ -13,7 +13,6 @@
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
 #include "exec/engine.hpp"
-#include "exec/wait.hpp"
 #include "exec_test_util.hpp"
 #include "runtime/planner.hpp"
 #include "sum/executor.hpp"
@@ -23,8 +22,8 @@
 /// byte-for-byte interchangeable with the scalar generic reference on every
 /// input (same per-element ops in the same order — true even for floats),
 /// the engine must produce bitwise-identical results whichever lane it
-/// takes, and the wait and drain machinery under it must not change any
-/// observable result.
+/// takes, and fault injection under it must not change any observable
+/// result.
 
 namespace logpc::exec {
 namespace {
@@ -379,11 +378,10 @@ TEST(EngineOptions, MailboxOccupancyIsTrackedWithinCapacity) {
 TEST(EngineKernels, BackToBackReceivesOnOneLinkAgreeWithAckedDelivery) {
   // A stream of back-to-back receives on one link, fed by sends that can
   // queue up to the mailbox bound: the fault-free run pops plainly, the
-  // reliable runs (lossless and lossy) take the sequenced acked path.  All
-  // must deliver identical items, and each receive must name the send it
-  // popped.  The program is handcrafted so the receives are guaranteed
-  // consecutive and the send graph is one-directional (reliable mode's
-  // synchronous acked sends need a cycle-free rendezvous order).
+  // injector runs (lossless and lossy) number each message and resend the
+  // dropped ones.  All must deliver identical items, and each receive must
+  // name the send it popped.  The program is handcrafted so the receives
+  // are guaranteed consecutive.
   const Params params{2, 4, 1, 1};  // capacity ceil(L/g) = 4: sends can queue
   constexpr int kItems = 4;
   Program prog;
@@ -411,9 +409,8 @@ TEST(EngineKernels, BackToBackReceivesOnOneLinkAgreeWithAckedDelivery) {
   Engine fast;
   const ExecReport fast_run = fast.run(prog, Items{items});
 
-  // An injector over an empty spec turns on acked delivery and injects
-  // nothing; the lossy one drops every first delivery, so each receive
-  // accepts a retransmitted copy.
+  // An injector over an empty spec injects nothing; the lossy one drops
+  // every first delivery, so each receive accepts a resent copy.
   Engine reliable;
   const fault::Injector no_faults(fault::FaultSpec{});
   const ExecReport reliable_run =

@@ -21,20 +21,6 @@ TEST(Mailbox, StartsEmpty) {
 /// that the model says cannot exist.
 TEST(Mailbox, ZeroCapacityIsRejected) {
   EXPECT_THROW(Mailbox mb(0), std::invalid_argument);
-  EXPECT_THROW(AckRing ar(0), std::invalid_argument);
-}
-
-TEST(AckRing, CarriesCumulativeSequenceNumbers) {
-  AckRing ar(2);
-  EXPECT_TRUE(ar.try_push(1));
-  EXPECT_TRUE(ar.try_push(3));
-  EXPECT_FALSE(ar.try_push(4));  // full — sender falls back to retransmit
-  std::uint64_t seq = 0;
-  ASSERT_TRUE(ar.try_pop(seq));
-  EXPECT_EQ(seq, 1u);
-  ASSERT_TRUE(ar.try_pop(seq));
-  EXPECT_EQ(seq, 3u);
-  EXPECT_FALSE(ar.try_pop(seq));
 }
 
 TEST(Mailbox, RejectsPushWhenFull) {

@@ -160,9 +160,9 @@ TEST(EngineFault, BroadcastSurvivesDropsWithExactlyOnceDelivery) {
 }
 
 TEST(EngineFault, AckedReceivesNameTheOriginalSendUnderDrops) {
-  // Every first delivery is dropped, so every message arrives as a
-  // retransmitted copy; each accepted copy must still name the send event
-  // that first pushed it, and the profiler must accept the log.
+  // Every first delivery is dropped, so every message arrives as a resent
+  // copy; each accepted copy must still name the send event that pushed
+  // it, and the profiler must accept the log.
   const Params params{8, 4, 1, 2};
   const Schedule s = bcast::optimal_single_item(params);
   const exec::Program prog = exec::compile_broadcast(s, "bcast-drop");
@@ -203,6 +203,44 @@ TEST(EngineFault, SameSeedSameFaultEventLog) {
   for (std::size_t p = 0; p < first.fault_events.size(); ++p) {
     EXPECT_EQ(first.fault_events[p], second.fault_events[p]) << "P" << p;
   }
+  // One resend per injected drop, so the count is a function of the seed.
+  EXPECT_EQ(first.retries, second.retries);
+}
+
+TEST(EngineFault, PipelinedKItemBroadcastCompletesUnderAnInjector) {
+  // The k-item pipeline's sends form a cycle (P1 sends to P4 while P4
+  // sends to P2, ...).  Each send completes at its push under an injector
+  // as without one, so the run finishes byte-exact whether the spec is
+  // empty or drops half the deliveries.
+  Planner planner;
+  const auto plan = planner.plan(PlanKey::kitem(Params{8, 3, 1, 2}, 4));
+  const exec::Program prog = exec::compile_plan(*plan, "kitem");
+  ASSERT_EQ(prog.num_items, 4);
+  const Bytes payload = tu::of_str("a pipelined payload in four items");
+  Engine engine;
+  const ExecReport clean = engine.run(prog, exec::Payload{payload});
+
+  fault::FaultSpec lossy;
+  lossy.seed = env_seed();
+  lossy.drop_prob = 0.5;
+  for (const fault::FaultSpec& spec : {fault::FaultSpec{}, lossy}) {
+    SCOPED_TRACE(spec.drop_prob);
+    const fault::Injector inj(spec);
+    const ExecReport report = engine.run(prog, exec::Payload{payload}, &inj);
+    EXPECT_EQ(report.messages, clean.messages);
+    for (ProcId p = 0; p < prog.params.P; ++p) {
+      EXPECT_EQ(report.items[static_cast<std::size_t>(p)],
+                std::vector<Bytes>{payload})
+          << "P" << p;
+    }
+    EXPECT_TRUE(validate::check_delivery_order(runtime::plan_schedule(*plan),
+                                               report.deliveries())
+                    .ok());
+    EXPECT_TRUE(validate::check_exactly_once(report.deliveries()).ok());
+    if (spec.drop_prob == 0.0) {
+      EXPECT_EQ(report.retries, 0u);
+    }
+  }
 }
 
 TEST(EngineFault, SlowRankDegradesLatencyNotMembership) {
@@ -212,7 +250,7 @@ TEST(EngineFault, SlowRankDegradesLatencyNotMembership) {
   fault::FaultSpec spec;
   spec.seed = env_seed();
   spec.slow_ranks = {1};
-  spec.slow_stall_ns = 200'000;  // well past the ack timeout
+  spec.slow_stall_ns = 200'000;
   const fault::Injector inj(spec);
   Engine engine;
   const Bytes payload = tu::of_str("slow but alive");

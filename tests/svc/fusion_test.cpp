@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +22,15 @@
 /// paused service with one pool, so batch composition is deterministic.
 
 namespace logpc::svc {
+
+/// The service's test seam: sets the fault spec every dispatch injects.
+/// Call before the first submit.
+struct CollectiveServiceTestPeer {
+  static void set_fault(CollectiveService& svc, const fault::FaultSpec& spec) {
+    svc.fault_ = spec;
+  }
+};
+
 namespace {
 
 Params machine() { return Params{4, 4, 1, 2}; }
@@ -98,12 +108,14 @@ Request allgather_req(int P, unsigned seed) {
 /// Runs `reqs` on a service with the given options (paused backlog, one
 /// pool: deterministic batching) and returns the responses in
 /// submission order.
-std::vector<Response> run_backlog(CollectiveService::Options opts,
-                                  std::vector<Request> reqs,
-                                  CollectiveService** out_svc = nullptr) {
+std::vector<Response> run_backlog(
+    CollectiveService::Options opts, std::vector<Request> reqs,
+    CollectiveService** out_svc = nullptr,
+    const std::optional<fault::FaultSpec>& fault = std::nullopt) {
   opts.pools = 1;
   static std::vector<std::unique_ptr<CollectiveService>> keep_alive;
   auto svc = std::make_unique<CollectiveService>(machine(), opts);
+  if (fault.has_value()) CollectiveServiceTestPeer::set_fault(*svc, *fault);
   svc->pause();
   const TenantId t = svc->register_tenant({.name = "fusion-backlog",
                                            .queue_capacity = 64});
@@ -625,21 +637,18 @@ TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
 }
 
 TEST(SvcFusion, RankDeathFailsEveryFusedMemberConsistently) {
-  // Value-initialized, so the optional fault spec's storage is zeroed
-  // before it is assigned.
-  auto opts = CollectiveService::Options();
-  // Rank 3 never executes an instruction: the fused run's acked delivery
-  // escalates to a death verdict and the whole batch must fail together —
-  // same error, no orphaned futures.
+  // Rank 3 never executes an instruction: the fused run cannot complete,
+  // the engine names the crashed rank, and the whole batch must fail
+  // together — same error, no orphaned futures.
   fault::FaultSpec spec;
   spec.dead_rank = 3;
   spec.dead_after_instrs = 0;
-  opts.fault = spec;
   std::vector<Request> reqs;
   for (int i = 0; i < 4; ++i) {
     reqs.push_back(bcast_req("doomed-" + std::to_string(i)));
   }
-  const std::vector<Response> rs = run_backlog(opts, std::move(reqs));
+  const std::vector<Response> rs = run_backlog(
+      CollectiveService::Options{}, std::move(reqs), nullptr, spec);
   ASSERT_EQ(rs.size(), 4u);
   for (const Response& r : rs) {
     EXPECT_EQ(r.status, Status::kError);
