@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: tier-1 build + tests, then the runtime concurrency
 # tests again under ThreadSanitizer (-DLOGPC_TSAN=ON), then the obs,
-# runtime, counting-recurrence and parser suites under ASan/UBSan
-# (-DLOGPC_SANITIZE=address,undefined).
+# runtime, counting-recurrence, k-item emission and parser suites under
+# ASan/UBSan (-DLOGPC_SANITIZE=address,undefined).
 #
 #   scripts/verify.sh            # all three passes
 #   scripts/verify.sh --no-tsan  # skip the TSan pass
@@ -76,7 +76,7 @@ fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo
-  echo "=== asan/ubsan: obs + runtime + recurrence + parser tests (build-asan/) ==="
+  echo "=== asan/ubsan: obs + runtime + recurrence + emission + parser tests (build-asan/) ==="
   cmake -B build-asan -S . -DLOGPC_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_obs_metrics test_obs_trace test_obs_chrome \
@@ -86,7 +86,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_exec_program test_communicator_exec test_exec_property test_fault \
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
              test_prometheus_lint test_measure test_io test_tree \
-             test_summation
+             test_summation test_continuous test_kitem test_kitem_buffered \
+             test_continuous_search
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
@@ -120,6 +121,13 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   # their quadratic and tree-building oracles.
   ./build-asan/tests/test_tree
   ./build-asan/tests/test_summation
+  # The k-item emission indexes dense per-cycle tables (receive slots,
+  # senders per step) and its oracle; the word search and the k-item
+  # builders feed it.
+  ./build-asan/tests/test_continuous
+  ./build-asan/tests/test_kitem
+  ./build-asan/tests/test_kitem_buffered
+  ./build-asan/tests/test_continuous_search
   for seed in 1 7 1993; do
     LOGPC_FAULT_SEED="$seed" ./build-asan/tests/test_fault
   done

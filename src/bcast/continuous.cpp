@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 namespace logpc::bcast {
 
@@ -95,23 +96,67 @@ ContinuousResult plan_continuous(Time L, Time t, std::uint64_t budget) {
 Schedule emit_k_items(const ContinuousPlan& plan, int k) {
   if (k < 1) throw std::invalid_argument("emit_k_items: k >= 1");
   const Time L = plan.params.L;
+  const auto P = static_cast<std::size_t>(plan.params.P);
+  const auto m = static_cast<std::size_t>(plan.tree.size());
+  const auto n_letters = static_cast<int>(plan.letter_delays.size());
   Schedule out(plan.params, k);
   for (ItemId i = 0; i < k; ++i) {
     out.add_initial(i, plan.source, i);  // generated every g = 1 cycles
   }
+  out.reserve_sends(static_cast<std::size_t>(k) * m);  // one per (item, node)
 
-  // Block index serving each internal tree node, and leaf lists per letter.
-  std::vector<int> block_of_node(static_cast<std::size_t>(plan.tree.size()),
-                                 -1);
+  // The consumer order below relies on plan_from_tree's numbering: block
+  // members in increasing ids, block after block, the receive-only last.
+  ProcId prev = plan.source;
+  for (const ContinuousBlock& block : plan.blocks) {
+    for (const ProcId q : block.members) {
+      if (q <= prev) {
+        throw std::invalid_argument(
+            "emit_k_items: processors must be numbered block by block");
+      }
+      prev = q;
+    }
+  }
+  if (plan.receive_only <= prev) {
+    throw std::invalid_argument(
+        "emit_k_items: the receive-only processor must be numbered last");
+  }
+
+  // Item i reaches tree node v at step s = i + L + label(v), so a block's
+  // member index i mod r for the item arriving at v is phase - off mod r,
+  // with phase = s mod r kept per block as the steps advance (no division
+  // per send) and off = (L + label(v)) mod r fixed per node.
+  std::vector<int> phase(plan.blocks.size());  // s mod r, per block
+  std::vector<int> recv_off(plan.blocks.size());
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+    phase[b] = posmod(L, plan.blocks[b].r);
+    recv_off[b] = posmod(L + plan.blocks[b].d, plan.blocks[b].r);
+  }
+  const auto member = [&](std::size_t b, int off) {
+    const ContinuousBlock& block = plan.blocks[b];
+    const int j = phase[b] - off;
+    return block.members[static_cast<std::size_t>(j < 0 ? j + block.r : j)];
+  };
+  // The block that sends to each tree node is its parent's; -1 when the
+  // source sends it (the root).
+  std::vector<int> block_of_node(m, -1);
   for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
     block_of_node[static_cast<std::size_t>(plan.blocks[b].tree_node)] =
         static_cast<int>(b);
   }
-  const auto n_letters = static_cast<int>(plan.letter_delays.size());
+  std::vector<int> sender_block(m, -1);
+  std::vector<int> sender_off(m, 0);
   std::vector<std::vector<int>> leaves_by_letter(
       static_cast<std::size_t>(n_letters));
-  for (int v = 0; v < plan.tree.size(); ++v) {
-    const auto& node = plan.tree.node(v);
+  for (std::size_t v = 0; v < m; ++v) {
+    const auto& node = plan.tree.node(static_cast<int>(v));
+    if (node.parent >= 0) {
+      const int b = block_of_node[static_cast<std::size_t>(node.parent)];
+      if (b < 0) throw std::logic_error("emit_k_items: leaf has no holder");
+      sender_block[v] = b;
+      sender_off[v] =
+          posmod(L + node.label, plan.blocks[static_cast<std::size_t>(b)].r);
+    }
     if (!node.children.empty()) continue;
     const auto it = std::find(plan.letter_delays.begin(),
                               plan.letter_delays.end(), node.label);
@@ -120,123 +165,182 @@ Schedule emit_k_items(const ContinuousPlan& plan, int k) {
     }
     leaves_by_letter[static_cast<std::size_t>(
                          it - plan.letter_delays.begin())]
-        .push_back(v);
+        .push_back(static_cast<int>(v));
+  }
+  const auto sender_of = [&](int v) -> ProcId {
+    const auto uv = static_cast<std::size_t>(v);
+    const int b = sender_block[uv];
+    return b < 0 ? plan.source
+                 : member(static_cast<std::size_t>(b), sender_off[uv]);
+  };
+
+  // Each letter's consumer slots, built once: word position p of block b
+  // naming the letter (in wait variant w) is received, for the item
+  // arriving at step s, by member (s + c) mod r with c = (w - L - d - p)
+  // mod r.  Sorted by (letter, block, c, w), a block's slots at step s
+  // list their members in increasing order after one rotation, so the
+  // consumers of a (step, letter) come out sorted by (processor, wait)
+  // without a sort; the receive-only processor, numbered last, closes the
+  // letter's list.  Consumers take the letter's leaves in that order.
+  struct Slot {
+    int letter;
+    int block;
+    int c;
+    int wait;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(m);
+  int max_wait = 0;
+  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+    const ContinuousBlock& block = plan.blocks[b];
+    for (int p = 1; p < block.r; ++p) {
+      const int ext = block.word[static_cast<std::size_t>(p - 1)];
+      const int w = ext / n_letters;
+      max_wait = std::max(max_wait, w);
+      slots.push_back(Slot{ext % n_letters, static_cast<int>(b),
+                           posmod(w - L - block.d - p, block.r), w});
+    }
+  }
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return std::tie(a.letter, a.block, a.c, a.wait) <
+           std::tie(b.letter, b.block, b.c, b.wait);
+  });
+  std::vector<std::size_t> letter_begin(
+      static_cast<std::size_t>(n_letters) + 1, 0);
+  for (const Slot& slot : slots) {
+    ++letter_begin[static_cast<std::size_t>(slot.letter) + 1];
+  }
+  for (int l = 0; l < n_letters; ++l) {
+    const auto ul = static_cast<std::size_t>(l);
+    letter_begin[ul + 1] += letter_begin[ul];
+    const std::size_t consumers = letter_begin[ul + 1] - letter_begin[ul] +
+                                  (plan.receive_only_letter == l ? 1 : 0);
+    if (consumers != leaves_by_letter[ul].size()) {
+      throw std::logic_error("emit_k_items: supply/demand mismatch");
+    }
   }
 
-  // The processor holding internal node v's role for item i; the source
-  // plays the (virtual) parent of the root.
-  auto holder = [&](int v, ItemId i) -> ProcId {
-    const int b = block_of_node[static_cast<std::size_t>(v)];
-    if (b < 0) throw std::logic_error("emit_k_items: leaf has no holder");
-    const auto& block = plan.blocks[static_cast<std::size_t>(b)];
-    return block.members[static_cast<std::size_t>(posmod(i, block.r))];
+  // busy[(t - L) * P + q]: processor q receives at cycle t.  Internal
+  // (active) receptions are fixed at their arrival and marked up front;
+  // buffered letters (wait > 0, Theorem 3.8) take the earliest free cycle
+  // at or after their arrival, in arrival order and, within one arrival,
+  // by (wait, item).  Earliest-fit in arrival order cannot do worse than
+  // the steady-state pattern, and compresses the drain at the end (the
+  // paper's Figure 5 shows exactly this: delayed items, boxed, slotting
+  // into gaps).  The table grows if a letter is pushed past the last
+  // arrival.
+  const Time last = static_cast<Time>(k) - 1 + L + plan.tree.makespan();
+  std::vector<unsigned char> busy(static_cast<std::size_t>(last - L + 1) * P,
+                                  0);
+  const auto cell = [&](Time t, ProcId q) -> unsigned char& {
+    const std::size_t at =
+        static_cast<std::size_t>(t - L) * P + static_cast<std::size_t>(q);
+    if (at >= busy.size()) busy.resize(std::max(2 * busy.size(), at + P), 0);
+    return busy[at];
   };
-  auto sender_of = [&](int v, ItemId i) -> ProcId {
-    const int parent = plan.tree.node(v).parent;
-    return parent < 0 ? plan.source : holder(parent, i);
-  };
-
-  // Collect receptions; buffered word positions (wait > 0, Theorem 3.8)
-  // receive their arrival up to `wait` steps later, so final receive times
-  // are resolved per processor afterwards.
-  struct Reception {
-    Time arrival;   // earliest receivable step (= send start + L)
-    int wait;       // steady-state buffering; 0 = strict
-    bool internal;  // active item: received exactly at arrival
-    ProcId from;
-    ItemId item;
-  };
-  std::vector<std::vector<Reception>> per_proc(
-      static_cast<std::size_t>(plan.params.P));
+  for (const ContinuousBlock& block : plan.blocks) {
+    for (ItemId i = 0, j = 0; i < k; ++i, j = j + 1 == block.r ? 0 : j + 1) {
+      cell(L + block.d + i, block.members[static_cast<std::size_t>(j)]) = 1;
+    }
+  }
 
   // Walk every arrival step.  Arrivals of item i happen during
   // [i + L, i + L + makespan]; the final step is (k-1) + L + makespan.
-  const Time last = static_cast<Time>(k) - 1 + L + plan.tree.makespan();
+  // Every send of step s starts at s - L, and a postal single-sending
+  // plan starts at most one send per processor per cycle, so listing a
+  // step's sends by sender emits them in Schedule::sort() order.
+  struct Reception {
+    ProcId from;
+    ProcId to;
+    ItemId item;
+    int wait;
+    Time recv;
+  };
+  std::vector<Reception> step;      // this step's receptions
+  step.reserve(P);
+  std::vector<int> by_sender(P, -1);  // index into `step`, per sender
   for (Time s = L; s <= last; ++s) {
+    step.clear();
     // Internal receptions: block b's phase-0 member takes item s - L - d.
-    for (const auto& block : plan.blocks) {
-      const Time i = s - L - block.d;
+    for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+      const Time i = s - L - plan.blocks[b].d;
+      if (i < 0 || i >= k) continue;
+      step.push_back(Reception{sender_of(plan.blocks[b].tree_node),
+                               member(b, recv_off[b]),
+                               static_cast<ItemId>(i), 0, s});
+    }
+    const std::size_t first_letter = step.size();
+    // Letter receptions, by increasing item (decreasing letter delay).
+    for (int l = n_letters - 1; l >= 0; --l) {
+      const auto ul = static_cast<std::size_t>(l);
+      const Time i = s - L - plan.letter_delays[ul];
       if (i < 0 || i >= k) continue;
       const auto item = static_cast<ItemId>(i);
-      const ProcId to = block.members[static_cast<std::size_t>(
-          posmod(i, block.r))];
-      per_proc[static_cast<std::size_t>(to)].push_back(Reception{
-          s, 0, true, sender_of(block.tree_node, item), item});
+      const std::vector<int>& leaves = leaves_by_letter[ul];
+      std::size_t x = 0;
+      const auto consume = [&](ProcId to, int wait) {
+        const ProcId from = sender_of(leaves[x++]);
+        if (from == to) throw std::logic_error("emit_k_items: self-send");
+        step.push_back(Reception{from, to, item, wait, s});
+      };
+      for (std::size_t g = letter_begin[ul]; g < letter_begin[ul + 1];) {
+        const int b = slots[g].block;
+        std::size_t g_end = g;
+        while (g_end < letter_begin[ul + 1] && slots[g_end].block == b) {
+          ++g_end;
+        }
+        // Members (c + shift) mod r: the slots whose sum wraps come first.
+        const ContinuousBlock& block = plan.blocks[static_cast<std::size_t>(b)];
+        const int shift = phase[static_cast<std::size_t>(b)];
+        const auto take = [&](std::size_t j) {
+          const int at = slots[j].c + shift;
+          consume(block.members[static_cast<std::size_t>(
+                      at < block.r ? at : at - block.r)],
+                  slots[j].wait);
+        };
+        std::size_t split = g;
+        while (split < g_end && slots[split].c < block.r - shift) ++split;
+        for (std::size_t j = split; j < g_end; ++j) take(j);
+        for (std::size_t j = g; j < split; ++j) take(j);
+        g = g_end;
+      }
+      if (plan.receive_only_letter == l) consume(plan.receive_only, 0);
     }
-    // Letter receptions: consumers are block members whose word positions
-    // name the letter (in any wait variant: a wait-w consumer's receive
-    // slot is w steps after the arrival), plus the receive-only processor;
-    // producers are the leaves at the letter's delay in the arriving
-    // item's tree.
-    for (int l = 0; l < n_letters; ++l) {
-      const Time i = s - L - plan.letter_delays[static_cast<std::size_t>(l)];
-      if (i < 0 || i >= k) continue;
-      const auto item = static_cast<ItemId>(i);
-      std::vector<std::pair<ProcId, int>> consumers;  // (proc, wait)
-      for (const auto& block : plan.blocks) {
-        for (int p = 1; p < block.r; ++p) {
-          const int ext = block.word[static_cast<std::size_t>(p - 1)];
-          if (ext % n_letters != l) continue;
-          const int w = ext / n_letters;
-          consumers.emplace_back(
-              block.members[static_cast<std::size_t>(
-                  posmod(s + w - L - block.d - p, block.r))],
-              w);
-        }
-      }
-      if (plan.receive_only_letter == l) {
-        consumers.emplace_back(plan.receive_only, 0);
-      }
-      const auto& leaves = leaves_by_letter[static_cast<std::size_t>(l)];
-      if (consumers.size() != leaves.size()) {
-        throw std::logic_error("emit_k_items: supply/demand mismatch");
-      }
-      std::sort(consumers.begin(), consumers.end());
-      for (std::size_t x = 0; x < leaves.size(); ++x) {
-        const ProcId from = sender_of(leaves[x], item);
-        if (from == consumers[x].first) {
-          throw std::logic_error("emit_k_items: self-send");
-        }
-        per_proc[static_cast<std::size_t>(consumers[x].first)].push_back(
-            Reception{s, consumers[x].second, false, from, item});
+    for (int w = 0; w <= max_wait; ++w) {
+      for (std::size_t j = first_letter; j < step.size(); ++j) {
+        Reception& rec = step[j];
+        if (rec.wait != w) continue;
+        while (cell(rec.recv, rec.to) != 0) ++rec.recv;
+        cell(rec.recv, rec.to) = 1;
       }
     }
-  }
 
-  // Resolve receive times per processor: internal (active) receptions are
-  // fixed at their arrival; buffered letters take the earliest free slot at
-  // or after theirs.  Earliest-fit in arrival order cannot do worse than
-  // the steady-state pattern, and compresses the drain at the end (the
-  // paper's Figure 5 shows exactly this: delayed items, boxed, slotting
-  // into gaps).
-  for (ProcId to = 0; to < plan.params.P; ++to) {
-    auto& receptions = per_proc[static_cast<std::size_t>(to)];
-    std::sort(receptions.begin(), receptions.end(),
-              [](const Reception& a, const Reception& b) {
-                if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                if (a.internal != b.internal) return a.internal;
-                return std::tie(a.wait, a.item) < std::tie(b.wait, b.item);
-              });
-    std::set<Time> occupied;
-    for (const auto& rec : receptions) {
-      if (rec.internal) {
-        if (!occupied.insert(rec.arrival).second) {
-          throw std::logic_error("emit_k_items: active reception conflict");
-        }
+    ProcId lo = plan.params.P;
+    ProcId hi = -1;
+    for (std::size_t j = 0; j < step.size(); ++j) {
+      const ProcId from = step[j].from;
+      int& slot = by_sender[static_cast<std::size_t>(from)];
+      if (slot >= 0) {
+        throw std::logic_error("emit_k_items: P" + std::to_string(from) +
+                               " starts two sends at cycle " +
+                               std::to_string(s - L));
       }
+      slot = static_cast<int>(j);
+      lo = std::min(lo, from);
+      hi = std::max(hi, from);
     }
-    for (const auto& rec : receptions) {
-      Time recv = rec.arrival;
-      if (!rec.internal) {
-        while (occupied.contains(recv)) ++recv;
-        occupied.insert(recv);
-      }
-      SendOp op{rec.arrival - L, rec.from, to, rec.item, kNever};
-      if (recv != rec.arrival) op.recv_start = recv;
-      out.add_send(op);
+    for (ProcId from = lo; from <= hi; ++from) {
+      int& slot = by_sender[static_cast<std::size_t>(from)];
+      if (slot < 0) continue;
+      const Reception& rec = step[static_cast<std::size_t>(slot)];
+      slot = -1;
+      out.add_send(SendOp{s - L, rec.from, rec.to, rec.item,
+                          rec.recv != s ? rec.recv : kNever});
+    }
+    for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+      if (++phase[b] == plan.blocks[b].r) phase[b] = 0;
     }
   }
-  out.sort();
   return out;
 }
 

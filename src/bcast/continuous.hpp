@@ -26,7 +26,12 @@
 /// machinery over an arbitrary (e.g. pruned, Theorem 3.5) tree.
 /// emit_k_items unrolls a plan into a finite, fully-checkable schedule for
 /// k items - which is precisely the paper's optimal-continuous-phase k-item
-/// broadcast finishing at L + B(P-1) + k - 1 (Corollary 3.1).
+/// broadcast finishing at L + B(P-1) + k - 1 (Corollary 3.1).  It runs in
+/// one pass over the arrival steps, linear in the sends it emits: each
+/// letter's consumer slots are built once, buffered receive slots come
+/// from one per-cycle table, and since every send of step s starts at
+/// s - L and a sender starts at most one send per cycle, each step's sends
+/// are listed by sender, already in Schedule::sort() order.
 
 namespace logpc::bcast {
 
@@ -82,7 +87,12 @@ struct ContinuousResult {
 /// Unrolls the plan for items 0..k-1 (item i is generated at the source at
 /// cycle i).  The result is a complete broadcast schedule: every item
 /// reaches every processor with delay exactly plan.delay(), so the whole
-/// broadcast finishes at plan.delay() + k - 1.
+/// broadcast finishes at plan.delay() + k - 1.  Its sends come sorted.
+/// Throws std::invalid_argument for k < 1 or a plan whose processors are
+/// not numbered as plan_from_tree numbers them (source, then each block's
+/// members in order, then the receive-only processor), and
+/// std::logic_error if the plan would make one processor start two sends
+/// in one cycle.
 [[nodiscard]] Schedule emit_k_items(const ContinuousPlan& plan, int k);
 
 /// The steady-state reception pattern for rendering Figure 2's "Receiving

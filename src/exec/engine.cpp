@@ -56,8 +56,8 @@ class Stepper {
       const ProcProgram& stream = program_.procs[p];
       Cursor& c = cursors[p];
       c.acc_have = fold_mode;
-      report_.events[p].reserve(stream.instrs.size());
-      if (stream.instrs.empty()) {
+      report_.events[p].reserve(stream.size());
+      if (stream.empty()) {
         c.phase = Phase::kDone;
         continue;
       }
@@ -105,7 +105,7 @@ class Stepper {
   /// Runs rank p until it finishes, crash-stops, or blocks.
   void step(std::size_t p) {
     Cursor& c = ctx_.cursors[p];
-    const std::vector<Instr>& instrs = program_.procs[p].instrs;
+    const std::span<const Instr> instrs = program_.stream(p);
     while (c.pc < instrs.size()) {
       const Instr& ins = instrs[c.pc];
       if (c.phase <= Phase::kSlow && !fetch(p, c)) return;
@@ -340,7 +340,7 @@ class Stepper {
         ++more;
         continue;
       }
-      const Instr& ins = program_.procs[p].instrs[c.pc];
+      const Instr& ins = program_.stream(p)[c.pc];
       out += (named++ == 0 ? "P" : "; P") + std::to_string(p);
       if (ins.op == OpCode::kCombineLocal) {
         out += " combine";
@@ -514,7 +514,7 @@ ExecReport Engine::run(const Program& program, const Inputs& inputs,
                       static_cast<std::size_t>(init.item))] = 1;
     }
     for (std::size_t p = 0; p < P; ++p) {
-      for (const Instr& ins : program.procs[p].instrs) {
+      for (const Instr& ins : program.stream(p)) {
         if (ins.op == OpCode::kRecv) {
           used[slot_index(p, static_cast<std::size_t>(ins.item))] = 1;
         }

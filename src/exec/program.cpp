@@ -1,7 +1,7 @@
 #include "exec/program.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -32,9 +32,9 @@ Program skeleton(const Params& params, Mode mode, std::string label,
   return prog;
 }
 
-/// The one lowering.  On entry `prog.procs[p].instrs` holds rank p's
-/// events in plan-time order, each kSend/kRecv carrying in `link` its
-/// message id in [0, num_ids).  Walking the ranks in order, each id becomes
+/// The one lowering.  On entry `prog.stream(p)` holds rank p's events in
+/// plan-time order, each kSend/kRecv carrying in `link` its message id in
+/// [0, num_ids).  Walking the ranks in order, each id becomes
 /// the mailbox index of its (from, to) link, numbered by first appearance.
 /// A link between ranks a and b is first met on rank min(a, b)'s walk, so
 /// an unseen id names a link created on this walk, found through two
@@ -62,7 +62,7 @@ void lower(Program& prog, std::size_t num_ids) {
   for (std::size_t p = 0; p < P; ++p) {
     const auto self = static_cast<ProcId>(p);
     bool sent = false;
-    for (Instr& ins : prog.procs[p].instrs) {
+    for (Instr& ins : prog.stream(p)) {
       if (ins.op == OpCode::kCombineLocal) continue;
       const bool send = ins.op == OpCode::kSend;
       const Link want = send ? Link{self, ins.peer} : Link{ins.peer, self};
@@ -113,45 +113,52 @@ bool before(const Instr& a, const Instr& b) {
 /// The source for schedules and implicit trees alike: each SendOp is a
 /// kSend on its sender at its start cycle and a kRecv on its receiver at
 /// its payload-available cycle, its position in `sends` the message id.
-/// Each rank's stream is filled with its receives, then its sends, both in
-/// `sends` order; for a time-sorted list each run is already in stream
-/// order, so one merge orders the rank, and any other input is sorted.
+/// One count pass sizes the instruction array and each rank's range.  A
+/// list whose starts and available cycles both rise (every time-sorted
+/// list without explicit receive starts) is then walked once as two
+/// streams — its receives by available cycle, its sends by start — merged
+/// in `before` order, so appending each event to its rank's range writes
+/// every stream already in order.  Any other list is placed the same way
+/// and each rank's range sorted.
 Program from_sends(Program prog, const std::vector<SendOp>& sends) {
   const Schedule timing(prog.params, 1);  // for Schedule::available_at
   prog.num_messages = sends.size();
-  // Cursors into each sized stream: receives fill [0, r), sends [r, end).
-  std::vector<std::size_t> recv_at(prog.procs.size(), 0);
-  std::vector<std::size_t> send_at(prog.procs.size(), 0);
+  const std::size_t P = prog.procs.size();
+  std::vector<std::size_t> next(P, 0);  // per rank: its next slot
   for (const SendOp& op : sends) {
-    ++recv_at[static_cast<std::size_t>(op.to)];
-    ++send_at[static_cast<std::size_t>(op.from)];
+    ++next[static_cast<std::size_t>(op.to)];
+    ++next[static_cast<std::size_t>(op.from)];
   }
-  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
-    prog.procs[p].instrs.resize(recv_at[p] + send_at[p]);
-    send_at[p] = std::exchange(recv_at[p], 0);
+  std::size_t at = 0;
+  for (std::size_t p = 0; p < P; ++p) {
+    prog.procs[p].begin = at;
+    at += std::exchange(next[p], at);
+    prog.procs[p].end = at;
   }
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    const SendOp& op = sends[i];
-    const auto id = static_cast<std::int32_t>(i);
-    const auto to = static_cast<std::size_t>(op.to);
-    const auto from = static_cast<std::size_t>(op.from);
-    prog.procs[to].instrs[recv_at[to]++] =
-        Instr{OpCode::kRecv, op.from, op.item, 0, id, timing.available_at(op)};
-    prog.procs[from].instrs[send_at[from]++] =
-        Instr{OpCode::kSend, op.to, op.item, 0, id, op.start};
+  prog.instrs.resize(at);
+  bool in_order = true;
+  Time last_recv = std::numeric_limits<Time>::min();
+  Time last_send = last_recv;
+  std::size_t r = 0;  // next message to receive
+  std::size_t s = 0;  // next message to send
+  while (r < sends.size() || s < sends.size()) {
+    const bool recv = r < sends.size() &&
+                      (s == sends.size() ||
+                       timing.available_at(sends[r]) <= sends[s].start);
+    const auto id = recv ? r++ : s++;
+    const SendOp& op = sends[id];
+    const Time when = recv ? timing.available_at(op) : op.start;
+    Time& last = recv ? last_recv : last_send;
+    in_order = in_order && when >= last;
+    last = when;
+    prog.instrs[next[static_cast<std::size_t>(recv ? op.to : op.from)]++] =
+        Instr{recv ? OpCode::kRecv : OpCode::kSend, recv ? op.from : op.to,
+              op.item, 0, static_cast<std::int32_t>(id), when};
   }
-  std::vector<Instr> merged;
-  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
-    std::vector<Instr>& instrs = prog.procs[p].instrs;
-    const auto mid = instrs.begin() + static_cast<std::ptrdiff_t>(recv_at[p]);
-    if (!std::is_sorted(instrs.begin(), mid, before) ||
-        !std::is_sorted(mid, instrs.end(), before)) {
-      std::sort(instrs.begin(), instrs.end(), before);
-    } else if (mid != instrs.begin() && mid != instrs.end()) {
-      merged.clear();
-      std::merge(instrs.begin(), mid, mid, instrs.end(),
-                 std::back_inserter(merged), before);
-      std::copy(merged.begin(), merged.end(), instrs.begin());
+  if (!in_order) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::span<Instr> stream = prog.stream(p);
+      std::sort(stream.begin(), stream.end(), before);
     }
   }
   lower(prog, sends.size());
@@ -183,11 +190,9 @@ Program relabel_swapped(Program program, ProcId a, ProcId b) {
   const auto map = [a, b](ProcId p) { return p == a ? b : (p == b ? a : p); };
   std::swap(program.procs[static_cast<std::size_t>(a)],
             program.procs[static_cast<std::size_t>(b)]);
-  for (ProcProgram& pp : program.procs) {
-    pp.proc = map(pp.proc);
-    for (Instr& ins : pp.instrs) {
-      if (ins.peer != kNoProc) ins.peer = map(ins.peer);
-    }
+  for (ProcProgram& pp : program.procs) pp.proc = map(pp.proc);
+  for (Instr& ins : program.instrs) {
+    if (ins.peer != kNoProc) ins.peer = map(ins.peer);
   }
   for (Link& link : program.links) {
     link.from = map(link.from);
@@ -222,34 +227,62 @@ Program compile_plan(const runtime::Plan& plan, std::string label) {
 Program compile_summation(const sum::SummationPlan& plan, std::string label) {
   Program prog = skeleton(plan.params, Mode::kSum, std::move(label), plan.t);
   // Each participant sends at most once, so its sender names a message.
+  // Participants' streams sit in the array in plan.procs order.
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    total += layout[i].chunk_sizes.size() + plan.procs[i].recv_from.size() + 1;
+  }
+  prog.instrs.reserve(total);
+  auto add_chunk = [&prog](std::size_t count, Time when) {
+    if (count == 0) return;
+    prog.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
+                                static_cast<std::int32_t>(count), -1, when});
+  };
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
     ProcProgram& stream = prog.procs[static_cast<std::size_t>(pp.proc)];
     stream.sum_index = static_cast<std::int32_t>(i);
     stream.num_operands = layout[i].total();
+    stream.begin = prog.instrs.size();
     const auto& chunks = layout[i].chunk_sizes;
-    stream.instrs.reserve(chunks.size() + pp.recv_from.size() + 1);
-    auto add_chunk = [&stream](std::size_t count, Time when) {
-      if (count == 0) return;
-      stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
-                                    static_cast<std::int32_t>(count), -1,
-                                    when});
-    };
     add_chunk(chunks[0], 0);
     for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
-                                    pp.recv_from[j], pp.recv_times[j]});
+      prog.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
+                                  pp.recv_from[j], pp.recv_times[j]});
       add_chunk(chunks[j + 1], pp.recv_times[j]);
     }
     if (pp.send_to != kNoProc) {
-      stream.instrs.push_back(
+      prog.instrs.push_back(
           Instr{OpCode::kSend, pp.send_to, 0, 0, pp.proc, pp.send_time});
       ++prog.num_messages;
     }
+    stream.end = prog.instrs.size();
   }
   lower(prog, prog.procs.size());
   return prog;
+}
+
+bool operator==(const Program& a, const Program& b) {
+  if (a.params != b.params || a.mode != b.mode || a.label != b.label ||
+      a.num_items != b.num_items ||
+      a.predicted_makespan != b.predicted_makespan ||
+      a.num_messages != b.num_messages || a.procs.size() != b.procs.size() ||
+      a.links != b.links || a.initials != b.initials) {
+    return false;
+  }
+  for (std::size_t p = 0; p < a.procs.size(); ++p) {
+    const ProcProgram& x = a.procs[p];
+    const ProcProgram& y = b.procs[p];
+    const std::span<const Instr> xs = a.stream(p);
+    const std::span<const Instr> ys = b.stream(p);
+    if (x.proc != y.proc || x.sum_index != y.sum_index ||
+        x.num_operands != y.num_operands ||
+        !std::equal(xs.begin(), xs.end(), ys.begin(), ys.end())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace logpc::exec

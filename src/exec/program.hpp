@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,13 @@
 /// mailbox bound equals the model's capacity constraint, executing these
 /// streams with blocking sends/receives cannot deadlock in whatever order
 /// the engine steps the ranks.
+///
+/// Layout: a Program owns one contiguous `instrs` array, and each rank's
+/// stream is the [begin, end) range its ProcProgram names in it
+/// (Program::stream).  Lowering a plan therefore allocates one array, not
+/// one per rank.  The ranges carry no meaning beyond that: two Programs
+/// are equal when their ranks' streams are, however the array is laid out
+/// (relabel_swapped exchanges two ranges without moving an instruction).
 ///
 /// Every compile_* function is a thin source for one lowering: it emits
 /// each rank's events in that order, and the lowering numbers the links
@@ -80,13 +88,17 @@ struct Link {
   friend bool operator==(const Link&, const Link&) = default;
 };
 
+/// One rank's slice of a Program: its stream is
+/// Program::instrs[begin, end).
 struct ProcProgram {
   ProcId proc = kNoProc;
   std::int32_t sum_index = -1;    ///< kSum: index into SummationPlan::procs
   std::size_t num_operands = 0;   ///< kSum: local operands this proc folds
-  std::vector<Instr> instrs;
+  std::size_t begin = 0;          ///< first instruction in Program::instrs
+  std::size_t end = 0;            ///< one past the last
 
-  friend bool operator==(const ProcProgram&, const ProcProgram&) = default;
+  [[nodiscard]] std::size_t size() const { return end - begin; }
+  [[nodiscard]] bool empty() const { return begin == end; }
 };
 
 /// A compiled collective: everything Engine::run needs, decoupled from the
@@ -99,10 +111,24 @@ struct Program {
   Time predicted_makespan = 0;    ///< the plan's exact completion, cycles
   std::size_t num_messages = 0;
   std::vector<ProcProgram> procs;          ///< size params.P
+  std::vector<Instr> instrs;               ///< every rank's stream
   std::vector<Link> links;                 ///< mailbox directory
   std::vector<InitialPlacement> initials;  ///< kMove: pre-filled slots
 
-  friend bool operator==(const Program&, const Program&) = default;
+  /// Rank p's instruction stream.
+  [[nodiscard]] std::span<const Instr> stream(std::size_t p) const {
+    const ProcProgram& pp = procs[p];
+    return {instrs.data() + pp.begin, pp.size()};
+  }
+  [[nodiscard]] std::span<Instr> stream(std::size_t p) {
+    const ProcProgram& pp = procs[p];
+    return {instrs.data() + pp.begin, pp.size()};
+  }
+
+  /// Equal machine, metadata, links and initials, and rank by rank equal
+  /// streams (proc, sum_index, num_operands and instructions); where in
+  /// `instrs` a stream sits does not count.
+  friend bool operator==(const Program& a, const Program& b);
 };
 
 /// Lowers a move-semantics schedule (broadcast, k-item, scatter, gather,

@@ -10,22 +10,8 @@ void Schedule::add_initial(ItemId item, ProcId proc, Time time) {
   initials_.push_back(InitialPlacement{item, proc, time});
 }
 
-Time Schedule::add_send(SendOp op) {
-  sends_.push_back(op);
-  return available_at(op);
-}
-
 Time Schedule::add_send(Time t, ProcId from, ProcId to, ItemId item) {
   return add_send(SendOp{t, from, to, item, kNever});
-}
-
-Time Schedule::recv_start(const SendOp& op) const {
-  return op.recv_start == kNever ? op.start + params_.o + params_.L
-                                 : op.recv_start;
-}
-
-Time Schedule::available_at(const SendOp& op) const {
-  return recv_start(op) + params_.o;
 }
 
 void Schedule::sort() {

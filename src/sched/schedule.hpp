@@ -41,17 +41,25 @@ class Schedule {
 
   /// Appends a transmission.  Returns the time the item becomes available at
   /// the receiver (= effective recv_start + o).
-  Time add_send(SendOp op);
+  Time add_send(SendOp op) {
+    sends_.push_back(op);
+    return available_at(op);
+  }
 
   /// Convenience: strict-model send of `item` from `from` starting at `t`.
   Time add_send(Time t, ProcId from, ProcId to, ItemId item);
 
   /// Effective receive-overhead start of `op`: op.recv_start if set,
   /// otherwise op.start + o + L.
-  [[nodiscard]] Time recv_start(const SendOp& op) const;
+  [[nodiscard]] Time recv_start(const SendOp& op) const {
+    return op.recv_start == kNever ? op.start + params_.o + params_.L
+                                   : op.recv_start;
+  }
 
   /// Cycle at which op's item becomes available at the receiver.
-  [[nodiscard]] Time available_at(const SendOp& op) const;
+  [[nodiscard]] Time available_at(const SendOp& op) const {
+    return recv_start(op) + params_.o;
+  }
 
   /// Sorts sends by (start, from, to, item) for stable output.
   void sort();

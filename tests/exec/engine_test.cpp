@@ -37,10 +37,8 @@ TEST(CompileBroadcast, LowersScheduleToStreams) {
   // Exactly P-1 receives across all streams (everyone but the root learns
   // the item once), and one link per transmission in a tree.
   std::size_t recvs = 0;
-  for (const auto& pp : prog.procs) {
-    for (const auto& ins : pp.instrs) {
-      if (ins.op == OpCode::kRecv) ++recvs;
-    }
+  for (const auto& ins : prog.instrs) {
+    if (ins.op == OpCode::kRecv) ++recvs;
   }
   EXPECT_EQ(recvs, 7u);
   EXPECT_EQ(prog.links.size(), s.sends().size());
@@ -442,12 +440,11 @@ TEST(Engine, DeadlockThrowsAtOnceAndLeavesTheEngineReusable) {
   impossible.mode = Mode::kMove;
   impossible.label = "impossible";
   impossible.num_items = 1;
-  impossible.procs.resize(2);
-  impossible.procs[0].proc = 0;
-  impossible.procs[1].proc = 1;
   impossible.links.push_back(Link{1, 0});
-  impossible.procs[0].instrs.push_back(
-      Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0, /*link=*/0, 0});
+  tu::set_streams(impossible,
+                  {{Instr{OpCode::kRecv, /*peer=*/1, /*item=*/0, 0,
+                          /*link=*/0, 0}},
+                   {}});
 
   Engine engine;
   const fault::Injector no_faults(fault::FaultSpec{});
@@ -605,10 +602,11 @@ TEST(EngineCausality, KItemBackToBackReceivesNameTheirFifoSends) {
       Planner::build_uncached(PlanKey::kitem(Params{8, 3, 1, 2}, 4));
   const Program prog = compile_broadcast(plan.schedule, "kitem");
   bool back_to_back = false;
-  for (const ProcProgram& pp : prog.procs) {
-    for (std::size_t j = 1; j < pp.instrs.size(); ++j) {
-      const Instr& a = pp.instrs[j - 1];
-      const Instr& b = pp.instrs[j];
+  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+    const std::span<const Instr> stream = prog.stream(p);
+    for (std::size_t j = 1; j < stream.size(); ++j) {
+      const Instr& a = stream[j - 1];
+      const Instr& b = stream[j];
       back_to_back = back_to_back || (a.op == OpCode::kRecv &&
                                       b.op == OpCode::kRecv &&
                                       a.link == b.link);

@@ -102,12 +102,33 @@ inline std::string match_errors(const ExecReport& report) {
   return "";
 }
 
+/// Lays `streams` (one per rank) into `prog` as its one instruction array,
+/// rank 0's stream first, and sets each rank's id and range; a rank's other
+/// fields are kept.  Every hand-built test Program goes through here.
+inline void set_streams(Program& prog,
+                        std::vector<std::vector<Instr>> streams) {
+  prog.procs.resize(streams.size());
+  prog.instrs.clear();
+  for (std::size_t p = 0; p < streams.size(); ++p) {
+    ProcProgram& pp = prog.procs[p];
+    pp.proc = static_cast<ProcId>(p);
+    pp.begin = prog.instrs.size();
+    prog.instrs.insert(prog.instrs.end(), streams[p].begin(),
+                       streams[p].end());
+    pp.end = prog.instrs.size();
+  }
+}
+
 /// A reference lowering, written for clarity rather than speed: links
-/// interned through a hash map, every rank's stream fully sorted, and the
-/// implicit source built from ImplicitPlan::rank_schedule.  exec::compile_*
-/// must produce Programs equal to these (Program::operator==, links
-/// included) on every valid plan.
+/// interned through a hash map, every rank's stream built in its own vector
+/// and fully sorted, the implicit source built from
+/// ImplicitPlan::rank_schedule, and the streams laid into one array only at
+/// the end.  exec::compile_* must produce Programs equal to these
+/// (Program::operator==, links included) on every valid plan.
 namespace reference {
+
+/// One vector per rank until finish() flattens them.
+using Streams = std::vector<std::vector<Instr>>;
 
 inline Program skeleton(const Params& params, Mode mode, std::string label,
                         Time predicted_makespan) {
@@ -125,7 +146,8 @@ inline Program skeleton(const Params& params, Mode mode, std::string label,
 
 /// Each instruction's `link` holds its message id on entry; links are
 /// numbered by first appearance walking rank 0's stream, then rank 1's ...
-inline void lower(Program& prog, std::size_t num_ids) {
+/// Then the streams become `prog`'s array.
+inline Program finish(Program prog, Streams streams, std::size_t num_ids) {
   std::unordered_map<std::uint64_t, std::int32_t> index;
   std::vector<std::int32_t> link_of(num_ids, -1);
   const auto intern = [&](ProcId from, ProcId to) {
@@ -137,9 +159,9 @@ inline void lower(Program& prog, std::size_t num_ids) {
     if (inserted) prog.links.push_back(Link{from, to});
     return it->second;
   };
-  for (std::size_t p = 0; p < prog.procs.size(); ++p) {
+  for (std::size_t p = 0; p < streams.size(); ++p) {
     const auto self = static_cast<ProcId>(p);
-    for (Instr& ins : prog.procs[p].instrs) {
+    for (Instr& ins : streams[p]) {
       if (ins.op == OpCode::kCombineLocal) continue;
       std::int32_t& link = link_of[static_cast<std::size_t>(ins.link)];
       if (link < 0) {
@@ -149,28 +171,30 @@ inline void lower(Program& prog, std::size_t num_ids) {
       ins.link = link;
     }
   }
+  set_streams(prog, std::move(streams));
+  return prog;
 }
 
 inline Program from_schedule(Program prog, const Schedule& s) {
   const auto& sends = s.sends();
   prog.num_messages = sends.size();
+  Streams streams(prog.procs.size());
   for (std::size_t i = 0; i < sends.size(); ++i) {
     const SendOp& op = sends[i];
     const auto id = static_cast<std::int32_t>(i);
-    prog.procs[static_cast<std::size_t>(op.from)].instrs.push_back(
+    streams[static_cast<std::size_t>(op.from)].push_back(
         Instr{OpCode::kSend, op.to, op.item, 0, id, op.start});
-    prog.procs[static_cast<std::size_t>(op.to)].instrs.push_back(
+    streams[static_cast<std::size_t>(op.to)].push_back(
         Instr{OpCode::kRecv, op.from, op.item, 0, id, s.available_at(op)});
   }
-  for (ProcProgram& pp : prog.procs) {
-    std::sort(pp.instrs.begin(), pp.instrs.end(),
+  for (std::vector<Instr>& stream : streams) {
+    std::sort(stream.begin(), stream.end(),
               [](const Instr& a, const Instr& b) {
                 return std::tuple(a.when, a.op == OpCode::kSend, a.link) <
                        std::tuple(b.when, b.op == OpCode::kSend, b.link);
               });
   }
-  lower(prog, sends.size());
-  return prog;
+  return finish(std::move(prog), std::move(streams), sends.size());
 }
 
 inline Program compile_broadcast(const Schedule& s,
@@ -202,10 +226,11 @@ inline Program compile_implicit(const runtime::ImplicitPlan& plan,
   const auto id = [reduce](const SendOp& op) {
     return static_cast<std::int32_t>(reduce ? op.from : op.to);
   };
+  Streams streams(P);
   for (std::size_t p = 0; p < P; ++p) {
     const runtime::RankSchedule rs =
         plan.rank_schedule(static_cast<ProcId>(p));
-    std::vector<Instr>& instrs = prog.procs[p].instrs;
+    std::vector<Instr>& instrs = streams[p];
     for (const SendOp& op : rs.recvs) {
       instrs.push_back(
           Instr{OpCode::kRecv, op.from, op.item, 0, id(op), op.start + T});
@@ -215,40 +240,40 @@ inline Program compile_implicit(const runtime::ImplicitPlan& plan,
           Instr{OpCode::kSend, op.to, op.item, 0, id(op), op.start});
     }
   }
-  lower(prog, P);
-  return prog;
+  return finish(std::move(prog), std::move(streams), P);
 }
 
 inline Program compile_summation(const sum::SummationPlan& plan,
                                  std::string label = "summation") {
   Program prog = skeleton(plan.params, Mode::kSum, std::move(label), plan.t);
   const std::vector<sum::ProcLayout> layout = sum::operand_layout(plan);
+  Streams streams(prog.procs.size());
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const sum::ProcPlan& pp = plan.procs[i];
-    ProcProgram& stream = prog.procs[static_cast<std::size_t>(pp.proc)];
-    stream.sum_index = static_cast<std::int32_t>(i);
-    stream.num_operands = layout[i].total();
+    ProcProgram& meta = prog.procs[static_cast<std::size_t>(pp.proc)];
+    meta.sum_index = static_cast<std::int32_t>(i);
+    meta.num_operands = layout[i].total();
+    std::vector<Instr>& stream = streams[static_cast<std::size_t>(pp.proc)];
     const auto& chunks = layout[i].chunk_sizes;
     const auto add_chunk = [&stream](std::size_t count, Time when) {
       if (count == 0) return;
-      stream.instrs.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
-                                    static_cast<std::int32_t>(count), -1,
-                                    when});
+      stream.push_back(Instr{OpCode::kCombineLocal, kNoProc, 0,
+                             static_cast<std::int32_t>(count), -1, when});
     };
     add_chunk(chunks[0], 0);
     for (std::size_t j = 0; j < pp.recv_from.size(); ++j) {
-      stream.instrs.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
-                                    pp.recv_from[j], pp.recv_times[j]});
+      stream.push_back(Instr{OpCode::kRecv, pp.recv_from[j], 0, 0,
+                             pp.recv_from[j], pp.recv_times[j]});
       add_chunk(chunks[j + 1], pp.recv_times[j]);
     }
     if (pp.send_to != kNoProc) {
-      stream.instrs.push_back(
+      stream.push_back(
           Instr{OpCode::kSend, pp.send_to, 0, 0, pp.proc, pp.send_time});
       ++prog.num_messages;
     }
   }
-  lower(prog, prog.procs.size());
-  return prog;
+  const std::size_t num_ids = prog.procs.size();
+  return finish(std::move(prog), std::move(streams), num_ids);
 }
 
 /// The reference for exec::compile_plan: the cached plan's implicit form,

@@ -391,16 +391,15 @@ TEST(EngineKernels, BackToBackReceivesOnOneLinkAgreeWithAckedDelivery) {
   prog.num_items = kItems;
   prog.num_messages = kItems;
   prog.links.push_back(Link{0, 1});
-  prog.procs.resize(2);
-  prog.procs[0].proc = 0;
-  prog.procs[1].proc = 1;
+  std::vector<std::vector<Instr>> streams(2);
   for (ItemId i = 0; i < kItems; ++i) {
     prog.initials.push_back(InitialPlacement{i, 0, 0});
-    prog.procs[0].instrs.push_back(
+    streams[0].push_back(
         Instr{OpCode::kSend, 1, i, 0, 0, static_cast<Time>(i)});
-    prog.procs[1].instrs.push_back(
+    streams[1].push_back(
         Instr{OpCode::kRecv, 0, i, 0, 0, static_cast<Time>(i + 4)});
   }
+  tu::set_streams(prog, std::move(streams));
 
   std::vector<Bytes> items;
   for (int i = 0; i < kItems; ++i) {

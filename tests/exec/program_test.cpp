@@ -86,6 +86,40 @@ TEST(ProgramIdentity, SegmentedBroadcastMatchesTheReferenceAtAnyRoot) {
   }
 }
 
+TEST(ProgramIdentity, RelabeledSegmentedBroadcastRunsByteExact) {
+  // relabel_swapped exchanges ranks 0 and root by swapping their ranges of
+  // the one instruction array; the engine must still deliver every item,
+  // byte for byte, to every rank.
+  auto planner = std::make_shared<runtime::Planner>();
+  constexpr int kItems = 5;
+  for (const int P : {8, 23, 64}) {
+    const api::Communicator comm(Params::postal(P, 6), planner);
+    std::vector<Bytes> items;
+    for (int i = 0; i < kItems; ++i) {
+      const std::string pad(static_cast<std::size_t>(i), '*');
+      items.push_back(testutil::of_str("P" + std::to_string(P) + " item " +
+                                       std::to_string(i) + pad));
+    }
+    for (const ProcId root : {1, P - 1}) {
+      SCOPED_TRACE("P=" + std::to_string(P) + " root=" + std::to_string(root));
+      const Program prog =
+          comm.compile(Problem::kKItemBroadcast, kItems, root);
+      EXPECT_EQ(prog.procs[static_cast<std::size_t>(root)].begin, 0u);
+      for (const InitialPlacement& init : prog.initials) {
+        EXPECT_EQ(init.proc, root);
+      }
+      Engine engine;
+      const ExecReport report = engine.run(prog, Items{items});
+      for (ProcId p = 0; p < P; ++p) {
+        for (int i = 0; i < kItems; ++i) {
+          EXPECT_EQ(report.item_at(p, i), items[static_cast<std::size_t>(i)])
+              << "P" << p << " item " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ProgramIdentity, SummationMatchesTheReferenceOnAFreshPlan) {
   auto planner = std::make_shared<runtime::Planner>();
   for (const Params& m : machines()) {
@@ -151,7 +185,7 @@ TEST(ProgramIdentity, HandBuiltScheduleMatchesTheReferenceSortedOrNot) {
   const Program got = compile_broadcast(s);
   EXPECT_TRUE(got == ref::compile_broadcast(s));
   // The tie: P2 receives item 0 at cycle 4 and forwards it at cycle 4.
-  const std::vector<Instr>& p2 = got.procs[2].instrs;
+  const std::span<const Instr> p2 = got.stream(2);
   ASSERT_GE(p2.size(), 2u);
   EXPECT_EQ(p2[0].op, OpCode::kRecv);
   EXPECT_EQ(p2[0].when, 4);

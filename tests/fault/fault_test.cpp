@@ -419,7 +419,7 @@ TEST(PlanKeyMask, SnapshotRoundTripsMaskedKeys) {
 /// shape the optimal tree takes.
 ProcId pick_relay_rank(const exec::Program& prog) {
   for (std::size_t p = 1; p < prog.procs.size(); ++p) {
-    if (prog.procs[p].instrs.size() >= 2) return static_cast<ProcId>(p);
+    if (prog.procs[p].size() >= 2) return static_cast<ProcId>(p);
   }
   return 1;  // fall back: leaf death is still a valid crash
 }
