@@ -1,7 +1,7 @@
 #include "logp/params.hpp"
 
+#include <charconv>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace logpc {
@@ -13,14 +13,25 @@ void Params::require_valid() const {
 }
 
 std::string Params::to_string() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+  // Built with appends, not a stream: every plan-cache miss formats it.
+  std::string out = "LogP(P=";
+  char buf[24];
+  const auto num = [&out, &buf](auto v) {
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  num(P);
+  out += ", L=";
+  num(L);
+  out += ", o=";
+  num(o);
+  out += ", g=";
+  num(g);
+  out += ")";
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const Params& p) {
-  return os << "LogP(P=" << p.P << ", L=" << p.L << ", o=" << p.o
-            << ", g=" << p.g << ")";
+  return os << p.to_string();
 }
 
 }  // namespace logpc

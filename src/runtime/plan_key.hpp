@@ -145,7 +145,9 @@ struct PlanKey {
   [[nodiscard]] static PlanKey summation(const Params& p, std::int64_t n);
   [[nodiscard]] static PlanKey alltoall(const Params& p, std::int64_t k = 1);
 
-  /// "kitem(P=16 L=10 o=0 g=1, k=8, root=0)" — for logs and diagnostics.
+  /// "kitem(LogP(P=16, L=10, o=0, g=1), k=8, root=0)", with ", mask=0x.."
+  /// before the ")" on a masked key — for logs and diagnostics; operator<<
+  /// writes the same text.
   [[nodiscard]] std::string to_string() const;
 
   /// FNV-1a over every field; stable within a process run.
