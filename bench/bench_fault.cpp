@@ -1,24 +1,28 @@
 /// The fault bench: what does resilience cost?  On the P=8 reference
-/// machine we run the same broadcast three ways — fault-free, under a
-/// lossy network (each injected drop resent), and with one rank killed
-/// mid-collective so the Communicator has to re-plan on the seven
-/// survivors — and report the wall time of each next to the recovery
-/// latency (re-plan + degraded re-run, timed from the failed run's
-/// RankFailure) and the whole run_broadcast_ft call, which alone covers
-/// the failed first attempt.  Results land in BENCH_fault.json via the
+/// machine we run the same broadcast five ways — fault-free, under a
+/// lossy network (each injected drop resent), with every send delayed
+/// 50 us, with rank 1 stalling 200 us before each instruction, and with
+/// one rank killed mid-collective so the Communicator has to re-plan on
+/// the seven survivors — and report the wall time of each next to the
+/// recovery latency (re-plan + degraded re-run, timed from the failed
+/// run's RankFailure), the whole run_broadcast_ft call, which alone
+/// covers the failed first attempt, and the call's CPU time (a stalled
+/// run that spins shows here).  Results land in BENCH_fault.json via the
 /// global JsonReport.
 ///
 /// Gate: the bench exits 1 unless every rep ends as its scenario must —
-/// kOk fault-free and under drops, kRecovered on 7 survivors when rank 3
-/// dies.
+/// kOk fault-free, under drops, delays and a slow rank, kRecovered on 7
+/// survivors when rank 3 dies.
 
 #include "bench_util.hpp"
 
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <ctime>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/communicator.hpp"
@@ -54,10 +58,12 @@ const char* status_name(api::RunStatus s) {
 /// `reps` FT runs of one scenario.  `best` is the fastest rep that ended
 /// as `expected` demands (thread wakeup jitter dominates single runs), or
 /// the first rep when none did; every other ending is printed and fails
-/// the bench's gate.  `call_ns` is that rep's whole run_broadcast_ft call.
+/// the bench's gate.  `call_ns` is that rep's whole run_broadcast_ft call,
+/// `cpu_ns` the process CPU time it took.
 struct Scenario {
   api::FtRunResult best;
   std::int64_t call_ns = 0;
+  std::int64_t cpu_ns = 0;
   int as_expected = 0;
 };
 
@@ -66,12 +72,15 @@ Scenario run_reps(const char* name, int reps, const RunFn& run,
                   const ExpectFn& expected) {
   Scenario s;
   for (int i = 0; i < reps; ++i) {
+    const std::clock_t c0 = std::clock();
     const auto t0 = std::chrono::steady_clock::now();
     api::FtRunResult r = run();
     const std::int64_t call_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count();
+    const auto cpu_ns = static_cast<std::int64_t>(
+        1e9 * static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC);
     const bool ok = expected(r);
     if (!ok) {
       std::cout << "fault: " << name << " rep " << i << " ended "
@@ -84,6 +93,7 @@ Scenario run_reps(const char* name, int reps, const RunFn& run,
                           r.report.wall_ns < s.best.report.wall_ns))) {
       s.best = std::move(r);
       s.call_ns = call_ns;
+      s.cpu_ns = cpu_ns;
     }
     if (ok) ++s.as_expected;
   }
@@ -100,13 +110,15 @@ void report() {
   const std::uint64_t seed = env_seed();
 
   Table t({"scenario", "status", "as expected", "attempts", "wall (us)",
-           "recovery (us)", "call (us)", "retries", "survivors"});
+           "recovery (us)", "call (us)", "cpu (us)", "retries",
+           "survivors"});
   const auto row = [&t](const char* name, const Scenario& sc) {
     const api::FtRunResult& r = sc.best;
     t.row(name, status_name(r.status),
           std::to_string(sc.as_expected) + "/" + std::to_string(kReps),
           r.attempts, r.report.wall_ns / 1000, r.recovery_ns / 1000,
-          sc.call_ns / 1000, r.report.retries, r.survivors.size());
+          sc.call_ns / 1000, sc.cpu_ns / 1000, r.report.retries,
+          r.survivors.size());
   };
   const auto completed = [](const api::FtRunResult& r) {
     return r.status == api::RunStatus::kOk;
@@ -129,6 +141,28 @@ void report() {
   const api::FtRunResult& dropped = dropped_sc.best;
   row("drops p=0.5", dropped_sc);
 
+  fault::FaultSpec delayed;
+  delayed.seed = seed;
+  delayed.delay_prob = 1.0;
+  delayed.delay_ns = 50'000;
+  api::FtRunOptions delayed_opt;
+  delayed_opt.faults = delayed;
+  const Scenario delayed_sc = run_reps(
+      "delays 50us", kReps,
+      [&] { return comm.run_broadcast_ft(view, 0, delayed_opt); }, completed);
+  row("delays 50us", delayed_sc);
+
+  fault::FaultSpec slow;
+  slow.seed = seed;
+  slow.slow_ranks = {1};
+  slow.slow_stall_ns = 200'000;
+  api::FtRunOptions slow_opt;
+  slow_opt.faults = slow;
+  const Scenario slow_sc = run_reps(
+      "rank 1 slow 200us", kReps,
+      [&] { return comm.run_broadcast_ft(view, 0, slow_opt); }, completed);
+  row("rank 1 slow 200us", slow_sc);
+
   fault::FaultSpec mortal;
   mortal.seed = seed;
   mortal.dead_rank = 3;
@@ -146,7 +180,7 @@ void report() {
   const api::FtRunResult& killed = killed_sc.best;
   row("rank 3 dies", killed_sc);
   t.print();
-  std::cout << "\nevery rep as expected (ok, ok, recovered on "
+  std::cout << "\nevery rep as expected (ok, ok, ok, ok, recovered on "
             << machine.P - 1 << "): "
             << (logpc::bench::gate_failed() ? "NO" : "yes") << "\n";
 
@@ -173,6 +207,18 @@ void report() {
              {"retries", static_cast<double>(dropped.report.retries)},
              {"attempts", static_cast<double>(dropped.attempts)},
              {"recovery_ns", 0.0}});
+  for (const auto& [name, sc] :
+       {std::pair{"delays_50us", &delayed_sc},
+        std::pair{"slow_rank_1_200us", &slow_sc}}) {
+    rep.entry("fault_grid",
+              {{"machine", machine.to_string()},
+               {"scenario", name},
+               {"seed", std::to_string(seed)}},
+              {{"wall_ns", static_cast<double>(sc->best.report.wall_ns)},
+               {"attempts", static_cast<double>(sc->best.attempts)},
+               {"call_ns", static_cast<double>(sc->call_ns)},
+               {"cpu_ns", static_cast<double>(sc->cpu_ns)}});
+  }
   rep.entry("fault_grid",
             {{"machine", machine.to_string()},
              {"scenario", "dead_rank_3"},

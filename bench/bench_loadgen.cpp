@@ -3,8 +3,9 @@
 /// against real engine pools on one machine (P = 8):
 ///
 ///  1. fusion    — 8 concurrent same-shape submitters (64 B broadcast,
-///     batch class, one request in flight each) against a fused service
-///     and against the same service with the fusion window disabled.
+///     one request in flight each) on two engines, as batch-class traffic,
+///     which fuses when it queues behind lent engines, and as
+///     interactive-class traffic, which never fuses.
 ///     Reports sustained collectives/sec, p50/p99/p999, the fused-batch-
 ///     size distribution (from the logpc_svc_batch_size histogram), and
 ///     the fused/unfused ratio (ISSUE acceptance floor: 2x).
@@ -27,7 +28,11 @@
 ///
 /// --smoke shrinks every phase for CI and *gates*: exit 1 unless fused
 /// sustained throughput >= unfused (the committed floor — fusion must
-/// never lose to the path it amortizes).
+/// never lose to the path it amortizes) and the fused phase fused at
+/// least one batch (else both phases ran the same unfused path and the
+/// ratio is a coin flip).  Phase 1 keeps 1,000 requests per submitter in
+/// smoke mode: with fewer, the submitters' runs barely overlap and nothing
+/// queues behind a lent engine.
 
 #include "bench_util.hpp"
 
@@ -98,11 +103,11 @@ struct PhaseResult {
 };
 
 /// Phase 1 worker pool: `submitters` threads, each its own tenant, one
-/// same-shape 64 B batch-class broadcast in flight at a time.
+/// same-shape 64 B broadcast in flight at a time: batch class when
+/// `fused`, else interactive class, which the service never fuses.
 PhaseResult run_fusion_phase(const Config& cfg, bool fused) {
   svc::CollectiveService::Options opts;
   opts.pools = 2;
-  if (!fused) opts.fusion_window_us = 0;
   svc::CollectiveService service(machine(), opts);
   std::vector<svc::TenantId> tenants;
   for (int t = 0; t < cfg.submitters; ++t) {
@@ -125,7 +130,7 @@ PhaseResult run_fusion_phase(const Config& cfg, bool fused) {
       for (int i = 0; i < cfg.requests_per_submitter; ++i) {
         svc::Request req;
         req.op = svc::OpKind::kBroadcast;
-        req.qos = svc::QoS::kBatch;
+        req.qos = fused ? svc::QoS::kBatch : svc::QoS::kInteractive;
         req.payload = payload;
         svc::SubmitResult sub =
             service.submit(tenants[static_cast<std::size_t>(t)],
@@ -191,7 +196,6 @@ SegResult run_segment_phase(const Config& cfg, std::size_t payload_bytes,
                             bool segmented) {
   svc::CollectiveService::Options opts;
   opts.pools = 1;
-  opts.fusion_window_us = 0;  // isolate segmentation from fusion
   if (!segmented) opts.segment_threshold = 0;
   svc::CollectiveService service(machine(), opts);
   const svc::TenantId t = service.register_tenant(
@@ -374,7 +378,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--smoke") {
       cfg.smoke = true;
-      cfg.requests_per_submitter = 80;
+      cfg.requests_per_submitter = 1000;
       cfg.seg_ops = 8;
       cfg.arrivals = 500;
       cfg.rate = 2000;
@@ -464,6 +468,10 @@ int main(int argc, char** argv) {
               << "/s) fell below unfused (" << unfused.rps
               << "/s) — the fusion batcher must never lose to the path it "
                  "amortizes\n";
+    return 1;
+  }
+  if (cfg.smoke && fused.fused_share <= 0) {
+    std::cout << "SMOKE FAIL: the fused phase fused no request\n";
     return 1;
   }
   return 0;

@@ -56,14 +56,17 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/test_exec_engine
   ./build-tsan/tests/test_communicator_exec
   ./build-tsan/tests/test_svc_sched
-  # The service suite is the headline TSan target: pool threads, racing
-  # submitters and shutdown all hammer one mutex/cv pair.
+  # The service suite is the headline TSan target: combining submitters
+  # (SvcService.HammerOfEightSubmittersResolvesEveryFuture: 8 threads x
+  # 500 submits at 1, 2 and 3 engines), shutdown and the soak all take
+  # and hand back engines under one mutex.
   ./build-tsan/tests/test_svc
-  # Fusion adds the window wait to that pair plus multi-promise fan-out;
-  # byte-exactness under TSan is the ISSUE's acceptance bar.
+  # Fusion adds sibling claims behind lent engines plus multi-promise
+  # fan-out; byte-exactness under TSan is the acceptance bar.
   ./build-tsan/tests/test_svc_fusion
-  # Introspection races the HTTP server thread against pool threads and
-  # shutdown; the lint suite scrapes a live /metrics mid-traffic.
+  # Introspection races the HTTP server thread against combining
+  # submitters and shutdown; the lint suite scrapes a live /metrics
+  # mid-traffic.
   ./build-tsan/tests/test_svc_introspect
   ./build-tsan/tests/test_prometheus_lint
   # Fault-injection suite at the CI seed matrix: fault decisions are pure

@@ -22,6 +22,12 @@ using Clock = std::chrono::steady_clock;
 /// summarizes.
 constexpr std::size_t kNamedBlocked = 8;
 
+/// How long before an injected stall ends a stalled run stops sleeping
+/// and yields instead: more than the wake-up overshoot of a sleep (about
+/// the kernel's default 50 us timer slack), so a stall lasts its length,
+/// not its length plus the overshoot.
+constexpr std::chrono::microseconds kStallWakeMargin{80};
+
 /// Phases in which a rank sits out an injected stall until not_before.
 bool stalled(Phase ph) { return ph == Phase::kSlow || ph == Phase::kDelay; }
 
@@ -46,7 +52,7 @@ class Stepper {
   /// Steps runnable ranks in sweeps until every cursor is done.  Each
   /// sweep steps the ranks made runnable during the previous one, in the
   /// order they became runnable; the first sweep steps every rank in rank
-  /// order.  With no rank runnable, a run sleeps until the earliest
+  /// order.  With no rank runnable, a run waits until the earliest
   /// injected stall ends; with none stalled either, it fails.
   void run() {
     std::vector<Cursor>& cursors = ctx_.cursors;
@@ -287,17 +293,22 @@ class Stepper {
                       static_cast<std::size_t>(item)];
   }
 
-  /// Nothing runnable in a run with an injector: sleeps until the
-  /// earliest injected stall ends, then wakes every rank whose stall is
-  /// over.  False when no rank is stalled.
+  /// Nothing runnable in a run with an injector: waits until the
+  /// earliest injected stall ends — a sleep to kStallWakeMargin before it,
+  /// then yields — and wakes every rank whose stall is over.  False when
+  /// no rank is stalled.
   bool sleep_out_stall() {
     Clock::time_point earliest = Clock::time_point::max();
     for (const Cursor& c : ctx_.cursors) {
       if (stalled(c.phase)) earliest = std::min(earliest, c.not_before);
     }
     if (earliest == Clock::time_point::max()) return false;
-    std::this_thread::sleep_until(earliest);
-    const Clock::time_point now = Clock::now();
+    std::this_thread::sleep_until(earliest - kStallWakeMargin);
+    Clock::time_point now = Clock::now();
+    while (now < earliest) {
+      std::this_thread::yield();
+      now = Clock::now();
+    }
     for (std::size_t p = 0; p < ctx_.cursors.size(); ++p) {
       const Cursor& c = ctx_.cursors[p];
       if (stalled(c.phase) && now >= c.not_before) {

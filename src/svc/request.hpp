@@ -66,16 +66,14 @@ struct Response {
   std::string error;             ///< set when status == kError/kShutdown
   exec::ExecReport report;       ///< the completed run (status == kOk)
   /// Admission to dispatch.  For a request that ran on its submitting
-  /// thread (an idle service) this is only the admission bookkeeping
+  /// thread into an idle service this is only the admission bookkeeping
   /// inside submit().
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t total_ns = 0;       ///< submission to completion
-  /// Engine pool whose engine ran it: a pool thread's own, or the idle
-  /// pool a submitting thread borrowed.
+  /// Engine pool whose engine ran it, lent to the combining thread.
   int pool = -1;
-  /// Global dispatch order (0-based): the k-th request picked, by a pool
-  /// thread or by a submitter running it itself.  The QoS and fairness
-  /// tests assert on it.
+  /// Global dispatch order (0-based): the k-th request picked, whichever
+  /// thread combined it.  The QoS and fairness tests assert on it.
   std::uint64_t dispatch_seq = 0;
   /// Requests coalesced into the engine run that produced this response
   /// (1 = ran alone) and this request's slot in the fused payload.

@@ -16,8 +16,8 @@ namespace {
 constexpr std::size_t kMaxFusionBatch = 32;
 static_assert(kMaxFusionBatch >= 2, "a 1-request batch is no fusion");
 
-/// Which QoS classes fuse.  Interactive runs solo — under load a held
-/// window is added latency, and the class exists for latency; batch and
+/// Which QoS classes fuse.  Interactive runs solo — a fused run is longer
+/// than a solo one, and the class exists for latency; batch and
 /// best-effort fuse.
 constexpr bool kFuseQoS[kQoSClasses] = {false, true, true};
 
@@ -65,20 +65,6 @@ CollectiveService::Options validated(const CollectiveService::Options& o) {
     throw std::invalid_argument(
         "CollectiveService: pools must be in [1, 64]");
   }
-  // pool_loop computes Clock::now() + fusion_window_us.  Capping the
-  // window at half the clock's range leaves the other half for now(), so
-  // the deadline never overflows (signed overflow is UB).
-  using Clock = std::chrono::steady_clock;
-  constexpr auto kMaxWindowUs =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          Clock::duration::max() / 2)
-          .count();
-  if (o.fusion_window_us > static_cast<std::uint64_t>(kMaxWindowUs)) {
-    throw std::invalid_argument(
-        "CollectiveService: fusion_window_us must be <= " +
-        std::to_string(kMaxWindowUs) +
-        " (the window deadline must fit the steady clock)");
-  }
   if (o.segment_threshold > 0 &&
       (o.segment_bytes == 0 || o.max_segments < 2)) {
     throw std::invalid_argument(
@@ -111,39 +97,21 @@ CollectiveService::CollectiveService(Params params, Options options,
         "requests coalesced into one engine run per dispatch");
     const char* dispatch_help =
         "requests dispatched, by the thread that ran the engine: the "
-        "submitter (idle service) or a pool";
+        "request's own submitter, or another thread combining it";
     dispatch_caller_total_ = &reg.counter("logpc_svc_dispatch_total",
                                           dispatch_help, "path=\"caller\"");
-    dispatch_pool_total_ = &reg.counter("logpc_svc_dispatch_total",
-                                        dispatch_help, "path=\"pool\"");
+    dispatch_combined_total_ = &reg.counter(
+        "logpc_svc_dispatch_total", dispatch_help, "path=\"combined\"");
   }
-  pools_.reserve(static_cast<std::size_t>(opts_.pools));
-  for (int i = 0; i < opts_.pools; ++i) {
-    Pool pool;
-    pool.engine = std::make_unique<exec::Engine>();
-    pools_.push_back(std::move(pool));
-  }
-  // Engines first, dispatcher threads second: a pool thread may pick work
-  // the instant it starts.
-  for (int i = 0; i < opts_.pools; ++i) {
-    pools_[static_cast<std::size_t>(i)].thread =
-        std::thread([this, i] { pool_loop(i); });
-  }
+  pools_.resize(static_cast<std::size_t>(opts_.pools));
+  for (Pool& pool : pools_) pool.engine = std::make_unique<exec::Engine>();
   // Introspection last: the pages snapshot live service state, so the
-  // service must be fully constructed before the first GET can land.
+  // service must be fully constructed before the first GET can land.  A
+  // failed bind throws out of the constructor; nothing runs yet.
   if (opts_.introspect_port >= 0) {
-    try {
-      introspect_ = std::make_unique<IntrospectServer>(
-          *this, IntrospectServer::Options{opts_.introspect_bind,
-                                           opts_.introspect_port});
-    } catch (...) {
-      // A failed bind (port taken, bad address) must surface as a
-      // catchable exception, not std::terminate: the pool threads are
-      // already running, and unwinding past joinable std::thread members
-      // aborts. Nothing is queued yet, so a non-draining stop is exact.
-      shutdown(false);
-      throw;
-    }
+    introspect_ = std::make_unique<IntrospectServer>(
+        *this, IntrospectServer::Options{opts_.introspect_bind,
+                                         opts_.introspect_port});
   }
 }
 
@@ -229,79 +197,37 @@ SubmitResult CollectiveService::submit(TenantId tenant, Request request) {
       std::chrono::duration<double>(pending->submitted - epoch_).count();
 
   SubmitResult out;
-  int lent = -1;  // the pool whose engine this thread borrows, if idle
-  {
-    std::lock_guard lock(mu_);
-    TenantMetrics& m = metrics_at(tenant);  // validates the id first
-    pending->tm = &m;
-    if (stopping_) {
-      out.status = Status::kShutdown;
-      return out;
-    }
-    switch (sched_.offer(tenant, pending->req.qos, next_handle_, now)) {
-      case Admit::kQueueFull:
-        m.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
-        m.rejected_queue_full_total->inc();
-        out.status = Status::kQueueFull;
-        return out;
-      case Admit::kRateLimited:
-        m.rejected_rate_limited.fetch_add(1, std::memory_order_relaxed);
-        m.rejected_rate_limited_total->inc();
-        out.status = Status::kRateLimited;
-        return out;
-      case Admit::kAdmitted:
-        break;
-    }
-    m.admitted.fetch_add(1, std::memory_order_relaxed);
-    m.admitted_total->inc();
-    m.queue_depth->set(static_cast<double>(sched_.queue_depth(tenant)));
-    // Idle: nothing else queued and nothing in flight.  inflight_ falls
-    // outside mu_ only after a run has released its engine, so at 0 every
-    // engine not lent to another submitter is free.
-    if (!paused_ && sched_.queued() == 1 &&
-        inflight_.load(std::memory_order_relaxed) == 0) {
-      for (std::size_t i = 0; i < pools_.size(); ++i) {
-        if (!pools_[i].lent) {
-          lent = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    if (lent >= 0) {
-      // The only queued request is this one: pick it here, so it pays the
-      // stride charge and takes its dispatch_seq as on a pool.
-      TenantId picked = -1;
-      std::uint64_t handle = 0;
-      (void)sched_.pick(&picked, &handle);
-      pools_[static_cast<std::size_t>(lent)].lent = true;
-      mark_dispatched(*pending);
-    } else {
-      queued_reqs_.emplace(next_handle_, std::move(pending));
-    }
-    ++next_handle_;
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    inflight_gauge_->add(1);
-  }
-  out.status = Status::kOk;
-  out.response = std::move(response);
-  if (lent < 0) {
-    // notify_all, not notify_one: a pool sitting in its fusion window also
-    // waits on cv_, and a single notify landing there for an unrelated
-    // request would leave an idle pool asleep.
-    cv_.notify_all();
+  std::unique_lock lock(mu_);
+  TenantMetrics& m = metrics_at(tenant);  // validates the id first
+  pending->tm = &m;
+  if (stopping_) {
+    out.status = Status::kShutdown;
     return out;
   }
-  caller_runs_.fetch_add(1, std::memory_order_relaxed);
-  dispatch_caller_total_->inc();
-  std::vector<std::unique_ptr<Pending>> batch;
-  batch.push_back(std::move(pending));
-  dispatch(batch, lent);
-  std::lock_guard lock(mu_);
-  pools_[static_cast<std::size_t>(lent)].lent = false;
-  // Wake the pool's dispatcher if work queued behind the lend, and a
-  // shutdown waiting for caller runs.  Notified under mu_: once it is
-  // released, shutdown() may return and the service be destroyed.
-  if (stopping_ || sched_.queued() > 0) cv_.notify_all();
+  switch (sched_.offer(tenant, pending->req.qos, next_handle_, now)) {
+    case Admit::kQueueFull:
+      m.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
+      m.rejected_queue_full_total->inc();
+      out.status = Status::kQueueFull;
+      return out;
+    case Admit::kRateLimited:
+      m.rejected_rate_limited.fetch_add(1, std::memory_order_relaxed);
+      m.rejected_rate_limited_total->inc();
+      out.status = Status::kRateLimited;
+      return out;
+    case Admit::kAdmitted:
+      break;
+  }
+  m.admitted.fetch_add(1, std::memory_order_relaxed);
+  m.admitted_total->inc();
+  m.queue_depth->set(static_cast<double>(sched_.queue_depth(tenant)));
+  inflight_.fetch_add(1, std::memory_order_relaxed);
+  inflight_gauge_->add(1);
+  const Pending* own = pending.get();
+  queued_reqs_.emplace(next_handle_++, std::move(pending));
+  combine(lock, own);
+  out.status = Status::kOk;
+  out.response = std::move(response);
   return out;
 }
 
@@ -328,69 +254,54 @@ void CollectiveService::claim_siblings(
   }
 }
 
-void CollectiveService::pool_loop(int pool_index) {
-  const Pool& pool = pools_[static_cast<std::size_t>(pool_index)];
+void CollectiveService::combine(std::unique_lock<std::mutex>& lock,
+                                const Pending* own) {
   // drain=true keeps dispatching (a pause no longer holds work back) until
-  // every queue is empty; drain=false exits now and leaves the leftovers
-  // for shutdown() to fail with kShutdown.
-  const auto finished = [this] {
-    return stopping_ && (!drain_on_stop_ || sched_.queued() == 0);
+  // every queue is empty; drain=false stops after the run in progress and
+  // leaves the leftovers for shutdown() to fail with kShutdown.
+  const auto runnable = [this] {
+    return sched_.queued() > 0 && (stopping_ ? drain_on_stop_ : !paused_);
   };
-  // A lent pool picks nothing: its engine is busy with a submitter's run,
-  // and a picked batch would only wait on the engine's run mutex.
-  const auto runnable = [this, &pool] {
-    return !pool.lent && (stopping_ || !paused_) && sched_.queued() > 0;
-  };
-  for (;;) {
+  if (!runnable()) return;
+  const auto free_pool = std::find_if(pools_.begin(), pools_.end(),
+                                      [](const Pool& p) { return !p.lent; });
+  // Every engine lent: each holder re-checks the queue under mu_ before it
+  // hands its engine back, so it will run this request.
+  if (free_pool == pools_.end()) return;
+  free_pool->lent = true;
+  const int pool_index = static_cast<int>(free_pool - pools_.begin());
+  do {
     std::vector<std::unique_ptr<Pending>> batch;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [&] { return finished() || runnable(); });
-      if (finished()) return;
-      TenantId tenant = -1;
-      std::uint64_t handle = 0;
-      if (!sched_.pick(&tenant, &handle)) continue;
-      const auto it = queued_reqs_.find(handle);
-      batch.push_back(std::move(it->second));
-      queued_reqs_.erase(it);
-
-      const Pending& lead = *batch.front();
-      const bool fuse =
-          opts_.fusion_window_us > 0 && lead.fkey.has_value() &&
-          kFuseQoS[static_cast<std::size_t>(lead.req.qos)];
-      if (fuse) {
-        claim_siblings(*lead.fkey, batch);
-        const auto deadline =
-            Clock::now() + std::chrono::microseconds(opts_.fusion_window_us);
-        // Hold the window open only while there is evidence a sibling may
-        // come: a full batch dispatches, shutdown dispatches, and so does
-        // a batch with nothing left queued once it is either already
-        // amortized or the only work in flight in the whole service —
-        // waiting out the window would then only add latency.  inflight_
-        // rises under mu_ but falls after a run, outside it, so a stale
-        // read can only over-count and hold the window.
-        const auto dispatch_now = [&] {
-          return sched_.queued() == 0 &&
-                 (batch.size() > 1 ||
-                  inflight_.load(std::memory_order_relaxed) ==
-                      static_cast<std::int64_t>(batch.size()));
-        };
-        while (!stopping_ && batch.size() < kMaxFusionBatch &&
-               !dispatch_now()) {
-          if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-            claim_siblings(*lead.fkey, batch);
-            break;
-          }
-          claim_siblings(*lead.fkey, batch);
-        }
-      }
-      for (std::unique_ptr<Pending>& member : batch) {
-        mark_dispatched(*member);
+    TenantId tenant = -1;
+    std::uint64_t handle = 0;
+    (void)sched_.pick(&tenant, &handle);
+    const auto it = queued_reqs_.find(handle);
+    batch.push_back(std::move(it->second));
+    queued_reqs_.erase(it);
+    const Pending& lead = *batch.front();
+    if (lead.fkey.has_value() &&
+        kFuseQoS[static_cast<std::size_t>(lead.req.qos)]) {
+      claim_siblings(*lead.fkey, batch);
+    }
+    std::size_t mine = 0;
+    for (std::unique_ptr<Pending>& member : batch) {
+      mark_dispatched(*member);
+      if (member.get() == own) {
+        mine = 1;
+        own = nullptr;  // its address may be reused once it completes
       }
     }
-    dispatch_pool_total_->inc(batch.size());
+    lock.unlock();
+    caller_runs_.fetch_add(mine, std::memory_order_relaxed);
+    dispatch_caller_total_->inc(mine);
+    dispatch_combined_total_->inc(batch.size() - mine);
     dispatch(batch, pool_index);
-  }
+    lock.lock();
+  } while (runnable());
+  free_pool->lent = false;
+  // A shutdown waits for every engine; notified under mu_, since once it
+  // is released shutdown() may return and the service be destroyed.
+  if (stopping_) cv_.notify_all();
 }
 
 void CollectiveService::mark_dispatched(Pending& pending) {
@@ -455,8 +366,8 @@ void CollectiveService::dispatch(
   // One engine run is the whole batch: a failure (including a rank death
   // under an injected fault) fails every member with the same error — no
   // member can have partially completed, and no future is left behind.
-  // Whatever a user combiner throws is caught too, so neither a pool thread
-  // nor a submitter on a borrowed engine unwinds past the promises.
+  // Whatever a user combiner throws is caught too, so a combining thread
+  // never unwinds past the promises or out of its lent engine.
   const auto fail_all = [&out](const std::string& error) {
     for (Response& r : out) {
       r.status = Status::kError;
@@ -580,36 +491,28 @@ void CollectiveService::pause() {
 }
 
 void CollectiveService::resume() {
-  {
-    std::lock_guard lock(mu_);
-    paused_ = false;
-  }
-  cv_.notify_all();
+  std::unique_lock lock(mu_);
+  paused_ = false;
+  combine(lock, nullptr);
 }
 
 void CollectiveService::shutdown(bool drain) {
   std::lock_guard shutdown_lock(shutdown_mu_);
   if (shut_down_) return;
   // Introspection first: its pages read live service state, so the server
-  // must be gone before the pools and queues start tearing down.
+  // must be gone before the queues start tearing down.
   introspect_.reset();
-  {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-    drain_on_stop_ = drain;
-  }
-  cv_.notify_all();
-  for (Pool& pool : pools_) {
-    if (pool.thread.joinable()) pool.thread.join();
-  }
-  // With drain=false the pools exited immediately; fail what they left
-  // behind so no future is abandoned unresolved.
+  // With drain=false the combiners stop after their runs in progress; fail
+  // what they leave behind so no future is abandoned unresolved.
   std::vector<std::unique_ptr<Pending>> leftovers;
   {
     std::unique_lock lock(mu_);
-    // A submitter running on a borrowed engine hands it back, under mu_,
-    // only after fulfilling its promise: once no pool is lent, every
-    // admitted request outside the queues is complete.
+    stopping_ = true;
+    drain_on_stop_ = drain;
+    combine(lock, nullptr);
+    // A combiner hands its engine back, under mu_, only after fulfilling
+    // its promises: once no pool is lent, every admitted request outside
+    // the queues is complete.
     cv_.wait(lock, [this] {
       return std::none_of(pools_.begin(), pools_.end(),
                           [](const Pool& p) { return p.lent; });

@@ -11,7 +11,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -32,41 +31,48 @@
 /// at a time — plan, compile, run, return — a CollectiveService accepts
 /// *requests* from logical tenants into per-tenant bounded queues, admits
 /// them through QoS / fair-share / rate-limit policy (svc::Scheduler), and
-/// dispatches them onto a small set of **persistent engine pools**: one
-/// exec::Engine per pool, its run context kept warm, so back-to-back
-/// collectives pay no per-link allocation (ExecReport::warm_buffers on
-/// every Response proves it).
+/// runs them on a small set of **persistent engines**: one exec::Engine
+/// per pool, its run context kept warm, so back-to-back collectives pay no
+/// per-link allocation (ExecReport::warm_buffers on every Response proves
+/// it).  Requests run on the threads that call into the service; it has
+/// no dispatcher thread of its own.
 ///
 /// Data path of one admitted request:
 ///
 ///   submit(tenant, req) ── admission (Scheduler::offer: rate bucket,
-///     queue bound) ──> per-tenant queue ── pool thread (Scheduler::pick:
+///     queue bound) ──> per-tenant queue ── combiner (Scheduler::pick:
 ///     QoS class, then weighted stride fair-share) ──> compiled Program
 ///     (cached per (op, root, segments) via Communicator::compile; plans
 ///     come from the shared thread-safe Planner) ──> one exec::Inputs for
-///     the op ──> one Engine::run on the pool's warm engine ──> promise
+///     the op ──> one Engine::run on a free pool's warm engine ──> promise
 ///     fulfilled, future resolves with the Response.
 ///
-/// Idle fast path: a request admitted into an idle service — not paused,
-/// nothing else queued, nothing in flight — is picked by the submitting
-/// thread itself, which borrows an idle pool's engine and runs the same
-/// dispatch routine a pool thread runs; submit() then returns a future
-/// that is already ready.  The request skips both thread hand-offs (waking
-/// a pool thread, then waking the caller), which cost more than the
-/// engine run of a small collective.  Admission, the stride charge, the
-/// dispatch order, profiling and every metric are as on the pool path;
-/// logpc_svc_dispatch_total{path="caller"|"pool"} counts where requests
-/// ran.
+/// One dispatch path — flat combining (Hendler, Incze, Shavit & Tzafrir,
+/// SPAA 2010): submit() queues the request, then, if an engine is free
+/// and the service is not paused, the submitting thread takes that engine
+/// and becomes a *combiner*.  A combiner picks through the Scheduler,
+/// runs, fulfils, and picks again until the queue is empty; only then does
+/// it hand the engine back.  The empty-queue check and the hand-back
+/// happen under one mutex, the one under which a submitter looks for a
+/// free engine, so a queued request always has a combiner that will see
+/// it.  The contract: a combiner drains until the queue is empty, and a
+/// submitter that finds every engine lent never runs anything — it queues
+/// and returns its future at once.  So a submit into an idle service runs
+/// its own request and returns a ready future, paying no thread hand-off;
+/// under load a submitter may run other tenants' requests for as long as
+/// the queue stays non-empty.  resume() and a draining shutdown() run the
+/// same drain on their calling thread.  Admission, the stride charge, the
+/// dispatch order, profiling and every metric are the same whichever
+/// thread combines; logpc_svc_dispatch_total{path="caller"|"combined"}
+/// counts requests run by their own submitter and by another thread.
 ///
 /// High-throughput path (svc/fusion.hpp): after picking a batch or
-/// best-effort request (interactive requests always run solo), the pool
-/// coalesces up to 32 queued same-shape requests — any tenant — into one
-/// engine run over concatenated buffers, fanning the result back out per
-/// member; plan lookup, RunContext reuse and worker wakeups are paid once
-/// per batch.  It holds a short fusion window
-/// (Options::fusion_window_us) for late siblings only while other work is
-/// queued or in flight; a lone request in an otherwise idle service runs
-/// at once on its submitter (above).  Broadcast payloads at or above
+/// best-effort request (interactive requests always run solo), the
+/// combiner claims up to 31 already-queued same-shape requests — any
+/// tenant — into one engine run over concatenated buffers, fanning the
+/// result back out per member; plan lookup and RunContext reuse are paid
+/// once per batch.  It never waits for a sibling to arrive: requests fuse
+/// when they queue behind lent engines.  Broadcast payloads at or above
 /// Options::segment_threshold additionally split into the Section 3
 /// single-sending k-item schedule, overlapping successive segments'
 /// transfer rounds instead of serializing one bulk send.  Fairness is
@@ -84,12 +90,13 @@
 /// through obs::label_pair so arbitrary tenant names render as valid
 /// Prometheus), plus an `svc.request` span around every execution.
 ///
-/// Shutdown is graceful by default: shutdown(true) stops admission,
-/// drains every queued request through the pools, then joins the pool
-/// threads; shutdown(false) stops after the in-flight runs and fails the
-/// still-queued requests with kShutdown.  Either way it returns only after
-/// every run in progress on a submitting thread has fulfilled its promise.
-/// The destructor drains.
+/// Shutdown is graceful by default: shutdown(true) stops admission and
+/// drains every queued request (on its own thread when an engine is free,
+/// else through the combiners that hold the engines); shutdown(false)
+/// stops after the runs in progress and fails the still-queued requests
+/// with kShutdown.  Either way it returns only after every engine is
+/// handed back, so every run in progress has fulfilled its promise.  The
+/// destructor drains.
 ///
 /// Observability of the daemon itself: every successful run is profiled
 /// (obs::analyze — causal DAG, critical path, component decomposition,
@@ -110,18 +117,15 @@ class IntrospectServer;
 class CollectiveService {
  public:
   /// Service configuration, validated at construction: the constructor
-  /// throws std::invalid_argument for pools outside [1, 64], a fusion
-  /// window whose deadline overflows the clock, a segmentation policy that
-  /// can never split (segment_bytes == 0 or max_segments < 2 with a
-  /// non-zero threshold), or a port above 65535 — never clamps silently.
+  /// throws std::invalid_argument for pools outside [1, 64], a
+  /// segmentation policy that can never split (segment_bytes == 0 or
+  /// max_segments < 2 with a non-zero threshold), or a port above 65535 —
+  /// never clamps silently.
   /// Everything else is fixed: every pool runs a default exec::Engine.
   struct Options {
     /// Persistent engine pools.  Each pool is one exec::Engine (a warm run
-    /// context) plus one dispatcher thread that steps the engine's ranks;
-    /// requests across pools run concurrently, requests on one pool
-    /// serialize.  A submit into an idle service borrows an idle pool's
-    /// engine and runs on the submitting thread; the pool's dispatcher
-    /// picks no work until the engine is handed back.
+    /// context), lent to one combining thread at a time: requests across
+    /// pools run concurrently, requests on one pool serialize.
     int pools = 2;
     /// Profile every successful run (obs::analyze) into the flight
     /// recorder and onto Response::profile.  On by default: the analyzer
@@ -138,16 +142,6 @@ class CollectiveService {
     std::string introspect_bind = "127.0.0.1";
 
     // --- high-throughput path (svc/fusion.hpp) -------------------------
-    /// Fusion window: after picking a fusible request (batch or
-    /// best-effort class), the pool coalesces queued same-shape requests
-    /// into the dispatch, 32 at most, and keeps the batch open up to this
-    /// long for more to arrive.  The window is cut short when the batch
-    /// fills, at shutdown, and when nothing else is queued while the batch
-    /// is either already amortized (>= 2 members) or the only work in
-    /// flight anywhere in the service — the service then sees no sign of a
-    /// sibling.  0 disables fusion entirely; values whose deadline would
-    /// overflow the steady clock are rejected.
-    std::uint64_t fusion_window_us = 200;
     /// Broadcast payloads at/above this split into the Section 3 k-item
     /// segmented pipeline; 0 disables segmentation.
     std::size_t segment_threshold = 256 * 1024;
@@ -176,25 +170,27 @@ class CollectiveService {
   /// eventual Response.  Throws std::invalid_argument for an unknown
   /// tenant id.
   ///
-  /// Blocks on execution for its own request only, and only when the
-  /// service was idle (not paused, nothing else queued or in flight): the
-  /// request then runs on the calling thread and the returned future is
-  /// already ready.  Otherwise it queues the request for a pool and
-  /// returns at once.  So one thread that bursts submits into an idle
-  /// service runs them one after another on itself, and they do not fuse;
-  /// requests from concurrent submitters still queue and fuse.
+  /// When an engine is free and the service is not paused, the calling
+  /// thread becomes a combiner: it runs queued requests, its own among
+  /// them, until the queue is empty, and the returned future is already
+  /// ready.  When every engine is lent (or the service is paused), it
+  /// queues the request and returns at once.  So one thread that bursts
+  /// submits into an idle service runs them one after another on itself,
+  /// and they do not fuse; requests that queue behind lent engines fuse.
   SubmitResult submit(TenantId tenant, Request request);
 
-  /// Dispatch gate: pause() holds queued work (admission stays open),
-  /// resume() releases it.  Draining shutdown overrides a pause.  Called
+  /// Dispatch gate: pause() holds queued work (admission stays open);
+  /// combiners finish their current run and hand their engines back.
+  /// resume() releases the backlog and, when an engine is free, drains it
+  /// on the calling thread.  Draining shutdown overrides a pause.  Called
   /// before the first submit(), pause() builds a backlog
   /// deterministically — staged bring-up, and what the policy tests use.
   void pause();
   void resume();
 
-  /// Stops admission, then either drains every queued request through the
-  /// pools (drain = true) or fails still-queued requests with kShutdown
-  /// (drain = false).  Joins the pool threads; idempotent; thread-safe.
+  /// Stops admission, then either drains every queued request (drain =
+  /// true) or fails still-queued requests with kShutdown (drain = false).
+  /// Returns once every engine is handed back; idempotent; thread-safe.
   void shutdown(bool drain = true);
 
   /// Point-in-time per-tenant accounting (test/ops introspection; the
@@ -234,8 +230,8 @@ class CollectiveService {
     std::uint64_t fused_requests = 0;
     std::uint64_t fused_batches = 0;
     std::uint64_t segmented_runs = 0;
-    /// Requests that ran on their submitting thread (the idle fast path);
-    /// the rest ran on a pool thread.
+    /// Requests run by their own submitter; the rest ran on a thread that
+    /// combined them (another submitter, resume() or shutdown()).
     std::uint64_t caller_runs = 0;
     Params params;
     std::vector<TenantStatus> tenants;
@@ -265,9 +261,7 @@ class CollectiveService {
 
   struct Pool {
     std::unique_ptr<exec::Engine> engine;
-    std::thread thread;
-    /// A submitting thread is running a request on this pool's engine
-    /// (guarded by mu_).  The pool's dispatcher picks no work meanwhile.
+    /// A combiner holds this pool's engine (guarded by mu_).
     bool lent = false;
   };
 
@@ -302,14 +296,19 @@ class CollectiveService {
     std::optional<FusionKey> fkey;
   };
 
-  void pool_loop(int pool_index);
+  /// The one dispatch path.  Call with `lock` holding mu_: when there is
+  /// work the service may run and an engine is free, lends that engine to
+  /// the calling thread and runs batches on it until there is none, then
+  /// hands it back — the last check and the hand-back under mu_.  `own` is
+  /// the caller's request, if any (counted as a caller run when it runs).
+  void combine(std::unique_lock<std::mutex>& lock, const Pending* own);
   /// Stamps a picked request's dispatch order and its tenant's queue
   /// depth.  Call under mu_.
   void mark_dispatched(Pending& pending);
   /// Runs one dispatch — the whole batch through one engine run on pool
   /// `pool_index`'s engine — then completes every member: metrics,
-  /// in-flight accounting and the promise, batch order.  Pool threads and
-  /// an idle submitter both call it, without mu_.
+  /// in-flight accounting and the promise, batch order.  Called by a
+  /// combiner, without mu_.
   void dispatch(const std::vector<std::unique_ptr<Pending>>& batch,
                 int pool_index);
   /// Moves every queued request matching `key` into `batch` (admission
@@ -340,6 +339,7 @@ class CollectiveService {
   const Clock::time_point epoch_ = Clock::now();
 
   mutable std::mutex mu_;
+  /// Signalled when a combiner hands an engine back during shutdown.
   std::condition_variable cv_;
   Scheduler sched_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Pending>> queued_reqs_;
@@ -367,7 +367,7 @@ class CollectiveService {
   std::atomic<std::uint64_t> caller_runs_{0};
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Counter* dispatch_caller_total_ = nullptr;
-  obs::Counter* dispatch_pool_total_ = nullptr;
+  obs::Counter* dispatch_combined_total_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
 
   std::mutex shutdown_mu_;  ///< serializes shutdown(); makes it idempotent

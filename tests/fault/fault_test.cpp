@@ -263,6 +263,53 @@ TEST(EngineFault, SlowRankDegradesLatencyNotMembership) {
   EXPECT_EQ(report.fault_events[1][0].kind, fault::FaultKind::kSlow);
 }
 
+TEST(EngineFault, StalledRankNeverResumesBeforeItsNotBeforeTime) {
+  // A stalled run may stop sleeping before a stall ends, but no rank may
+  // go on before its own not-before time: a delayed send is pushed no
+  // sooner than its delay after it began, and a slow rank begins each
+  // instruction no sooner than its stall after the previous one ended.
+  const Params params{8, 4, 1, 2};
+  const Schedule s = bcast::optimal_single_item(params);
+  const exec::Program prog = exec::compile_broadcast(s, "bcast-stall");
+  const Bytes payload = tu::of_str("stalled, never early");
+  const std::vector<Bytes> items{payload};
+  Engine engine;
+
+  fault::FaultSpec delayed;
+  delayed.seed = env_seed();
+  delayed.delay_prob = 1.0;
+  delayed.delay_ns = 50'000;
+  const fault::Injector delay_inj(delayed);
+  const ExecReport dr = engine.run(prog, Items{items}, &delay_inj);
+  std::size_t sends = 0;
+  for (ProcId p = 0; p < params.P; ++p) {
+    EXPECT_EQ(dr.item_at(p, 0), payload) << "P" << p;
+    for (const exec::ExecEvent& ev : dr.events[static_cast<std::size_t>(p)]) {
+      if (ev.kind != exec::ExecEvent::Kind::kSend) continue;
+      ++sends;
+      EXPECT_GE(ev.xfer_ns - ev.start_ns, delayed.delay_ns) << "P" << p;
+    }
+  }
+  EXPECT_EQ(sends, static_cast<std::size_t>(params.P - 1));
+
+  fault::FaultSpec slow;
+  slow.seed = env_seed();
+  slow.slow_ranks = {1};
+  slow.slow_stall_ns = 200'000;
+  const fault::Injector slow_inj(slow);
+  const ExecReport sr = engine.run(prog, Items{items}, &slow_inj);
+  const std::vector<exec::ExecEvent>& evs = sr.events[1];
+  ASSERT_FALSE(evs.empty());
+  EXPECT_GE(evs.front().start_ns, slow.slow_stall_ns);
+  for (std::size_t i = 1; i < evs.size(); ++i) {
+    EXPECT_GE(evs[i].start_ns - evs[i - 1].end_ns, slow.slow_stall_ns)
+        << "instruction " << i;
+  }
+  for (ProcId p = 0; p < params.P; ++p) {
+    EXPECT_EQ(sr.item_at(p, 0), payload) << "P" << p;
+  }
+}
+
 TEST(EngineFault, DeadRankRaisesRankFailureNamingTheRank) {
   const Params params{8, 4, 1, 2};
   const Schedule s = bcast::optimal_single_item(params);

@@ -194,7 +194,7 @@ TEST(PrometheusLint, ThroughputSeriesExposedAndLintClean) {
        {"logpc_svc_fused_requests_total", "logpc_svc_batch_size_bucket",
         "logpc_svc_batch_size_sum", "logpc_svc_batch_size_count",
         "logpc_svc_inflight", "logpc_svc_dispatch_total{path=\"caller\"}",
-        "logpc_svc_dispatch_total{path=\"pool\"}"}) {
+        "logpc_svc_dispatch_total{path=\"combined\"}"}) {
     EXPECT_NE(r.body.find(name), std::string::npos) << "missing " << name;
   }
   // All four resolved, so the inflight gauge must have returned to zero.

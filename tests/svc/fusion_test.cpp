@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -10,16 +11,19 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "svc/service.hpp"
+#include "svc_test_util.hpp"
 
 /// The high-throughput path: fusion batching and the Section 3 segmented
 /// pipeline.  The load-bearing property throughout is *byte-exactness* —
 /// a request must not be able to tell whether it ran alone, fused into a
 /// batch, or split into segments.  Policy tests build their backlog on a
-/// paused service with one pool, so batch composition is deterministic.
+/// paused service with one pool, or behind a run that holds the only
+/// engine, so batch composition is deterministic.
 
 namespace logpc::svc {
 
@@ -32,6 +36,10 @@ struct CollectiveServiceTestPeer {
 };
 
 namespace {
+
+using testutil::Gate;
+using testutil::gated;
+using testutil::ready_now;
 
 Params machine() { return Params{4, 4, 1, 2}; }
 
@@ -383,8 +391,22 @@ TEST(SvcFusion, BatchCapIs32AndBestEffortFuses) {
 
 // ----------------------------------------- service: bitwise exactness
 
-/// Runs the same request mix fused (paused backlog) and unfused
-/// (fusion_window_us = 0) and demands bitwise-identical results.
+/// Runs `reqs` one at a time on an idle service: each runs alone on its
+/// submitter, unfused.
+std::vector<Response> run_one_at_a_time(std::vector<Request> reqs) {
+  CollectiveService svc(machine(), CollectiveService::Options{});
+  const TenantId t = svc.register_tenant({.name = "fusion-solo"});
+  std::vector<Response> out;
+  for (Request& r : reqs) {
+    SubmitResult sub = svc.submit(t, std::move(r));
+    EXPECT_TRUE(sub.accepted());
+    out.push_back(sub.response.get());
+  }
+  return out;
+}
+
+/// Runs the same request mix fused (paused backlog) and unfused (one at a
+/// time on an idle service) and demands bitwise-identical results.
 template <typename MakeReq>
 void expect_fused_matches_unfused(MakeReq make, int n,
                                   std::uint32_t expect_fused) {
@@ -396,10 +418,7 @@ void expect_fused_matches_unfused(MakeReq make, int n,
   }
   const std::vector<Response> fused =
       run_backlog(fused_opts, std::move(fused_reqs));
-  CollectiveService::Options solo_opts;
-  solo_opts.fusion_window_us = 0;
-  const std::vector<Response> solo =
-      run_backlog(solo_opts, std::move(solo_reqs));
+  const std::vector<Response> solo = run_one_at_a_time(std::move(solo_reqs));
   ASSERT_EQ(fused.size(), solo.size());
   for (int i = 0; i < n; ++i) {
     ASSERT_EQ(fused[i].status, Status::kOk) << fused[i].error;
@@ -532,108 +551,137 @@ TEST(SvcFusion, FusedAndSegmentedComposeExactly) {
 TEST(SvcFusion, LoneRequestInAnIdleServiceDispatchesWithoutWaiting) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  opts.fusion_window_us = 2'000'000;
   CollectiveService svc(machine(), opts);
   const TenantId t = svc.register_tenant({.name = "fusion-lone"});
-  // Queued on a paused service, so the pool (not the submitter) picks it
-  // at resume.  Nothing else is queued or in flight, so no sibling can
-  // come: the batch-class lead must dispatch at once instead of sitting
-  // out the window.
+  // Queued on a paused service, so resume() (not the submitter) runs it:
+  // resume drains on its calling thread, and a combiner never waits for a
+  // sibling, so the batch-class lead has run when resume() returns.
   svc.pause();
   SubmitResult sub = svc.submit(t, bcast_req("lone"));
   ASSERT_TRUE(sub.accepted());
+  EXPECT_FALSE(ready_now(sub.response));
   svc.resume();
+  EXPECT_TRUE(ready_now(sub.response)) << "resume() drains on its caller";
   const Response r = sub.response.get();
   ASSERT_EQ(r.status, Status::kOk) << r.error;
   EXPECT_EQ(r.fused, 1u);
   EXPECT_LT(r.queue_wait_ns, 500'000'000u)
-      << "a lone request must not wait out the fusion window";
+      << "a lone request must not wait for siblings";
   for (ProcId p = 0; p < machine().P; ++p) {
     EXPECT_EQ(to_str(r.report.item_at(p, 0)), "lone");
   }
+  EXPECT_EQ(svc.status().caller_runs, 0u);
 }
 
-/// Queues a batch-class lead behind a best-effort request of another
-/// shape on a paused one-pool service, then resumes: the pool picks the
-/// lead first (batch before best-effort), and the still-queued
-/// best-effort request is the evidence that keeps the lead's window open.
-struct HeldWindow {
-  SubmitResult lead;
-  SubmitResult other;
-};
-
-HeldWindow open_held_window(CollectiveService& svc, TenantId t,
-                            const std::string& lead_payload) {
-  HeldWindow w;
-  w.other = svc.submit(t, bcast_req("best-effort-other-shape",
-                                    QoS::kBestEffort));
-  w.lead = svc.submit(t, bcast_req(lead_payload));
-  svc.resume();
-  return w;
-}
-
-TEST(SvcFusion, DrainShutdownMidWindowFulfillsEveryPromiseExactlyOnce) {
+TEST(SvcFusion, SiblingsQueuedBehindLentEnginesFuseIntoOneExactRun) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  // Far longer than the test: the shutdown below, not the deadline, has
-  // to end the window.
-  opts.fusion_window_us = 2'000'000;
   CollectiveService svc(machine(), opts);
-  svc.pause();
-  const TenantId t = svc.register_tenant({.name = "fusion-drain"});
-  // The pool picks the fusible lead and sits in its open window (a
-  // singleton batch is not yet amortized, and the queued best-effort
-  // request keeps the service from being idle).  Draining shutdown must
-  // cut the window, run the half-filled batch, and fulfill the promise —
-  // exactly once, well before the window would have expired.
-  HeldWindow w = open_held_window(svc, t, "mid-window");
-  ASSERT_TRUE(w.lead.accepted());
-  ASSERT_TRUE(w.other.accepted());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const auto t0 = std::chrono::steady_clock::now();
-  svc.shutdown(/*drain=*/true);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1500)
-      << "shutdown must not wait out the fusion window";
-  const Response r = w.lead.response.get();
-  EXPECT_EQ(r.status, Status::kOk) << r.error;
-  for (ProcId p = 0; p < machine().P; ++p) {
-    EXPECT_EQ(to_str(r.report.item_at(p, 0)), "mid-window");
+  const TenantId t =
+      svc.register_tenant({.name = "fusion-behind", .queue_capacity = 16});
+  Gate gate;
+  std::thread holder([&] {
+    SubmitResult sub =
+        svc.submit(t, gated(generic_reduce_req(machine().P, 1), gate));
+    ASSERT_TRUE(sub.accepted());
+    EXPECT_EQ(sub.response.get().status, Status::kOk);
+  });
+  gate.wait_entered();
+  // The one engine is lent to the holder's run: these submits queue and
+  // return at once, and the holder's combiner, draining before it hands
+  // the engine back, claims them into one run.
+  std::vector<std::string> payloads;
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 5; ++i) {
+    payloads.push_back("behind-" + std::to_string(i));
+    SubmitResult sub = svc.submit(t, bcast_req(payloads.back()));
+    ASSERT_TRUE(sub.accepted());
+    EXPECT_FALSE(ready_now(sub.response));
+    futures.push_back(std::move(sub.response));
   }
-  // The drain also runs the request that held the window open.
-  const Response ro = w.other.response.get();
-  EXPECT_EQ(ro.status, Status::kOk) << ro.error;
-  EXPECT_GT(ro.dispatch_seq, r.dispatch_seq);
+  EXPECT_EQ(svc.queued(), 5u);
+  gate.release();
+  holder.join();
+  std::set<std::uint32_t> indices;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_TRUE(ready_now(futures[i])) << "the holder drains before returning";
+    const Response r = futures[i].get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(r.fused, 5u);
+    EXPECT_EQ(r.pool, 0);
+    indices.insert(r.fused_index);
+    for (ProcId p = 0; p < machine().P; ++p) {
+      EXPECT_EQ(to_str(r.report.item_at(p, 0)), payloads[i]);
+    }
+  }
+  EXPECT_EQ(indices.size(), 5u);
+  const auto st = svc.status();
+  EXPECT_EQ(st.fused_batches, 1u);
+  EXPECT_EQ(st.fused_requests, 5u);
+  EXPECT_EQ(st.caller_runs, 1u) << "only the holder ran its own request";
+  EXPECT_EQ(st.inflight, 0u);
 }
 
-TEST(SvcFusion, LateArrivalsJoinAnOpenWindow) {
+TEST(SvcFusion, DrainShutdownWithQueuedWorkFulfillsEveryPromiseExactlyOnce) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  // Long enough for the late arrival below to land inside it even on a
-  // slow sanitizer build; the queued best-effort request keeps the window
-  // open to its deadline, so the test waits it out once.
-  opts.fusion_window_us = 500'000;
   CollectiveService svc(machine(), opts);
-  svc.pause();
-  const TenantId t = svc.register_tenant({.name = "fusion-late"});
-  HeldWindow w = open_held_window(svc, t, "window-a");
-  ASSERT_TRUE(w.lead.accepted());
-  ASSERT_TRUE(w.other.accepted());
-  // Give the pool time to pick the lead and open its window, then arrive.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  SubmitResult second = svc.submit(t, bcast_req("window-b"));
-  ASSERT_TRUE(second.accepted());
-  const Response ra = w.lead.response.get();
-  const Response rb = second.response.get();
-  ASSERT_EQ(ra.status, Status::kOk) << ra.error;
-  ASSERT_EQ(rb.status, Status::kOk) << rb.error;
-  EXPECT_EQ(ra.fused, 2u) << "the open window must claim the late arrival";
-  EXPECT_EQ(rb.fused, 2u);
-  EXPECT_EQ(to_str(ra.report.item_at(2, 0)), "window-a");
-  EXPECT_EQ(to_str(rb.report.item_at(2, 0)), "window-b");
-  EXPECT_EQ(w.other.response.get().status, Status::kOk);
+  const TenantId t =
+      svc.register_tenant({.name = "fusion-drain", .queue_capacity = 16});
+  Gate gate;
+  std::thread holder([&] {
+    SubmitResult sub =
+        svc.submit(t, gated(generic_reduce_req(machine().P, 2), gate));
+    ASSERT_TRUE(sub.accepted());
+    EXPECT_EQ(sub.response.get().status, Status::kOk);
+  });
+  gate.wait_entered();
+  // Queued behind the lent engine: a fusible pair, another shape and an
+  // interactive request.
+  const std::vector<std::pair<std::string, QoS>> queued = {
+      {"drain-a", QoS::kBatch},
+      {"drain-b", QoS::kBatch},
+      {"drain-other-shape", QoS::kBestEffort},
+      {"drain-i", QoS::kInteractive}};
+  std::vector<std::future<Response>> futures;
+  for (const auto& [payload, qos] : queued) {
+    SubmitResult sub = svc.submit(t, bcast_req(payload, qos));
+    ASSERT_TRUE(sub.accepted());
+    futures.push_back(std::move(sub.response));
+  }
+  std::atomic<bool> returned{false};
+  std::thread stopper([&] {
+    svc.shutdown(/*drain=*/true);
+    returned.store(true);
+  });
+  while (svc.accepting()) std::this_thread::yield();
+  EXPECT_EQ(svc.submit(t, bcast_req("late")).status, Status::kShutdown);
+  // No engine is free for shutdown to drain on: it waits while the
+  // holder's combiner runs the backlog, then hands the engine back.
+  EXPECT_FALSE(returned.load()) << "shutdown returned with an engine lent";
+  gate.release();
+  stopper.join();
+  holder.join();
+  std::set<std::uint64_t> seqs;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response r = futures[i].get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    seqs.insert(r.dispatch_seq);
+    for (ProcId p = 0; p < machine().P; ++p) {
+      EXPECT_EQ(to_str(r.report.item_at(p, 0)), queued[i].first);
+    }
+  }
+  EXPECT_EQ(seqs.size(), futures.size());
+  // Every admitted request completed exactly once: a second fulfilment
+  // would have thrown in the combiner, a missed one left a count short.
+  const auto c = svc.tenant_counters(t);
+  EXPECT_EQ(c.admitted, 5u);
+  EXPECT_EQ(c.completed, 5u);
+  EXPECT_EQ(c.queue_depth, 0u);
+  const auto st = svc.status();
+  EXPECT_EQ(st.inflight, 0u);
+  EXPECT_EQ(st.caller_runs, 1u);
+  EXPECT_EQ(st.fused_batches, 1u);
 }
 
 TEST(SvcFusion, RankDeathFailsEveryFusedMemberConsistently) {

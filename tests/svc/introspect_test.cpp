@@ -187,8 +187,7 @@ TEST(Introspect, TakenPortSurfacesAsException) {
   CollectiveService first(machine(), opts);
   ASSERT_GT(first.introspect_port(), 0);
   // Binding the same fixed port again must surface as a catchable
-  // exception from the constructor — not std::terminate from unwinding
-  // past the already-running pool threads.
+  // exception from the constructor, with nothing left running.
   opts.introspect_port = first.introspect_port();
   EXPECT_THROW(CollectiveService(machine(), opts), std::runtime_error);
 }

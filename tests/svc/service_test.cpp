@@ -5,13 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -20,12 +18,13 @@
 
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "svc_test_util.hpp"
 
 /// End-to-end tests of the collective-service daemon: real engine pools,
 /// real futures.  Policy-order tests build their backlog on a paused
 /// service with a single pool, so the dispatch sequence is exactly
 /// the scheduler's decision sequence and every assertion is
-/// deterministic.
+/// deterministic.  Tests that need an engine lent hold a run at a Gate.
 
 namespace logpc::svc {
 namespace {
@@ -76,48 +75,13 @@ Request reduce_req(int P) {
   return r;
 }
 
-/// Holds a run inside its combiner until released: the test learns the
-/// run is in progress (wait_entered) and decides when it may finish.
-class Gate {
- public:
-  void pass() {
-    std::unique_lock lock(mu_);
-    entered_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return open_; });
-  }
-  void wait_entered() {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [this] { return entered_; });
-  }
-  void release() {
-    std::lock_guard lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool open_ = false;
-};
+using testutil::Gate;
+using testutil::ready_now;
 
 /// reduce_req with a generic combiner that waits at `gate` before every
 /// fold; the run completes only after gate.release().
 Request gated_reduce_req(int P, Gate& gate) {
-  Request r = reduce_req(P);
-  r.combine = exec::Combiner(
-      [&gate, fold = r.combine](exec::Bytes& acc,
-                                std::span<const std::byte> rhs) {
-        gate.pass();
-        fold(acc, rhs);
-      });
-  return r;
-}
-
-bool ready_now(const std::future<Response>& f) {
-  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  return testutil::gated(reduce_req(P), gate);
 }
 
 int env_int(const char* name, int fallback) {
@@ -134,19 +98,6 @@ TEST(SvcService, RejectsDegenerateOptionsAtConstruction) {
   expect_rejected(opts);
   opts.pools = 65;
   expect_rejected(opts);
-
-  // A window whose deadline (now + window) overflows the steady clock:
-  // UINT64_MAX does not even fit the signed microsecond count, INT64_MAX
-  // overflows once scaled to the clock's nanoseconds.
-  opts = {};
-  opts.fusion_window_us = UINT64_MAX;
-  expect_rejected(opts);
-  opts.fusion_window_us = INT64_MAX;
-  expect_rejected(opts);
-  // An hour-long window is absurd but representable, so it is accepted.
-  opts.fusion_window_us = 3'600'000'000ULL;
-  opts.pools = 1;
-  EXPECT_NO_THROW(CollectiveService(machine(), opts));
 
   opts = {};
   opts.segment_bytes = 0;  // segmentation enabled but can never split
@@ -243,20 +194,20 @@ TEST(SvcService, AllgatherDeliversEveryContributionEverywhere) {
 TEST(SvcService, EqualWeightTenantsShareWithinTolerance) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  // This test asserts the stride scheduler's dispatch order; fusion would
-  // coalesce the identical-shape backlog into admission-order batches.
-  opts.fusion_window_us = 0;
   CollectiveService svc(machine(), opts);
   svc.pause();
   const TenantId a = svc.register_tenant({.name = "fair-a",
                                           .queue_capacity = 64});
   const TenantId b = svc.register_tenant({.name = "fair-b",
                                           .queue_capacity = 64});
-  // Both tenants saturated before any dispatch happens.
+  // Both tenants saturated before any dispatch happens.  This test
+  // asserts the stride scheduler's dispatch order, so the requests are
+  // interactive, which never fuse: batch class would coalesce the
+  // identical-shape backlog into admission-order batches.
   std::vector<std::pair<TenantId, std::future<Response>>> futures;
   for (int i = 0; i < 30; ++i) {
     for (const TenantId t : {a, b}) {
-      SubmitResult sub = svc.submit(t, bcast_req("x"));
+      SubmitResult sub = svc.submit(t, bcast_req("x", QoS::kInteractive));
       ASSERT_TRUE(sub.accepted());
       futures.emplace_back(t, std::move(sub.response));
     }
@@ -281,8 +232,6 @@ TEST(SvcService, EqualWeightTenantsShareWithinTolerance) {
 TEST(SvcService, WeightedTenantsSplitByWeight) {
   CollectiveService::Options opts;
   opts.pools = 1;
-  // As above: weighted stride order is the subject, so keep fusion off.
-  opts.fusion_window_us = 0;
   CollectiveService svc(machine(), opts);
   svc.pause();
   const TenantId heavy = svc.register_tenant(
@@ -290,9 +239,11 @@ TEST(SvcService, WeightedTenantsSplitByWeight) {
   const TenantId light = svc.register_tenant(
       {.name = "w-light", .weight = 1, .queue_capacity = 64});
   std::vector<std::pair<TenantId, std::future<Response>>> futures;
+  // As above: weighted stride order is the subject, so the requests are
+  // interactive and run unfused.
   for (int i = 0; i < 40; ++i) {
     for (const TenantId t : {heavy, light}) {
-      SubmitResult sub = svc.submit(t, bcast_req("x"));
+      SubmitResult sub = svc.submit(t, bcast_req("x", QoS::kInteractive));
       ASSERT_TRUE(sub.accepted());
       futures.emplace_back(t, std::move(sub.response));
     }
@@ -551,6 +502,75 @@ TEST(SvcService, ConcurrentSubmittersAndShutdownResolveEveryFuture) {
   EXPECT_EQ(resolved.load(), accepted.load());
 }
 
+/// 8 threads x 500 submits at 1, 2 and 3 engines: fusible, interactive
+/// and reduce traffic, each thread keeping up to 4 futures in flight, so
+/// submitters race to take engines, queue behind lent ones and fuse.
+/// Every future resolves with its own exact result, and the accounting
+/// balances.
+TEST(SvcService, HammerOfEightSubmittersResolvesEveryFuture) {
+  constexpr int kThreads = 8;
+  constexpr int kSubmits = 500;
+  constexpr std::size_t kInFlight = 4;
+  for (const int pools : {1, 2, 3}) {
+    CollectiveService::Options opts;
+    opts.pools = pools;
+    CollectiveService svc(machine(), opts);
+    std::vector<TenantId> tenants;
+    for (int i = 0; i < kThreads; ++i) {
+      tenants.push_back(svc.register_tenant(
+          {.name = "hammer-" + std::to_string(pools) + "-" + std::to_string(i),
+           .queue_capacity = 2 * kInFlight}));
+    }
+    std::atomic<int> resolved{0};
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kThreads; ++i) {
+      workers.emplace_back([&, i] {
+        std::deque<std::pair<int, std::future<Response>>> inflight;
+        const auto settle = [&] {
+          auto [kind, fut] = std::move(inflight.front());
+          inflight.pop_front();
+          const Response r = fut.get();
+          ASSERT_EQ(r.status, Status::kOk) << r.error;
+          if (kind == 2) {
+            EXPECT_EQ(to_u64(r.report.folded_at(0)), 1u + 2 + 3 + 4);
+          } else {
+            EXPECT_EQ(to_str(r.report.item_at(3, 0)),
+                      "hammer-" + std::to_string(i));
+          }
+          resolved.fetch_add(1);
+        };
+        for (int n = 0; n < kSubmits; ++n) {
+          const int kind = n % 3;
+          Request req = kind == 2 ? reduce_req(machine().P)
+                                  : bcast_req("hammer-" + std::to_string(i),
+                                              kind == 0 ? QoS::kBatch
+                                                        : QoS::kInteractive);
+          SubmitResult sub =
+              svc.submit(tenants[static_cast<std::size_t>(i)], std::move(req));
+          ASSERT_TRUE(sub.accepted()) << status_name(sub.status);
+          inflight.emplace_back(kind, std::move(sub.response));
+          while (inflight.size() > kInFlight) settle();
+        }
+        while (!inflight.empty()) settle();
+      });
+    }
+    for (auto& w : workers) w.join();
+    EXPECT_EQ(resolved.load(), kThreads * kSubmits) << pools << " pools";
+    std::uint64_t admitted = 0, completed = 0;
+    for (const TenantId t : tenants) {
+      const auto c = svc.tenant_counters(t);
+      admitted += c.admitted;
+      completed += c.completed;
+      EXPECT_EQ(c.queue_depth, 0u);
+    }
+    EXPECT_EQ(admitted, static_cast<std::uint64_t>(kThreads * kSubmits));
+    EXPECT_EQ(completed, admitted);
+    const auto st = svc.status();
+    EXPECT_EQ(st.inflight, 0u);
+    EXPECT_EQ(st.queued, 0u);
+  }
+}
+
 TEST(SvcService, IdleSubmitRunsOnTheCallingThread) {
   CollectiveService svc(machine(), {});
   const TenantId t = svc.register_tenant({.name = "idle-caller"});
@@ -622,41 +642,56 @@ TEST(SvcService, PausedServiceQueuesInsteadOfRunningOnTheCaller) {
   EXPECT_EQ(svc.status().caller_runs, 0u);
 }
 
-TEST(SvcService, SubmitDuringACallerRunGoesToAPool) {
+TEST(SvcService, SubmitterWithEveryEngineLentReturnsBeforeItsRequestRuns) {
   CollectiveService::Options opts;
   opts.pools = 2;
   CollectiveService svc(machine(), opts);
-  const TenantId t = svc.register_tenant({.name = "lent-pool"});
-  Gate gate;
-  Response held;
-  std::thread caller([&] {
-    SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate));
+  const TenantId t = svc.register_tenant({.name = "lent-engines"});
+  // Two held runs: the first submitter takes engine 0; the second finds
+  // engine 1 free and takes it, so both engines are lent.
+  Gate gate0, gate1;
+  Response held0, held1;
+  std::thread caller0([&] {
+    SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate0));
     ASSERT_TRUE(sub.accepted());
     EXPECT_TRUE(ready_now(sub.response));
-    held = sub.response.get();
+    held0 = sub.response.get();
   });
-  gate.wait_entered();
-  // The caller's run holds pool 0's engine: a second request is not idle
-  // work, so it queues, and the other pool runs it while the gate is shut.
+  gate0.wait_entered();
+  std::thread caller1([&] {
+    SubmitResult sub = svc.submit(t, gated_reduce_req(machine().P, gate1));
+    ASSERT_TRUE(sub.accepted());
+    EXPECT_TRUE(ready_now(sub.response));
+    held1 = sub.response.get();
+  });
+  gate1.wait_entered();
+  // Every engine is lent: this submit queues and returns at once, before
+  // its request runs, and runs nothing itself.
   SubmitResult other = svc.submit(t, bcast_req("beside", QoS::kInteractive));
   ASSERT_TRUE(other.accepted());
-  ASSERT_EQ(other.response.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
+  EXPECT_FALSE(ready_now(other.response));
+  EXPECT_EQ(svc.queued(), 1u);
+  gate0.release();
+  gate1.release();
+  caller0.join();
+  caller1.join();
+  // One of the holders ran it before handing its engine back.
+  ASSERT_TRUE(ready_now(other.response));
   const Response ro = other.response.get();
   ASSERT_EQ(ro.status, Status::kOk) << ro.error;
-  EXPECT_EQ(ro.pool, 1);
+  EXPECT_TRUE(ro.pool == 0 || ro.pool == 1) << ro.pool;
   EXPECT_EQ(to_str(ro.report.item_at(2, 0)), "beside");
-  gate.release();
-  caller.join();
-  ASSERT_EQ(held.status, Status::kOk) << held.error;
-  EXPECT_EQ(held.pool, 0);
-  EXPECT_EQ(to_u64(held.report.folded_at(0)), 1u + 2 + 3 + 4);
+  ASSERT_EQ(held0.status, Status::kOk) << held0.error;
+  ASSERT_EQ(held1.status, Status::kOk) << held1.error;
+  EXPECT_NE(held0.pool, held1.pool);
+  EXPECT_EQ(to_u64(held0.report.folded_at(0)), 1u + 2 + 3 + 4);
+  EXPECT_EQ(to_u64(held1.report.folded_at(0)), 1u + 2 + 3 + 4);
   const auto st = svc.status();
-  EXPECT_EQ(st.caller_runs, 1u);
+  EXPECT_EQ(st.caller_runs, 2u);
   EXPECT_EQ(st.inflight, 0u);
   const auto c = svc.tenant_counters(t);
-  EXPECT_EQ(c.admitted, 2u);
-  EXPECT_EQ(c.completed, 2u);
+  EXPECT_EQ(c.admitted, 3u);
+  EXPECT_EQ(c.completed, 3u);
 }
 
 TEST(SvcService, IdlePathKeepsRateLimitAndQueueFullRejections) {
@@ -681,8 +716,8 @@ TEST(SvcService, IdlePathKeepsRateLimitAndQueueFullRejections) {
   {
     // One pool, lent to a held caller run.  The run left the tenant's
     // queue when it was picked, so one more request fits; the next is
-    // rejected.  Once the engine is handed back, the pool runs the queued
-    // one.
+    // rejected.  The held caller's combiner runs the queued one before it
+    // hands the engine back.
     CollectiveService::Options opts;
     opts.pools = 1;
     CollectiveService svc(machine(), opts);
@@ -754,9 +789,9 @@ TEST(SvcService, ShutdownWaitsForCallerRuns) {
 /// Randomized multi-tenant soak: mixed ops, QoS classes and rejection
 /// paths under concurrent submitters, bounded by LOGPC_SOAK_MS (CI's TSan
 /// job raises it; the default keeps tier-1 fast).  A fifth, closed-loop
-/// submitter runs throughout: while the others keep the pools busy its
-/// requests queue or run on itself whenever the service drains, racing
-/// pool dispatch; then it runs alone (every request on itself) until a
+/// submitter runs throughout: while the others keep the engines busy its
+/// requests queue, or it finds an engine free and combines, racing the
+/// other combiners; then it runs alone (every request on itself) until a
 /// draining shutdown lands in the middle of its runs.  The invariant under
 /// test: every accepted future resolves, and the per-tenant accounting
 /// balances exactly after the draining shutdown.
