@@ -53,7 +53,7 @@ void report() {
   const auto cs = bcast::combining_broadcast(T, L);
   std::vector<std::string> vals;
   for (int i = 0; i < cs.params.P; ++i) {
-    vals.push_back("x" + std::to_string(i) + ".");
+    vals.push_back(std::string("x").append(std::to_string(i)).append("."));
   }
   const auto out = bcast::execute_combining<std::string>(
       cs, vals,
@@ -62,7 +62,9 @@ void report() {
   for (int i = 0; i < cs.params.P; ++i) {
     std::string expected;
     for (int j = 1; j <= cs.params.P; ++j) {
-      expected += "x" + std::to_string((i + j) % cs.params.P) + ".";
+      expected += "x";
+      expected += std::to_string((i + j) % cs.params.P);
+      expected += ".";
     }
     windows = windows && out[static_cast<std::size_t>(i)] == expected;
   }

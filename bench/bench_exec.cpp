@@ -3,9 +3,9 @@
 /// and the three collective shapes (single-item broadcast, all-to-all,
 /// summation), each plan executes on the shared-memory engine; we report
 /// the plan's predicted makespan in model cycles, the measured wall time,
-/// the implied cycle length, and the effective (L, o, g) fitted from the
-/// run's send/recv timestamps by exec::measure() — the same shape of
-/// answer sim::calibrate gives for the simulator.  Everything lands in
+/// and the run's profile (obs::analyze): the effective (L, o, g) fitted
+/// from its send/recv timestamps and the least-squares ns-per-cycle scale
+/// mapping the plan machine onto that fit.  Everything lands in
 /// BENCH_exec.json via the global JsonReport.
 
 #include "bench_util.hpp"
@@ -18,7 +18,7 @@
 
 #include "api/communicator.hpp"
 #include "exec/mailbox.hpp"
-#include "exec/measure.hpp"
+#include "obs/critical_path.hpp"
 #include "sum/executor.hpp"
 
 namespace {
@@ -58,18 +58,14 @@ exec::ExecReport best_of(int reps, const RunFn& run) {
 
 void add_point(Table& t, const Params& machine, const std::string& collective,
                const exec::ExecReport& report) {
-  const exec::MeasuredLogP fit = exec::measure(report);
-  const double ns_per_cycle = exec::fitted_ns_per_cycle(report);
-  const sim::MeasuredParams quantized =
-      ns_per_cycle > 0 ? fit.as_measured_params(ns_per_cycle, machine)
-                       : sim::MeasuredParams{machine.P, 0, 0, 0};
+  const obs::RunProfile profile = obs::analyze(report);
+  const obs::MeasuredLogP& fit = profile.fit;
 
   t.row(machine.to_string(), collective, report.predicted_makespan,
-        report.wall_ns / 1000, ns_per_cycle,
+        report.wall_ns / 1000, profile.ns_per_cycle,
         static_cast<std::int64_t>(fit.L_ns),
         static_cast<std::int64_t>(fit.o_ns),
-        static_cast<std::int64_t>(fit.g_ns),
-        quantized.as_params().to_string());
+        static_cast<std::int64_t>(fit.g_ns));
 
   logpc::bench::global_report("exec").entry(
       "exec_grid",
@@ -77,17 +73,14 @@ void add_point(Table& t, const Params& machine, const std::string& collective,
       {{"predicted_makespan_cycles",
         static_cast<double>(report.predicted_makespan)},
        {"measured_wall_ns", static_cast<double>(report.wall_ns)},
-       {"ns_per_cycle", ns_per_cycle},
+       {"ns_per_cycle", profile.ns_per_cycle},
        {"messages", static_cast<double>(report.messages)},
        {"payload_bytes", static_cast<double>(report.payload_bytes)},
        {"max_mailbox_occupancy",
         static_cast<double>(report.max_mailbox_occupancy)},
        {"fitted_L_ns", fit.L_ns},
        {"fitted_o_ns", fit.o_ns},
-       {"fitted_g_ns", fit.g_ns},
-       {"fitted_L_cycles", static_cast<double>(quantized.L)},
-       {"fitted_o_cycles", static_cast<double>(quantized.o)},
-       {"fitted_g_cycles", static_cast<double>(quantized.g)}});
+       {"fitted_g_ns", fit.g_ns}});
 }
 
 void report() {
@@ -96,7 +89,7 @@ void report() {
   constexpr std::size_t kPayload = 1024;
 
   Table t({"machine", "collective", "pred (cyc)", "wall (us)", "ns/cyc",
-           "L_ns", "o_ns", "g_ns", "fitted (cyc)"});
+           "L_ns", "o_ns", "g_ns"});
   const std::vector<Params> machines = {
       Params{8, 4, 1, 2},
       Params{8, 8, 2, 3},
@@ -137,11 +130,10 @@ void report() {
               }));
   }
   t.print();
-  std::cout << "\npred = plan makespan in model cycles; ns/cyc = wall/pred;\n"
-               "L/o/g_ns = effective parameters fitted from the run's\n"
-               "timestamps (exec::measure); fitted (cyc) = the same\n"
-               "quantized to model cycles for comparison with the machine\n"
-               "column.\n";
+  std::cout << "\npred = plan makespan in model cycles; L/o/g_ns = effective\n"
+               "parameters fitted from the run's timestamps (obs::analyze);\n"
+               "ns/cyc = the least-squares scale mapping the machine's\n"
+               "(L, o, g) cycles onto that fit.\n";
 }
 
 void BM_ExecBroadcast(benchmark::State& state) {

@@ -73,10 +73,10 @@ void report() {
   for (ProcId p = 0; p < res.plan->params.P; ++p) {
     std::string cells;
     for (const Time d : rows[static_cast<std::size_t>(p)]) {
-      cells += (cells.empty() ? "" : " ") +
-               (d < 0 ? std::string("src") : std::to_string(d));
+      if (!cells.empty()) cells += " ";
+      cells += d < 0 ? std::string("src") : std::to_string(d);
     }
-    pattern.row("P" + std::to_string(p), cells);
+    pattern.row(std::string("P").append(std::to_string(p)), cells);
   }
   pattern.print();
 

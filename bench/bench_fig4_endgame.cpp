@@ -51,10 +51,17 @@ void report() {
       const bool active =
           (op.item % block7->r) == j &&
           at == op.item + L + block7->d;  // the internal-role reception
-      cells += (cells.empty() ? "" : " ") + std::to_string(at) + ":" +
-               std::to_string(op.item + 1) + (active ? "*" : "");
+      if (!cells.empty()) cells += " ";
+      cells += std::to_string(at);
+      cells += ":";
+      cells += std::to_string(op.item + 1);
+      if (active) cells += "*";
     }
-    rows.row("P" + std::to_string(p) + " (j=" + std::to_string(j) + ")",
+    rows.row(std::string("P")
+                 .append(std::to_string(p))
+                 .append(" (j=")
+                 .append(std::to_string(j))
+                 .append(")"),
              cells);
   }
   rows.print();

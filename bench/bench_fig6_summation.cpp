@@ -31,12 +31,15 @@ void report() {
   for (const auto& pp : plan.procs) {
     std::string recvs;
     for (std::size_t j = 0; j < pp.recv_times.size(); ++j) {
-      recvs += (recvs.empty() ? "" : " ") + std::to_string(pp.recv_times[j]) +
-               "<-P" + std::to_string(pp.recv_from[j]);
+      if (!recvs.empty()) recvs += " ";
+      recvs += std::to_string(pp.recv_times[j]);
+      recvs += "<-P";
+      recvs += std::to_string(pp.recv_from[j]);
     }
-    procs.row("P" + std::to_string(pp.proc), pp.send_time,
-              pp.send_to == kNoProc ? std::string("(root)")
-                                    : "P" + std::to_string(pp.send_to),
+    procs.row(std::string("P").append(std::to_string(pp.proc)), pp.send_time,
+              pp.send_to == kNoProc
+                  ? std::string("(root)")
+                  : std::string("P").append(std::to_string(pp.send_to)),
               recvs, pp.local_operands(params.o));
   }
   procs.print();

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "api/communicator.hpp"
-#include "exec/measure.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/critical_path.hpp"
 #include "sim/trace.hpp"
 
 int main(int argc, char** argv) {
@@ -69,13 +69,16 @@ int main(int argc, char** argv) {
                            folded.size())
             << "\"\n";
 
-  // 3. What did the machine actually look like?  Fit (L, o, g) from the
-  //    run's send/recv timestamps.
-  const exec::MeasuredLogP fit = exec::measure(bcast);
+  // 3. What did the machine actually look like?  Profile the run: fit
+  //    (L, o, g) from its send/recv timestamps and scale the plan's cycles
+  //    onto that fit.
+  const obs::RunProfile profile = obs::analyze(bcast);
+  const obs::MeasuredLogP& fit = profile.fit;
   std::cout << "measured: L=" << static_cast<long>(fit.L_ns)
             << "ns o=" << static_cast<long>(fit.o_ns)
             << "ns g=" << static_cast<long>(fit.g_ns) << "ns over "
-            << fit.latency_samples << " link samples\n";
+            << fit.latency_samples << " link samples, "
+            << profile.ns_per_cycle << " ns per model cycle\n";
 
   // 4. One Perfetto timeline, two processes: the spans the engine
   //    recorded while executing, and the plan's simulated

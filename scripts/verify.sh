@@ -88,12 +88,14 @@ if [[ "$RUN_ASAN" == 1 ]]; then
              test_implicit_plan test_exec_mailbox test_exec_kernels test_exec_engine \
              test_exec_program test_communicator_exec test_exec_property test_fault \
              test_svc_sched test_svc test_svc_fusion test_svc_introspect \
-             test_prometheus_lint test_measure test_io test_tree \
+             test_prometheus_lint test_io test_tree \
              test_summation test_continuous test_kitem test_kitem_buffered \
              test_continuous_search
   ./build-asan/tests/test_obs_metrics
   ./build-asan/tests/test_obs_trace
   ./build-asan/tests/test_obs_chrome
+  # The profiler's one walk, and its (L, o, g) fit against the separate
+  # fit walk kept as the test's oracle.
   ./build-asan/tests/test_obs_critical_path
   ./build-asan/tests/test_obs_flight_recorder
   ./build-asan/tests/test_plan_cache
@@ -113,7 +115,6 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/test_svc_fusion
   ./build-asan/tests/test_svc_introspect
   ./build-asan/tests/test_prometheus_lint
-  ./build-asan/tests/test_measure
   # The two parsers of outside input (plan snapshots, text schedules) each
   # run a truncation/bit-flip mutation corpus; with test_snapshot above
   # (which also carries the resealed huge-L/o keys PlanKey::make bounds),

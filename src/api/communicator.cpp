@@ -254,7 +254,6 @@ FtRunResult Communicator::run_broadcast_ft(std::span<const std::byte> payload,
     try {
       res.report = engine.run(program, exec::Payload{payload}, &injector);
     } catch (const exec::RankFailure& failure) {
-      if (options.policy == FailurePolicy::kAbort) throw;
       if (res.failed_ranks.empty()) first_failure = Clock::now();
       // The engine reports the rank in the *current* (compacted) program's
       // rank space; map it back to the physical machine before excluding.

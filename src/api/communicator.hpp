@@ -37,13 +37,6 @@ namespace logpc::api {
 /// messages serialized by g, the last landing after a full transfer.
 [[nodiscard]] Time scatter_time(const Params& params);
 
-/// What to do when the engine's failure detector declares a rank dead
-/// mid-collective.
-enum class FailurePolicy : std::uint8_t {
-  kAbort,   ///< rethrow exec::RankFailure to the caller
-  kReplan,  ///< exclude the rank, re-plan on the survivors, run again
-};
-
 /// How a fault-tolerant run ended.
 enum class RunStatus : std::uint8_t {
   kOk,         ///< completed on the full machine, no rank lost
@@ -53,7 +46,6 @@ enum class RunStatus : std::uint8_t {
 
 /// Options for run_broadcast_ft.
 struct FtRunOptions {
-  FailurePolicy policy = FailurePolicy::kReplan;
   /// Faults to inject (deterministic in FaultSpec::seed); nullopt runs
   /// fault-free.
   std::optional<fault::FaultSpec> faults;
@@ -193,8 +185,8 @@ class Communicator {
       exec::Engine* engine = nullptr) const;
 
   /// Fault-tolerant broadcast: runs on the engine with `options.faults`
-  /// injected when set (a dropped delivery is resent) and, under
-  /// FailurePolicy::kReplan, survives rank deaths by asking the planner
+  /// injected when set (a dropped delivery is resent) and survives rank
+  /// deaths (exec::RankFailure) by excluding the rank and asking the planner
   /// for a fresh optimal schedule over the survivors — the key gains a
   /// membership mask, the 𝔅 tree is universal so the degraded plan is
   /// itself optimal — and re-running until the collective completes or the

@@ -48,7 +48,7 @@
 /// per-processor instruction order, the per-link FIFO, and the mailbox
 /// bound of ceil(L/g) messages (the capacity constraint) — so a run is the
 /// plan's dependency graph executed raw, and the returned timestamps are
-/// what exec::measure() fits effective (L, o, g) from.
+/// what obs::analyze fits effective (L, o, g) from.
 ///
 /// Every run records per-processor send/recv timestamps, and each receive
 /// names the send whose message it accepted (ExecEvent::match): one thread

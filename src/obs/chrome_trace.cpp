@@ -86,22 +86,21 @@ void ChromeTraceWriter::add(const RunProfile& profile, int pid,
                             std::string_view process_name) {
   add_process_name(pid, process_name);
   // Stable viewer palette per component (trace-event "cname" values):
-  // greens for useful overhead, blues/greys for waiting, red for blocked.
+  // greens for useful overhead, blues/greys for waiting.
   auto cname = [](Component c) -> const char* {
     switch (c) {
       case Component::kSendOverhead: return "thread_state_running";
       case Component::kRecvOverhead: return "thread_state_runnable";
       case Component::kLatencyWait: return "thread_state_iowait";
       case Component::kFold: return "rail_animation";
-      case Component::kBlocked: return "terrible";
       case Component::kGapStall: return "grey";
     }
     return "grey";
   };
-  for (std::size_t p = 0; p < profile.phases.size(); ++p) {
+  for (std::size_t p = 0; p < profile.ranks.size(); ++p) {
     add_thread_name(pid, static_cast<std::uint32_t>(p),
                     "rank " + std::to_string(p));
-    for (const Phase& ph : profile.phases[p]) {
+    for (const Phase& ph : profile.rank_phases(p)) {
       std::ostringstream e;
       e << R"({"name":)" << json_string(component_name(ph.component))
         << R"(,"ph":"X","cat":"profile","cname":")" << cname(ph.component)
@@ -112,7 +111,7 @@ void ChromeTraceWriter::add(const RunProfile& profile, int pid,
       events_.push_back(e.str());
     }
   }
-  const auto cp_tid = static_cast<std::uint32_t>(profile.phases.size());
+  const auto cp_tid = static_cast<std::uint32_t>(profile.ranks.size());
   add_thread_name(pid, cp_tid, "critical path");
   for (const PathSegment& seg : profile.critical_path) {
     const bool send = seg.kind == exec::ExecEvent::Kind::kSend;

@@ -42,8 +42,8 @@ class ChromeTraceWriter {
   /// Adds a profiled run as per-rank component tracks: rank p becomes
   /// thread p of `pid`, every Phase a slice named for its component and
   /// color-coded by the viewer's palette (cname) so the o / L / g phases —
-  /// send/recv overhead, latency waits, gap stalls, folds, ack blocks —
-  /// read at a glance.  The critical path lands on one extra track
+  /// send/recv overhead, latency waits, gap stalls, folds — read at a
+  /// glance.  The critical path lands on one extra track
   /// (tid = P) so the gating chain is visible next to the ranks it
   /// threads through.
   void add(const RunProfile& profile, int pid = 3,

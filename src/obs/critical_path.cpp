@@ -40,7 +40,6 @@ Component arrival_component(exec::Mode mode) {
 const char* component_name(Component c) noexcept {
   switch (c) {
     case Component::kSendOverhead: return "send_overhead";
-    case Component::kBlocked: return "blocked";
     case Component::kLatencyWait: return "latency_wait";
     case Component::kRecvOverhead: return "recv_overhead";
     case Component::kFold: return "fold";
@@ -70,20 +69,39 @@ RunProfile analyze(const exec::ExecReport& report) {
   profile.wall_ns = report.wall_ns;
   profile.predicted_makespan = report.predicted_makespan;
   profile.ranks.resize(P);
-  profile.phases.resize(P);
+  std::size_t total_events = 0;
+  for (const std::vector<ExecEvent>& evs : report.events) {
+    total_events += evs.size();
+  }
+  // Worst case per event: one gap phase + two interval phases.
+  profile.phases.reserve(total_events * 3);
 
-  // --- per-rank decomposition: partition each span into phases ------------
+  // --- one walk: partition each span into phases and sum the fit ----------
   const Component arrive = arrival_component(report.mode);
+  const Component between = report.mode == exec::Mode::kSum
+                                ? Component::kFold
+                                : Component::kGapStall;
+  MeasuredLogP& fit = profile.fit;
+  double latency_sum = 0;
+  double overhead_sum = 0;
+  double gap_sum = 0;
   for (std::size_t p = 0; p < P; ++p) {
     const std::vector<ExecEvent>& evs = report.events[p];
     RankBreakdown& rb = profile.ranks[p];
-    std::vector<Phase>& phases = profile.phases[p];
-    if (evs.empty()) continue;
-    // Worst case per event: one gap phase + two interval phases.
-    phases.reserve(evs.size() * 3);
-    rb.first_start_ns = evs.front().start_ns;
-    rb.last_end_ns = evs.back().end_ns;
-    std::uint64_t prev_end = evs.front().start_ns;
+    rb.phases_begin = profile.phases.size();
+    auto add = [&](Component c, std::uint64_t from, std::uint64_t to,
+                   ProcId peer, ItemId item) {
+      if (to <= from) return;
+      rb.component_ns[static_cast<std::size_t>(c)] += to - from;
+      profile.phases.push_back(Phase{c, from, to, peer, item});
+    };
+    if (!evs.empty()) {
+      rb.first_start_ns = evs.front().start_ns;
+      rb.last_end_ns = evs.back().end_ns;
+    }
+    std::uint64_t prev_end = rb.first_start_ns;
+    std::uint64_t prev_send_start = 0;
+    bool have_prev_send = false;
     for (const ExecEvent& ev : evs) {
       if (ev.start_ns < prev_end) {
         // The engine's documented ordering guarantee: events[p] is
@@ -98,38 +116,64 @@ RunProfile analyze(const exec::ExecReport& report) {
             "obs::analyze: malformed event timestamps at rank " +
             std::to_string(p));
       }
-      if (ev.kind == ExecEvent::Kind::kRecv &&
-          ev.match != ExecEvent::kNoMatch && !names_send(report, p, ev)) {
-        throw std::invalid_argument(
-            "obs::analyze: receive at rank " + std::to_string(p) +
-            " names no matching send on P" + std::to_string(ev.peer));
-      }
-      auto add = [&](Component c, std::uint64_t from, std::uint64_t to,
-                     ProcId peer, ItemId item) {
-        if (to <= from) return;
-        rb.component_ns[static_cast<std::size_t>(c)] += to - from;
-        phases.push_back(Phase{c, from, to, peer, item});
-      };
       // Inter-event gap: kSum streams fold local operands between timed
       // events (kCombineLocal emits none), so the gap is combining work
       // there; everywhere else it is stall.
-      add(report.mode == exec::Mode::kSum ? Component::kFold
-                                          : Component::kGapStall,
-          prev_end, ev.start_ns, kNoProc, 0);
+      add(between, prev_end, ev.start_ns, kNoProc, 0);
       if (ev.kind == ExecEvent::Kind::kSend) {
         ++rb.sends;
-        add(Component::kSendOverhead, ev.start_ns, ev.xfer_ns, ev.peer,
+        add(Component::kSendOverhead, ev.start_ns, ev.end_ns, ev.peer,
             ev.item);
-        add(Component::kBlocked, ev.xfer_ns, ev.end_ns, ev.peer, ev.item);
+        // Send overhead: op begin to push accepted (includes backpressure
+        // stalls, exactly as a saturated LogP port would charge them).
+        overhead_sum += static_cast<double>(ev.xfer_ns - ev.start_ns);
+        ++fit.overhead_samples;
+        if (have_prev_send) {
+          gap_sum += static_cast<double>(ev.start_ns - prev_send_start);
+          ++fit.gap_samples;
+        }
+        prev_send_start = ev.start_ns;
+        have_prev_send = true;
       } else {
         ++rb.recvs;
         add(Component::kLatencyWait, ev.start_ns, ev.xfer_ns, ev.peer,
             ev.item);
         add(arrive, ev.xfer_ns, ev.end_ns, ev.peer, ev.item);
+        // Receive overhead: payload arrived to folded/stored.
+        overhead_sum += static_cast<double>(ev.end_ns - ev.xfer_ns);
+        ++fit.overhead_samples;
+        // Wire latency: the matched send's push accepted to payload
+        // arrived.  A receive without a recorded match has no sample.
+        if (ev.match != ExecEvent::kNoMatch) {
+          if (!names_send(report, p, ev)) {
+            throw std::invalid_argument(
+                "obs::analyze: receive at rank " + std::to_string(p) +
+                " names no matching send on P" + std::to_string(ev.peer));
+          }
+          const std::uint64_t push =
+              report.events[static_cast<std::size_t>(ev.peer)][ev.match]
+                  .xfer_ns;
+          if (ev.xfer_ns >= push) {
+            latency_sum += static_cast<double>(ev.xfer_ns - push);
+            ++fit.latency_samples;
+          }
+        }
       }
       prev_end = ev.end_ns;
     }
+    rb.phases_end = profile.phases.size();
   }
+  if (fit.latency_samples > 0) {
+    fit.L_ns = latency_sum / static_cast<double>(fit.latency_samples);
+  }
+  if (fit.overhead_samples > 0) {
+    fit.o_ns = overhead_sum / static_cast<double>(fit.overhead_samples);
+  }
+  if (fit.gap_samples > 0) {
+    fit.g_ns = gap_sum / static_cast<double>(fit.gap_samples);
+  }
+  // The model requires g >= the per-message port occupancy.
+  fit.g_ns = std::max(fit.g_ns, fit.o_ns);
 
   // --- critical path: backward walk from the last-finishing event ---------
   EventRef last;
@@ -147,8 +191,6 @@ RunProfile analyze(const exec::ExecReport& report) {
     profile.straggler = last.rank;
     profile.critical_path_ns = last_end;
     std::vector<PathSegment> path;  // built newest-first, reversed below
-    std::size_t total_events = 0;
-    for (std::size_t p = 0; p < P; ++p) total_events += report.events[p].size();
     EventRef cur = last;
     for (;;) {
       const auto p = static_cast<std::size_t>(cur.rank);
@@ -184,7 +226,6 @@ RunProfile analyze(const exec::ExecReport& report) {
   }
 
   // --- model residual: measured critical path vs scaled prediction --------
-  profile.fit = exec::measure(report);
   // Least-squares scale c minimizing sum_i (c * cycles_i - ns_i)^2 over the
   // (L, o, g) pairs that have samples: c = sum(cycles*ns) / sum(cycles^2).
   double num = 0, den = 0;
@@ -193,9 +234,9 @@ RunProfile analyze(const exec::ExecReport& report) {
     num += static_cast<double>(cycles) * ns;
     den += static_cast<double>(cycles) * static_cast<double>(cycles);
   };
-  pair(report.params.L, profile.fit.L_ns, profile.fit.latency_samples);
-  pair(report.params.o, profile.fit.o_ns, profile.fit.overhead_samples);
-  pair(report.params.g, profile.fit.g_ns, profile.fit.gap_samples);
+  pair(report.params.L, fit.L_ns, fit.latency_samples);
+  pair(report.params.o, fit.o_ns, fit.overhead_samples);
+  pair(report.params.g, fit.g_ns, fit.gap_samples);
   profile.ns_per_cycle = den > 0 ? num / den : 0;
   profile.predicted_ns =
       static_cast<double>(profile.predicted_makespan) * profile.ns_per_cycle;

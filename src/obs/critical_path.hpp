@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exec/engine.hpp"
-#include "exec/measure.hpp"
 
 /// \file critical_path.hpp
 /// Run analysis: where did a collective's wall time actually go, and why
@@ -16,17 +16,16 @@
 /// start_ns), and each receive names the send whose message it accepted
 /// (ExecEvent::match, recorded at the pop).  Those logs *are* the run's
 /// causal DAG — wire edges from each receive to its named send, stream
-/// edges between a rank's consecutive events — and analyze() walks it two
-/// ways:
+/// edges between a rank's consecutive events — and analyze() is their only
+/// reader.  One walk over every rank's events builds the decomposition and
+/// the fit; a second, backward walk follows the critical path:
 ///
-///  1. **Decomposition.**  Each rank's busy+blocked span
-///     [first event start, last event end] is partitioned *exactly* into
-///     six components:
+///  1. **Decomposition.**  Each rank's span [first event start, last event
+///     end] is partitioned *exactly* into five components:
 ///
-///       send-overhead  send begin -> push accepted (the model's o on the
-///                      sending side, including capacity backpressure)
-///       blocked        push accepted -> send complete (ack waits under
-///                      reliable delivery; ~0 on the fault-free path)
+///       send-overhead  send begin -> send complete (the model's o on the
+///                      sending side, including capacity backpressure; a
+///                      send completes at its push, so nothing follows it)
 ///       latency-wait   recv begin -> payload arrived (the wire's L plus
 ///                      any sender lateness)
 ///       recv-overhead  payload arrived -> stored (move-mode memcpy: the
@@ -41,10 +40,15 @@
 ///
 ///     The identity `span == sum(components)` holds by construction —
 ///     every nanosecond of the span lands in exactly one bucket — which is
-///     what the profiler tests assert (the acceptance bound is 1%; the
-///     arithmetic is exact).
+///     what the profiler tests assert.
 ///
-///  2. **Critical path.**  Starting from the globally last-finishing
+///  2. **Fit.**  The same walk fits effective (L, o, g) in nanoseconds:
+///     o from each send's begin -> push and each receive's arrival ->
+///     stored, L from the matched send's push to the receive's arrival, g
+///     from the spacing of a rank's consecutive send begins (clamped to
+///     g >= o).
+///
+///  3. **Critical path.**  Starting from the globally last-finishing
 ///     event, repeatedly step to the *gating* predecessor: for a receive
 ///     whose payload arrived after the rank started waiting, the matched
 ///     send on the peer (a wire edge); otherwise the previous event on the
@@ -54,9 +58,8 @@
 ///     first event.
 ///
 /// The *model residual* closes the predicted-vs-measured loop the paper's
-/// methodology implies: exec::measure() fits effective (L, o, g) in
-/// nanoseconds from the same event logs; a least-squares scale maps the
-/// plan machine's cycles onto those fitted values; and the residual is
+/// methodology implies: a least-squares scale maps the plan machine's
+/// (L, o, g) cycles onto the fitted nanoseconds, and the residual is
 /// (measured critical path - scaled predicted makespan) / predicted.  A
 /// run that executed the schedule as the model prices it has a residual
 /// near zero; stragglers, contention or a mis-fitted machine push it up.
@@ -65,20 +68,19 @@ namespace logpc::obs {
 
 /// One component of the per-rank time decomposition.
 enum class Component : std::uint8_t {
-  kSendOverhead,  ///< send begin -> push accepted
-  kBlocked,       ///< push accepted -> send complete (ack waits)
+  kSendOverhead,  ///< send begin -> send complete
   kLatencyWait,   ///< recv begin -> payload arrived
   kRecvOverhead,  ///< payload arrived -> stored (move mode)
   kFold,          ///< payload arrived -> folded + kSum local-combine gaps
   kGapStall,      ///< inter-event idle not attributable to local folding
 };
 
-inline constexpr std::size_t kComponents = 6;
+inline constexpr std::size_t kComponents = 5;
 
 [[nodiscard]] const char* component_name(Component c) noexcept;
 
 /// One contiguous interval of a rank's timeline, tagged with the component
-/// it belongs to.  Phases partition each rank's busy+blocked span; the
+/// it belongs to.  Phases partition each rank's span; the
 /// Chrome-trace exporter renders them as color-coded per-rank tracks.
 struct Phase {
   Component component = Component::kGapStall;
@@ -104,23 +106,36 @@ struct PathSegment {
   bool via_wire = false; ///< reached from the matched send, not the stream
 };
 
-/// Per-rank totals of the six components plus the span they partition.
+/// Per-rank totals of the five components plus the span they partition.
 struct RankBreakdown {
   std::uint64_t first_start_ns = 0;  ///< rank's first event begins
   std::uint64_t last_end_ns = 0;     ///< rank's last event completes
   std::uint64_t component_ns[kComponents] = {};
   std::size_t sends = 0;
   std::size_t recvs = 0;
+  std::size_t phases_begin = 0;  ///< first phase in RunProfile::phases
+  std::size_t phases_end = 0;    ///< one past the last
 
   [[nodiscard]] std::uint64_t ns(Component c) const {
     return component_ns[static_cast<std::size_t>(c)];
   }
-  /// The rank's busy+blocked wall time: last event end - first event start.
+  /// The rank's busy wall time: last event end - first event start.
   [[nodiscard]] std::uint64_t span_ns() const {
     return last_end_ns - first_start_ns;
   }
-  /// Sum of the six components — equals span_ns() by construction.
+  /// Sum of the five components — equals span_ns() by construction.
   [[nodiscard]] std::uint64_t components_sum_ns() const;
+};
+
+/// Effective parameters of one run, in nanoseconds, with sample counts so
+/// callers can judge the fit (a P=2 broadcast has no gap samples).
+struct MeasuredLogP {
+  double L_ns = 0;
+  double o_ns = 0;
+  double g_ns = 0;
+  std::size_t latency_samples = 0;
+  std::size_t overhead_samples = 0;
+  std::size_t gap_samples = 0;
 };
 
 /// Everything analyze() derives from one ExecReport.
@@ -131,8 +146,10 @@ struct RunProfile {
   std::uint64_t wall_ns = 0;   ///< the run's measured makespan
   Time predicted_makespan = 0; ///< the plan's completion time, cycles
 
-  std::vector<RankBreakdown> ranks;        ///< [rank]
-  std::vector<std::vector<Phase>> phases;  ///< [rank], start-ordered
+  std::vector<RankBreakdown> ranks;  ///< [rank]
+  /// Every rank's phases, rank by rank; rank p's are the start-ordered
+  /// range [ranks[p].phases_begin, ranks[p].phases_end) (rank_phases(p)).
+  std::vector<Phase> phases;
 
   /// The causal chain ending at the last-finishing event, oldest hop
   /// first.  Empty only when the run recorded no events at all.
@@ -143,8 +160,8 @@ struct RunProfile {
   /// The rank the critical path ends at (last event to finish).
   ProcId straggler = kNoProc;
 
-  /// Effective (L, o, g) fitted from this run's events (exec::measure).
-  exec::MeasuredLogP fit;
+  /// Effective (L, o, g) fitted from this run's events.
+  MeasuredLogP fit;
   /// Least-squares ns-per-cycle scale mapping the plan machine's (L, o, g)
   /// cycles onto the fitted nanosecond values.
   double ns_per_cycle = 0;
@@ -160,6 +177,11 @@ struct RunProfile {
 
   /// Total over all ranks of one component (ns).
   [[nodiscard]] std::uint64_t total_ns(Component c) const;
+  /// Rank p's phases, start-ordered.
+  [[nodiscard]] std::span<const Phase> rank_phases(std::size_t p) const {
+    const RankBreakdown& rb = ranks[p];
+    return {phases.data() + rb.phases_begin, rb.phases_end - rb.phases_begin};
+  }
 };
 
 /// Profiles one run.  Requires per-rank events non-decreasing in start_ns

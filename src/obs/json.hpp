@@ -44,7 +44,10 @@ namespace logpc::obs {
 
 /// `s` as a quoted JSON string literal.
 [[nodiscard]] inline std::string json_string(std::string_view s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out(1, '"');
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 /// A finite double as a JSON number ("%.17g" keeps round-trips exact);

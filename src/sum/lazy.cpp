@@ -15,7 +15,11 @@ void add(CheckResult& r, Rule rule, std::string detail) {
   r.violations.push_back(Violation{rule, std::move(detail)});
 }
 
-std::string P(ProcId p) { return "P" + std::to_string(p); }
+std::string P(ProcId p) {
+  std::string out = "P";
+  out += std::to_string(p);
+  return out;
+}
 
 }  // namespace
 

@@ -65,12 +65,6 @@ CollectiveService::Options validated(const CollectiveService::Options& o) {
     throw std::invalid_argument(
         "CollectiveService: pools must be in [1, 64]");
   }
-  if (o.segment_threshold > 0 &&
-      (o.segment_bytes == 0 || o.max_segments < 2)) {
-    throw std::invalid_argument(
-        "CollectiveService: segmentation needs segment_bytes >= 1 and "
-        "max_segments >= 2 (use segment_threshold = 0 to disable it)");
-  }
   if (o.introspect_port > 65535) {
     throw std::invalid_argument(
         "CollectiveService: introspect_port must be <= 65535");

@@ -117,10 +117,8 @@ class IntrospectServer;
 class CollectiveService {
  public:
   /// Service configuration, validated at construction: the constructor
-  /// throws std::invalid_argument for pools outside [1, 64], a
-  /// segmentation policy that can never split (segment_bytes == 0 or
-  /// max_segments < 2 with a non-zero threshold), or a port above 65535 —
-  /// never clamps silently.
+  /// throws std::invalid_argument for pools outside [1, 64] or a port
+  /// above 65535 — never clamps silently.
   /// Everything else is fixed: every pool runs a default exec::Engine.
   struct Options {
     /// Persistent engine pools.  Each pool is one exec::Engine (a warm run
@@ -146,9 +144,9 @@ class CollectiveService {
     /// segmented pipeline; 0 disables segmentation.
     std::size_t segment_threshold = 256 * 1024;
     /// Target bytes per segment: k = ceil(total / segment_bytes), clamped
-    /// to [2, max_segments].
-    std::size_t segment_bytes = 64 * 1024;
-    int max_segments = 16;
+    /// to [2, max_segments].  Fixed, not settable.
+    static constexpr std::size_t segment_bytes = 64 * 1024;
+    static constexpr int max_segments = 16;
   };
 
   /// \param planner plan-lookup service; nullptr uses the process-wide

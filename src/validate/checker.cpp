@@ -4,12 +4,31 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "sched/metrics.hpp"
 
 namespace logpc::validate {
 
 namespace {
+
+/// Joins message pieces (strings, and numbers through std::to_string) by
+/// appending to one std::string; "literal" + std::string chains trip a
+/// false -Wrestrict in GCC 12's std::string at -O3.
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  const auto append = [&out](const auto& part) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(part)>>) {
+      out += std::to_string(part);
+    } else {
+      out += part;
+    }
+  };
+  (append(parts), ...);
+  return out;
+}
 
 class Checker {
  public:
@@ -58,13 +77,11 @@ class Checker {
     bool ok = true;
     for (const auto& init : s_.initials()) {
       if (init.proc < 0 || init.proc >= P) {
-        add(Rule::kBadProcessor, "initial placement at P" +
-                                     std::to_string(init.proc));
+        add(Rule::kBadProcessor, cat("initial placement at P", init.proc));
         ok = false;
       }
       if (init.item < 0 || init.item >= K) {
-        add(Rule::kBadItem, "initial placement of item " +
-                                std::to_string(init.item));
+        add(Rule::kBadItem, cat("initial placement of item ", init.item));
         ok = false;
       }
     }
@@ -113,16 +130,14 @@ class Checker {
       std::sort(recvs[p].begin(), recvs[p].end());
       for (std::size_t i = 1; i < sends[p].size(); ++i) {
         if (sends[p][i] - sends[p][i - 1] < g) {
-          add(Rule::kSendGap, "P" + std::to_string(p) + " sends at t=" +
-                                  std::to_string(sends[p][i - 1]) + " and t=" +
-                                  std::to_string(sends[p][i]));
+          add(Rule::kSendGap, cat("P", p, " sends at t=", sends[p][i - 1],
+                                  " and t=", sends[p][i]));
         }
       }
       for (std::size_t i = 1; i < recvs[p].size(); ++i) {
         if (recvs[p][i] - recvs[p][i - 1] < g) {
-          add(Rule::kRecvGap, "P" + std::to_string(p) + " receives at t=" +
-                                  std::to_string(recvs[p][i - 1]) + " and t=" +
-                                  std::to_string(recvs[p][i]));
+          add(Rule::kRecvGap, cat("P", p, " receives at t=", recvs[p][i - 1],
+                                  " and t=", recvs[p][i]));
         }
       }
       if (o > 0 && !opts_.allow_duplex_overhead) {
@@ -132,8 +147,7 @@ class Checker {
           for (const Time rt : recvs[p]) {
             if (st < rt + o && rt < st + o) {
               add(Rule::kOverheadOverlap,
-                  "P" + std::to_string(p) + " send@" + std::to_string(st) +
-                      " vs recv@" + std::to_string(rt));
+                  cat("P", p, " send@", st, " vs recv@", rt));
             }
           }
         }
@@ -171,9 +185,8 @@ class Checker {
         }
         if (worst > opts_.buffer_limit) {
           add(Rule::kBufferOverflow,
-              "P" + std::to_string(proc) + " holds " + std::to_string(worst) +
-                  " buffered items (limit " +
-                  std::to_string(opts_.buffer_limit) + ")");
+              cat("P", proc, " holds ", worst, " buffered items (limit ",
+                  opts_.buffer_limit, ")"));
         }
       }
     }
@@ -209,10 +222,8 @@ class Checker {
           depth += d;
           if (depth > cap) {
             add(Rule::kCapacity,
-                std::string(by_sender ? "from" : "to") + " P" +
-                    std::to_string(proc) + " at t=" + std::to_string(t) +
-                    ": " + std::to_string(depth) + " in transit (cap " +
-                    std::to_string(cap) + ")");
+                cat(by_sender ? "from" : "to", " P", proc, " at t=", t, ": ",
+                    depth, " in transit (cap ", cap, ")"));
             break;  // one report per processor/direction is enough
           }
         }
@@ -231,9 +242,8 @@ class Checker {
     for (std::size_t item = 0; item < avail.size(); ++item) {
       for (std::size_t proc = 0; proc < avail[item].size(); ++proc) {
         if (avail[item][proc] == kNever) {
-          if (!add(Rule::kIncomplete, "item " + std::to_string(item) +
-                                          " never reaches P" +
-                                          std::to_string(proc))) {
+          if (!add(Rule::kIncomplete,
+                   cat("item ", item, " never reaches P", proc))) {
             return;
           }
         }
@@ -287,26 +297,23 @@ CheckResult check_delivery_order(
         Violation{Rule::kDeliveryOrder, std::move(detail)});
   };
   if (observed.size() != expected.size()) {
-    add("observed " + std::to_string(observed.size()) +
-        " processors, plan has " + std::to_string(expected.size()));
+    add(cat("observed ", observed.size(), " processors, plan has ",
+            expected.size()));
     return result;
   }
   for (std::size_t p = 0; p < expected.size(); ++p) {
     const auto& exp = expected[p];
     const auto& obs = observed[p];
     if (exp.size() != obs.size()) {
-      add("P" + std::to_string(p) + ": " + std::to_string(obs.size()) +
-          " receptions executed, plan prescribes " +
-          std::to_string(exp.size()));
+      add(cat("P", p, ": ", obs.size(),
+              " receptions executed, plan prescribes ", exp.size()));
       continue;
     }
     for (std::size_t i = 0; i < exp.size(); ++i) {
       if (!(exp[i] == obs[i])) {
-        add("P" + std::to_string(p) + " reception " + std::to_string(i) +
-            ": got item " + std::to_string(obs[i].item) + " from P" +
-            std::to_string(obs[i].from) + ", plan says item " +
-            std::to_string(exp[i].item) + " from P" +
-            std::to_string(exp[i].from));
+        add(cat("P", p, " reception ", i, ": got item ", obs[i].item,
+                " from P", obs[i].from, ", plan says item ", exp[i].item,
+                " from P", exp[i].from));
       }
     }
   }
@@ -323,11 +330,9 @@ CheckResult check_exactly_once(
         if (obs[i] == obs[j]) {
           result.violations.push_back(Violation{
               Rule::kDuplicateReceive,
-              "P" + std::to_string(p) + " accepted item " +
-                  std::to_string(obs[i].item) + " from P" +
-                  std::to_string(obs[i].from) + " twice (receptions " +
-                  std::to_string(i) + " and " + std::to_string(j) +
-                  ") — a duplicate delivery leaked through"});
+              cat("P", p, " accepted item ", obs[i].item, " from P",
+                  obs[i].from, " twice (receptions ", i, " and ", j,
+                  ") — a duplicate delivery leaked through")});
         }
       }
     }

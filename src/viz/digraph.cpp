@@ -10,7 +10,12 @@ std::string vertex_name(const bcast::BlockDigraph& g, int v) {
   const int label = g.labels[static_cast<std::size_t>(v)];
   if (label < 0) return "source";
   if (v == g.receive_only_vertex) return "[0] (recv-only)";
-  return "[" + std::to_string(label) + "] (block " + std::to_string(v) + ")";
+  std::string out = "[";
+  out += std::to_string(label);
+  out += "] (block ";
+  out += std::to_string(v);
+  out += ")";
+  return out;
 }
 
 }  // namespace

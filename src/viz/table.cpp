@@ -16,7 +16,9 @@ std::string reception_table(const Schedule& s) {
     auto& cell = cells[static_cast<std::size_t>(init.proc)]
                       [static_cast<std::size_t>(init.time)];
     if (!cell.empty()) cell += ",";
-    cell += "(" + std::to_string(init.item + 1) + ")";
+    cell += "(";
+    cell += std::to_string(init.item + 1);
+    cell += ")";
   }
   for (const auto& op : s.sends()) {
     const Time at = s.available_at(op);
@@ -26,8 +28,9 @@ std::string reception_table(const Schedule& s) {
     auto& cell =
         cells[static_cast<std::size_t>(op.to)][static_cast<std::size_t>(at)];
     if (!cell.empty()) cell += ",";
-    cell += delayed ? "[" + std::to_string(op.item + 1) + "]"
-                    : std::to_string(op.item + 1);
+    if (delayed) cell += "[";
+    cell += std::to_string(op.item + 1);
+    if (delayed) cell += "]";
   }
   std::size_t width = 2;
   for (const auto& row : cells) {

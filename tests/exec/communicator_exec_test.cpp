@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/measure.hpp"
 #include "exec_test_util.hpp"
 #include "sum/executor.hpp"
 
@@ -77,7 +76,7 @@ TEST(CommunicatorExec, RunReduceMatchesPlanReplay) {
   std::vector<Bytes> values;
   std::vector<std::string> strings;
   for (int p = 0; p < comm.size(); ++p) {
-    strings.push_back("v" + std::to_string(p) + ";");
+    strings.push_back(std::string("v").append(std::to_string(p)).append(";"));
     values.push_back(tu::of_str(strings.back()));
   }
   const std::string expected = bcast::execute_reduction<std::string>(
@@ -132,7 +131,10 @@ TEST(CommunicatorExec, ConcurrentMixedWorkloadsStayByteExact) {
         switch ((t + i) % 4) {
           case 0: {
             const Bytes payload =
-                tu::of_str("t" + std::to_string(t) + "i" + std::to_string(i));
+                tu::of_str(std::string("t")
+                               .append(std::to_string(t))
+                               .append("i")
+                               .append(std::to_string(i)));
             const auto r = comm.run_broadcast(
                 std::span<const std::byte>(payload), 0, &engine);
             for (ProcId p = 0; p < comm.size(); ++p) {

@@ -12,8 +12,8 @@
 #include "bcast/all_to_all.hpp"
 #include "bcast/reduction.hpp"
 #include "bcast/single_item.hpp"
-#include "exec/measure.hpp"
 #include "exec_test_util.hpp"
+#include "obs/critical_path.hpp"
 #include "runtime/planner.hpp"
 #include "sum/executor.hpp"
 #include "sum/summation_tree.hpp"
@@ -311,7 +311,8 @@ TEST(Engine, ReductionFoldsInArrivalOrder) {
     std::vector<Bytes> values;
     std::vector<std::string> strings;
     for (int p = 0; p < params.P; ++p) {
-      strings.push_back("<" + std::to_string(p) + ">");
+      strings.push_back(
+          std::string("<").append(std::to_string(p)).append(">"));
       values.push_back(tu::of_str(strings.back()));
     }
     const std::string expected = bcast::execute_reduction<std::string>(
@@ -337,7 +338,8 @@ TEST(Engine, SummationMatchesSequentialFoldInCombinationOrder) {
   int next = 0;
   for (std::size_t i = 0; i < layout.size(); ++i) {
     for (std::size_t j = 0; j < layout[i].total(); ++j) {
-      op_strings[i].push_back("[" + std::to_string(next++) + "]");
+      op_strings[i].push_back(
+          std::string("[").append(std::to_string(next++)).append("]"));
       operands[i].push_back(tu::of_str(op_strings[i].back()));
     }
   }
@@ -381,21 +383,15 @@ TEST(Engine, MeasureFitsPlausibleParameters) {
   const ExecReport report =
       engine.run(compile_broadcast(s, "alltoall"), Items{items});
 
-  const MeasuredLogP fit = measure(report);
+  const obs::RunProfile profile = obs::analyze(report);
+  const obs::MeasuredLogP& fit = profile.fit;
   EXPECT_GT(fit.overhead_samples, 0u);
   EXPECT_GT(fit.gap_samples, 0u);  // every proc sends P-1 times
   EXPECT_GT(fit.latency_samples, 0u);
   EXPECT_GE(fit.L_ns, 0.0);
   EXPECT_GE(fit.o_ns, 0.0);
   EXPECT_GE(fit.g_ns, fit.o_ns);
-
-  const double ns_per_cycle = fitted_ns_per_cycle(report);
-  EXPECT_GT(ns_per_cycle, 0.0);
-  const sim::MeasuredParams mp = fit.as_measured_params(ns_per_cycle, params);
-  EXPECT_EQ(mp.P, params.P);
-  EXPECT_GE(mp.L, 1);
-  EXPECT_GE(mp.o, 0);
-  EXPECT_GE(mp.g, 1);
+  EXPECT_GT(profile.ns_per_cycle, 0.0);
 }
 
 TEST(Engine, ReusesPoolAcrossRunsAndSizes) {

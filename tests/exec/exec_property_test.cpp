@@ -125,8 +125,11 @@ TEST(ExecProperty, SummationEqualsSequentialFoldInCombinationOrder) {
     std::vector<std::vector<std::string>> strings(plan.procs.size());
     for (std::size_t i = 0; i < layout.size(); ++i) {
       for (std::size_t j = 0; j < layout[i].total(); ++j) {
-        strings[i].push_back("(" + std::to_string(i) + ":" +
-                             std::to_string(j) + ")");
+        strings[i].push_back(std::string("(")
+                                 .append(std::to_string(i))
+                                 .append(":")
+                                 .append(std::to_string(j))
+                                 .append(")"));
         operands[i].push_back(tu::of_str(strings[i].back()));
       }
     }

@@ -283,7 +283,8 @@ TEST(EngineKernels, NonCommutativeSummationOrderSurvivesTheFastLane) {
   int next = 0;
   for (std::size_t i = 0; i < layout.size(); ++i) {
     for (std::size_t j = 0; j < layout[i].total(); ++j) {
-      op_strings[i].push_back("[" + std::to_string(next++) + "]");
+      op_strings[i].push_back(
+          std::string("[").append(std::to_string(next++)).append("]"));
       operands[i].push_back(tu::of_str(op_strings[i].back()));
     }
   }

@@ -97,8 +97,11 @@ TEST(ProgramIdentity, RelabeledSegmentedBroadcastRunsByteExact) {
     std::vector<Bytes> items;
     for (int i = 0; i < kItems; ++i) {
       const std::string pad(static_cast<std::size_t>(i), '*');
-      items.push_back(testutil::of_str("P" + std::to_string(P) + " item " +
-                                       std::to_string(i) + pad));
+      items.push_back(testutil::of_str(std::string("P")
+                                           .append(std::to_string(P))
+                                           .append(" item ")
+                                           .append(std::to_string(i))
+                                           .append(pad)));
     }
     for (const ProcId root : {1, P - 1}) {
       SCOPED_TRACE("P=" + std::to_string(P) + " root=" + std::to_string(root));

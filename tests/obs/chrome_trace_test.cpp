@@ -77,8 +77,8 @@ TEST(ChromeTrace, ZeroOverheadBecomesInstantEvents) {
 }
 
 TEST(ChromeTrace, RunProfileExportsColorCodedComponentTracks) {
-  // Two-rank profiled run: rank 0 sends (overhead + blocked), rank 1 waits
-  // then stores — four phases and a two-hop critical path.
+  // Two-rank profiled run: rank 0 sends (all of it send overhead), rank 1
+  // waits then stores — three phases and a two-hop critical path.
   exec::ExecReport report;
   report.params = Params{2, 4, 1, 2};
   report.mode = exec::Mode::kMove;
@@ -101,6 +101,14 @@ TEST(ChromeTrace, RunProfileExportsColorCodedComponentTracks) {
   EXPECT_NE(json.find("\"send_overhead\""), std::string::npos);
   EXPECT_NE(json.find("\"latency_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"cname\""), std::string::npos);
+  EXPECT_EQ(json.find("\"blocked\""), std::string::npos);
+  std::size_t slices = 0;
+  for (std::size_t at = json.find("\"cat\":\"profile\"");
+       at != std::string::npos;
+       at = json.find("\"cat\":\"profile\"", at + 1)) {
+    ++slices;
+  }
+  EXPECT_EQ(slices, 3u);
   // The critical path lands on its own track past the rank rows.
   EXPECT_NE(json.find("\"critical path\""), std::string::npos);
   EXPECT_NE(json.find("\"profile.critical\""), std::string::npos);

@@ -8,15 +8,20 @@
 #include <string>
 #include <vector>
 
+#include "../exec/exec_test_util.hpp"
 #include "api/communicator.hpp"
 #include "exec/engine.hpp"
+#include "exec/program.hpp"
+#include "runtime/planner.hpp"
+#include "sum/executor.hpp"
 
-/// Tests of the run profiler: the six-component decomposition identity,
-/// the recorded causal matches, the critical-path walk, and the model
-/// residual —
-/// first on hand-built event logs where every edge is known, then on real
-/// P=8 engine runs where the acceptance bounds (components sum to the
-/// rank's span within 1%, path ends at the last-finishing rank) must hold.
+/// Tests of the run profiler: the five-component decomposition identity,
+/// the recorded causal matches, the critical-path walk, the (L, o, g) fit
+/// and the model residual — first on hand-built event logs where every
+/// edge is known, then on real engine runs where the acceptance bounds
+/// (components sum to the rank's span within 1%, path ends at the
+/// last-finishing rank) must hold and the fit must equal, bit for bit,
+/// the separate second walk that once computed it (the oracle below).
 
 namespace logpc::obs {
 namespace {
@@ -38,8 +43,8 @@ ExecEvent recv_ev(ProcId peer, ItemId item, std::uint32_t match,
                    end, planned};
 }
 
-/// A two-rank run: rank 0 sends at t=10..30, rank 1 waits from t=5, the
-/// payload arrives at t=40 (after the send's push), stored by t=50.
+/// A two-rank run: rank 0 sends at t=10..30 (pushed at 25), rank 1 waits
+/// from t=5, the payload arrives at t=40, stored by t=50.
 exec::ExecReport two_rank_report() {
   exec::ExecReport report;
   report.params = Params{2, 4, 1, 2};
@@ -59,10 +64,12 @@ TEST(CriticalPath, TwoRankDecompositionIsExact) {
 
   const RankBreakdown& r0 = profile.ranks[0];
   EXPECT_EQ(r0.span_ns(), 20u);
-  EXPECT_EQ(r0.ns(Component::kSendOverhead), 15u);  // 10 -> 25
-  EXPECT_EQ(r0.ns(Component::kBlocked), 5u);        // 25 -> 30
+  // A send's whole [start, end] is send overhead.
+  EXPECT_EQ(r0.ns(Component::kSendOverhead), 20u);  // 10 -> 30
   EXPECT_EQ(r0.components_sum_ns(), r0.span_ns());
   EXPECT_EQ(r0.sends, 1u);
+  ASSERT_EQ(profile.rank_phases(0).size(), 1u);
+  EXPECT_EQ(profile.rank_phases(0)[0].end_ns, 30u);
 
   const RankBreakdown& r1 = profile.ranks[1];
   EXPECT_EQ(r1.span_ns(), 45u);
@@ -70,6 +77,11 @@ TEST(CriticalPath, TwoRankDecompositionIsExact) {
   EXPECT_EQ(r1.ns(Component::kRecvOverhead), 10u);  // 40 -> 50
   EXPECT_EQ(r1.components_sum_ns(), r1.span_ns());
   EXPECT_EQ(r1.recvs, 1u);
+  // One phases array, rank by rank.
+  EXPECT_EQ(profile.phases.size(), 3u);
+  EXPECT_EQ(r1.phases_begin, r0.phases_end);
+  EXPECT_EQ(profile.rank_phases(1)[0].component, Component::kLatencyWait);
+  EXPECT_EQ(profile.rank_phases(1)[1].component, Component::kRecvOverhead);
 }
 
 TEST(CriticalPath, TwoRankPathCrossesTheWire) {
@@ -189,6 +201,54 @@ TEST(CriticalPath, RejectsOutOfOrderAndMalformedEvents) {
   EXPECT_NO_THROW(analyze(two_rank_report()));
 }
 
+// --- the fit ----------------------------------------------------------------
+
+// Synthetic-report round trip: generate event logs from known ground-truth
+// parameters, fit, and assert the fit returns them.  Ground truth, in ns:
+constexpr std::uint64_t kO = 20, kL = 100;
+constexpr std::uint64_t kGap = 50;
+
+void add_send(exec::ExecReport& r, ProcId from, ProcId to,
+              std::uint64_t start, std::uint64_t o) {
+  // Pushed, and so complete, after the send overhead.
+  r.events[static_cast<std::size_t>(from)].push_back(
+      send_ev(to, 0, start, start + o, start + o));
+}
+
+/// A receive on `at` that accepted the message of events[from][match].
+void add_recv(exec::ExecReport& r, ProcId at, ProcId from,
+              std::uint32_t match, std::uint64_t wire_ns, std::uint64_t o) {
+  const std::uint64_t push =
+      r.events[static_cast<std::size_t>(from)][match].xfer_ns;
+  // Payload arrived after the wire latency, stored after the overhead.
+  r.events[static_cast<std::size_t>(at)].push_back(
+      recv_ev(from, 0, match, push, push + wire_ns, push + wire_ns + o));
+}
+
+TEST(Measure, FlatFitRoundTripsKnownParameters) {
+  exec::ExecReport r;
+  r.params = Params{4, 1, 0, 1};
+  r.events.resize(4);
+  add_send(r, 0, 1, 0, kO);
+  add_send(r, 0, 2, kGap, kO);
+  add_send(r, 0, 3, 2 * kGap, kO);
+  add_recv(r, 1, 0, 0, kL, kO);
+  add_recv(r, 2, 0, 1, kL, kO);
+  add_recv(r, 3, 0, 2, kL, kO);
+
+  const RunProfile profile = analyze(r);
+  const MeasuredLogP& fit = profile.fit;
+  EXPECT_DOUBLE_EQ(fit.L_ns, static_cast<double>(kL));
+  EXPECT_DOUBLE_EQ(fit.o_ns, static_cast<double>(kO));
+  EXPECT_DOUBLE_EQ(fit.g_ns, static_cast<double>(kGap));
+  EXPECT_EQ(fit.latency_samples, 3u);
+  EXPECT_EQ(fit.overhead_samples, 6u);  // 3 sends + 3 receives
+  EXPECT_EQ(fit.gap_samples, 2u);
+  // Least squares over the sampled pairs with cycles > 0: (L = 1, 100 ns)
+  // and (g = 1, 50 ns); o = 0 cycles carries no weight.
+  EXPECT_DOUBLE_EQ(profile.ns_per_cycle, 75.0);
+}
+
 // --- real engine runs ------------------------------------------------------
 
 exec::ExecReport run_broadcast(int P) {
@@ -242,6 +302,167 @@ TEST(CriticalPath, RealBroadcastFitsAResidual) {
   EXPECT_TRUE(std::isfinite(profile.residual));
   // residual = measured/predicted - 1, so it can never undershoot -1.
   EXPECT_GT(profile.residual, -1.0);
+}
+
+// --- the fit against the two-walk oracle ------------------------------------
+//
+// The fit once had its own reader of the event log, a second walk after the
+// decomposition's.  That walk and its least-squares scale are kept here as
+// the oracle: analyze()'s one walk must reproduce them bit for bit.
+
+namespace tu = exec::testutil;
+
+/// The separate fit walk: rank by rank, event by event.
+MeasuredLogP oracle_measure(const exec::ExecReport& report) {
+  double latency_sum = 0;
+  double overhead_sum = 0;
+  double gap_sum = 0;
+  MeasuredLogP out;
+  for (const std::vector<ExecEvent>& evs : report.events) {
+    std::uint64_t prev_send_start = 0;
+    bool have_prev_send = false;
+    for (const ExecEvent& ev : evs) {
+      if (ev.kind == ExecEvent::Kind::kRecv) {
+        overhead_sum += static_cast<double>(ev.end_ns - ev.xfer_ns);
+        ++out.overhead_samples;
+        const auto peer = static_cast<std::size_t>(ev.peer);
+        if (peer < report.events.size() &&
+            ev.match < report.events[peer].size()) {
+          const std::uint64_t push = report.events[peer][ev.match].xfer_ns;
+          if (ev.xfer_ns >= push) {
+            latency_sum += static_cast<double>(ev.xfer_ns - push);
+            ++out.latency_samples;
+          }
+        }
+      } else {
+        overhead_sum += static_cast<double>(ev.xfer_ns - ev.start_ns);
+        ++out.overhead_samples;
+        if (have_prev_send) {
+          gap_sum += static_cast<double>(ev.start_ns - prev_send_start);
+          ++out.gap_samples;
+        }
+        prev_send_start = ev.start_ns;
+        have_prev_send = true;
+      }
+    }
+  }
+  if (out.latency_samples > 0) {
+    out.L_ns = latency_sum / static_cast<double>(out.latency_samples);
+  }
+  if (out.overhead_samples > 0) {
+    out.o_ns = overhead_sum / static_cast<double>(out.overhead_samples);
+  }
+  if (out.gap_samples > 0) {
+    out.g_ns = gap_sum / static_cast<double>(out.gap_samples);
+  }
+  out.g_ns = std::max(out.g_ns, out.o_ns);
+  return out;
+}
+
+/// The least-squares ns-per-cycle scale over the sampled (L, o, g) pairs.
+double oracle_ns_per_cycle(const Params& machine, const MeasuredLogP& fit) {
+  double num = 0, den = 0;
+  auto pair = [&](Time cycles, double ns, std::size_t samples) {
+    if (samples == 0 || cycles <= 0) return;
+    num += static_cast<double>(cycles) * ns;
+    den += static_cast<double>(cycles) * static_cast<double>(cycles);
+  };
+  pair(machine.L, fit.L_ns, fit.latency_samples);
+  pair(machine.o, fit.o_ns, fit.overhead_samples);
+  pair(machine.g, fit.g_ns, fit.gap_samples);
+  return den > 0 ? num / den : 0;
+}
+
+/// Asserts analyze()'s fit, scale and residual equal the oracle's exactly.
+void expect_fit_matches_oracle(const exec::ExecReport& report) {
+  SCOPED_TRACE(report.label + " on " + report.params.to_string());
+  ASSERT_FALSE(report.events.empty());
+  const RunProfile profile = analyze(report);
+  const MeasuredLogP want = oracle_measure(report);
+  EXPECT_EQ(profile.fit.L_ns, want.L_ns);
+  EXPECT_EQ(profile.fit.o_ns, want.o_ns);
+  EXPECT_EQ(profile.fit.g_ns, want.g_ns);
+  EXPECT_EQ(profile.fit.latency_samples, want.latency_samples);
+  EXPECT_EQ(profile.fit.overhead_samples, want.overhead_samples);
+  EXPECT_EQ(profile.fit.gap_samples, want.gap_samples);
+  EXPECT_GT(want.latency_samples, 0u);
+  const double scale = oracle_ns_per_cycle(report.params, want);
+  EXPECT_EQ(profile.ns_per_cycle, scale);
+  const double predicted =
+      static_cast<double>(report.predicted_makespan) * scale;
+  EXPECT_EQ(profile.predicted_ns, predicted);
+  std::uint64_t last_end = 0;
+  for (const auto& evs : report.events) {
+    if (!evs.empty()) last_end = std::max(last_end, evs.back().end_ns);
+  }
+  ASSERT_GT(predicted, 0.0);
+  EXPECT_EQ(profile.residual,
+            (static_cast<double>(last_end) - predicted) / predicted);
+}
+
+const std::vector<Params>& oracle_machines() {
+  static const std::vector<Params> machines = {
+      Params{8, 4, 1, 2}, Params{12, 6, 1, 3}, Params{16, 5, 1, 2}};
+  return machines;
+}
+
+TEST(FitOracle, BroadcastFitEqualsTheSeparateWalk) {
+  for (const Params& machine : oracle_machines()) {
+    const api::Communicator comm(machine);
+    expect_fit_matches_oracle(
+        comm.run_broadcast(tu::of_str("oracle broadcast payload")));
+  }
+}
+
+TEST(FitOracle, KItemBroadcastFitEqualsTheSeparateWalk) {
+  for (const Params& machine : oracle_machines()) {
+    const auto plan = runtime::Planner::build_uncached(
+        runtime::PlanKey::kitem(machine, 4));
+    const exec::Program prog = exec::compile_broadcast(plan.schedule, "kitem");
+    exec::Engine engine;
+    expect_fit_matches_oracle(engine.run(
+        prog, exec::Payload{tu::of_str("a k-item payload split in four")}));
+  }
+}
+
+TEST(FitOracle, AllgatherFitEqualsTheSeparateWalk) {
+  for (const Params& machine : oracle_machines()) {
+    const api::Communicator comm(machine);
+    std::vector<exec::Bytes> contributions;
+    for (int p = 0; p < machine.P; ++p) {
+      contributions.push_back(tu::of_str("from " + std::to_string(p)));
+    }
+    expect_fit_matches_oracle(comm.run_allgather(contributions));
+  }
+}
+
+TEST(FitOracle, ReduceFitEqualsTheSeparateWalk) {
+  for (const Params& machine : oracle_machines()) {
+    const api::Communicator comm(machine);
+    std::vector<exec::Bytes> values;
+    for (int p = 0; p < machine.P; ++p) {
+      values.push_back(tu::of_u64(static_cast<std::uint64_t>(p) + 1));
+    }
+    expect_fit_matches_oracle(comm.run_reduce(values, tu::add_u64()));
+  }
+}
+
+TEST(FitOracle, SummationFitEqualsTheSeparateWalk) {
+  for (const Params& machine : oracle_machines()) {
+    const api::Communicator comm(machine);
+    const Count n = static_cast<Count>(machine.P) * 4;
+    const sum::SummationPlan plan = comm.reduce_operands(n);
+    const auto layout = sum::operand_layout(plan);
+    std::vector<std::vector<exec::Bytes>> operands(plan.procs.size());
+    std::uint64_t v = 1;
+    for (std::size_t i = 0; i < layout.size(); ++i) {
+      for (std::size_t j = 0; j < layout[i].total(); ++j) {
+        operands[i].push_back(tu::of_u64(v++));
+      }
+    }
+    expect_fit_matches_oracle(
+        comm.run_reduce_operands(n, operands, tu::add_u64()));
+  }
 }
 
 }  // namespace

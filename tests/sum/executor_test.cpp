@@ -88,7 +88,8 @@ TEST(Executor, NonCommutativeOperatorViaRenumbering) {
   std::string expected;
   for (std::size_t r = 0; r < order.size(); ++r) {
     const auto& [proc, idx] = order[r];
-    const std::string label = "[" + std::to_string(r) + "]";
+    const std::string label =
+        std::string("[").append(std::to_string(r)).append("]");
     operands[index_of_proc[static_cast<std::size_t>(proc)]][idx] = label;
     expected += label;
   }

@@ -462,24 +462,31 @@ TEST(SvcFusion, FusedBroadcastIsBitwiseIdenticalToUnfused) {
 
 // ------------------------------------------- service: segmented pipeline
 
-TEST(SvcFusion, SegmentedBroadcastIsBitwiseIdenticalToBulk) {
-  std::string big;
-  big.reserve(6000);
-  for (int i = 0; i < 6000; ++i) {
-    big.push_back(static_cast<char>((i * 131 + 7) & 0xff));
+/// `n` bytes of a position-dependent pattern, so a misplaced segment shows.
+std::string patterned(std::size_t n, unsigned mul, unsigned add) {
+  std::string s(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<char>((i * mul + add) & 0xff);
   }
+  return s;
+}
+
+constexpr std::size_t kSeg = CollectiveService::Options::segment_bytes;
+
+TEST(SvcFusion, SegmentedBroadcastIsBitwiseIdenticalToBulk) {
+  // Five full segments and a short sixth.
+  const std::string big = patterned(5 * kSeg + 1000, 131, 7);
 
   CollectiveService::Options seg_opts;
   seg_opts.segment_threshold = 4096;
-  seg_opts.segment_bytes = 1024;
-  seg_opts.max_segments = 8;
   CollectiveService* svc = nullptr;
   std::vector<Request> reqs;
   reqs.push_back(bcast_req(big));
   const std::vector<Response> seg = run_backlog(seg_opts, std::move(reqs),
                                                 &svc);
   ASSERT_EQ(seg[0].status, Status::kOk) << seg[0].error;
-  EXPECT_EQ(seg[0].segments, 6u) << "ceil(6000/1024), under the clamp";
+  EXPECT_EQ(seg[0].segments, 6u)
+      << "ceil(size / segment_bytes), under the clamp";
   EXPECT_GE(svc->status().segmented_runs, 1u);
 
   CollectiveService::Options bulk_opts;
@@ -498,14 +505,9 @@ TEST(SvcFusion, SegmentedBroadcastIsBitwiseIdenticalToBulk) {
 }
 
 TEST(SvcFusion, SegmentedBroadcastFromNonZeroRoot) {
-  std::string big(5000, '\0');
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    big[i] = static_cast<char>((i * 17 + 3) & 0xff);
-  }
+  const std::string big = patterned(3 * kSeg + 500, 17, 3);
   CollectiveService::Options opts;
   opts.segment_threshold = 2048;
-  opts.segment_bytes = 1024;
-  opts.max_segments = 8;
   std::vector<Request> reqs;
   Request r = bcast_req(big);
   r.root = 2;
@@ -519,20 +521,15 @@ TEST(SvcFusion, SegmentedBroadcastFromNonZeroRoot) {
 }
 
 TEST(SvcFusion, FusedAndSegmentedComposeExactly) {
-  // Four 2 KiB requests fuse to 8 KiB, which then crosses the segment
-  // threshold: both layers of the throughput path at once, still exact.
+  // Four one-segment requests fuse to four segments' worth, which crosses
+  // the segment threshold none of them crosses alone: both layers of the
+  // throughput path at once, still exact.
   std::vector<std::string> payloads;
-  for (int i = 0; i < 4; ++i) {
-    std::string s(2048, '\0');
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      s[j] = static_cast<char>((j * 13 + i * 101) & 0xff);
-    }
-    payloads.push_back(std::move(s));
+  for (unsigned i = 0; i < 4; ++i) {
+    payloads.push_back(patterned(kSeg, 13, i * 101));
   }
   CollectiveService::Options opts;
-  opts.segment_threshold = 4096;
-  opts.segment_bytes = 2048;
-  opts.max_segments = 8;
+  opts.segment_threshold = 2 * kSeg;
   std::vector<Request> reqs;
   for (const std::string& s : payloads) reqs.push_back(bcast_req(s));
   const std::vector<Response> rs = run_backlog(opts, std::move(reqs));

@@ -100,14 +100,8 @@ TEST(SvcService, RejectsDegenerateOptionsAtConstruction) {
   expect_rejected(opts);
 
   opts = {};
-  opts.segment_bytes = 0;  // segmentation enabled but can never split
-  expect_rejected(opts);
-  opts = {};
-  opts.max_segments = 1;
-  expect_rejected(opts);
-  // Disabling segmentation makes the same fields irrelevant.
-  opts.segment_threshold = 0;
   opts.pools = 1;
+  opts.segment_threshold = 0;  // segmentation off is a valid policy
   EXPECT_NO_THROW(CollectiveService(machine(), opts));
 
   opts = {};
@@ -378,7 +372,8 @@ TEST(SvcService, DrainingShutdownCompletesQueuedWork) {
                                           .queue_capacity = 16});
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i) {
-    SubmitResult sub = svc.submit(t, bcast_req("d" + std::to_string(i)));
+    SubmitResult sub =
+        svc.submit(t, bcast_req(std::string("d").append(std::to_string(i))));
     ASSERT_TRUE(sub.accepted());
     futures.push_back(std::move(sub.response));
   }
